@@ -8,8 +8,6 @@ chirp-modulate-unchirp beam splitter discretely and on sampled fields,
 evaluates the entanglement witness, fringe fits and multiplexing capacity.
 """
 
-from ._kernels import USING_NUMBA
-
-__all__ = ["USING_NUMBA", "__version__"]
+__all__ = ["__version__"]
 
 __version__ = "1.0.0"

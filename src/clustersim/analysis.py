@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import witness_samples
 from .errors import InsufficientScan, MissingBasis
 
 # Operator strings over qubit order (T_s, T_i, t_s, t_i).
@@ -101,6 +100,27 @@ def _signs_and_bases(basis_order: tuple[str, ...]):
         [basis_order.index(TERM_BASIS[t]) for t in STABILIZER_TERMS], dtype=np.int64
     )
     return signs, term_basis
+
+
+def witness_samples(counts, signs, term_basis):
+    """Witness value for each resampled count set.
+
+    counts: (n, n_bases, 16) nonnegative count samples
+    signs: (n_terms, 16) eigenvalue-product signs per outcome
+    term_basis: (n_terms,) index of the basis each term is evaluated in
+
+    A basis without counts contributes 0 to each of its terms.
+    """
+    totals = counts.sum(axis=2)  # (n, n_bases)
+    s_sum = np.zeros(counts.shape[0])
+    for t in range(signs.shape[0]):
+        b = term_basis[t]
+        acc = counts[:, b, :] @ signs[t]
+        tot = totals[:, b]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s = np.where(tot > 0.0, acc / np.where(tot > 0, tot, 1.0), 0.0)
+        s_sum += s
+    return 2.0 - 0.5 * s_sum
 
 
 def monte_carlo_error(

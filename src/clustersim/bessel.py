@@ -9,14 +9,41 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import bessel_j_row
-
 
 @lru_cache(maxsize=4096)
 def _row_cached(g: float, m_max: int):
-    row = bessel_j_row(float(g), int(m_max))
-    row.setflags(write=False)
-    return row
+    """J_0(g) .. J_{m_max}(g) by Miller's downward recurrence (read-only).
+
+    The recurrence J_{m-1} = (2m/g) J_m - J_{m+1} is run downward from a
+    start order well above m_max and normalized with the identity
+    J_0 + 2*(J_2 + J_4 + ...) = 1.
+    """
+    g, m_max = float(g), int(m_max)
+    out = np.zeros(m_max + 1)
+    if g == 0.0:
+        out[0] = 1.0
+    else:
+        start = m_max + int(1.4 * abs(g)) + 25
+        start += start % 2
+        jp = 0.0  # J_{m+1}
+        jc = 1e-30  # J_m at the start order (arbitrary seed)
+        norm = 0.0
+        for m in range(start, 0, -1):
+            jp, jc = jc, (2.0 * m / g) * jc - jp
+            if m - 1 <= m_max:
+                out[m - 1] = jc
+            if (m - 1) % 2 == 0 and m - 1 > 0:
+                norm += 2.0 * jc
+            # rescale to avoid overflow on long recurrences
+            if abs(jc) > 1e250:
+                jc *= 1e-250
+                jp *= 1e-250
+                norm *= 1e-250
+                out *= 1e-250
+        norm += jc  # jc now holds J_0
+        out /= norm
+    out.setflags(write=False)
+    return out
 
 
 def bessel_j(m: int, g: float) -> float:

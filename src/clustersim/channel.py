@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import ou_accumulate, stabilize_loop
 from .errors import OutOfRange
 from .modes import JointTwoPhotonState
 
@@ -147,6 +146,19 @@ def bin_assignment_corrupted(offset_ps: float, min_bin_spacing_ps: float = 100.0
     return abs(offset_ps) > 0.5 * min_bin_spacing_ps
 
 
+def ou_accumulate(normals, decay, innovation):
+    """Exact-discretization Ornstein-Uhlenbeck path starting at 0.
+
+    x[k] = decay * x[k-1] + innovation * normals[k]
+    """
+    out = np.empty(len(normals))
+    x = 0.0
+    for k in range(len(normals)):
+        x = decay * x + innovation * normals[k]
+        out[k] = x
+    return out
+
+
 def simulate_drift(
     link: FiberLink,
     duration_s: float,
@@ -204,11 +216,18 @@ def stabilize(
         if policy.estimator_noise_ps > 0
         else np.zeros(n_epochs)
     )
-    residual = stabilize_loop(
-        np.ascontiguousarray(trace.offsets_ps, dtype=float),
-        period_steps,
-        noise,
-        policy.actuator_resolution_ps,
-    )
+    offsets = trace.offsets_ps
+    resolution = policy.actuator_resolution_ps
+    residual = np.empty(n)
+    correction = 0.0
+    epoch = 0
+    for k in range(n):
+        if k > 0 and k % period_steps == 0:
+            est = (offsets[k] - correction) + noise[epoch]
+            epoch += 1
+            if resolution > 0.0:
+                est = np.round(est / resolution) * resolution
+            correction += est
+        residual[k] = offsets[k] - correction
     out = replace(trace, offsets_ps=residual)
     return out, out.rms_ps()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -114,19 +115,59 @@ PRESETS = {
 }
 
 # Sections whose keys are free-form (level names etc.), exempt from
-# unknown-key rejection.
-_OPEN_SECTIONS = {("detection", "visibility_penalty")}
+# unknown-key rejection; each value must have the type of the given one.
+_OPEN_SECTIONS = {("detection", "visibility_penalty"): 1.0}
+
+# Leaves that may be null: no peak rescale of the drift.
+_NULLABLE = {"channel.drift.peak_k"}
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object"}
+
+
+def _check_type(value, default, where: str) -> None:
+    """Raise ConfigError unless value has the JSON type of its default.
+
+    Integers are numbers and integral numbers are integers; booleans are
+    neither.  Values are not converted, so config hashes stay as written.
+    List items are checked against the default's first item, or position
+    by position when its items differ in type (a level [name, shift, freq]).
+    """
+    if value is None and where in _NULLABLE:
+        return
+    if isinstance(value, bool) or isinstance(default, bool):
+        ok = isinstance(value, bool) and isinstance(default, bool)
+    elif isinstance(default, int):
+        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        expected = _TYPE_NAMES[type(default)]
+        raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
+    if isinstance(default, list) and default:
+        positional = len({type(item) for item in default}) > 1
+        if positional and len(value) != len(default):
+            raise ConfigError(f"{where} must have {len(default)} entries")
+        for i, item in enumerate(value):
+            _check_type(item, default[i if positional else 0], f"{where}[{i}]")
 
 
 def _merge(base: dict, override: dict, path: tuple = ()) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
-        if key not in base and path not in _OPEN_SECTIONS:
-            where = ".".join(path + (str(key),))
-            raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base.get(key), dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, path + (key,))
+        where = ".".join(path + (str(key),))
+        if key in base:
+            default = base[key]
+        elif path in _OPEN_SECTIONS:
+            default = _OPEN_SECTIONS[path]
         else:
+            raise ConfigError(f"unknown config key: {where}")
+        if isinstance(default, dict) and isinstance(value, dict):
+            out[key] = _merge(default, value, path + (key,))
+        else:
+            _check_type(value, default, where)
             out[key] = copy.deepcopy(value)
     return out
 
@@ -247,15 +288,31 @@ def write_line_svg(path: Path, curves: dict, stamp: str, x_label: str, y_label: 
 # ----------------------------------------------------------------------
 # config -> domain objects
 
+def _from_config(section: str):
+    """Report a domain constructor's ValueError on config values as a ConfigError."""
+    def decorate(adapter):
+        @functools.wraps(adapter)
+        def build(*args):
+            try:
+                return adapter(*args)
+            except ValueError as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
+        return build
+    return decorate
+
+
+@_from_config("encoding")
 def _grid(cfg) -> ModeGrid:
     enc = cfg["encoding"]
     return ModeGrid(enc["time_quantum_ps"], enc["freq_quantum_ghz"])
 
 
+@_from_config("encoding")
 def _levels(cfg) -> LevelSpec:
     return LevelSpec(tuple(Level(n, s, f) for n, s, f in cfg["encoding"]["levels"]))
 
 
+@_from_config("source")
 def _train(cfg) -> ExcitationTrain:
     src = cfg["source"]
     return ExcitationTrain(
@@ -266,6 +323,7 @@ def _train(cfg) -> ExcitationTrain:
     )
 
 
+@_from_config("cpm")
 def _base_cpm(cfg) -> CpmSettings:
     c = cfg["cpm"]
     return CpmSettings(
@@ -276,6 +334,7 @@ def _base_cpm(cfg) -> CpmSettings:
     )
 
 
+@_from_config("channel")
 def _link(cfg) -> channel.FiberLink:
     ch = cfg["channel"]
     return channel.FiberLink(
@@ -286,18 +345,20 @@ def _link(cfg) -> channel.FiberLink:
     )
 
 
+@_from_config("channel.drift")
 def _thermal(cfg) -> channel.ThermalModel:
     d = cfg["channel"]["drift"]
     return channel.ThermalModel(
         sigma_k=d["sigma_k"],
         correlation_s=d["correlation_s"],
         smoothing_s=d["smoothing_s"],
-        smoothing_passes=d["smoothing_passes"],
+        smoothing_passes=int(d["smoothing_passes"]),
         peak_k=d["peak_k"],
         step_s=d["step_s"],
     )
 
 
+@_from_config("channel.stabilizer")
 def _policy(cfg) -> channel.StabilizerPolicy:
     s = cfg["channel"]["stabilizer"]
     return channel.StabilizerPolicy(
@@ -307,6 +368,7 @@ def _policy(cfg) -> channel.StabilizerPolicy:
     )
 
 
+@_from_config("detection")
 def _detector(cfg) -> detection.DetectorModel:
     d = cfg["detection"]
     return detection.DetectorModel(
@@ -320,9 +382,14 @@ def _detector(cfg) -> detection.DetectorModel:
 
 
 def _penalty(cfg) -> dict:
-    return dict(cfg["detection"]["visibility_penalty"])
+    penalty = dict(cfg["detection"]["visibility_penalty"])
+    for level, v in penalty.items():
+        if not 0.0 <= v <= 1.0:
+            raise ConfigError(f"visibility_penalty.{level} = {v} outside [0, 1]")
+    return penalty
 
 
+@_from_config("encoding")
 def _make_state(cfg):
     levels = _levels(cfg)
     layout = layout_from_levels(levels)
@@ -348,7 +415,7 @@ def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     state, levels, layout = _make_state(cfg)
     link = _link(cfg)
     trace = channel.simulate_drift(
-        link, cfg["channel"]["drift"]["duration_s"], _thermal(cfg), cfg["seed"]
+        link, cfg["channel"]["drift"]["duration_s"], _thermal(cfg), int(cfg["seed"])
     )
     out, offset = channel.transmit(
         state, link, trace, cfg["channel"]["readout_time_s"]
@@ -373,7 +440,7 @@ def _sampled_histograms(cfg, exact: bool):
     schedule = detection.build_default_schedule(levels)
     hists = detection.sample_coincidences(
         state, schedule, _detector(cfg), cfg["detection"]["pairs_per_setting"],
-        _penalty(cfg), cfg["seed"], levels, _base_cpm(cfg), exact,
+        _penalty(cfg), int(cfg["seed"]), levels, _base_cpm(cfg), exact,
     )
     return hists, schedule, levels
 
@@ -406,6 +473,9 @@ def cmd_measure(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 
 def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
+    mc_samples = int(cfg["analysis"]["mc_samples"])
+    if mc_samples < 2:
+        raise ConfigError("analysis.mc_samples must be at least 2")
     hists, schedule, levels = _sampled_histograms(cfg, exact)
     projections = detection.extract_projections(hists, schedule, levels)
     rows = [
@@ -419,7 +489,7 @@ def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     if not exact:
         raw = detection.raw_basis_counts(hists, levels)
         stderr, hist, edges = analysis.monte_carlo_error(
-            raw, cfg["analysis"]["mc_samples"], cfg["seed"] + 1
+            raw, mc_samples, int(cfg["seed"]) + 1
         )
         write_csv(outdir / "witness_hist.csv",
                   ["bin_left", "bin_right", "count"],
@@ -457,12 +527,12 @@ def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     state, levels, layout = _make_state(cfg)
     state, _ = channel.transmit(state, _link(cfg))
     outer = levels.levels[0].name
-    n_points = cfg["analysis"]["fringe_points"]
+    n_points = int(cfg["analysis"]["fringe_points"])
     alphas = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
     detector = _detector(cfg)
     pairs = cfg["detection"]["pairs_per_setting"]
     dark = detector.dark_coincidence_rate
-    rng = np.random.default_rng(cfg["seed"])
+    rng = np.random.default_rng(int(cfg["seed"]))
     rates = {name: [] for name, *_ in FRINGE_PROJECTIONS}
     for alpha in alphas:
         setting = BeamSplitterSetting("XY", outer, float(alpha))
@@ -498,6 +568,7 @@ def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     return 0
 
 
+@_from_config("waveform")
 def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     wf = cfg["waveform"]
     dispersions = wf["dispersions_ns_per_nm"]
@@ -510,7 +581,7 @@ def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
         for disp in dispersions:
             vis = waveform.visibility_bound(
                 sep, wf["pulse_fwhm_ps"], waveform.ChirpSpec(disp),
-                n_alpha=wf["n_alpha"],
+                n_alpha=int(wf["n_alpha"]),
             )
             rows.append((disp, sep, vis))
             xs.append(disp)
@@ -528,10 +599,11 @@ def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 def cmd_drift(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     link = _link(cfg)
+    seed = int(cfg["seed"])
     trace = channel.simulate_drift(
-        link, cfg["channel"]["drift"]["duration_s"], _thermal(cfg), cfg["seed"]
+        link, cfg["channel"]["drift"]["duration_s"], _thermal(cfg), seed
     )
-    residual, rms = channel.stabilize(trace, _policy(cfg), cfg["seed"] + 1)
+    residual, rms = channel.stabilize(trace, _policy(cfg), seed + 1)
     rows = list(zip(trace.times_s, trace.offsets_ps, residual.offsets_ps))
     write_csv(outdir / "drift.csv",
               ["time_s", "offset_ps", "corrected_offset_ps"], rows, stamp)
@@ -550,6 +622,7 @@ def cmd_drift(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     return 0
 
 
+@_from_config("capacity")
 def cmd_capacity(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     cap = cfg["capacity"]
     rate = analysis.multiplex_capacity(

@@ -21,6 +21,16 @@ from .modes import ModeGrid, TimeFreqMode
 C_M_PER_S = 299792458.0
 
 
+def chirp_beta2_s2(dispersion_ns_per_nm: float, carrier_wavelength_nm: float) -> float:
+    """Group-delay dispersion beta2 = D lambda^2 / (2 pi c) in s^2.
+
+    It sets the copy spacing dt = beta2 * Omega of a chirp pair.
+    """
+    d_s_per_m = dispersion_ns_per_nm  # ns/nm is numerically s/m
+    lam_m = carrier_wavelength_nm * 1e-9
+    return d_s_per_m * lam_m**2 / (2.0 * np.pi * C_M_PER_S)
+
+
 @dataclass(frozen=True)
 class CpmSettings:
     """Modulation depth, RF tone and grating dispersion for one CPM pass."""
@@ -45,9 +55,7 @@ class CpmSettings:
 
     @property
     def beta2_s2(self) -> float:
-        d_s_per_m = self.dispersion_ns_per_nm  # ns/nm is numerically s/m
-        lam_m = self.carrier_wavelength_nm * 1e-9
-        return d_s_per_m * lam_m**2 / (2.0 * np.pi * C_M_PER_S)
+        return chirp_beta2_s2(self.dispersion_ns_per_nm, self.carrier_wavelength_nm)
 
     @property
     def delta_t_ps(self) -> float:

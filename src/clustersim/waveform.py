@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bessel import solve_balanced_depth
+from .cpm import chirp_beta2_s2
 from .errors import InconsistentSettings, WindowOverflow
-
-C_M_PER_S = 299792458.0
 
 
 @dataclass(frozen=True)
@@ -31,9 +30,8 @@ class ChirpSpec:
 
     @property
     def beta2_ps2(self) -> float:
-        d_s_per_m = self.dispersion_ns_per_nm  # ns/nm is numerically s/m
-        lam_m = self.carrier_wavelength_nm * 1e-9
-        return d_s_per_m * lam_m**2 / (2.0 * np.pi * C_M_PER_S) * 1e24
+        beta2_s2 = chirp_beta2_s2(self.dispersion_ns_per_nm, self.carrier_wavelength_nm)
+        return beta2_s2 * 1e24
 
     def negated(self) -> "ChirpSpec":
         return replace(self, dispersion_ns_per_nm=-self.dispersion_ns_per_nm)

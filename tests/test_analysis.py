@@ -14,6 +14,7 @@ from clustersim.analysis import (
     stabilizer_expectation,
     term_signs,
     witness,
+    witness_samples,
 )
 from clustersim.detection import WITNESS_BASES
 from clustersim.errors import InsufficientScan, MissingBasis
@@ -159,6 +160,48 @@ def test_mc_rejects_negative_counts():
     counts["ZZZZ"] = counts["ZZZZ"] - 1e9
     with pytest.raises(ValueError):
         monte_carlo_error(counts, samples=100)
+
+
+def _witness_samples_reference(counts, signs, term_basis):
+    """Scalar loop over samples, terms and outcomes; the vectorized oracle."""
+    out = np.empty(counts.shape[0])
+    for i in range(counts.shape[0]):
+        s_sum = 0.0
+        for t in range(signs.shape[0]):
+            b = term_basis[t]
+            tot = 0.0
+            acc = 0.0
+            for o in range(16):
+                c = counts[i, b, o]
+                tot += c
+                acc += signs[t, o] * c
+            if tot > 0.0:
+                s_sum += acc / tot
+        out[i] = 2.0 - 0.5 * s_sum
+    return out
+
+
+def test_witness_samples_matches_scalar_reference():
+    rng = np.random.default_rng(2)
+    counts = rng.poisson(40.0, size=(300, 3, 16)).astype(np.float64)
+    counts[:5, 1, :] = 0.0  # some samples with an empty basis
+    signs = np.where(rng.random((6, 16)) < 0.5, -1.0, 1.0)
+    term_basis = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
+    np.testing.assert_allclose(
+        witness_samples(counts, signs, term_basis),
+        _witness_samples_reference(counts, signs, term_basis),
+        atol=1e-12,
+    )
+
+
+def test_witness_samples_empty_basis_contributes_zero():
+    counts = np.zeros((2, 3, 16))
+    counts[:, 0, :] = 1.0  # only basis 0 has counts
+    signs = np.ones((6, 16))
+    term_basis = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
+    values = witness_samples(counts, signs, term_basis)
+    # two terms evaluate to 1, four contribute 0: W = 2 - 0.5 * 2 = 1
+    np.testing.assert_allclose(values, 1.0, atol=1e-12)
 
 
 def test_fit_exact_fringe():

@@ -11,6 +11,7 @@ from clustersim.channel import (
     StabilizerPolicy,
     ThermalModel,
     bin_assignment_corrupted,
+    ou_accumulate,
     simulate_drift,
     stabilize,
     transmit,
@@ -82,6 +83,12 @@ def test_peak_offset_matches_thermal_budget():
     assert trace.peak_ps() == pytest.approx(92.0, abs=1e-9)
 
 
+def test_ou_decay_one_is_random_walk():
+    normals = np.random.default_rng(0).standard_normal(5000)
+    walk = ou_accumulate(normals, 1.0, 1.0)
+    np.testing.assert_allclose(walk, np.cumsum(normals), atol=1e-12)
+
+
 def test_stabilize_reduces_rms():
     trace = simulate_drift(FiberLink(), 86400.0, seed=1)
     residual, rms = stabilize(trace, StabilizerPolicy(), seed=2)
@@ -96,6 +103,15 @@ def test_zero_drift_zero_residual():
         trace, StabilizerPolicy(estimator_noise_ps=0.0), seed=0
     )
     assert rms == 0.0
+
+
+def test_stabilize_perfect_feedback_zeroes_epochs():
+    offsets = np.full(30, 7.0)
+    trace = DriftTrace(np.arange(30.0), offsets)
+    residual, _ = stabilize(trace, StabilizerPolicy(10, 0, 0))
+    # before the first correction the drift passes through untouched
+    np.testing.assert_array_equal(residual.offsets_ps[:10], offsets[:10])
+    np.testing.assert_allclose(residual.offsets_ps[10:], 0.0, atol=1e-12)
 
 
 def test_infinite_interval_is_noop():

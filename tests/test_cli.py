@@ -1,6 +1,8 @@
 """End-to-end CLI runs: exit codes, outputs and byte-level determinism."""
 
+import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -198,3 +200,44 @@ def test_missing_config_file_exit_2(tmp_path):
 def test_unknown_command_exit_2(capsys):
     assert _run(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"detection": {"pairs_per_setting": "abc"}}, id="pairs-string"),
+    pytest.param({"channel": {"loss_db": -1}}, id="loss-negative"),
+    pytest.param({"detection": {"visibility_penalty": {"T": 1.5}}}, id="penalty-1.5"),
+    pytest.param({"analysis": {"mc_samples": 2.5}}, id="mc-samples-2.5"),
+    pytest.param({"analysis": {"mc_samples": 0}}, id="mc-samples-0"),
+    pytest.param({"analysis": {"mc_samples": 1}}, id="mc-samples-1"),
+    pytest.param({"encoding": {"time_quantum_ps": 30.0}}, id="bins-off-grid"),
+])
+def test_bad_config_value_exit_2(tmp_path, capsys, overrides):
+    cfg = _write_config(tmp_path, overrides)
+    assert _run(["witness", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_null_peak_runs_without_rescale(tmp_path):
+    cfg = _write_config(tmp_path, {"channel": {"drift": {"peak_k": None}}})
+    assert _run(["drift", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("drift", {"seed": 3.0, "channel": {"drift": {"smoothing_passes": 2.0}}}),
+    ("witness", {"analysis": {"mc_samples": 2000.0}}),
+    ("fringe", {"analysis": {"fringe_points": 12.0}}),
+])
+def test_integral_numbers_fill_integer_leaves(tmp_path, command, overrides):
+    cfg = _write_config(tmp_path, overrides)
+    assert _run([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def test_runtime_dependencies_are_importable():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    for dep in deps:
+        name = re.match(r"[A-Za-z0-9_.-]+", dep).group()
+        assert importlib.util.find_spec(name.replace("-", "_")) is not None, dep
