@@ -1,80 +1,17 @@
-"""The accelerated kernels agree exactly with their plain implementations."""
+"""The Bessel row kernel agrees with the scalar entry point and with scipy."""
 
 import numpy as np
 import pytest
 import scipy.special
 
-from clustersim import _kernels
-from clustersim._kernels import (
-    _bessel_j_row,
-    _ou_accumulate,
-    _stabilize_loop,
-    _witness_samples,
-    bessel_j_row,
-    ou_accumulate,
-    stabilize_loop,
-    witness_samples,
-)
-
-
-def test_backend_flag_is_exposed():
-    import clustersim
-
-    assert clustersim.USING_NUMBA is _kernels.USING_NUMBA
+from clustersim.bessel import bessel_j, bessel_row
 
 
 @pytest.mark.parametrize("g", [0.0, 0.3, 1.434696, 4.7, 12.0])
 def test_bessel_row_backends_agree(g):
-    active = bessel_j_row(g, 10)
-    plain = _bessel_j_row(g, 10)
-    np.testing.assert_array_equal(active, plain)
-    np.testing.assert_allclose(active, scipy.special.jv(np.arange(11), g), atol=1e-13)
-
-
-def test_ou_backends_agree():
-    rng = np.random.default_rng(0)
-    normals = rng.standard_normal(5000)
-    active = ou_accumulate(normals, 0.99, 0.013)
-    plain = _ou_accumulate(normals, 0.99, 0.013)
-    np.testing.assert_array_equal(active, plain)
-    # decay 1, innovation 1 is a plain random walk
-    walk = ou_accumulate(normals, 1.0, 1.0)
-    np.testing.assert_allclose(walk, np.cumsum(normals), atol=1e-12)
-
-
-def test_stabilize_backends_agree():
-    rng = np.random.default_rng(1)
-    offsets = np.cumsum(rng.standard_normal(2000)) * 0.5
-    noise = rng.standard_normal(400) * 0.3
-    for resolution in (0.0, 0.1):
-        active = stabilize_loop(offsets, 15, noise, resolution)
-        plain = _stabilize_loop(offsets, 15, noise, resolution)
-        np.testing.assert_array_equal(active, plain)
-
-
-def test_stabilize_perfect_feedback_zeroes_epochs():
-    offsets = np.full(30, 7.0)
-    residual = stabilize_loop(offsets, 10, np.zeros(3), 0.0)
-    # before the first correction the drift passes through untouched
-    np.testing.assert_array_equal(residual[:10], offsets[:10])
-    np.testing.assert_allclose(residual[10:], 0.0, atol=1e-12)
-
-
-def test_witness_samples_backends_agree():
-    rng = np.random.default_rng(2)
-    counts = rng.poisson(40.0, size=(300, 3, 16)).astype(np.float64)
-    signs = np.where(rng.random((6, 16)) < 0.5, -1.0, 1.0)
-    term_basis = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
-    active = witness_samples(counts, signs, term_basis)
-    plain = _witness_samples(counts, signs, term_basis)
-    np.testing.assert_allclose(active, plain, atol=1e-12)
-
-
-def test_witness_samples_empty_basis_contributes_zero():
-    counts = np.zeros((2, 3, 16))
-    counts[:, 0, :] = 1.0  # only basis 0 has counts
-    signs = np.ones((6, 16))
-    term_basis = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
-    values = witness_samples(counts, signs, term_basis)
-    # two terms evaluate to 1, four contribute 0: W = 2 - 0.5 * 2 = 1
-    np.testing.assert_allclose(values, 1.0, atol=1e-12)
+    # bessel_j(m, g) runs its own recurrence truncated at order m, so each
+    # entry comes from a different start order than the full row.
+    row = bessel_row(g, 10)
+    scalar = np.array([bessel_j(m, g) for m in range(11)])
+    np.testing.assert_allclose(row, scalar, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(row, scipy.special.jv(np.arange(11), g), atol=1e-13)
