@@ -215,19 +215,28 @@ def fit_interference(
     )
 
 
-def multiplex_capacity(
+def multiplex_budget(
     total_bandwidth_ghz: float,
     qubit_spectral_width_ghz: float,
     stretched_bin_length_ns: float,
-) -> float:
-    """Maximum processable qubit rate (qubits/s) of the multiplexed scheme.
+) -> dict:
+    """Spectral channels, repetition rate and qubit rate of the multiplexed scheme.
 
     One qubit per spectral slot per repetition period: channels =
     floor(bandwidth / slot width), repetition rate = 1 / stretched bin
-    length.
+    length, qubits_per_s = channels * repetition rate.
     """
     if min(total_bandwidth_ghz, qubit_spectral_width_ghz, stretched_bin_length_ns) <= 0:
         raise ValueError("all capacity arguments must be positive")
-    channels = math.floor(total_bandwidth_ghz / qubit_spectral_width_ghz)
+    slots = total_bandwidth_ghz / qubit_spectral_width_ghz
     rep_rate_hz = 1e9 / stretched_bin_length_ns
-    return channels * rep_rate_hz
+    if not math.isfinite(slots * rep_rate_hz):
+        raise ValueError("capacity overflows a float")
+    channels = math.floor(slots)
+    return {"channels": channels, "repetition_rate_hz": rep_rate_hz,
+            "qubits_per_s": channels * rep_rate_hz}
+
+
+def multiplex_capacity(*args: float, **kwargs: float) -> float:
+    """Maximum processable qubit rate (qubits/s): multiplex_budget's qubits_per_s."""
+    return multiplex_budget(*args, **kwargs)["qubits_per_s"]

@@ -71,6 +71,8 @@ class ThermalModel:
             raise ValueError("sigma must be nonnegative and step positive")
         if self.correlation_s <= 0 or self.smoothing_s < 0:
             raise ValueError("time constants must be positive")
+        if self.smoothing_passes < 0:
+            raise ValueError("smoothing passes must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,10 @@ def ou_accumulate(normals, decay, innovation):
     return out
 
 
+#: Largest drift trace simulate_drift builds (a day at 0.1 s steps is 864001).
+MAX_TRACE_SAMPLES = 10**6
+
+
 def simulate_drift(
     link: FiberLink,
     duration_s: float,
@@ -170,9 +176,12 @@ def simulate_drift(
     offsets = thermal_sensitivity * length * T(t) with T(t) the smoothed
     (and optionally peak-rescaled) temperature process.
     """
-    if duration_s <= 0:
-        raise OutOfRange("duration must be positive")
-    n = int(np.floor(duration_s / model.step_s)) + 1
+    n = np.floor(duration_s / model.step_s) + 1
+    if duration_s <= 0 or n > MAX_TRACE_SAMPLES:
+        raise OutOfRange(
+            f"duration must be positive and span at most {MAX_TRACE_SAMPLES} samples"
+        )
+    n = int(n)
     times = model.step_s * np.arange(n)
     if model.sigma_k == 0.0:
         return DriftTrace(times, np.zeros(n))
@@ -202,6 +211,9 @@ def stabilize(
     the actuator resolution).
     """
     n = len(trace.times_s)
+    if n < 2:
+        # a single sample has no step and no correction epoch
+        return trace, trace.rms_ps()
     step = float(np.median(np.diff(trace.times_s)))
     period_steps = int(round(policy.correction_interval_s / step))
     if period_steps < 1:
@@ -225,8 +237,10 @@ def stabilize(
         if k > 0 and k % period_steps == 0:
             est = (offsets[k] - correction) + noise[epoch]
             epoch += 1
-            if resolution > 0.0:
-                est = np.round(est / resolution) * resolution
+            # quantize, unless the resolution is finer than a float can step
+            steps = float(est) / resolution if resolution > 0.0 else np.inf
+            if np.isfinite(steps):
+                est = np.round(steps) * resolution
             correction += est
         residual[k] = offsets[k] - correction
     out = replace(trace, offsets_ps=residual)

@@ -11,8 +11,9 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
-import functools
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,33 +24,36 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, channel, detection, waveform
-from .bessel import efficiency, solve_balanced_depth
 from .cpm import BeamSplitterSetting, CpmSettings
-from .encoding import Level, LevelSpec, layout_from_levels
-from .errors import ClusterSimError, ConfigError
+from .encoding import Level, LevelSpec, default_levels, layout_from_levels
+from .errors import ClusterSimError, ConfigError, OutOfRange
 from .modes import ModeGrid, state_to_json
 from .source import ExcitationTrain, generate_pair_state, is_cluster_state
 
+
+def _defaults(cls, *names) -> dict:
+    """JSON defaults of a dataclass's fields: all of them, or the named ones."""
+    return {
+        f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+        for f in dataclasses.fields(cls)
+        if not names or f.name in names
+    }
+
+
+# Each domain dataclass owns the defaults (and so the types) of its
+# section; literals remain only for keys no dataclass owns.
 DEFAULT_CONFIG = {
     "seed": 0,
     "out": ".",
     "svg": False,
     "encoding": {
-        "levels": [["T", 300.0, 3.75], ["t", 100.0, 1.25]],
-        "time_quantum_ps": 100.0,
-        "freq_quantum_ghz": 1.25,
+        "levels": [list(dataclasses.astuple(lv)) for lv in default_levels().levels],
+        **_defaults(ModeGrid, "time_quantum_ps", "freq_quantum_ghz"),
     },
-    "source": {
-        "times_ps": [0.0, 100.0, 300.0, 400.0],
-        "phases_rad": [0.0, 0.0, 0.0, math.pi / 2],
-        "pulse_fwhm_ps": 37.0,
-        "repetition_ns": 20.0,
-    },
-    "cpm": {
-        "dispersion_ns_per_nm": 10.0,
-        "carrier_wavelength_nm": 1550.0,
-        "truncation_order": 8,
-    },
+    "source": _defaults(ExcitationTrain),
+    "cpm": _defaults(
+        CpmSettings, "dispersion_ns_per_nm", "carrier_wavelength_nm", "truncation_order"
+    ),
     "waveform": {
         "dispersions_ns_per_nm": [2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0],
         "separations_ps": [100.0, 300.0],
@@ -57,33 +61,14 @@ DEFAULT_CONFIG = {
         "n_alpha": 16,
     },
     "channel": {
-        "length_km": 25.0,
-        "loss_db": 5.3,
-        "compensator_loss_db": 2.4,
-        "thermal_sensitivity_ps_per_k_km": 36.8,
+        **_defaults(channel.FiberLink, "length_km", "loss_db", "compensator_loss_db",
+                    "thermal_sensitivity_ps_per_k_km"),
         "readout_time_s": 43200.0,
-        "drift": {
-            "sigma_k": 0.033,
-            "correlation_s": 14400.0,
-            "smoothing_s": 7200.0,
-            "smoothing_passes": 2,
-            "peak_k": 0.1,
-            "step_s": 60.0,
-            "duration_s": 86400.0,
-        },
-        "stabilizer": {
-            "correction_interval_s": 900.0,
-            "estimator_noise_ps": 0.5,
-            "actuator_resolution_ps": 0.1,
-        },
+        "drift": {**_defaults(channel.ThermalModel), "duration_s": 86400.0},
+        "stabilizer": _defaults(channel.StabilizerPolicy),
     },
     "detection": {
-        "jitter_signal_ps": 17.0,
-        "jitter_idler_ps": 17.0,
-        "tdc_jitter_ps": 18.0,
-        "coincidence_window_ps": 50.0,
-        "dark_coincidence_rate": 0.0,
-        "efficiency": 1.0,
+        **_defaults(detection.DetectorModel),
         "pairs_per_setting": 1000,
         "visibility_penalty": {"T": 1.0, "t": 1.0},
     },
@@ -116,10 +101,16 @@ PRESETS = {
 
 # Sections whose keys are free-form (level names etc.), exempt from
 # unknown-key rejection; each value must have the type of the given one.
-_OPEN_SECTIONS = {("detection", "visibility_penalty"): 1.0}
+_OPEN_SECTIONS = {"detection.visibility_penalty": 1.0}
 
 # Leaves that may be null: no peak rescale of the drift.
 _NULLABLE = {"channel.drift.peak_k"}
+
+# Ranges of the leaves that no domain constructor checks; the range of an
+# open section holds for each of its values.
+_RANGES = {"seed": (0, math.inf), "detection.pairs_per_setting": (1, math.inf),
+           "analysis.mc_samples": (2, math.inf), "analysis.fringe_points": (0, math.inf),
+           "detection.visibility_penalty": (0.0, 1.0)}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", list: "a list", dict: "an object"}
@@ -156,18 +147,23 @@ def _check_type(value, default, where: str) -> None:
 
 def _merge(base: dict, override: dict, path: tuple = ()) -> dict:
     out = copy.deepcopy(base)
+    section = ".".join(path)
     for key, value in override.items():
         where = ".".join(path + (str(key),))
+        rule = section if section in _OPEN_SECTIONS else where
         if key in base:
             default = base[key]
-        elif path in _OPEN_SECTIONS:
-            default = _OPEN_SECTIONS[path]
+        elif section in _OPEN_SECTIONS:
+            default = _OPEN_SECTIONS[section]
         else:
             raise ConfigError(f"unknown config key: {where}")
         if isinstance(default, dict) and isinstance(value, dict):
             out[key] = _merge(default, value, path + (key,))
         else:
             _check_type(value, default, where)
+            lo, hi = _RANGES.get(rule, (-math.inf, math.inf))
+            if rule in _RANGES and not lo <= value <= hi:
+                raise ConfigError(f"{where} = {value} outside [{lo}, {hi}]")
             out[key] = copy.deepcopy(value)
     return out
 
@@ -223,10 +219,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     return obj
 
 
@@ -288,112 +282,57 @@ def write_line_svg(path: Path, curves: dict, stamp: str, x_label: str, y_label: 
 # ----------------------------------------------------------------------
 # config -> domain objects
 
-def _from_config(section: str):
-    """Report a domain constructor's ValueError on config values as a ConfigError."""
-    def decorate(adapter):
-        @functools.wraps(adapter)
-        def build(*args):
-            try:
-                return adapter(*args)
-            except ValueError as exc:
-                raise ConfigError(f"{section}: {exc}") from exc
-        return build
-    return decorate
+@contextlib.contextmanager
+def _from_config(where: str):
+    """Report a domain ValueError on config values as a ConfigError.
+
+    Works as a ``with`` block and as a function decorator.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-@_from_config("encoding")
-def _grid(cfg) -> ModeGrid:
-    enc = cfg["encoding"]
-    return ModeGrid(enc["time_quantum_ps"], enc["freq_quantum_ghz"])
+def _build(cls, cfg: dict, where: str):
+    """cls from the keys of config section `where` that name its fields.
+
+    Lists become tuples and integral numbers become ints for int fields.
+    """
+    section = cfg
+    for key in where.split("."):
+        section = section[key]
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in section:
+            continue
+        value = section[f.name]
+        if isinstance(value, list):
+            value = tuple(value)
+        elif type(f.default) is int:
+            value = int(value)
+        kwargs[f.name] = value
+    with _from_config(where):
+        return cls(**kwargs)
 
 
-@_from_config("encoding")
-def _levels(cfg) -> LevelSpec:
-    return LevelSpec(tuple(Level(n, s, f) for n, s, f in cfg["encoding"]["levels"]))
-
-
-@_from_config("source")
-def _train(cfg) -> ExcitationTrain:
-    src = cfg["source"]
-    return ExcitationTrain(
-        tuple(src["times_ps"]),
-        tuple(src["phases_rad"]),
-        src["pulse_fwhm_ps"],
-        src["repetition_ns"],
-    )
-
-
-@_from_config("cpm")
-def _base_cpm(cfg) -> CpmSettings:
-    c = cfg["cpm"]
-    return CpmSettings(
-        g=0.0,
-        dispersion_ns_per_nm=c["dispersion_ns_per_nm"],
-        carrier_wavelength_nm=c["carrier_wavelength_nm"],
-        truncation_order=c["truncation_order"],
-    )
-
-
-@_from_config("channel")
-def _link(cfg) -> channel.FiberLink:
-    ch = cfg["channel"]
-    return channel.FiberLink(
-        length_km=ch["length_km"],
-        loss_db=ch["loss_db"],
-        compensator_loss_db=ch["compensator_loss_db"],
-        thermal_sensitivity_ps_per_k_km=ch["thermal_sensitivity_ps_per_k_km"],
-    )
-
-
-@_from_config("channel.drift")
-def _thermal(cfg) -> channel.ThermalModel:
-    d = cfg["channel"]["drift"]
-    return channel.ThermalModel(
-        sigma_k=d["sigma_k"],
-        correlation_s=d["correlation_s"],
-        smoothing_s=d["smoothing_s"],
-        smoothing_passes=int(d["smoothing_passes"]),
-        peak_k=d["peak_k"],
-        step_s=d["step_s"],
-    )
-
-
-@_from_config("channel.stabilizer")
-def _policy(cfg) -> channel.StabilizerPolicy:
-    s = cfg["channel"]["stabilizer"]
-    return channel.StabilizerPolicy(
-        correction_interval_s=s["correction_interval_s"],
-        estimator_noise_ps=s["estimator_noise_ps"],
-        actuator_resolution_ps=s["actuator_resolution_ps"],
-    )
-
-
-@_from_config("detection")
-def _detector(cfg) -> detection.DetectorModel:
-    d = cfg["detection"]
-    return detection.DetectorModel(
-        jitter_signal_ps=d["jitter_signal_ps"],
-        jitter_idler_ps=d["jitter_idler_ps"],
-        tdc_jitter_ps=d["tdc_jitter_ps"],
-        coincidence_window_ps=d["coincidence_window_ps"],
-        dark_coincidence_rate=d["dark_coincidence_rate"],
-        efficiency=d["efficiency"],
-    )
-
-
-def _penalty(cfg) -> dict:
-    penalty = dict(cfg["detection"]["visibility_penalty"])
-    for level, v in penalty.items():
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"visibility_penalty.{level} = {v} outside [0, 1]")
-    return penalty
+def _drift(cfg, link: channel.FiberLink) -> channel.DriftTrace:
+    """The link's thermal drift trace over channel.drift.duration_s."""
+    model = _build(channel.ThermalModel, cfg, "channel.drift")
+    duration_s = cfg["channel"]["drift"]["duration_s"]
+    try:
+        return channel.simulate_drift(link, duration_s, model, int(cfg["seed"]))
+    except OutOfRange as exc:
+        raise ConfigError(f"channel.drift: {exc}") from exc
 
 
 @_from_config("encoding")
 def _make_state(cfg):
-    levels = _levels(cfg)
+    levels = LevelSpec(tuple(Level(*lv) for lv in cfg["encoding"]["levels"]))
     layout = layout_from_levels(levels)
-    return generate_pair_state(_train(cfg), layout, _grid(cfg)), levels, layout
+    train = _build(ExcitationTrain, cfg, "source")
+    grid = _build(ModeGrid, cfg, "encoding")
+    return generate_pair_state(train, layout, grid), levels, layout
 
 
 # ----------------------------------------------------------------------
@@ -413,10 +352,8 @@ def cmd_generate(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     state, levels, layout = _make_state(cfg)
-    link = _link(cfg)
-    trace = channel.simulate_drift(
-        link, cfg["channel"]["drift"]["duration_s"], _thermal(cfg), int(cfg["seed"])
-    )
+    link = _build(channel.FiberLink, cfg, "channel")
+    trace = _drift(cfg, link)
     out, offset = channel.transmit(
         state, link, trace, cfg["channel"]["readout_time_s"]
     )
@@ -436,11 +373,12 @@ def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 def _sampled_histograms(cfg, exact: bool):
     state, levels, layout = _make_state(cfg)
-    state, _ = channel.transmit(state, _link(cfg))
+    state, _ = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
     schedule = detection.build_default_schedule(levels)
     hists = detection.sample_coincidences(
-        state, schedule, _detector(cfg), cfg["detection"]["pairs_per_setting"],
-        _penalty(cfg), int(cfg["seed"]), levels, _base_cpm(cfg), exact,
+        state, schedule, _build(detection.DetectorModel, cfg, "detection"),
+        cfg["detection"]["pairs_per_setting"], cfg["detection"]["visibility_penalty"],
+        int(cfg["seed"]), levels, _build(CpmSettings, cfg, "cpm"), exact,
     )
     return hists, schedule, levels
 
@@ -473,9 +411,6 @@ def cmd_measure(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 
 def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
-    mc_samples = int(cfg["analysis"]["mc_samples"])
-    if mc_samples < 2:
-        raise ConfigError("analysis.mc_samples must be at least 2")
     hists, schedule, levels = _sampled_histograms(cfg, exact)
     projections = detection.extract_projections(hists, schedule, levels)
     rows = [
@@ -489,7 +424,7 @@ def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     if not exact:
         raw = detection.raw_basis_counts(hists, levels)
         stderr, hist, edges = analysis.monte_carlo_error(
-            raw, mc_samples, int(cfg["seed"]) + 1
+            raw, int(cfg["analysis"]["mc_samples"]), int(cfg["seed"]) + 1
         )
         write_csv(outdir / "witness_hist.csv",
                   ["bin_left", "bin_right", "count"],
@@ -525,11 +460,13 @@ FRINGE_PROJECTIONS = (
 
 def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     state, levels, layout = _make_state(cfg)
-    state, _ = channel.transmit(state, _link(cfg))
+    state, _ = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
     outer = levels.levels[0].name
     n_points = int(cfg["analysis"]["fringe_points"])
     alphas = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-    detector = _detector(cfg)
+    detector = _build(detection.DetectorModel, cfg, "detection")
+    base = _build(CpmSettings, cfg, "cpm")
+    penalty = cfg["detection"]["visibility_penalty"]
     pairs = cfg["detection"]["pairs_per_setting"]
     dark = detector.dark_coincidence_rate
     rng = np.random.default_rng(int(cfg["seed"]))
@@ -537,7 +474,7 @@ def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     for alpha in alphas:
         setting = BeamSplitterSetting("XY", outer, float(alpha))
         probs = detection.joint_outcome_probabilities(
-            state, setting, setting, levels, _base_cpm(cfg), layout, _penalty(cfg)
+            state, setting, setting, levels, base, layout, penalty
         )
         total = probs.sum()
         mixed = (1.0 - dark) * probs + dark * total / probs.size
@@ -598,12 +535,9 @@ def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 
 def cmd_drift(cfg, outdir: Path, stamp: str, exact: bool) -> int:
-    link = _link(cfg)
-    seed = int(cfg["seed"])
-    trace = channel.simulate_drift(
-        link, cfg["channel"]["drift"]["duration_s"], _thermal(cfg), seed
-    )
-    residual, rms = channel.stabilize(trace, _policy(cfg), seed + 1)
+    trace = _drift(cfg, _build(channel.FiberLink, cfg, "channel"))
+    policy = _build(channel.StabilizerPolicy, cfg, "channel.stabilizer")
+    residual, rms = channel.stabilize(trace, policy, int(cfg["seed"]) + 1)
     rows = list(zip(trace.times_s, trace.offsets_ps, residual.offsets_ps))
     write_csv(outdir / "drift.csv",
               ["time_s", "offset_ps", "corrected_offset_ps"], rows, stamp)
@@ -624,22 +558,10 @@ def cmd_drift(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 @_from_config("capacity")
 def cmd_capacity(cfg, outdir: Path, stamp: str, exact: bool) -> int:
-    cap = cfg["capacity"]
-    rate = analysis.multiplex_capacity(
-        cap["total_bandwidth_ghz"],
-        cap["qubit_spectral_width_ghz"],
-        cap["stretched_bin_length_ns"],
-    )
-    channels = math.floor(
-        cap["total_bandwidth_ghz"] / cap["qubit_spectral_width_ghz"]
-    )
-    write_json(outdir / "capacity.json", {
-        "channels": channels,
-        "repetition_rate_hz": 1e9 / cap["stretched_bin_length_ns"],
-        "qubits_per_s": rate,
-    }, stamp)
-    print(f"multiplexing capacity: {rate / 1e9:.1f} GigaQubits/s "
-          f"({channels} spectral channels)")
+    budget = analysis.multiplex_budget(**cfg["capacity"])
+    write_json(outdir / "capacity.json", budget, stamp)
+    print(f"multiplexing capacity: {budget['qubits_per_s'] / 1e9:.1f} GigaQubits/s "
+          f"({budget['channels']} spectral channels)")
     return 0
 
 

@@ -50,10 +50,10 @@ class ModeGrid:
     def t_steps(self, duration_ps: float, rel_tol: float = 1e-9) -> int:
         """Integer number of time quanta in a duration; raises if off-grid."""
         steps = duration_ps / self.time_quantum_ps
-        rounded = round(steps)
-        if abs(steps - rounded) > rel_tol * max(1.0, abs(steps)):
+        tol = rel_tol * max(1.0, abs(steps))
+        if not np.isfinite(steps) or abs(steps - round(steps)) > tol:
             raise ValueError(f"{duration_ps} ps is not on the {self.time_quantum_ps} ps grid")
-        return int(rounded)
+        return int(round(steps))
 
 
 PairKey = tuple[TimeFreqMode, TimeFreqMode]

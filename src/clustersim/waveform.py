@@ -25,7 +25,7 @@ class ChirpSpec:
     carrier_wavelength_nm: float = 1550.0
 
     def __post_init__(self):
-        if self.dispersion_ns_per_nm == 0:
+        if self.beta2_ps2 == 0:
             raise ValueError("dispersion must be nonzero")
 
     @property
@@ -268,6 +268,10 @@ def visibility_bound(
     phase is swept over a period; the fringe of the integrated intensity
     in the central output bin window gives (max-min)/(max+min).
     """
+    if n_alpha < 3:
+        raise ValueError("the three-term fringe fit needs n_alpha >= 3")
+    if bin_separation_ps <= 0 or pulse_fwhm_ps <= 0:
+        raise ValueError("bin separation and pulse width must be positive")
     derived_rf = rf_for_spacing(chirp, bin_separation_ps)
     if rf_frequency_ghz is None:
         rf_frequency_ghz = derived_rf

@@ -10,6 +10,7 @@ from clustersim.analysis import (
     STABILIZER_TERMS,
     fit_interference,
     monte_carlo_error,
+    multiplex_budget,
     multiplex_capacity,
     stabilizer_expectation,
     term_signs,
@@ -252,3 +253,11 @@ def test_capacity_scaling_laws():
     assert multiplex_capacity(5012.0, 25.0, 2.0) == pytest.approx(base)
     with pytest.raises(ValueError):
         multiplex_capacity(0.0, 25.0, 2.0)
+
+
+def test_capacity_budget_parts():
+    budget = multiplex_budget(5012.0, 25.0, 2.0)
+    assert budget == {"channels": 200, "repetition_rate_hz": 5e8, "qubits_per_s": 1e11}
+    assert multiplex_capacity(5012.0, 25.0, 2.0) == budget["qubits_per_s"]
+    with pytest.raises(ValueError):
+        multiplex_budget(5000.0, 5e-324, 2.0)

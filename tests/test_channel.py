@@ -123,6 +123,20 @@ def test_infinite_interval_is_noop():
     assert rms == pytest.approx(trace.rms_ps())
 
 
+def test_single_sample_trace_is_noop():
+    trace = simulate_drift(FiberLink(), 1.0, seed=3)
+    assert len(trace.times_s) == 1
+    residual, rms = stabilize(trace, StabilizerPolicy(), seed=0)
+    assert residual is trace and rms == trace.rms_ps()
+
+
+def test_subnormal_resolution_leaves_estimates_unquantized():
+    trace = simulate_drift(FiberLink(), 43200.0, seed=3)
+    fine, _ = stabilize(trace, StabilizerPolicy(900.0, 0.5, 5e-324), seed=1)
+    exact, _ = stabilize(trace, StabilizerPolicy(900.0, 0.5, 0.0), seed=1)
+    np.testing.assert_array_equal(fine.offsets_ps, exact.offsets_ps)
+
+
 def test_subsample_interval_rejected():
     trace = simulate_drift(FiberLink(), 7200.0, seed=3)
     with pytest.raises(OutOfRange):
@@ -150,3 +164,7 @@ def test_trace_validation():
         DriftTrace(np.array([0.0, 1.0]), np.array([1.0]))
     with pytest.raises(OutOfRange):
         simulate_drift(FiberLink(), -1.0)
+    with pytest.raises(OutOfRange):
+        simulate_drift(FiberLink(), 86400.0, ThermalModel(step_s=5e-324))
+    with pytest.raises(ValueError):
+        ThermalModel(smoothing_passes=-1)

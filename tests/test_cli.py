@@ -1,13 +1,18 @@
 """End-to-end CLI runs: exit codes, outputs and byte-level determinism."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clustersim.cli import main
+from clustersim.cli import DEFAULT_CONFIG, config_hash, load_config, main
 
 FAST_OVERRIDES = {
     "waveform": {
@@ -202,21 +207,68 @@ def test_unknown_command_exit_2(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("overrides", [
-    pytest.param({"detection": {"pairs_per_setting": "abc"}}, id="pairs-string"),
-    pytest.param({"channel": {"loss_db": -1}}, id="loss-negative"),
-    pytest.param({"detection": {"visibility_penalty": {"T": 1.5}}}, id="penalty-1.5"),
-    pytest.param({"analysis": {"mc_samples": 2.5}}, id="mc-samples-2.5"),
-    pytest.param({"analysis": {"mc_samples": 0}}, id="mc-samples-0"),
-    pytest.param({"analysis": {"mc_samples": 1}}, id="mc-samples-1"),
-    pytest.param({"encoding": {"time_quantum_ps": 30.0}}, id="bins-off-grid"),
+ONE_DISPERSION = {"dispersions_ns_per_nm": [10.0]}
+
+
+@pytest.mark.parametrize("command,overrides", [
+    pytest.param("witness", {"detection": {"pairs_per_setting": "abc"}}, id="pairs-string"),
+    pytest.param("witness", {"channel": {"loss_db": -1}}, id="loss-negative"),
+    pytest.param("witness", {"detection": {"visibility_penalty": {"T": 1.5}}},
+                 id="penalty-1.5"),
+    pytest.param("witness", {"analysis": {"mc_samples": 2.5}}, id="mc-samples-2.5"),
+    pytest.param("witness", {"analysis": {"mc_samples": 0}}, id="mc-samples-0"),
+    pytest.param("witness", {"analysis": {"mc_samples": 1}}, id="mc-samples-1"),
+    pytest.param("witness", {"encoding": {"time_quantum_ps": 30.0}}, id="bins-off-grid"),
+    pytest.param("generate", {"seed": -1}, id="seed-negative"),
+    pytest.param("measure", {"detection": {"pairs_per_setting": -5}}, id="pairs-negative"),
+    pytest.param("witness", {"detection": {"pairs_per_setting": 0}}, id="pairs-zero"),
+    pytest.param("fringe", {"detection": {"pairs_per_setting": 0}}, id="fringe-pairs-zero"),
+    pytest.param("transmit", {"channel": {"drift": {"duration_s": -1.0}}},
+                 id="duration-negative"),
+    pytest.param("drift", {"channel": {"drift": {"duration_s": 0.0}}}, id="duration-zero"),
+    pytest.param("drift", {"channel": {"drift": {"smoothing_passes": -1}}},
+                 id="smoothing-passes-negative"),
+    pytest.param("visibility", {"waveform": {**ONE_DISPERSION, "n_alpha": 0}},
+                 id="n-alpha-0"),
+    pytest.param("visibility", {"waveform": {**ONE_DISPERSION, "n_alpha": 2}},
+                 id="n-alpha-2"),
+    pytest.param("visibility", {"waveform": {**ONE_DISPERSION, "separations_ps": [0.0]}},
+                 id="separation-zero"),
+    pytest.param("visibility", {"waveform": {**ONE_DISPERSION, "separations_ps": [-100.0]}},
+                 id="separation-negative"),
+    pytest.param("visibility", {"waveform": {**ONE_DISPERSION, "pulse_fwhm_ps": 0.0}},
+                 id="pulse-width-zero"),
+    pytest.param("drift", {"channel": {"drift": {"step_s": 5e-324}}}, id="drift-step-tiny"),
+    pytest.param("capacity", {"capacity": {"qubit_spectral_width_ghz": 5e-324}},
+                 id="capacity-overflow"),
+    pytest.param("generate", {"encoding": {"time_quantum_ps": 5e-324}},
+                 id="time-quantum-tiny"),
+    pytest.param("fringe", {"analysis": {"fringe_points": -3}}, id="fringe-points-negative"),
+    pytest.param("visibility", {"waveform": {"dispersions_ns_per_nm": [5e-324]}},
+                 id="dispersion-underflow"),
 ])
-def test_bad_config_value_exit_2(tmp_path, capsys, overrides):
+def test_bad_config_value_exit_2(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, overrides)
-    assert _run(["witness", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert _run([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_negative_seed_option_exit_2(tmp_path, capsys):
+    assert _run(["generate", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: seed = -1 outside [0, inf]\n"
+
+
+def test_drift_shorter_than_one_step_runs(tmp_path):
+    cfg = _write_config(tmp_path, {"channel": {"drift": {"duration_s": 1.0}}})
+    assert _run(["drift", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "drift.csv").read_text().splitlines()) == 3
+
+
+def test_config_hash_is_pinned():
+    assert config_hash(load_config(None, None, None, None)) == "d4acf30adc3c8273"
+    assert config_hash(load_config(None, "paper-default", None, None)) == "89f20af250689d26"
 
 
 def test_null_peak_runs_without_rescale(tmp_path):
@@ -232,6 +284,45 @@ def test_null_peak_runs_without_rescale(tmp_path):
 def test_integral_numbers_fill_integer_leaves(tmp_path, command, overrides):
     cfg = _write_config(tmp_path, overrides)
     assert _run([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def _leaves(tree, path=()):
+    for key, value in tree.items():
+        if isinstance(value, dict) and value:
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+CONFIG_LEAVES = sorted(_leaves(DEFAULT_CONFIG))
+
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.just([]), st.just({}),
+    st.integers(-1000, 1000), st.floats(-1e3, 1e3),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["generate", "transmit", "drift", "capacity", "measure"]),
+    overrides=st.lists(st.tuples(st.sampled_from(CONFIG_LEAVES), FUZZ_VALUES),
+                       min_size=1, max_size=2, unique_by=lambda kv: kv[0]),
+)
+def test_fuzzed_overrides_exit_cleanly(command, overrides):
+    doc = {}
+    for path, value in overrides:
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", tmp])
+    assert code in (0, 1, 2), doc
+    assert "Traceback" not in err.getvalue()
 
 
 def test_runtime_dependencies_are_importable():

@@ -34,6 +34,14 @@ def test_norm_tracking_is_total_probability():
     assert s.amplitude(TimeFreqMode(1, 0), TimeFreqMode(1, 0)) == 0.8j
 
 
+def test_t_steps_rejects_off_grid_and_overflow():
+    assert ModeGrid().t_steps(300.0) == 3
+    with pytest.raises(ValueError):
+        ModeGrid().t_steps(150.0)
+    with pytest.raises(ValueError):
+        ModeGrid(time_quantum_ps=5e-324).t_steps(100.0)
+
+
 def test_normalize_and_zero_state():
     s = make_state({(0, 0, 0, 0): 0.1, (1, 0, 1, 0): 0.1j})
     n = normalize(s)

@@ -121,6 +121,21 @@ def test_visibility_inconsistent_rf_rejected():
         visibility_bound(100.0, 37.0, ChirpSpec(10.0), rf_frequency_ghz=3.75)
 
 
+@pytest.mark.parametrize("sep,fwhm,n_alpha", [
+    (100.0, 37.0, 0), (100.0, 37.0, 2), (0.0, 37.0, 16), (-100.0, 37.0, 16),
+    (100.0, 0.0, 16),
+])
+def test_visibility_rejects_degenerate_inputs(sep, fwhm, n_alpha):
+    with pytest.raises(ValueError):
+        visibility_bound(sep, fwhm, ChirpSpec(10.0), n_alpha=n_alpha)
+
+
+def test_chirp_rejects_vanishing_dispersion():
+    for dispersion in (0.0, 5e-324):
+        with pytest.raises(ValueError):
+            ChirpSpec(dispersion)
+
+
 def test_visibility_100ps_value():
     vis = visibility_bound(100.0, 37.0, ChirpSpec(10.0))
     assert vis == pytest.approx(0.99, abs=0.01)
