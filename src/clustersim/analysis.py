@@ -30,6 +30,8 @@ TERM_BASIS = {
 
 STABILIZER_THRESHOLD = 2.0 / 3.0
 CHSH_THRESHOLD = 1.0 / math.sqrt(2.0)
+#: Fewest distinct scan phases fit_interference accepts.
+MIN_SCAN_PHASES = 8
 
 
 def basis_for_term(term: str) -> str:
@@ -181,8 +183,8 @@ def fit_interference(
     rates = np.asarray(rates, dtype=float)
     if alphas.shape != rates.shape or alphas.ndim != 1:
         raise InsufficientScan("alphas and rates must be equal-length vectors")
-    if len(np.unique(np.round(alphas, 12))) < 8:
-        raise InsufficientScan("need at least 8 distinct scan phases")
+    if len(np.unique(np.round(alphas, 12))) < MIN_SCAN_PHASES:
+        raise InsufficientScan(f"need at least {MIN_SCAN_PHASES} distinct scan phases")
     span = float(alphas.max() - alphas.min())
     if span < 2.0 * math.pi / harmonic - 1e-9:
         raise InsufficientScan("scan must span at least one fringe period")

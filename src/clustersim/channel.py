@@ -73,6 +73,8 @@ class ThermalModel:
             raise ValueError("time constants must be positive")
         if self.smoothing_passes < 0:
             raise ValueError("smoothing passes must be nonnegative")
+        if self.peak_k is not None and self.peak_k < 0:
+            raise ValueError("peak excursion must be nonnegative")
 
 
 @dataclass(frozen=True)

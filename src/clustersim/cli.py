@@ -109,7 +109,8 @@ _NULLABLE = {"channel.drift.peak_k"}
 # Ranges of the leaves that no domain constructor checks; the range of an
 # open section holds for each of its values.
 _RANGES = {"seed": (0, math.inf), "detection.pairs_per_setting": (1, math.inf),
-           "analysis.mc_samples": (2, math.inf), "analysis.fringe_points": (0, math.inf),
+           "analysis.mc_samples": (2, math.inf),
+           "analysis.fringe_points": (analysis.MIN_SCAN_PHASES, math.inf),
            "detection.visibility_penalty": (0.0, 1.0)}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",

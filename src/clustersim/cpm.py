@@ -48,6 +48,8 @@ class CpmSettings:
     def __post_init__(self):
         if self.g < 0:
             raise ValueError("modulation depth must be nonnegative")
+        if self.truncation_order < 0:
+            raise ValueError("truncation order must be nonnegative")
 
     @property
     def omega_rad_per_s(self) -> float:

@@ -39,6 +39,8 @@ class ExcitationTrain:
             raise ValueError("times and phases must have the same length")
         if any(b <= a for a, b in zip(self.times_ps, self.times_ps[1:])):
             raise ValueError("pulse times must be strictly increasing")
+        if self.pulse_fwhm_ps <= 0 or self.repetition_ns <= 0:
+            raise ValueError("pulse width and repetition period must be positive")
 
 
 def shg_phases(train: ExcitationTrain) -> tuple[float, ...]:

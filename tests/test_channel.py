@@ -168,3 +168,6 @@ def test_trace_validation():
         simulate_drift(FiberLink(), 86400.0, ThermalModel(step_s=5e-324))
     with pytest.raises(ValueError):
         ThermalModel(smoothing_passes=-1)
+    with pytest.raises(ValueError):
+        ThermalModel(peak_k=-5.0)
+    assert ThermalModel(peak_k=None).peak_k is None

@@ -246,6 +246,16 @@ ONE_DISPERSION = {"dispersions_ns_per_nm": [10.0]}
     pytest.param("fringe", {"analysis": {"fringe_points": -3}}, id="fringe-points-negative"),
     pytest.param("visibility", {"waveform": {"dispersions_ns_per_nm": [5e-324]}},
                  id="dispersion-underflow"),
+    pytest.param("visibility", {"waveform": {**ONE_DISPERSION, "separations_ps": [131072.0]}},
+                 id="separation-beyond-window"),
+    pytest.param("visibility", {"waveform": {"dispersions_ns_per_nm": [1e-300]}},
+                 id="dispersion-copy-phase-overflow"),
+    pytest.param("fringe", {"analysis": {"fringe_points": 5}}, id="fringe-points-5"),
+    pytest.param("measure", {"analysis": {"fringe_points": 7}}, id="fringe-points-7-measure"),
+    pytest.param("drift", {"channel": {"drift": {"peak_k": -5.0}}}, id="peak-negative"),
+    pytest.param("measure", {"source": {"pulse_fwhm_ps": -1.0}}, id="source-width-negative"),
+    pytest.param("measure", {"source": {"repetition_ns": -5.0}}, id="repetition-negative"),
+    pytest.param("measure", {"cpm": {"truncation_order": -3}}, id="truncation-negative"),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, overrides)
@@ -264,6 +274,12 @@ def test_drift_shorter_than_one_step_runs(tmp_path):
     cfg = _write_config(tmp_path, {"channel": {"drift": {"duration_s": 1.0}}})
     assert _run(["drift", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len((tmp_path / "drift.csv").read_text().splitlines()) == 3
+
+
+def test_visibility_wide_pulse_runs(tmp_path):
+    cfg = _write_config(tmp_path, {"waveform": {"pulse_fwhm_ps": 5000.0}})
+    assert _run(["visibility", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len((tmp_path / "visibility.csv").read_text().splitlines()) == 16
 
 
 def test_config_hash_is_pinned():

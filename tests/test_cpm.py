@@ -61,6 +61,8 @@ def test_mode_map_is_unitary_row(grid):
 def test_truncation_guard():
     with pytest.raises(ValueError):
         CpmSettings(g=9.0, truncation_order=3).check_truncation()
+    with pytest.raises(ValueError):
+        CpmSettings(truncation_order=-1)
 
 
 def test_z_setting_is_identity(levels, grid, base_cpm, layout):

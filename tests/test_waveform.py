@@ -1,11 +1,14 @@
 """Continuous-field numerics: chirp pair, pulse copies, visibility bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from clustersim.bessel import bessel_j, solve_balanced_depth
 from clustersim.errors import InconsistentSettings, WindowOverflow
 from clustersim.waveform import (
+    MAX_SEPARATION_PS,
     ChirpSpec,
     SampledField,
     add_fields,
@@ -116,6 +119,70 @@ def test_transform_limited_spectrogram_single_blob():
     assert abs(freqs[f_idx]) < 0.5
 
 
+def _visibility_fft_chain(sep, fwhm, chirp, rf_frequency_ghz=None, n_alpha=16,
+                          n_samples=2**18, dt_ps=1.0):
+    """Reference for visibility_bound: the sampled FFT chain it replaces.
+
+    The two pulses are chirped once; each RF phase is then modulated in,
+    chirped back and summed over the central bin window.
+    """
+    if rf_frequency_ghz is None:
+        rf_frequency_ghz = rf_for_spacing(chirp, sep)
+    g_star = solve_balanced_depth()
+    a = gaussian_pulse(0.0, fwhm, n_samples, dt_ps)
+    b = gaussian_pulse(sep, fwhm, n_samples, dt_ps)
+    stretched = apply_chirp(add_fields(a, b), chirp)
+    alphas = np.linspace(0.0, 2.0 * np.pi, n_alpha, endpoint=False)
+    intensities = []
+    for alpha in alphas:
+        modulated = phase_modulate(stretched, g_star, rf_frequency_ghz, -alpha)
+        out = apply_chirp(modulated, chirp.negated())
+        intensities.append(bin_intensity(out, sep, 0.5 * sep))
+    design = np.column_stack([np.ones_like(alphas), np.cos(alphas), np.sin(alphas)])
+    c = np.linalg.lstsq(design, np.asarray(intensities), rcond=None)[0]
+    return float(np.hypot(c[1], c[2]) / c[0])
+
+
+@pytest.mark.parametrize("sep,dispersion,fwhm,rf_scale,n_alpha,n_samples", [
+    (100.0, 2.0, 37.0, None, 16, 2**16),
+    (100.0, 150.0, 37.0, None, 8, 2**18),
+    (300.0, 2.0, 37.0, None, 8, 2**16),
+    (300.0, 10.0, 37.0, None, 16, 2**16),
+    (100.0, -10.0, 37.0, None, 8, 2**16),
+    (300.0, 10.0, 37.0, 1.02, 8, 2**16),
+    (100.0, 2.0, 5000.0, None, 8, 2**16),
+])
+def test_visibility_closed_form_matches_fft_chain(sep, dispersion, fwhm, rf_scale,
+                                                  n_alpha, n_samples):
+    """The copy sum equals the sampled chain; 2**16 points hold |D| <= 10 ns/nm."""
+    chirp = ChirpSpec(dispersion)
+    rf = None if rf_scale is None else rf_scale * rf_for_spacing(chirp, sep)
+    reference = _visibility_fft_chain(sep, fwhm, chirp, rf, n_alpha, n_samples)
+    vis = visibility_bound(sep, fwhm, chirp, rf_frequency_ghz=rf, n_alpha=n_alpha)
+    assert abs(vis - reference) <= 1e-12
+
+
+def test_visibility_window_is_bounded():
+    """Separations from 2**17 ps on are refused; the largest one runs in < 64 MB."""
+    with pytest.raises(ValueError):
+        visibility_bound(MAX_SEPARATION_PS, 37.0, ChirpSpec(10.0))
+    tracemalloc.start()
+    try:
+        vis = visibility_bound(np.nextafter(MAX_SEPARATION_PS, 0.0), 37.0, ChirpSpec(10.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= vis < 1e-9  # copies 10.3 rad/ps apart in frequency do not interfere
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("dispersion", [1e-300, -1e-300, 1e305])
+def test_visibility_rejects_out_of_range_dispersion(dispersion):
+    """Copy phases that overflow, or an RF tone that rounds to 0, are refused."""
+    with pytest.raises(ValueError):
+        visibility_bound(300.0, 37.0, ChirpSpec(dispersion))
+
+
 def test_visibility_inconsistent_rf_rejected():
     with pytest.raises(InconsistentSettings):
         visibility_bound(100.0, 37.0, ChirpSpec(10.0), rf_frequency_ghz=3.75)
@@ -131,7 +198,7 @@ def test_visibility_rejects_degenerate_inputs(sep, fwhm, n_alpha):
 
 
 def test_chirp_rejects_vanishing_dispersion():
-    for dispersion in (0.0, 5e-324):
+    for dispersion in (0.0, 5e-324, 1.7e308):  # beta2 of 1.7e308 ns/nm overflows
         with pytest.raises(ValueError):
             ChirpSpec(dispersion)
 
