@@ -136,10 +136,10 @@ def transmit(
     is assumed compensated).  The arrival offset is read from the drift
     trace at the transmission time, 0 without a trace.
     """
-    scale = np.sqrt(link.retained_fraction)
-    amps = {k: v * scale for k, v in state.amplitudes.items()}
-    out = JointTwoPhotonState(
-        state.grid, amps, state.norm_tracking * link.retained_fraction
+    out = replace(
+        state,
+        amplitudes=state.amplitudes * np.sqrt(link.retained_fraction),
+        norm_tracking=state.norm_tracking * link.retained_fraction,
     )
     offset = drift.offset_at(time_s) if drift is not None else 0.0
     return out, offset

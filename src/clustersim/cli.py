@@ -375,17 +375,17 @@ def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 def _sampled_histograms(cfg, exact: bool):
     state, levels, layout = _make_state(cfg)
     state, _ = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
-    schedule = detection.build_default_schedule(levels)
     hists = detection.sample_coincidences(
-        state, schedule, _build(detection.DetectorModel, cfg, "detection"),
+        state, detection.build_default_schedule(levels),
+        _build(detection.DetectorModel, cfg, "detection"),
         cfg["detection"]["pairs_per_setting"], cfg["detection"]["visibility_penalty"],
         int(cfg["seed"]), levels, _build(CpmSettings, cfg, "cpm"), exact,
     )
-    return hists, schedule, levels
+    return hists, levels
 
 
 def cmd_measure(cfg, outdir: Path, stamp: str, exact: bool) -> int:
-    hists, schedule, levels = _sampled_histograms(cfg, exact)
+    hists, levels = _sampled_histograms(cfg, exact)
     rows = [
         (h.name, bs, bi, h.counts[bs, bi])
         for h in hists
@@ -412,8 +412,8 @@ def cmd_measure(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 
 def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
-    hists, schedule, levels = _sampled_histograms(cfg, exact)
-    projections = detection.extract_projections(hists, schedule, levels)
+    hists, levels = _sampled_histograms(cfg, exact)
+    projections = detection.extract_projections(hists, levels)
     rows = [
         (basis, outcome, projections[basis][outcome])
         for basis in projections

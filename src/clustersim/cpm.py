@@ -1,4 +1,4 @@
-"""Discrete chirped-pulse-modulation operator and time-bin beam splitters.
+"""Chirped-pulse-modulation settings and time-bin beam-splitter matrices.
 
 A sinusoidal phase modulation between two opposite-dispersion gratings
 scatters a time/frequency mode into coherent copies of order m, weighted
@@ -9,14 +9,15 @@ splitter used for projective measurements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bessel import bessel_row, efficiency, solve_balanced_depth
-from .encoding import BinLayout, LevelSpec, bin_to_bits, layout_from_levels
+from .bessel import bessel_row, solve_balanced_depth
+from .encoding import BinLayout, LevelSpec, layout_from_levels
 from .errors import GridMismatch, UnknownLevel
-from .modes import ModeGrid, TimeFreqMode
+from .modes import ModeGrid
 
 C_M_PER_S = 299792458.0
 
@@ -50,6 +51,10 @@ class CpmSettings:
             raise ValueError("modulation depth must be nonnegative")
         if self.truncation_order < 0:
             raise ValueError("truncation order must be nonnegative")
+        lam_m = self.carrier_wavelength_nm * 1e-9
+        # chirp_beta2_s2 squares lam_m, which raises OverflowError past 1.3e154 m
+        if not (lam_m > 0 and math.isfinite(lam_m * lam_m)):
+            raise ValueError("carrier wavelength must be positive with a finite square")
 
     @property
     def omega_rad_per_s(self) -> float:
@@ -64,67 +69,16 @@ class CpmSettings:
         """Physical copy spacing beta2 * Omega."""
         return self.beta2_s2 * self.omega_rad_per_s * 1e12
 
-    @property
-    def delta_nu_ghz(self) -> float:
-        return self.rf_frequency_ghz
-
     def time_steps(self, grid: ModeGrid) -> int:
         """Copy spacing in grid units; raises GridMismatch when off-grid."""
         steps = self.delta_t_ps / grid.time_quantum_ps
-        rounded = round(steps)
+        rounded = round(steps) if math.isfinite(steps) else 0
         if rounded == 0 or abs(steps - rounded) > self.snap_tol:
             raise GridMismatch(
                 f"dt = {self.delta_t_ps:.3f} ps does not land on the "
                 f"{grid.time_quantum_ps} ps grid"
             )
         return int(rounded)
-
-    def freq_steps(self, grid: ModeGrid) -> int:
-        steps = self.delta_nu_ghz / grid.freq_quantum_ghz
-        rounded = round(steps)
-        if rounded == 0 or abs(steps - rounded) > 1e-9 * max(1.0, abs(steps)):
-            raise GridMismatch(
-                f"dnu = {self.delta_nu_ghz} GHz does not land on the "
-                f"{grid.freq_quantum_ghz} GHz grid"
-            )
-        return int(rounded)
-
-    def check_truncation(self) -> None:
-        row = bessel_row(self.g, self.truncation_order)
-        total = row[0] ** 2 + 2.0 * np.sum(row[1:] ** 2)
-        if total < 1.0 - 1e-9:
-            raise ValueError(
-                f"truncation order {self.truncation_order} keeps only "
-                f"{total:.12f} of the scattered weight at g={self.g}"
-            )
-
-
-def cpm_mode_map(settings: CpmSettings, grid: ModeGrid):
-    """Faithful discrete CPM operator: orders m in [-M, M].
-
-    Each input mode maps to copies shifted by (m*dt, m*dnu) with weight
-    J_m(g) e^{-i m alpha}.  Negative orders carry J_{-m} = (-1)^m J_m.
-    """
-    settings.check_truncation()
-    if settings.g == 0.0:
-        return lambda mode: [(mode, 1.0 + 0j)]
-    dt = settings.time_steps(grid)
-    dn = settings.freq_steps(grid)
-    m_max = settings.truncation_order
-    row = bessel_row(settings.g, m_max)
-    orders = []
-    for m in range(-m_max, m_max + 1):
-        j = row[abs(m)] * ((-1.0) ** (abs(m) % 2) if m < 0 else 1.0)
-        w = j * np.exp(-1j * m * settings.alpha)
-        orders.append((m, complex(w)))
-
-    def mode_map(mode: TimeFreqMode):
-        return [
-            (TimeFreqMode(mode.t_index + m * dt, mode.f_index + m * dn), w)
-            for m, w in orders
-        ]
-
-    return mode_map
 
 
 @dataclass(frozen=True)
@@ -149,16 +103,6 @@ class BeamSplitterSetting:
         return 0.0 if self.kind == "X" else float(np.mod(self.alpha, 2.0 * np.pi))
 
 
-@dataclass(frozen=True)
-class PhotonMeasurement:
-    """Mode map plus the bookkeeping needed by the detection stage."""
-
-    setting: BeamSplitterSetting
-    mode_map: object
-    efficiency: float
-    interfered_level: str | None  # level whose bins were superimposed, if any
-
-
 def measurement_map(
     setting: BeamSplitterSetting,
     levels: LevelSpec,
@@ -166,8 +110,8 @@ def measurement_map(
     grid: ModeGrid,
     layout: BinLayout | None = None,
     alpha_offset: float = 0.0,
-) -> PhotonMeasurement:
-    """Single-photon measurement operator for one beam-splitter setting.
+) -> np.ndarray:
+    """Single-photon measurement matrix A[out bin, in bin] for one setting.
 
     Z is the identity.  X/XY act as the ideal pairwise splitter derived
     from the CPM operator truncated to the orders that connect a bin to
@@ -179,15 +123,15 @@ def measurement_map(
     (order m = -1 carries J_{-1} = -J1 and the conjugate phase, per the
     scattering operator's e^{-i m alpha} convention).  The remaining
     1 - eta(g*) of the probability scatters to ancillary orders and is
-    dropped from the tracked state.  alpha_offset is used by the detection
-    stage to build dephased variants; modes off the nominal layout are lost.
+    dropped, so each column has norm eta(g*).  alpha_offset is used by the
+    detection stage to build dephased variants.
     """
+    layout = layout or layout_from_levels(levels)
     if setting.kind == "Z":
-        return PhotonMeasurement(setting, lambda m: [(m, 1.0 + 0j)], 1.0, None)
+        return np.eye(layout.count, dtype=complex)
 
     if setting.level not in [lv.name for lv in levels.levels]:
         raise UnknownLevel(setting.level)
-    layout = layout or layout_from_levels(levels)
     level_idx = levels.index_of(setting.level)
     rf = levels.level(setting.level).rf_frequency_ghz
     g_star = solve_balanced_depth()
@@ -197,27 +141,10 @@ def measurement_map(
     j0, j1 = float(row[0]), float(row[1])
     alpha = setting.effective_alpha + alpha_offset
 
-    steps_of_bin = {}
-    for b in range(layout.count):
-        steps_of_bin[grid.t_steps(layout.position(b) - grid.time_origin_ps)] = b
-    flip = 1 << (layout.level_count - 1 - level_idx)
-    partner_steps = {}
-    bit_of_steps = {}
-    for steps, b in steps_of_bin.items():
-        partner = b ^ flip
-        p_steps = grid.t_steps(layout.position(partner) - grid.time_origin_ps)
-        partner_steps[steps] = p_steps
-        bit_of_steps[steps] = bin_to_bits(layout, b)[level_idx]
-
     fwd = complex(j1 * np.exp(-1j * alpha))
     bwd = complex(-j1 * np.exp(1j * alpha))
-
-    def mode_map(mode: TimeFreqMode):
-        b = steps_of_bin.get(mode.t_index)
-        if b is None:
-            return []
-        partner = TimeFreqMode(partner_steps[mode.t_index], mode.f_index)
-        w = fwd if bit_of_steps[mode.t_index] == 0 else bwd
-        return [(mode, complex(j0)), (partner, w)]
-
-    return PhotonMeasurement(setting, mode_map, efficiency(g_star), setting.level)
+    flip = 1 << (layout.level_count - 1 - level_idx)
+    a = np.eye(layout.count, dtype=complex) * j0
+    for b in range(layout.count):
+        a[b ^ flip, b] = bwd if b & flip else fwd
+    return a

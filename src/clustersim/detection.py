@@ -10,20 +10,17 @@ uniform background, then realized as Poisson counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cpm import BeamSplitterSetting, CpmSettings, PhotonMeasurement, measurement_map
+from .cpm import BeamSplitterSetting, CpmSettings, measurement_map
 from .encoding import BinLayout, LevelSpec, bin_to_bits, layout_from_levels
 from .errors import MissingBasis, UnsupportedLevels
-from .modes import (
-    IDLER,
-    SIGNAL,
-    JointTwoPhotonState,
-    ModeGrid,
-    apply_single_photon_map,
-)
+from .modes import JointTwoPhotonState, clean
+
+SIGNAL = "signal"
+IDLER = "idler"
 
 
 @dataclass(frozen=True)
@@ -174,32 +171,21 @@ def joint_outcome_probabilities(
 ) -> np.ndarray:
     """Exact coincidence probability for every (signal bin, idler bin).
 
-    The matrix sums to the jointly retained probability (state norm times
-    the two splitter efficiencies); it is not renormalized here.
+    Each penalty branch contributes w_s w_i |A_s psi A_i^T|^2, with A the
+    photons' measurement matrices.  The matrix sums to the jointly retained
+    probability (state norm times the two splitter efficiencies); it is not
+    renormalized here.
     """
     base = base or CpmSettings()
     layout = layout or layout_from_levels(levels)
     grid = state.grid
-    steps_of_bin = {
-        b: grid.t_steps(layout.position(b) - grid.time_origin_ps)
-        for b in range(layout.count)
-    }
-    bin_of_steps = {s: b for b, s in steps_of_bin.items()}
-    n = layout.count
-    probs = np.zeros((n, n))
-    s_branches = _penalty_branches(signal_setting, visibility_penalty)
-    i_branches = _penalty_branches(idler_setting, visibility_penalty)
-    for ws, offs in s_branches:
-        ms = measurement_map(signal_setting, levels, base, grid, layout, offs)
-        after_s = apply_single_photon_map(state, SIGNAL, ms.mode_map)
-        for wi, offi in i_branches:
-            mi = measurement_map(idler_setting, levels, base, grid, layout, offi)
-            out = apply_single_photon_map(after_s, IDLER, mi.mode_map)
-            for (s_mode, i_mode), amp in out.amplitudes.items():
-                bs = bin_of_steps.get(s_mode.t_index)
-                bi = bin_of_steps.get(i_mode.t_index)
-                if bs is not None and bi is not None:
-                    probs[bs, bi] += ws * wi * abs(amp) ** 2
+    probs = np.zeros((layout.count, layout.count))
+    for ws, offs in _penalty_branches(signal_setting, visibility_penalty):
+        a_s = measurement_map(signal_setting, levels, base, grid, layout, offs)
+        after_s = a_s @ state.amplitudes
+        for wi, offi in _penalty_branches(idler_setting, visibility_penalty):
+            a_i = measurement_map(idler_setting, levels, base, grid, layout, offi)
+            probs += ws * wi * np.abs(clean(after_s @ a_i.T)) ** 2
     return probs
 
 
@@ -376,33 +362,20 @@ def raw_basis_counts(
 
 def extract_projections(
     histograms: list[JointTemporalIntensity],
-    schedule: SegmentSchedule,
     levels: LevelSpec | None = None,
 ) -> dict[str, np.ndarray]:
     """48 normalized projection values: 3 witness bases x 16 outcomes.
 
-    Z-only settings keep the full beam-splitter-free throughput, so their
-    counts are rescaled by the splitter efficiency eta(g*) ~ 0.6005 per Z photon
-    before each basis is normalized to sum 1 (the rescale cancels in the
-    normalization but mirrors the published analysis).
+    Each basis is normalized to sum 1, so a per-basis throughput factor
+    such as the splitter efficiency eta(g*) of X-read photons cancels.
     """
-    from .bessel import efficiency, solve_balanced_depth
     from .encoding import default_levels
 
-    levels = levels or default_levels()
-    eta = efficiency(solve_balanced_depth())
-    z_photons = {
-        _basis_of_pairing(h.signal_setting, h.idler_setting, levels) or "": sum(
-            1 for s in (h.signal_setting, h.idler_setting) if s.kind == "Z"
-        )
-        for h in histograms
-    }
-    raw = raw_basis_counts(histograms, levels)
+    raw = raw_basis_counts(histograms, levels or default_levels())
     out: dict[str, np.ndarray] = {}
     for basis, values in raw.items():
-        corrected = values * eta ** z_photons.get(basis, 0)
-        total = corrected.sum()
+        total = values.sum()
         if total <= 0:
             raise MissingBasis(f"basis {basis} has no counts")
-        out[basis] = corrected / total
+        out[basis] = values / total
     return out

@@ -5,14 +5,6 @@ class ClusterSimError(Exception):
     """Base class for simulation contract violations."""
 
 
-class ZeroState(ClusterSimError):
-    """All amplitudes fell below the sparsity threshold."""
-
-
-class NonContractive(ClusterSimError):
-    """A mode map would amplify probability beyond unity."""
-
-
 class OutOfRange(ClusterSimError):
     """Bin index outside the layout."""
 

@@ -10,19 +10,13 @@ cluster state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import BinLayout
 from .errors import LayoutMismatch
-from .modes import (
-    JointTwoPhotonState,
-    ModeGrid,
-    TimeFreqMode,
-    inner_product,
-    normalize,
-)
+from .modes import JointTwoPhotonState, ModeGrid
 
 
 @dataclass(frozen=True)
@@ -53,9 +47,9 @@ def generate_pair_state(
 ) -> JointTwoPhotonState:
     """Pair state (1/sqrt(K)) sum_k e^{i 2 phi_k} |bin k>_s |bin k>_i.
 
-    SPDC amplitudes are equal across pulses (flat pump envelope); the
-    signal-idler 600 GHz offset is not carried as a grid index, only the
-    relative structure matters here.
+    SPDC amplitudes are equal across pulses (flat pump envelope), so the
+    state fills the diagonal of the bin-pair matrix; the signal-idler
+    600 GHz offset is not carried, only the relative structure matters here.
     """
     if len(train.times_ps) != layout.count:
         raise LayoutMismatch(
@@ -64,13 +58,10 @@ def generate_pair_state(
     for t, p in zip(train.times_ps, layout.positions_ps):
         if abs(t - p) > 1e-9:
             raise LayoutMismatch(f"pulse at {t} ps does not match bin at {p} ps")
-    doubled = shg_phases(train)
-    amps = {}
-    for k, (t, phase) in enumerate(zip(train.times_ps, doubled)):
-        steps = grid.t_steps(t - grid.time_origin_ps)
-        mode = TimeFreqMode(steps, 0)
-        amps[(mode, mode)] = np.exp(1j * phase)
-    return normalize(JointTwoPhotonState.from_amplitudes(grid, amps))
+    steps = tuple(grid.t_steps(t - grid.time_origin_ps) for t in train.times_ps)
+    amps = np.exp(1j * np.array(shg_phases(train)))
+    amps = amps * (1.0 / np.sqrt(np.sum(np.abs(amps) ** 2)))
+    return JointTwoPhotonState(grid, steps, np.diag(amps), 1.0)
 
 
 def ideal_cluster_state(layout: BinLayout, grid: ModeGrid) -> JointTwoPhotonState:
@@ -87,5 +78,5 @@ def is_cluster_state(
 ) -> tuple[bool, float]:
     """Overlap fidelity |<cluster|state>|^2 and a pass flag at 1 - 1e-9."""
     target = ideal_cluster_state(layout, state.grid)
-    fidelity = float(abs(inner_product(target, state)) ** 2)
+    fidelity = float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
     return fidelity > 1.0 - 1e-9, fidelity

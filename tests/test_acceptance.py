@@ -43,7 +43,7 @@ def _pipeline_witness(detector, pairs=1, seed=0, exact=True):
     hists = detection.sample_coincidences(
         state, schedule, detector, pairs, seed=seed, exact=exact
     )
-    projections = detection.extract_projections(hists, schedule)
+    projections = detection.extract_projections(hists)
     return analysis.witness(projections), hists
 
 
@@ -111,7 +111,7 @@ def test_criterion_03_calibrated_match(capsys):
         hists = detection.sample_coincidences(
             lossy, schedule, detector, 2473, seed=seed
         )
-        projections = detection.extract_projections(hists, schedule)
+        projections = detection.extract_projections(hists)
         raw = detection.raw_basis_counts(hists)
         stderr, _, _ = analysis.monte_carlo_error(raw, 20_000, seed=seed + 1)
         w = analysis.witness(projections).witness
@@ -296,20 +296,25 @@ def test_criterion_09_oracle_equivalence(capsys):
     import test_oracle_dense as od
 
     start = time.perf_counter()
-    failures = 0
+    failures = product_failures = 0
     for case in range(100):
         try:
             od.test_random_maps_match_dense(case)
         except AssertionError:
             failures += 1
+        try:
+            od.test_product_path_matches_dense(case)
+        except AssertionError:
+            product_failures += 1
     for args in (("Z", "t"), ("X", "t"), ("X", "T"), ("XY", "T")):
         od.test_measurement_maps_match_dense(*args)
     od.test_joint_probabilities_match_dense()
     elapsed = time.perf_counter() - start
-    ok = failures == 0 and elapsed < 60.0
+    ok = failures == 0 and product_failures == 0 and elapsed < 60.0
     _report(capsys, 9, ok,
-            f"100 randomized dense-reference cases, {failures} failures "
-            f"(tolerance 1e-10), {elapsed:.1f} s")
+            f"100 randomized dense-reference cases, {failures} failures; "
+            f"100 product-path cases on the frequency-0 block, {product_failures} "
+            f"failures (tolerance 1e-10), {elapsed:.1f} s")
 
 
 def test_criterion_10_capacity(capsys):

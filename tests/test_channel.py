@@ -30,17 +30,18 @@ def test_transmit_scales_norm_only(cluster):
     link = FiberLink()
     out, offset = transmit(cluster, link)
     assert offset == 0.0
-    assert out.probability() == pytest.approx(link.retained_fraction, rel=1e-12)
-    for key, amp in cluster.amplitudes.items():
-        ratio = out.amplitudes[key] / amp
-        assert ratio == pytest.approx(np.sqrt(link.retained_fraction), rel=1e-12)
+    assert out.norm_tracking == pytest.approx(link.retained_fraction, rel=1e-12)
+    nonzero = cluster.amplitudes != 0
+    np.testing.assert_array_equal(out.amplitudes != 0, nonzero)
+    ratio = out.amplitudes[nonzero] / cluster.amplitudes[nonzero]
+    np.testing.assert_allclose(ratio, np.sqrt(link.retained_fraction), rtol=1e-12)
 
 
 def test_zero_length_link_is_identity(cluster):
     link = FiberLink(length_km=0.0, loss_db=0.0, compensator_loss_db=0.0)
     out, offset = transmit(cluster, link)
     assert offset == 0.0
-    assert out.amplitudes == cluster.amplitudes
+    np.testing.assert_array_equal(out.amplitudes, cluster.amplitudes)
 
 
 def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, levels):
@@ -53,7 +54,7 @@ def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, lev
         hists = sample_coincidences(
             state, schedule, noiseless_detector, 1, exact=True
         )
-        reports.append(witness(extract_projections(hists, schedule)).witness)
+        reports.append(witness(extract_projections(hists)).witness)
     assert reports[0] == pytest.approx(reports[1], abs=1e-12)
 
 

@@ -256,6 +256,10 @@ ONE_DISPERSION = {"dispersions_ns_per_nm": [10.0]}
     pytest.param("measure", {"source": {"pulse_fwhm_ps": -1.0}}, id="source-width-negative"),
     pytest.param("measure", {"source": {"repetition_ns": -5.0}}, id="repetition-negative"),
     pytest.param("measure", {"cpm": {"truncation_order": -3}}, id="truncation-negative"),
+    pytest.param("measure", {"cpm": {"carrier_wavelength_nm": -1e308}},
+                 id="carrier-negative"),
+    pytest.param("fringe", {"cpm": {"carrier_wavelength_nm": 1e308}},
+                 id="carrier-square-overflow"),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, overrides)
@@ -263,6 +267,22 @@ def test_bad_config_value_exit_2(tmp_path, capsys, command, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["measure", "fringe"])
+@pytest.mark.parametrize("overrides", [
+    pytest.param({"cpm": {"dispersion_ns_per_nm": 7.0}}, id="dispersion-off-grid"),
+    pytest.param({"cpm": {"dispersion_ns_per_nm": 1e308}}, id="spacing-overflow"),
+    pytest.param({"encoding": {"levels": [["T", 300.0, 1e308], ["t", 100.0, 1.25]]}},
+                 id="level-tone-overflow"),
+])
+def test_copy_spacing_off_grid_exit_1(tmp_path, capsys, command, overrides):
+    cfg = _write_config(tmp_path, overrides)
+    assert _run([command, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"simulation error: dt = \S+ ps does not land on the 100\.0 ps grid\n", err
+    ), err
 
 
 def test_negative_seed_option_exit_2(tmp_path, capsys):
@@ -274,6 +294,14 @@ def test_drift_shorter_than_one_step_runs(tmp_path):
     cfg = _write_config(tmp_path, {"channel": {"drift": {"duration_s": 1.0}}})
     assert _run(["drift", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len((tmp_path / "drift.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("width", [1e-200, 5e-324, 0.5])
+def test_visibility_rejects_unresolvable_pulse_width(tmp_path, capsys, width):
+    cfg = _write_config(tmp_path, {"waveform": {**ONE_DISPERSION, "pulse_fwhm_ps": width}})
+    assert _run(["visibility", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: waveform: pulse width") and err.count("\n") == 1
 
 
 def test_visibility_wide_pulse_runs(tmp_path):
@@ -318,9 +346,15 @@ FUZZ_VALUES = st.one_of(
 )
 
 
+FUZZ_COMMANDS = (
+    ("generate",), ("transmit",), ("drift",), ("capacity",), ("measure",),
+    ("fringe",), ("measure", "--exact"), ("witness", "--exact"), ("visibility",),
+)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    command=st.sampled_from(["generate", "transmit", "drift", "capacity", "measure"]),
+    command=st.sampled_from(FUZZ_COMMANDS),
     overrides=st.lists(st.tuples(st.sampled_from(CONFIG_LEAVES), FUZZ_VALUES),
                        min_size=1, max_size=2, unique_by=lambda kv: kv[0]),
 )
@@ -336,7 +370,7 @@ def test_fuzzed_overrides_exit_cleanly(command, overrides):
         cfg.write_text(json.dumps(doc))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(cfg), "--out", tmp])
+            code = main([*command, "--config", str(cfg), "--out", tmp])
     assert code in (0, 1, 2), doc
     assert "Traceback" not in err.getvalue()
 

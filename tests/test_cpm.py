@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from clustersim.bessel import bessel_j, efficiency, solve_balanced_depth
-from clustersim.cpm import (
-    BeamSplitterSetting,
-    CpmSettings,
-    cpm_mode_map,
-    measurement_map,
-)
+from clustersim.cpm import BeamSplitterSetting, CpmSettings, measurement_map
 from clustersim.errors import GridMismatch, UnknownLevel
-from clustersim.modes import SIGNAL, TimeFreqMode, apply_single_photon_map
+from sparse_oracle import TimeFreqMode, check_truncation, cpm_mode_map, freq_steps
 
 
 def test_shift_law_values():
@@ -27,17 +22,17 @@ def test_shift_law_values():
 def test_grid_steps(grid):
     s = CpmSettings(rf_frequency_ghz=1.25)
     assert s.time_steps(grid) == 1
-    assert s.freq_steps(grid) == 1
+    assert freq_steps(s, grid) == 1
     s = CpmSettings(rf_frequency_ghz=3.75)
     assert s.time_steps(grid) == 3
-    assert s.freq_steps(grid) == 3
+    assert freq_steps(s, grid) == 3
 
 
 def test_off_grid_rejected(grid):
     with pytest.raises(GridMismatch):
         CpmSettings(rf_frequency_ghz=1.25, dispersion_ns_per_nm=7.0).time_steps(grid)
     with pytest.raises(GridMismatch):
-        CpmSettings(rf_frequency_ghz=2.0).freq_steps(grid)
+        freq_steps(CpmSettings(rf_frequency_ghz=2.0), grid)
 
 
 def test_mode_map_weights_are_bessel(grid):
@@ -58,17 +53,27 @@ def test_mode_map_is_unitary_row(grid):
     assert sum(abs(w) ** 2 for w in weights) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_copy_spacing_overflow_rejected(grid):
+    for carrier in (0.0, -1550.0, 1e308):  # 1e308 nm squared overflows in metres
+        with pytest.raises(ValueError):
+            CpmSettings(carrier_wavelength_nm=carrier)
+    for spacing in ({"dispersion_ns_per_nm": 1e308}, {"rf_frequency_ghz": 1e308}):
+        with pytest.raises(GridMismatch):
+            CpmSettings(**spacing).time_steps(grid)
+
+
 def test_truncation_guard():
     with pytest.raises(ValueError):
-        CpmSettings(g=9.0, truncation_order=3).check_truncation()
+        check_truncation(CpmSettings(g=9.0, truncation_order=3))
     with pytest.raises(ValueError):
         CpmSettings(truncation_order=-1)
 
 
 def test_z_setting_is_identity(levels, grid, base_cpm, layout):
-    pm = measurement_map(BeamSplitterSetting("Z", "t"), levels, base_cpm, grid, layout)
-    assert pm.efficiency == 1.0
-    assert pm.mode_map(TimeFreqMode(3, 0)) == [(TimeFreqMode(3, 0), 1.0 + 0j)]
+    a = measurement_map(BeamSplitterSetting("Z", "t"), levels, base_cpm, grid, layout)
+    np.testing.assert_array_equal(a, np.eye(4))
+    # every column keeps its full probability: efficiency 1
+    np.testing.assert_array_equal(np.sum(np.abs(a) ** 2, axis=0), np.ones(4))
 
 
 @pytest.mark.parametrize("level,partner_steps", [("t", {0: 1, 1: 0, 3: 4, 4: 3}),
@@ -77,15 +82,14 @@ def test_x_setting_connects_level_partners(levels, grid, base_cpm, layout,
                                            level, partner_steps):
     g_star = solve_balanced_depth()
     j0 = bessel_j(0, g_star)
-    pm = measurement_map(BeamSplitterSetting("X", level), levels, base_cpm, grid, layout)
-    assert pm.efficiency == pytest.approx(efficiency(g_star))
-    assert pm.interfered_level == level
+    a = measurement_map(BeamSplitterSetting("X", level), levels, base_cpm, grid, layout)
+    bin_of_steps = {grid.t_steps(p): b for b, p in enumerate(layout.positions_ps)}
     for steps, partner in partner_steps.items():
-        targets = dict(pm.mode_map(TimeFreqMode(steps, 0)))
-        assert set(m.t_index for m in targets) == {steps, partner}
-        assert targets[TimeFreqMode(steps, 0)] == pytest.approx(j0)
-        # row norm equals the splitter efficiency
-        norm = sum(abs(w) ** 2 for w in targets.values())
+        b = bin_of_steps[steps]
+        assert set(np.flatnonzero(a[:, b])) == {b, bin_of_steps[partner]}
+        assert a[b, b] == pytest.approx(j0)
+        # column norm equals the splitter efficiency
+        norm = np.sum(np.abs(a[:, b]) ** 2)
         assert norm == pytest.approx(efficiency(g_star), abs=1e-12)
 
 
@@ -94,34 +98,29 @@ def test_xy_phase_signs(levels, grid, base_cpm, layout):
     alpha = 0.9
     g_star = solve_balanced_depth()
     j1 = bessel_j(1, g_star)
-    pm = measurement_map(
+    a = measurement_map(
         BeamSplitterSetting("XY", "t", alpha), levels, base_cpm, grid, layout
     )
-    fwd = dict(pm.mode_map(TimeFreqMode(0, 0)))[TimeFreqMode(1, 0)]
-    bwd = dict(pm.mode_map(TimeFreqMode(1, 0)))[TimeFreqMode(0, 0)]
+    fwd = a[1, 0]
+    bwd = a[0, 1]
     assert fwd == pytest.approx(j1 * np.exp(-1j * alpha), abs=1e-12)
     assert bwd == pytest.approx(-j1 * np.exp(1j * alpha), abs=1e-12)
 
 
-def test_two_bin_interference_full_visibility(levels, grid, base_cpm, layout, cluster):
+def test_two_bin_interference_full_visibility(levels, grid, base_cpm, layout):
     """(|0> + e^{i phi} |1>)/sqrt(2) on the t level sweeps a full fringe."""
-    from clustersim.modes import JointTwoPhotonState
-
     phi = 1.1
-    probe = JointTwoPhotonState.from_amplitudes(grid, {
-        ((0, 0), (0, 0)): 1 / np.sqrt(2),
-        ((1, 0), (0, 0)): np.exp(1j * phi) / np.sqrt(2),
-    })
+    probe = np.zeros(4, dtype=complex)
+    probe[:2] = np.array([1.0, np.exp(1j * phi)]) / np.sqrt(2)
     rates = []
     # bin-0 rate is (J0^2 + J1^2 - 2 J0 J1 cos(alpha + phi))/2: include the
     # exact extremes alpha = -phi and alpha = pi - phi in the scan
     alphas = -phi + np.linspace(0, 2 * np.pi, 32, endpoint=False)
-    for a in alphas:
-        pm = measurement_map(
-            BeamSplitterSetting("XY", "t", a), levels, base_cpm, grid, layout
+    for alpha in alphas:
+        a = measurement_map(
+            BeamSplitterSetting("XY", "t", alpha), levels, base_cpm, grid, layout
         )
-        out = apply_single_photon_map(probe, SIGNAL, pm.mode_map)
-        rates.append(abs(out.amplitude(TimeFreqMode(0, 0), TimeFreqMode(0, 0))) ** 2)
+        rates.append(abs((a @ probe)[0]) ** 2)
     rates = np.asarray(rates)
     vis = (rates.max() - rates.min()) / (rates.max() + rates.min())
     assert vis == pytest.approx(1.0, abs=1e-9)

@@ -150,7 +150,7 @@ def test_projections_normalized_and_loss_invariant(
     hists = sample_coincidences(
         cluster, schedule, noiseless_detector, 1, exact=True
     )
-    proj = extract_projections(hists, schedule)
+    proj = extract_projections(hists)
     assert set(proj) == set(WITNESS_BASES)
     for values in proj.values():
         assert values.sum() == pytest.approx(1.0, abs=1e-12)
@@ -160,7 +160,7 @@ def test_projections_normalized_and_loss_invariant(
         efficiency=0.2,
     )
     hists2 = sample_coincidences(cluster, schedule, lossy, 1, exact=True)
-    proj2 = extract_projections(hists2, schedule)
+    proj2 = extract_projections(hists2)
     for basis in WITNESS_BASES:
         np.testing.assert_allclose(proj2[basis], proj[basis], atol=1e-12)
 
@@ -187,7 +187,7 @@ def test_missing_basis_detected(cluster, schedule, noiseless_detector):
         if (h.signal_setting.kind, h.idler_setting.kind) == ("Z", "Z")
     ]
     with pytest.raises(MissingBasis):
-        extract_projections(only_zz, schedule)
+        extract_projections(only_zz)
 
 
 def test_detector_validation():

@@ -1,17 +1,18 @@
-"""Sparse two-photon state algebra."""
+"""Sparse two-photon state algebra of the oracle path, and the mode grid."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustersim.errors import NonContractive, ZeroState
-from clustersim.modes import (
-    IDLER,
-    SIGNAL,
+from clustersim import modes
+from clustersim.detection import IDLER, SIGNAL
+from clustersim.modes import ModeGrid
+from sparse_oracle import (
     JointTwoPhotonState,
-    ModeGrid,
+    NonContractive,
     TimeFreqMode,
+    ZeroState,
     apply_single_photon_map,
     inner_product,
     normalize,
@@ -32,6 +33,16 @@ def test_norm_tracking_is_total_probability():
     s = make_state({(0, 0, 0, 0): 0.6, (1, 0, 1, 0): 0.8j})
     assert s.probability() == pytest.approx(1.0)
     assert s.amplitude(TimeFreqMode(1, 0), TimeFreqMode(1, 0)) == 0.8j
+
+
+def test_bin_pair_state_is_a_read_only_square_matrix():
+    grid = ModeGrid()
+    state = modes.JointTwoPhotonState(grid, (0, 1), [[1.0, 0.0], [0.0, 0.0]], 1.0)
+    assert state.amplitudes.dtype == complex
+    with pytest.raises(ValueError):
+        state.amplitudes[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        modes.JointTwoPhotonState(grid, (0, 1, 3), np.eye(2), 1.0)
 
 
 def test_t_steps_rejects_off_grid_and_overflow():

@@ -1,25 +1,27 @@
-"""Sparse-state operations versus a dense-matrix reference.
+"""Sparse-state operations and the bin-pair product path versus a dense reference.
 
 The reference works on the 4-bin x 9-frequency subspace (36 single-photon
 modes, 1296 joint amplitudes): joint states are dense vectors, a
 single-photon map is (A x I) or (I x A) with A[target, source] built by
-evaluating the sparse mode map on every basis mode.
+evaluating the sparse mode map on every basis mode.  The product path
+holds only the frequency-0 block of that subspace.
 """
 
 import numpy as np
 import pytest
 
-from clustersim.cpm import BeamSplitterSetting, CpmSettings, measurement_map
-from clustersim.detection import joint_outcome_probabilities
+from clustersim import cpm, detection, modes
+from clustersim.cpm import BeamSplitterSetting, CpmSettings
+from clustersim.detection import IDLER, SIGNAL
 from clustersim.encoding import default_levels, layout_from_levels
-from clustersim.modes import (
-    IDLER,
-    SIGNAL,
+from clustersim.modes import ModeGrid
+from sparse_oracle import (
     JointTwoPhotonState,
-    ModeGrid,
     TimeFreqMode,
     apply_single_photon_map,
     inner_product,
+    joint_outcome_probabilities,
+    measurement_map,
     normalize,
 )
 
@@ -142,4 +144,50 @@ def test_joint_probabilities_match_dense():
             rows = [INDEX[TimeFreqMode(ts, f)] for f in F_STEPS]
             cols = [INDEX[TimeFreqMode(ti, f)] for f in F_STEPS]
             ref[bs, bi] = np.sum(np.abs(ref_amp[np.ix_(rows, cols)]) ** 2)
+    np.testing.assert_allclose(probs, ref, atol=1e-10)
+
+
+F0 = [INDEX[TimeFreqMode(t, 0)] for t in T_STEPS]
+
+
+def random_setting(rng):
+    kind = ("Z", "X", "XY")[rng.integers(3)]
+    return BeamSplitterSetting(kind, ("T", "t")[rng.integers(2)], rng.uniform(0, 7))
+
+
+@pytest.mark.parametrize("case", range(100))
+def test_product_path_matches_dense(case):
+    """Bin-pair matrices and joint probabilities on the frequency-0 block."""
+    rng = np.random.default_rng(2000 + case)
+    levels = default_levels()
+    layout = layout_from_levels(levels)
+    grid = ModeGrid()
+    psi = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    psi /= np.linalg.norm(psi)
+    state = modes.JointTwoPhotonState(grid, T_STEPS, psi, 1.0)
+    block = np.zeros((N, N), dtype=complex)
+    block[np.ix_(F0, F0)] = psi
+    ss, si = random_setting(rng), random_setting(rng)
+    penalty = {"T": rng.uniform(), "t": rng.uniform()} if rng.random() < 0.5 else None
+
+    for setting in (ss, si):
+        a = dense_matrix_from_mode_map(
+            measurement_map(setting, levels, CpmSettings(), grid, layout).mode_map
+        )
+        product = cpm.measurement_map(setting, levels, CpmSettings(), grid, layout)
+        np.testing.assert_allclose(product, a[np.ix_(F0, F0)], atol=1e-10)
+
+    probs = detection.joint_outcome_probabilities(
+        state, ss, si, levels, visibility_penalty=penalty
+    )
+    ref = np.zeros((4, 4))
+    for ws, offs in detection._penalty_branches(ss, penalty):
+        for wi, offi in detection._penalty_branches(si, penalty):
+            a_s = dense_matrix_from_mode_map(
+                measurement_map(ss, levels, CpmSettings(), grid, layout, offs).mode_map
+            )
+            a_i = dense_matrix_from_mode_map(
+                measurement_map(si, levels, CpmSettings(), grid, layout, offi).mode_map
+            )
+            ref += ws * wi * np.abs((a_s @ block @ a_i.T)[np.ix_(F0, F0)]) ** 2
     np.testing.assert_allclose(probs, ref, atol=1e-10)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from clustersim.errors import LayoutMismatch
-from clustersim.modes import TimeFreqMode
 from clustersim.source import (
     ExcitationTrain,
     generate_pair_state,
@@ -21,12 +20,12 @@ def test_shg_doubles_phases():
 
 def test_ideal_amplitudes(layout, grid):
     state = ideal_cluster_state(layout, grid)
-    steps = [0, 1, 3, 4]
-    amps = [state.amplitude(TimeFreqMode(s, 0), TimeFreqMode(s, 0)) for s in steps]
+    assert state.bin_steps == (0, 1, 3, 4)
+    amps = np.diag(state.amplitudes)
     np.testing.assert_allclose(amps, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
-    assert state.probability() == pytest.approx(1.0, abs=1e-12)
+    assert state.norm_tracking == pytest.approx(1.0, abs=1e-12)
     # only diagonal bin pairs are populated
-    assert len(state.amplitudes) == 4
+    assert np.count_nonzero(state.amplitudes) == 4
 
 
 def test_is_cluster_state_accepts_ideal(layout, grid):

@@ -9,6 +9,7 @@ from clustersim.bessel import bessel_j, solve_balanced_depth
 from clustersim.errors import InconsistentSettings, WindowOverflow
 from clustersim.waveform import (
     MAX_SEPARATION_PS,
+    MIN_PULSE_FWHM_PS,
     ChirpSpec,
     SampledField,
     add_fields,
@@ -195,6 +196,13 @@ def test_visibility_inconsistent_rf_rejected():
 def test_visibility_rejects_degenerate_inputs(sep, fwhm, n_alpha):
     with pytest.raises(ValueError):
         visibility_bound(sep, fwhm, ChirpSpec(10.0), n_alpha=n_alpha)
+
+
+def test_visibility_pulse_width_floor():
+    vis = visibility_bound(100.0, MIN_PULSE_FWHM_PS, ChirpSpec(10.0))
+    assert 0.0 < vis <= 1.0
+    with pytest.raises(ValueError, match="pulse width"):
+        visibility_bound(100.0, np.nextafter(MIN_PULSE_FWHM_PS, 0.0), ChirpSpec(10.0))
 
 
 def test_chirp_rejects_vanishing_dispersion():
