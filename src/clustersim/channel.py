@@ -16,6 +16,11 @@ import numpy as np
 from .errors import OutOfRange
 from .modes import JointTwoPhotonState
 
+#: Largest drift offset or estimator noise: sums of 10**6 squares stay finite.
+MAX_OFFSET_PS = 1e150
+#: Most low-pass passes; each is one more loop over up to 10**6 samples.
+MAX_SMOOTHING_PASSES = 10
+
 
 @dataclass(frozen=True)
 class FiberLink:
@@ -71,8 +76,8 @@ class ThermalModel:
             raise ValueError("sigma must be nonnegative and step positive")
         if self.correlation_s <= 0 or self.smoothing_s < 0:
             raise ValueError("time constants must be positive")
-        if self.smoothing_passes < 0:
-            raise ValueError("smoothing passes must be nonnegative")
+        if not 0 <= self.smoothing_passes <= MAX_SMOOTHING_PASSES:
+            raise ValueError(f"smoothing passes must lie in [0, {MAX_SMOOTHING_PASSES}]")
         if self.peak_k is not None and self.peak_k < 0:
             raise ValueError("peak excursion must be nonnegative")
 
@@ -121,6 +126,8 @@ class StabilizerPolicy:
             raise ValueError("correction interval must be positive")
         if self.estimator_noise_ps < 0 or self.actuator_resolution_ps < 0:
             raise ValueError("noise and resolution must be nonnegative")
+        if self.estimator_noise_ps > MAX_OFFSET_PS:
+            raise ValueError(f"estimator noise must be at most {MAX_OFFSET_PS:g} ps")
 
 
 def transmit(
@@ -167,6 +174,8 @@ def ou_accumulate(normals, decay, innovation):
 MAX_TRACE_SAMPLES = 10**6
 
 
+# extreme settings overflow to inf or nan; the peak check reports them
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_drift(
     link: FiberLink,
     duration_s: float,
@@ -200,6 +209,9 @@ def simulate_drift(
     if model.peak_k is not None and peak > 0:
         temp = temp * (model.peak_k / peak)
     offsets = link.thermal_sensitivity_ps_per_k_km * link.length_km * temp
+    peak_ps = np.max(np.abs(offsets))
+    if not peak_ps <= MAX_OFFSET_PS:
+        raise OutOfRange(f"drift offsets reach {peak_ps:g} ps, above {MAX_OFFSET_PS:g} ps")
     return DriftTrace(times, offsets)
 
 

@@ -51,14 +51,10 @@ DEFAULT_CONFIG = {
         **_defaults(ModeGrid, "time_quantum_ps", "freq_quantum_ghz"),
     },
     "source": _defaults(ExcitationTrain),
-    "cpm": _defaults(
-        CpmSettings, "dispersion_ns_per_nm", "carrier_wavelength_nm", "truncation_order"
-    ),
+    "cpm": _defaults(CpmSettings, "dispersion_ns_per_nm", "carrier_wavelength_nm"),
     "waveform": {
         "dispersions_ns_per_nm": [2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0],
         "separations_ps": [100.0, 300.0],
-        "pulse_fwhm_ps": 37.0,
-        "n_alpha": 16,
     },
     "channel": {
         **_defaults(channel.FiberLink, "length_km", "loss_db", "compensator_loss_db",
@@ -107,10 +103,11 @@ _OPEN_SECTIONS = {"detection.visibility_penalty": 1.0}
 _NULLABLE = {"channel.drift.peak_k"}
 
 # Ranges of the leaves that no domain constructor checks; the range of an
-# open section holds for each of its values.
-_RANGES = {"seed": (0, math.inf), "detection.pairs_per_setting": (1, math.inf),
-           "analysis.mc_samples": (2, math.inf),
-           "analysis.fringe_points": (analysis.MIN_SCAN_PHASES, math.inf),
+# open section holds for each of its values.  The upper bounds keep counts
+# exact in a float (below 2**53) and witness and fringe near 30 s and 250 MB.
+_RANGES = {"seed": (0, math.inf), "detection.pairs_per_setting": (1, 10**15),
+           "analysis.mc_samples": (2, 10**7),
+           "analysis.fringe_points": (analysis.MIN_SCAN_PHASES, 10**5),
            "detection.visibility_penalty": (0.0, 1.0)}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
@@ -509,6 +506,7 @@ def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 @_from_config("waveform")
 def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     wf = cfg["waveform"]
+    fwhm = _build(ExcitationTrain, cfg, "source").pulse_fwhm_ps
     dispersions = wf["dispersions_ns_per_nm"]
     if not dispersions:
         raise ConfigError("dispersion list must not be empty")
@@ -517,10 +515,7 @@ def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     for sep in wf["separations_ps"]:
         xs, ys = [], []
         for disp in dispersions:
-            vis = waveform.visibility_bound(
-                sep, wf["pulse_fwhm_ps"], waveform.ChirpSpec(disp),
-                n_alpha=int(wf["n_alpha"]),
-            )
+            vis = waveform.visibility_bound(sep, fwhm, waveform.ChirpSpec(disp))
             rows.append((disp, sep, vis))
             xs.append(disp)
             ys.append(vis)

@@ -67,6 +67,8 @@ class JointTwoPhotonState:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (len(self.bin_steps),) * 2:
             raise ValueError("amplitudes must be a square matrix over the bins")
+        if len(set(self.bin_steps)) < len(self.bin_steps):
+            raise ValueError(f"bins share a time step on the {self.grid.time_quantum_ps} ps grid")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 

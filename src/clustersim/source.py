@@ -17,6 +17,7 @@ import numpy as np
 from .encoding import BinLayout
 from .errors import LayoutMismatch
 from .modes import JointTwoPhotonState, ModeGrid
+from .waveform import MIN_PULSE_FWHM_PS
 
 
 @dataclass(frozen=True)
@@ -26,15 +27,14 @@ class ExcitationTrain:
     times_ps: tuple[float, ...] = (0.0, 100.0, 300.0, 400.0)
     phases_rad: tuple[float, ...] = (0.0, 0.0, 0.0, np.pi / 2)
     pulse_fwhm_ps: float = 37.0
-    repetition_ns: float = 20.0
 
     def __post_init__(self):
         if len(self.times_ps) != len(self.phases_rad):
             raise ValueError("times and phases must have the same length")
         if any(b <= a for a, b in zip(self.times_ps, self.times_ps[1:])):
             raise ValueError("pulse times must be strictly increasing")
-        if self.pulse_fwhm_ps <= 0 or self.repetition_ns <= 0:
-            raise ValueError("pulse width and repetition period must be positive")
+        if not self.pulse_fwhm_ps >= MIN_PULSE_FWHM_PS:
+            raise ValueError(f"pulse width must be at least {MIN_PULSE_FWHM_PS:g} ps")
 
 
 def shg_phases(train: ExcitationTrain) -> tuple[float, ...]:

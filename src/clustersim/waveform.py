@@ -28,11 +28,11 @@ COPY_ORDERS = 12
 #: visibility_bound refuses separations from here on, so its 1 ps
 #: detection window holds at most 2**17 points.
 MAX_SEPARATION_PS = 2.0**17
-#: Narrowest pulse visibility_bound accepts.  By Poisson summation the
-#: 1 ps window samples hold a Gaussian pulse of intensity FWHM w to a
-#: relative error of 2 exp(-pi^2 w^2 / (4 ln 2)): 2.4e-14 at 3 ps, inside
-#: the 1e-12 the closed form keeps to the FFT chain, but 1.3e-6 at 2 ps and
-#: 6 % at 1 ps.  Narrower pulses fall between the samples.
+#: Narrowest pulse visibility_bound and ExcitationTrain accept.  By Poisson
+#: summation the 1 ps window samples hold a Gaussian pulse of intensity FWHM
+#: w to a relative error of 2 exp(-pi^2 w^2 / (4 ln 2)): 2.4e-14 at 3 ps,
+#: inside the 1e-12 the closed form keeps to the FFT chain, but 1.3e-6 at
+#: 2 ps and 6 % at 1 ps.  Narrower pulses fall between the samples.
 MIN_PULSE_FWHM_PS = 3.0
 
 
@@ -281,26 +281,25 @@ def visibility_bound(
     pulse_fwhm_ps: float,
     chirp: ChirpSpec,
     rf_frequency_ghz: float | None = None,
-    n_alpha: int = 16,
 ) -> float:
     """Maximal two-bin interference visibility at finite dispersion.
 
     Two equal-amplitude Gaussian pulses separated by bin_separation_ps pass
-    the chirp -> modulation -> inverse-chirp chain at the balanced depth g*
-    while the RF phase alpha is swept over a period; the fringe of the
-    intensity summed over the central output bin window [sep/2, 3 sep/2),
-    sampled at 1 ps, gives (max-min)/(max+min) from a three-term fit.
+    the chirp -> modulation -> inverse-chirp chain at the balanced depth g*.
+    Swept over the RF phase alpha, the intensity summed over the central
+    output bin window [sep/2, 3 sep/2), sampled at 1 ps, traces a fringe
+    I(alpha); the bound is its first-harmonic contrast.
 
     The chain is evaluated in closed form.  For D = exp(i beta2 w^2 / 2),
     D^-1 e^{i m Omega t} D = e^{-i beta2 (m Omega)^2 / 2} e^{i m Omega t}
     (delay by m beta2 Omega) exactly, and Jacobi-Anger expands the
     modulator as sum_m J_m(g*) e^{-i m alpha} e^{i m Omega t}.  The output
-    is thus a sum of Bessel-weighted copies of the two input pulses, each
-    shifted by m Omega in frequency and m beta2 Omega in time; copies with
-    |m| > COPY_ORDERS are dropped (J_13(g*) = 2e-12).
+    is thus sum_m u_m(t) e^{-i m alpha}: Bessel-weighted copies u_m of the
+    two pulses, shifted by m Omega in frequency and m beta2 Omega in time,
+    for |m| <= COPY_ORDERS (J_13(g*) = 2e-12).  So I(alpha) = H0 +
+    2 Re(H1 e^{-i alpha}) + higher harmonics, with H0 = sum_t,m |u_m|^2 and
+    H1 = sum_t,m u_m conj(u_{m-1}), and the visibility is 2 |H1| / H0.
     """
-    if n_alpha < 3:
-        raise ValueError("the three-term fringe fit needs n_alpha >= 3")
     if bin_separation_ps <= 0:
         raise ValueError("bin separation must be positive")
     if not pulse_fwhm_ps >= MIN_PULSE_FWHM_PS:
@@ -329,15 +328,11 @@ def visibility_bound(
         raise ValueError("dispersion out of range for the bin separation")
     weights = bessel * np.exp(-0.5j * beta2 * (orders * omega) ** 2)
     delays = orders * (beta2 * omega)
-    alphas = np.linspace(0.0, 2.0 * np.pi, n_alpha, endpoint=False)
-    phases = np.exp(-1j * np.outer(alphas, orders))[:, :, None]
     # the integer times the 1 ps field grid has in the window
-    half = 0.5 * bin_separation_ps
-    lo, hi = bin_separation_ps - half, bin_separation_ps + half
-    times = np.arange(np.ceil(lo), np.ceil(hi))
-    # chunk so the (alpha, copy, time) product stays near 16 MB
-    step = max(1, 2**20 // (n_alpha * len(orders)))
-    intensities = np.zeros(n_alpha)
+    times = np.arange(np.ceil(0.5 * bin_separation_ps), np.ceil(1.5 * bin_separation_ps))
+    # chunk so each (copy, time) array stays near 1 MB
+    step = 2**16 // len(orders)
+    h0 = h1 = 0j
     for start in range(0, len(times), step):
         t = times[start:start + step]
         shifted = t - delays[:, None]
@@ -345,11 +340,6 @@ def visibility_bound(
             shifted - bin_separation_ps, pulse_fwhm_ps
         )
         copies = weights[:, None] * np.exp(1j * omega * np.outer(orders, t)) * envelope
-        out = (phases * copies).sum(axis=1)
-        intensities += (np.abs(out) ** 2).sum(axis=1)
-    # fit I(alpha) = c0 + c1 cos + c2 sin; more robust than raw max/min
-    design = np.column_stack(
-        [np.ones_like(alphas), np.cos(alphas), np.sin(alphas)]
-    )
-    c = np.linalg.lstsq(design, intensities, rcond=None)[0]
-    return float(np.hypot(c[1], c[2]) / c[0])
+        h0 += np.vdot(copies, copies)
+        h1 += np.vdot(copies[:-1], copies[1:])
+    return float(2.0 * abs(h1) / h0.real)

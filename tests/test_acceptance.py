@@ -208,7 +208,7 @@ def test_criterion_06_visibility_bounds(capsys):
     monotone = True
     for sep in (100.0, 300.0):
         curve = [
-            waveform.visibility_bound(sep, 37.0, waveform.ChirpSpec(d), n_alpha=8)
+            waveform.visibility_bound(sep, 37.0, waveform.ChirpSpec(d))
             for d in (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0)
         ]
         monotone = monotone and curve == sorted(curve)
@@ -331,7 +331,7 @@ def test_criterion_11_cli_determinism(capsys, tmp_path):
     start = time.perf_counter()
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({
-        "waveform": {"dispersions_ns_per_nm": [2.0, 10.0], "n_alpha": 8},
+        "waveform": {"dispersions_ns_per_nm": [2.0, 10.0]},
         "detection": {"pairs_per_setting": 200},
         "analysis": {"mc_samples": 2000, "fringe_points": 12},
         "channel": {"drift": {"duration_s": 14400.0}},

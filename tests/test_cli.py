@@ -1,11 +1,13 @@
 """End-to-end CLI runs: exit codes, outputs and byte-level determinism."""
 
 import contextlib
+import copy
 import importlib.util
 import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,10 +17,7 @@ from hypothesis import strategies as st
 from clustersim.cli import DEFAULT_CONFIG, config_hash, load_config, main
 
 FAST_OVERRIDES = {
-    "waveform": {
-        "dispersions_ns_per_nm": [2.0, 10.0],
-        "n_alpha": 8,
-    },
+    "waveform": {"dispersions_ns_per_nm": [2.0, 10.0]},
     "detection": {"pairs_per_setting": 200},
     "analysis": {"mc_samples": 2000, "fringe_points": 12},
     "channel": {"drift": {"duration_s": 14400.0}},
@@ -260,6 +259,16 @@ ONE_DISPERSION = {"dispersions_ns_per_nm": [10.0]}
                  id="carrier-negative"),
     pytest.param("fringe", {"cpm": {"carrier_wavelength_nm": 1e308}},
                  id="carrier-square-overflow"),
+    pytest.param("witness", {"analysis": {"mc_samples": 10**7 + 1}},
+                 id="mc-samples-above-bound"),
+    pytest.param("fringe", {"analysis": {"fringe_points": 10**5 + 1}},
+                 id="fringe-points-above-bound"),
+    pytest.param("measure", {"detection": {"pairs_per_setting": 1e308}},
+                 id="pairs-above-bound"),
+    pytest.param("drift", {"channel": {"drift": {"smoothing_passes": 11}}},
+                 id="smoothing-passes-above-bound"),
+    pytest.param("drift", {"channel": {"stabilizer": {"estimator_noise_ps": 1e308}}},
+                 id="estimator-noise-overflow"),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, overrides)
@@ -285,6 +294,43 @@ def test_copy_spacing_off_grid_exit_1(tmp_path, capsys, command, overrides):
     ), err
 
 
+@pytest.mark.parametrize("section,key", [
+    ("waveform", "n_alpha"), ("waveform", "pulse_fwhm_ps"),
+    ("source", "repetition_ns"), ("cpm", "truncation_order"),
+])
+def test_removed_keys_are_unknown(tmp_path, capsys, section, key):
+    cfg = _write_config(tmp_path, {section: {key: 1}})
+    assert _run(["generate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: unknown config key: {section}.{key}\n"
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("drift", {"channel": {"length_km": 1e308}}),
+    ("drift", {"channel": {"thermal_sensitivity_ps_per_k_km": 1e308}}),
+    ("drift", {"channel": {"drift": {"peak_k": 1e308}}}),
+    ("transmit", {"channel": {"drift": {"sigma_k": 1e308}}}),
+])
+def test_drift_overflow_exit_2(tmp_path, capsys, command, overrides):
+    """Offsets that overflow are refused, without a RuntimeWarning or output."""
+    cfg = _write_config(tmp_path, overrides)
+    outdir = tmp_path / "out"
+    assert _run([command, "--config", cfg, "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"config error: channel\.drift: drift offsets reach \S+ ps, "
+                        r"above 1e\+150 ps\n", err), err
+    assert not outdir.exists()
+
+
+def test_grid_merging_bins_exit_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"encoding": {"time_quantum_ps": 1e12}})
+    outdir = tmp_path / "out"
+    assert _run(["generate", "--config", cfg, "--out", str(outdir)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: encoding: bins share a time step on the 1000000000000.0 ps grid\n"
+    )
+    assert not outdir.exists()
+
+
 def test_negative_seed_option_exit_2(tmp_path, capsys):
     assert _run(["generate", "--seed", "-1", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "config error: seed = -1 outside [0, inf]\n"
@@ -298,21 +344,22 @@ def test_drift_shorter_than_one_step_runs(tmp_path):
 
 @pytest.mark.parametrize("width", [1e-200, 5e-324, 0.5])
 def test_visibility_rejects_unresolvable_pulse_width(tmp_path, capsys, width):
-    cfg = _write_config(tmp_path, {"waveform": {**ONE_DISPERSION, "pulse_fwhm_ps": width}})
+    cfg = _write_config(tmp_path, {"waveform": ONE_DISPERSION,
+                                   "source": {"pulse_fwhm_ps": width}})
     assert _run(["visibility", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: waveform: pulse width") and err.count("\n") == 1
+    assert err.startswith("config error: source: pulse width") and err.count("\n") == 1
 
 
 def test_visibility_wide_pulse_runs(tmp_path):
-    cfg = _write_config(tmp_path, {"waveform": {"pulse_fwhm_ps": 5000.0}})
+    cfg = _write_config(tmp_path, {"source": {"pulse_fwhm_ps": 5000.0}})
     assert _run(["visibility", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len((tmp_path / "visibility.csv").read_text().splitlines()) == 16
 
 
 def test_config_hash_is_pinned():
-    assert config_hash(load_config(None, None, None, None)) == "d4acf30adc3c8273"
-    assert config_hash(load_config(None, "paper-default", None, None)) == "89f20af250689d26"
+    assert config_hash(load_config(None, None, None, None)) == "08690250adb08669"
+    assert config_hash(load_config(None, "paper-default", None, None)) == "ad6a6516353f427d"
 
 
 def test_null_peak_runs_without_rescale(tmp_path):
@@ -373,6 +420,112 @@ def test_fuzzed_overrides_exit_cleanly(command, overrides):
             code = main([*command, "--config", str(cfg), "--out", tmp])
     assert code in (0, 1, 2), doc
     assert "Traceback" not in err.getvalue()
+
+
+#: For each config leaf but `out`: a command that reads it and a valid
+#: value that changes its exit code, stdout or --out files (stamps aside),
+#: from LEAF_BASE.  The sigma_k change is 0 because the peak rescale
+#: cancels any other; the cpm values move a copy spacing off the grid.
+LEAF_BASE = {"analysis": {"mc_samples": 2000}}
+LEAF_CHANGES = {
+    ("seed",): (("measure",), 1),
+    ("svg",): (("drift",), True),
+    ("encoding", "levels"): (("measure",), [["T", 300.0, 3.75], ["u", 100.0, 1.25]]),
+    ("encoding", "time_quantum_ps"): (("generate",), 50.0),
+    ("encoding", "freq_quantum_ghz"): (("generate",), 2.5),
+    ("source", "times_ps"): (("generate",), [0.0, 100.0, 300.0, 500.0]),
+    ("source", "phases_rad"): (("generate",), [0.0, 0.0, 0.0, 0.0]),
+    ("source", "pulse_fwhm_ps"): (("visibility",), 30.0),
+    ("cpm", "dispersion_ns_per_nm"): (("measure",), 7.0),
+    ("cpm", "carrier_wavelength_nm"): (("fringe",), 1560.0),
+    ("waveform", "dispersions_ns_per_nm"): (("visibility",), [5.0]),
+    ("waveform", "separations_ps"): (("visibility",), [200.0]),
+    ("channel", "length_km"): (("drift",), 50.0),
+    ("channel", "loss_db"): (("transmit",), 6.0),
+    ("channel", "compensator_loss_db"): (("transmit",), 3.0),
+    ("channel", "thermal_sensitivity_ps_per_k_km"): (("drift",), 30.0),
+    ("channel", "readout_time_s"): (("transmit",), 1000.0),
+    ("channel", "drift", "sigma_k"): (("drift",), 0.0),
+    ("channel", "drift", "correlation_s"): (("drift",), 3600.0),
+    ("channel", "drift", "smoothing_s"): (("drift",), 3600.0),
+    ("channel", "drift", "smoothing_passes"): (("drift",), 1),
+    ("channel", "drift", "peak_k"): (("transmit",), 0.2),
+    ("channel", "drift", "step_s"): (("drift",), 30.0),
+    ("channel", "drift", "duration_s"): (("drift",), 43200.0),
+    ("channel", "stabilizer", "correction_interval_s"): (("drift",), 1800.0),
+    ("channel", "stabilizer", "estimator_noise_ps"): (("drift",), 1.0),
+    ("channel", "stabilizer", "actuator_resolution_ps"): (("drift",), 1.0),
+    ("detection", "jitter_signal_ps"): (("measure",), 30.0),
+    ("detection", "jitter_idler_ps"): (("measure",), 30.0),
+    ("detection", "tdc_jitter_ps"): (("measure",), 30.0),
+    ("detection", "coincidence_window_ps"): (("measure",), 30.0),
+    ("detection", "dark_coincidence_rate"): (("measure",), 0.1),
+    ("detection", "efficiency"): (("measure",), 0.5),
+    ("detection", "pairs_per_setting"): (("measure",), 500),
+    ("detection", "visibility_penalty", "T"): (("witness", "--exact"), 0.9),
+    ("detection", "visibility_penalty", "t"): (("witness", "--exact"), 0.9),
+    ("analysis", "mc_samples"): (("witness",), 3000),
+    ("analysis", "fringe_points"): (("fringe",), 12),
+    ("capacity", "total_bandwidth_ghz"): (("capacity",), 10000.0),
+    ("capacity", "qubit_spectral_width_ghz"): (("capacity",), 50.0),
+    ("capacity", "stretched_bin_length_ns"): (("capacity",), 1.0),
+}
+
+
+def _override(base, path, value):
+    doc = copy.deepcopy(base)
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return doc
+
+
+def _outcome(command, doc):
+    """Exit code, stdout, stderr, stamp-stripped --out files and warnings of a run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        files = {
+            p.name: re.sub(rb"(config_sha256\W+)[0-9a-f]{16}", rb"\1", p.read_bytes())
+            for p in sorted((Path(tmp) / "out").glob("*"))
+        }
+    return code, out.getvalue(), err.getvalue(), files, [str(w.message) for w in caught]
+
+
+def test_every_config_leaf_changes_an_output():
+    assert set(LEAF_CHANGES) == set(CONFIG_LEAVES) - {("out",)}
+    baselines = {}
+    for path, (command, value) in LEAF_CHANGES.items():
+        if command not in baselines:
+            code, out, _, files, _ = _outcome(command, LEAF_BASE)
+            assert code == 0, command
+            baselines[command] = code, out, files
+        code, out, _, files, _ = _outcome(command, _override(LEAF_BASE, path, value))
+        assert (code, out, files) != baselines[command], ".".join(path)
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308, 5e-324])
+def test_extreme_values_exit_cleanly(value):
+    """Every numeric leaf at an extreme, through a command that reads it."""
+    for path, (command, _) in LEAF_CHANGES.items():
+        default = DEFAULT_CONFIG
+        for key in path:
+            default = default[key]
+        if type(default) not in (int, float):
+            continue
+        code, _, err, files, caught = _outcome(command, _override(LEAF_BASE, path, value))
+        where = f"{'.'.join(path)} = {value}"
+        assert code in (0, 1, 2), where
+        assert err.count("\n") == (code != 0), (where, err)
+        assert not caught, (where, caught)
+        for name, data in files.items():
+            assert not re.search(rb"Infinity|NaN|\binf\b|\bnan\b", data), (where, name)
 
 
 def test_runtime_dependencies_are_importable():

@@ -43,6 +43,8 @@ def test_bin_pair_state_is_a_read_only_square_matrix():
         state.amplitudes[0, 1] = 1.0
     with pytest.raises(ValueError):
         modes.JointTwoPhotonState(grid, (0, 1, 3), np.eye(2), 1.0)
+    with pytest.raises(ValueError, match="share a time step"):
+        modes.JointTwoPhotonState(grid, (0, 1, 1, 3), np.eye(4), 1.0)
 
 
 def test_t_steps_rejects_off_grid_and_overflow():

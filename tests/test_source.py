@@ -73,6 +73,6 @@ def test_train_validation():
         ExcitationTrain(times_ps=(0.0, 100.0), phases_rad=(0.0,))
     with pytest.raises(ValueError):
         ExcitationTrain(times_ps=(100.0, 0.0, 300.0, 400.0))
-    for bad in ({"pulse_fwhm_ps": 0.0}, {"pulse_fwhm_ps": -1.0}, {"repetition_ns": -5.0}):
+    for bad in ({"pulse_fwhm_ps": 0.0}, {"pulse_fwhm_ps": -1.0}):
         with pytest.raises(ValueError):
             ExcitationTrain(**bad)
