@@ -32,6 +32,14 @@ STABILIZER_THRESHOLD = 2.0 / 3.0
 CHSH_THRESHOLD = 1.0 / math.sqrt(2.0)
 #: Fewest distinct scan phases fit_interference accepts.
 MIN_SCAN_PHASES = 8
+#: Fringe harmonic expected of the two-qubit fringes (each photon
+#: contributes one factor e^{i alpha}), and the harmonics fit_interference tries.
+FRINGE_HARMONIC = 2
+FIT_HARMONICS = (1, 2)
+#: Histogram bins of the resampled witness values.
+WITNESS_HIST_BINS = 80
+#: Resampled count sets drawn per batch.
+MC_CHUNK = 50_000
 
 
 def basis_for_term(term: str) -> str:
@@ -129,8 +137,6 @@ def monte_carlo_error(
     raw_counts: dict[str, np.ndarray],
     samples: int = 10**6,
     seed: int = 0,
-    bins: int = 80,
-    chunk: int = 50_000,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Poisson-resampling standard error of the witness.
 
@@ -147,11 +153,11 @@ def monte_carlo_error(
     values = np.empty(samples)
     done = 0
     while done < samples:
-        n = min(chunk, samples - done)
+        n = min(MC_CHUNK, samples - done)
         counts = rng.poisson(base, size=(n,) + base.shape).astype(np.float64)
         values[done : done + n] = witness_samples(counts, signs, term_basis)
         done += n
-    hist, edges = np.histogram(values, bins=bins)
+    hist, edges = np.histogram(values, bins=WITNESS_HIST_BINS)
     return float(np.std(values)), hist, edges
 
 
@@ -169,15 +175,12 @@ class InterferenceFit:
             raise ValueError("visibility outside [0, 1]")
 
 
-def fit_interference(
-    alphas, rates, harmonic: int = 2, try_harmonics: tuple[int, ...] = (1, 2)
-) -> InterferenceFit:
+def fit_interference(alphas, rates) -> InterferenceFit:
     """Least-squares fit of a coincidence fringe A(1 + V cos(k a + phi0)).
 
-    k = 2 is the expected harmonic for the two-qubit fringes (each photon
-    contributes one factor e^{i alpha}); the best k among try_harmonics is
-    also determined and reported via `harmonic`, which equals the
-    requested value only when it wins the residual comparison.
+    The scan must span one period of the expected FRINGE_HARMONIC; the k
+    among FIT_HARMONICS with the smallest residual is fitted and reported
+    via `harmonic`.
     """
     alphas = np.asarray(alphas, dtype=float)
     rates = np.asarray(rates, dtype=float)
@@ -186,7 +189,7 @@ def fit_interference(
     if len(np.unique(np.round(alphas, 12))) < MIN_SCAN_PHASES:
         raise InsufficientScan(f"need at least {MIN_SCAN_PHASES} distinct scan phases")
     span = float(alphas.max() - alphas.min())
-    if span < 2.0 * math.pi / harmonic - 1e-9:
+    if span < 2.0 * math.pi / FRINGE_HARMONIC - 1e-9:
         raise InsufficientScan("scan must span at least one fringe period")
 
     def solve(k):
@@ -198,7 +201,7 @@ def fit_interference(
         return coef, resid
 
     best_k, best_coef, best_resid = None, None, np.inf
-    for k in sorted(set(try_harmonics) | {harmonic}):
+    for k in FIT_HARMONICS:
         coef, resid = solve(k)
         if best_coef is None or resid < best_resid * (1.0 - 1e-12) - 1e-30:
             best_k, best_coef, best_resid = k, coef, resid
@@ -237,8 +240,3 @@ def multiplex_budget(
     channels = math.floor(slots)
     return {"channels": channels, "repetition_rate_hz": rep_rate_hz,
             "qubits_per_s": channels * rep_rate_hz}
-
-
-def multiplex_capacity(*args: float, **kwargs: float) -> float:
-    """Maximum processable qubit rate (qubits/s): multiplex_budget's qubits_per_s."""
-    return multiplex_budget(*args, **kwargs)["qubits_per_s"]

@@ -46,33 +46,9 @@ def _row_cached(g: float, m_max: int):
     return out
 
 
-def bessel_j(m: int, g: float) -> float:
-    """J_m(g) for integer order m (negative orders via J_{-m} = (-1)^m J_m)."""
-    sign = 1.0
-    if g < 0:
-        g = -g
-        sign *= (-1.0) ** (m % 2)
-    if m < 0:
-        m = -m
-        sign *= (-1.0) ** (m % 2)
-    return sign * _row_cached(g, m)[m]
-
-
 def bessel_row(g: float, m_max: int) -> np.ndarray:
     """Array [J_0(g), ..., J_{m_max}(g)]."""
     return _row_cached(float(g), int(m_max))
-
-
-def efficiency(g: float) -> float:
-    """Two-bin beam-splitter scattering efficiency |J_0(g)|^2 + |J_1(g)|^2.
-
-    This is the probability that a photon stays inside the two nominal
-    output bins instead of scattering into ancillary modulation orders.
-    """
-    if g < 0:
-        raise ValueError("modulation depth must be nonnegative")
-    row = bessel_row(g, 1)
-    return float(row[0] ** 2 + row[1] ** 2)
 
 
 @lru_cache(maxsize=1)

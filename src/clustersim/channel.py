@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .encoding import BinLayout
 from .errors import OutOfRange
 from .modes import JointTwoPhotonState
 
@@ -28,8 +29,6 @@ class FiberLink:
 
     length_km: float = 25.0
     loss_db: float = 5.3
-    dispersion_ps_per_nm: float = 425.0
-    compensator_dispersion_ps_per_nm: float = -450.0
     compensator_loss_db: float = 2.4
     thermal_sensitivity_ps_per_k_km: float = 36.8
 
@@ -46,10 +45,6 @@ class FiberLink:
     @property
     def retained_fraction(self) -> float:
         return float(10.0 ** (-self.total_loss_db / 10.0))
-
-    @property
-    def residual_dispersion_ps_per_nm(self) -> float:
-        return self.dispersion_ps_per_nm + self.compensator_dispersion_ps_per_nm
 
 
 @dataclass(frozen=True)
@@ -152,9 +147,15 @@ def transmit(
     return out, offset
 
 
-def bin_assignment_corrupted(offset_ps: float, min_bin_spacing_ps: float = 100.0) -> bool:
-    """True when an uncorrected offset would scramble bin assignment."""
-    return abs(offset_ps) > 0.5 * min_bin_spacing_ps
+def bin_assignment_corrupted(offset_ps: float, layout: BinLayout) -> bool:
+    """True when an uncorrected offset would scramble bin assignment.
+
+    That is when it exceeds half the layout's smallest bin spacing, so a
+    photon lands nearer a neighbouring bin; a single bin has no neighbour.
+    """
+    pos = layout.positions_ps
+    spacing = min((b - a for a, b in zip(pos, pos[1:])), default=np.inf)
+    return abs(offset_ps) > 0.5 * spacing
 
 
 def ou_accumulate(normals, decay, innovation):

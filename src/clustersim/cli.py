@@ -166,6 +166,11 @@ def _merge(base: dict, override: dict, path: tuple = ()) -> dict:
     return out
 
 
+def _reject_constant(name: str):
+    """json parse_constant hook: NaN and Infinity are not JSON numbers."""
+    raise ConfigError(f"malformed config JSON: {name} is not a JSON number")
+
+
 def load_config(
     path: str | None, preset: str | None, seed: int | None, out: str | None
 ) -> dict:
@@ -177,7 +182,7 @@ def load_config(
     if path is not None:
         try:
             with open(path) as fh:
-                data = json.load(fh)
+                data = json.load(fh, parse_constant=_reject_constant)
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -355,7 +360,7 @@ def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     out, offset = channel.transmit(
         state, link, trace, cfg["channel"]["readout_time_s"]
     )
-    corrupted = channel.bin_assignment_corrupted(offset)
+    corrupted = channel.bin_assignment_corrupted(offset, layout)
     write_json(outdir / "state.json",
                {"state": json.loads(state_to_json(out))}, stamp)
     write_json(outdir / "transmit.json", {
@@ -510,12 +515,14 @@ def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     dispersions = wf["dispersions_ns_per_nm"]
     if not dispersions:
         raise ConfigError("dispersion list must not be empty")
+    base = _build(CpmSettings, cfg, "cpm")
     rows = []
     curves = {}
     for sep in wf["separations_ps"]:
         xs, ys = [], []
         for disp in dispersions:
-            vis = waveform.visibility_bound(sep, fwhm, waveform.ChirpSpec(disp))
+            settings = dataclasses.replace(base, dispersion_ns_per_nm=disp)
+            vis = waveform.visibility_bound(sep, fwhm, settings)
             rows.append((disp, sep, vis))
             xs.append(disp)
             ys.append(vis)

@@ -32,25 +32,20 @@ def chirp_beta2_s2(dispersion_ns_per_nm: float, carrier_wavelength_nm: float) ->
     return d_s_per_m * lam_m**2 / (2.0 * np.pi * C_M_PER_S)
 
 
+#: |dt - k*quantum| <= SNAP_TOL * quantum is accepted as on-grid; the
+#: physical dt for the paper parameters is 100.17 ps on a 100 ps grid.
+SNAP_TOL = 0.01
+
+
 @dataclass(frozen=True)
 class CpmSettings:
-    """Modulation depth, RF tone and grating dispersion for one CPM pass."""
+    """RF tone and grating dispersion for one CPM pass."""
 
-    g: float = 0.0
     rf_frequency_ghz: float = 1.25
-    alpha: float = 0.0
     dispersion_ns_per_nm: float = 10.0
     carrier_wavelength_nm: float = 1550.0
-    truncation_order: int = 8
-    # |dt - k*quantum| <= snap_tol * quantum is accepted as on-grid; the
-    # physical dt for the paper parameters is 100.17 ps on a 100 ps grid.
-    snap_tol: float = 0.01
 
     def __post_init__(self):
-        if self.g < 0:
-            raise ValueError("modulation depth must be nonnegative")
-        if self.truncation_order < 0:
-            raise ValueError("truncation order must be nonnegative")
         lam_m = self.carrier_wavelength_nm * 1e-9
         # chirp_beta2_s2 squares lam_m, which raises OverflowError past 1.3e154 m
         if not (lam_m > 0 and math.isfinite(lam_m * lam_m)):
@@ -73,7 +68,7 @@ class CpmSettings:
         """Copy spacing in grid units; raises GridMismatch when off-grid."""
         steps = self.delta_t_ps / grid.time_quantum_ps
         rounded = round(steps) if math.isfinite(steps) else 0
-        if rounded == 0 or abs(steps - rounded) > self.snap_tol:
+        if rounded == 0 or abs(steps - rounded) > SNAP_TOL:
             raise GridMismatch(
                 f"dt = {self.delta_t_ps:.3f} ps does not land on the "
                 f"{grid.time_quantum_ps} ps grid"
@@ -134,10 +129,8 @@ def measurement_map(
         raise UnknownLevel(setting.level)
     level_idx = levels.index_of(setting.level)
     rf = levels.level(setting.level).rf_frequency_ghz
-    g_star = solve_balanced_depth()
-    tuned = replace(base, g=g_star, rf_frequency_ghz=rf, alpha=0.0)
-    tuned.time_steps(grid)  # validates grid consistency for this level
-    row = bessel_row(g_star, 1)
+    replace(base, rf_frequency_ghz=rf).time_steps(grid)  # validates this level's grid
+    row = bessel_row(solve_balanced_depth(), 1)
     j0, j1 = float(row[0]), float(row[1])
     alpha = setting.effective_alpha + alpha_offset
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpm import BeamSplitterSetting, CpmSettings, measurement_map
-from .encoding import BinLayout, LevelSpec, bin_to_bits, layout_from_levels
+from .encoding import BinLayout, LevelSpec, bin_to_bits, default_levels, layout_from_levels
 from .errors import MissingBasis, UnsupportedLevels
 from .modes import JointTwoPhotonState, clean
 
@@ -57,10 +57,6 @@ class SegmentSchedule:
             raise ValueError("segments assigned more than once")
         if any(not 0 <= s < round(n) for s in used):
             raise ValueError("segment index outside the frame")
-
-    @property
-    def segment_count(self) -> int:
-        return int(round(self.frame_period_ns / self.segment_length_ns))
 
 
 @dataclass(frozen=True)
@@ -265,8 +261,6 @@ def sample_coincidences(
     statistics); otherwise each cell is an independent Poisson draw,
     reproducible via per-setting child seeds.
     """
-    from .encoding import default_levels
-
     levels = levels or default_levels()
     layout = layout_from_levels(levels)
     children = np.random.SeedSequence(seed).spawn(len(schedule.pairing))
@@ -340,8 +334,6 @@ def raw_basis_counts(
     convention; no efficiency correction or normalization is applied, so
     these are the counts to feed into Poisson resampling.
     """
-    from .encoding import default_levels
-
     levels = levels or default_levels()
     layout = layout_from_levels(levels)
     out: dict[str, np.ndarray] = {}
@@ -369,8 +361,6 @@ def extract_projections(
     Each basis is normalized to sum 1, so a per-basis throughput factor
     such as the splitter efficiency eta(g*) of X-read photons cancels.
     """
-    from .encoding import default_levels
-
     raw = raw_basis_counts(histograms, levels or default_levels())
     out: dict[str, np.ndarray] = {}
     for basis, values in raw.items():

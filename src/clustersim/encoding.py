@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompatibleShift, LengthMismatch, OutOfRange
-from .modes import ModeGrid
+from .errors import IncompatibleShift, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -95,72 +94,16 @@ def layout_from_levels(spec: LevelSpec) -> BinLayout:
             raise IncompatibleShift(
                 f"level {spec.levels[k].name}: shift {s} ps does not clear inner levels"
             )
-    n = 1 << spec.count
-    positions = []
-    for b in range(n):
-        bits = bin_to_bits_count(spec.count, b)
-        positions.append(sum(s for s, bit in zip(shifts, bits) if bit))
-    return BinLayout(tuple(positions))
-
-
-def bin_to_bits_count(n_levels: int, bin_index: int) -> tuple[int, ...]:
-    if not 0 <= bin_index < (1 << n_levels):
-        raise OutOfRange(f"bin {bin_index} outside 0..{(1 << n_levels) - 1}")
-    return tuple((bin_index >> (n_levels - 1 - k)) & 1 for k in range(n_levels))
+    top = spec.count - 1
+    return BinLayout(tuple(
+        sum(s for k, s in enumerate(shifts) if (b >> (top - k)) & 1)
+        for b in range(1 << spec.count)
+    ))
 
 
 def bin_to_bits(layout: BinLayout, bin_index: int) -> tuple[int, ...]:
     """Branch bits taken at each tree level, outermost level first."""
-    return bin_to_bits_count(layout.level_count, bin_index)
-
-
-def bits_to_bin(layout: BinLayout, bits) -> int:
-    bits = tuple(bits)
-    if len(bits) != layout.level_count:
-        raise LengthMismatch(
-            f"expected {layout.level_count} bits, got {len(bits)}"
-        )
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
-    out = 0
-    for b in bits:
-        out = (out << 1) | b
-    return out
-
-
-def extend_levels(spec: LevelSpec, new_level: Level, grid: ModeGrid | None = None) -> LevelSpec:
-    """Add an outer level with twice the bin count.
-
-    The new shift must sit on the mode grid and must clear the span of the
-    existing layout so the uniform-shift property survives at every level.
-    """
-    grid = grid or ModeGrid()
-    steps = new_level.shift_ps / grid.time_quantum_ps
-    if abs(steps - round(steps)) > 1e-9:
-        raise IncompatibleShift(
-            f"shift {new_level.shift_ps} ps is not a multiple of "
-            f"{grid.time_quantum_ps} ps"
-        )
-    extended = LevelSpec((new_level,) + spec.levels)
-    layout_from_levels(extended)  # raises IncompatibleShift if invalid
-    return extended
-
-
-def uniform_shift_offsets(layout: BinLayout) -> tuple[float, ...]:
-    """Per-level offset between paired |0> and |1> branch bins.
-
-    Raises IncompatibleShift if any level's pairs are not uniformly spaced.
-    """
-    n_levels = layout.level_count
-    out = []
-    for k in range(n_levels):
-        flip = 1 << (n_levels - 1 - k)
-        deltas = {
-            round(layout.position(b | flip) - layout.position(b), 9)
-            for b in range(layout.count)
-            if not b & flip
-        }
-        if len(deltas) != 1:
-            raise IncompatibleShift(f"level index {k}: non-uniform pair shifts {sorted(deltas)}")
-        out.append(deltas.pop())
-    return tuple(out)
+    if not 0 <= bin_index < layout.count:
+        raise OutOfRange(f"bin {bin_index} outside 0..{layout.count - 1}")
+    top = layout.level_count - 1
+    return tuple((bin_index >> (top - k)) & 1 for k in range(layout.level_count))

@@ -9,10 +9,6 @@ class OutOfRange(ClusterSimError):
     """Bin index outside the layout."""
 
 
-class LengthMismatch(ClusterSimError):
-    """Bit-string length does not match the number of levels."""
-
-
 class IncompatibleShift(ClusterSimError):
     """No bin layout satisfies the uniform-shift property for this level."""
 
@@ -39,14 +35,6 @@ class MissingBasis(ClusterSimError):
 
 class InsufficientScan(ClusterSimError):
     """Fringe scan does not span enough phase values."""
-
-
-class InconsistentSettings(ClusterSimError):
-    """Modulation frequency and bin separation disagree."""
-
-
-class WindowOverflow(ClusterSimError):
-    """Stretched field would wrap around the sampling window."""
 
 
 class ConfigError(ClusterSimError):

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Relative tolerance of ModeGrid.t_steps for a duration on the grid.
+GRID_REL_TOL = 1e-9
 #: Amplitudes below this are zeroed.  Without it, cancellation residue of
 #: order 1e-27 turns exact-zero outcome probabilities into positive ones.
 SPARSITY_THRESHOLD = 1e-12
@@ -34,10 +36,10 @@ class ModeGrid:
         if self.time_quantum_ps <= 0 or self.freq_quantum_ghz <= 0:
             raise ValueError("grid quanta must be positive")
 
-    def t_steps(self, duration_ps: float, rel_tol: float = 1e-9) -> int:
+    def t_steps(self, duration_ps: float) -> int:
         """Integer number of time quanta in a duration; raises if off-grid."""
         steps = duration_ps / self.time_quantum_ps
-        tol = rel_tol * max(1.0, abs(steps))
+        tol = GRID_REL_TOL * max(1.0, abs(steps))
         if not np.isfinite(steps) or abs(steps - round(steps)) > tol:
             raise ValueError(f"{duration_ps} ps is not on the {self.time_quantum_ps} ps grid")
         return int(round(steps))

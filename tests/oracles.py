@@ -1,0 +1,394 @@
+"""Brute-force references for the closed forms the simulator runs.
+
+Nothing under ``src/clustersim`` calls this module; tests compare against it.
+
+- The sampled-field FFT chain: chirp -> sinusoidal phase modulation ->
+  inverse chirp on complex envelopes over a power-of-two grid, with the
+  copy-weight, copy-position and spectrogram probes, and
+  `visibility_fft_chain`, the reference of `waveform.visibility_bound`.
+- The scalar Bessel entry point `bessel_j` and the splitter efficiency,
+  the references of `bessel.bessel_row` and of the matrices' column norms.
+- Bin-index helpers for deeper trees: `bits_to_bin`, `extend_levels` and
+  `uniform_shift_offsets`.
+- `CpmOperatorSettings`, which adds the modulation depth, RF phase and
+  truncation order that the faithful scattering operator of
+  ``sparse_oracle.cpm_mode_map`` needs.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from clustersim.bessel import bessel_row, solve_balanced_depth
+from clustersim.cpm import CpmSettings, chirp_beta2_s2
+from clustersim.encoding import BinLayout, Level, LevelSpec, layout_from_levels
+from clustersim.errors import ClusterSimError, IncompatibleShift
+from clustersim.modes import ModeGrid
+from clustersim.waveform import _gaussian, rf_for_spacing
+
+
+class WindowOverflow(ClusterSimError):
+    """Stretched field would wrap around the sampling window."""
+
+
+class LengthMismatch(ClusterSimError):
+    """Bit-string length does not match the number of levels."""
+
+
+# ----------------------------------------------------------------------
+# CPM operator settings
+
+@dataclass(frozen=True)
+class CpmOperatorSettings(CpmSettings):
+    """CpmSettings plus depth g, RF phase alpha and the orders |m| <= truncation_order kept."""
+
+    g: float = 0.0
+    alpha: float = 0.0
+    truncation_order: int = 8
+
+    def __post_init__(self):
+        if self.g < 0:
+            raise ValueError("modulation depth must be nonnegative")
+        if self.truncation_order < 0:
+            raise ValueError("truncation order must be nonnegative")
+        super().__post_init__()
+
+
+# ----------------------------------------------------------------------
+# Bessel functions
+
+def bessel_j(m: int, g: float) -> float:
+    """J_m(g) for integer order m (negative orders via J_{-m} = (-1)^m J_m)."""
+    sign = 1.0
+    if g < 0:
+        g = -g
+        sign *= (-1.0) ** (m % 2)
+    if m < 0:
+        m = -m
+        sign *= (-1.0) ** (m % 2)
+    return sign * bessel_row(g, m)[m]
+
+
+def efficiency(g: float) -> float:
+    """Two-bin beam-splitter scattering efficiency |J_0(g)|^2 + |J_1(g)|^2.
+
+    This is the probability that a photon stays inside the two nominal
+    output bins instead of scattering into ancillary modulation orders.
+    """
+    if g < 0:
+        raise ValueError("modulation depth must be nonnegative")
+    row = bessel_row(g, 1)
+    return float(row[0] ** 2 + row[1] ** 2)
+
+
+# ----------------------------------------------------------------------
+# bin-index helpers
+
+def bits_to_bin(layout: BinLayout, bits) -> int:
+    bits = tuple(bits)
+    if len(bits) != layout.level_count:
+        raise LengthMismatch(
+            f"expected {layout.level_count} bits, got {len(bits)}"
+        )
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("bits must be 0 or 1")
+    out = 0
+    for b in bits:
+        out = (out << 1) | b
+    return out
+
+
+def extend_levels(spec: LevelSpec, new_level: Level, grid: ModeGrid | None = None) -> LevelSpec:
+    """Add an outer level with twice the bin count.
+
+    The new shift must sit on the mode grid and must clear the span of the
+    existing layout so the uniform-shift property survives at every level.
+    """
+    grid = grid or ModeGrid()
+    steps = new_level.shift_ps / grid.time_quantum_ps
+    if abs(steps - round(steps)) > 1e-9:
+        raise IncompatibleShift(
+            f"shift {new_level.shift_ps} ps is not a multiple of "
+            f"{grid.time_quantum_ps} ps"
+        )
+    extended = LevelSpec((new_level,) + spec.levels)
+    layout_from_levels(extended)  # raises IncompatibleShift if invalid
+    return extended
+
+
+def uniform_shift_offsets(layout: BinLayout) -> tuple[float, ...]:
+    """Per-level offset between paired |0> and |1> branch bins.
+
+    Raises IncompatibleShift if any level's pairs are not uniformly spaced.
+    """
+    n_levels = layout.level_count
+    out = []
+    for k in range(n_levels):
+        flip = 1 << (n_levels - 1 - k)
+        deltas = {
+            round(layout.position(b | flip) - layout.position(b), 9)
+            for b in range(layout.count)
+            if not b & flip
+        }
+        if len(deltas) != 1:
+            raise IncompatibleShift(f"level index {k}: non-uniform pair shifts {sorted(deltas)}")
+        out.append(deltas.pop())
+    return tuple(out)
+
+
+# ----------------------------------------------------------------------
+# sampled-field FFT chain
+
+@dataclass(frozen=True)
+class ChirpSpec:
+    """Signed grating dispersion (ns/nm) at the telecom carrier."""
+
+    dispersion_ns_per_nm: float
+    carrier_wavelength_nm: float = 1550.0
+
+    def __post_init__(self):
+        if self.beta2_ps2 == 0 or not math.isfinite(self.beta2_ps2):
+            raise ValueError("dispersion must be nonzero and finite")
+
+    @property
+    def beta2_ps2(self) -> float:
+        beta2_s2 = chirp_beta2_s2(self.dispersion_ns_per_nm, self.carrier_wavelength_nm)
+        return beta2_s2 * 1e24
+
+    def negated(self) -> "ChirpSpec":
+        return replace(self, dispersion_ns_per_nm=-self.dispersion_ns_per_nm)
+
+
+@dataclass(frozen=True)
+class SampledField:
+    """Complex envelope on a uniform time grid.
+
+    carrier_offset_ghz is the optical carrier relative to the band center;
+    it matters for the group delay a chirp imparts (e.g. the 48 ns
+    signal/idler separation for a 600 GHz offset at 10 ns/nm).
+    """
+
+    samples: np.ndarray
+    dt_ps: float = 1.0
+    t0_ps: float = 0.0
+    carrier_offset_ghz: float = 0.0
+
+    def __post_init__(self):
+        n = len(self.samples)
+        if n & (n - 1):
+            raise ValueError("sample count must be a power of two")
+
+    @property
+    def times_ps(self) -> np.ndarray:
+        return self.t0_ps + self.dt_ps * np.arange(len(self.samples))
+
+    def energy(self) -> float:
+        return float(np.sum(np.abs(self.samples) ** 2) * self.dt_ps)
+
+
+def gaussian_pulse(
+    center_ps: float,
+    fwhm_ps: float = 37.0,
+    n_samples: int = 2**18,
+    dt_ps: float = 1.0,
+    amplitude: complex = 1.0 + 0j,
+    carrier_offset_ghz: float = 0.0,
+) -> SampledField:
+    """Gaussian amplitude pulse; fwhm_ps is the intensity FWHM."""
+    t0 = -0.5 * n_samples * dt_ps
+    t = t0 + dt_ps * np.arange(n_samples)
+    env = _gaussian(t - center_ps, fwhm_ps)
+    return SampledField(amplitude * env.astype(complex), dt_ps, t0, carrier_offset_ghz)
+
+
+def add_fields(a: SampledField, b: SampledField) -> SampledField:
+    if a.dt_ps != b.dt_ps or a.t0_ps != b.t0_ps or len(a.samples) != len(b.samples):
+        raise ValueError("fields must share a sampling grid")
+    if a.carrier_offset_ghz != b.carrier_offset_ghz:
+        raise ValueError("fields must share a carrier")
+    return replace(a, samples=a.samples + b.samples)
+
+
+def _omega_rad_per_ps(field: SampledField) -> np.ndarray:
+    return 2.0 * np.pi * np.fft.fftfreq(len(field.samples), field.dt_ps)
+
+
+def _check_edges(samples: np.ndarray, dt_ps: float, leak_tol: float) -> None:
+    n = len(samples)
+    margin = max(16, n // 128)
+    power = np.abs(samples) ** 2
+    total = power.sum()
+    if total == 0:
+        return
+    edges = power[:margin].sum() + power[-margin:].sum()
+    if edges > leak_tol * total:
+        raise WindowOverflow(
+            f"{edges / total:.2e} of the energy sits in the window margins"
+        )
+
+
+def apply_chirp(field: SampledField, chirp: ChirpSpec, leak_tol: float = 1e-9) -> SampledField:
+    """Quadratic spectral phase exp(i beta2 omega^2 / 2); energy conserving.
+
+    The carrier offset enters as a constant group delay beta2 * 2 pi nu_c.
+    Raises WindowOverflow if the stretched field would wrap around.
+    """
+    _check_edges(field.samples, field.dt_ps, leak_tol)
+    omega = _omega_rad_per_ps(field) + 2.0 * np.pi * field.carrier_offset_ghz * 1e-3
+    spectrum = np.fft.fft(field.samples)
+    spectrum *= np.exp(0.5j * chirp.beta2_ps2 * omega**2)
+    out = np.fft.ifft(spectrum)
+    _check_edges(out, field.dt_ps, leak_tol)
+    return replace(field, samples=out)
+
+
+def phase_modulate(
+    field: SampledField, g: float, rf_frequency_ghz: float, alpha: float
+) -> SampledField:
+    """Multiply by exp(i g sin(Omega t + alpha)); energy conserving."""
+    phase = g * np.sin(
+        2.0 * np.pi * rf_frequency_ghz * 1e-3 * field.times_ps + alpha
+    )
+    return replace(field, samples=field.samples * np.exp(1j * phase))
+
+
+def cpm_continuous(
+    field: SampledField,
+    chirp: ChirpSpec,
+    g: float,
+    rf_frequency_ghz: float,
+    alpha: float,
+) -> SampledField:
+    """Full chirp -> modulate -> inverse-chirp chain.
+
+    Produces coherent pulse copies at integer multiples of dt = beta2*Omega,
+    each spectrally shifted by m*Omega.  The RF phase is applied with the
+    sign that reproduces the discrete operator's e^{-i m alpha} weights for
+    copies at +m*dt.
+    """
+    stretched = apply_chirp(field, chirp)
+    modulated = phase_modulate(stretched, g, rf_frequency_ghz, -alpha)
+    return apply_chirp(modulated, chirp.negated())
+
+
+def copy_spacing_ps(chirp: ChirpSpec, rf_frequency_ghz: float) -> float:
+    return abs(chirp.beta2_ps2) * 2.0 * np.pi * rf_frequency_ghz * 1e-3
+
+
+def bin_intensity(field: SampledField, center_ps: float, half_width_ps: float) -> float:
+    """Integrated intensity inside a detection window around one bin."""
+    t = field.times_ps
+    sel = (t >= center_ps - half_width_ps) & (t < center_ps + half_width_ps)
+    return float(np.sum(np.abs(field.samples[sel]) ** 2) * field.dt_ps)
+
+
+def copy_peak_position(
+    field: SampledField, near_ps: float, search_half_width_ps: float
+) -> float:
+    """Intensity centroid near an expected pulse-copy position."""
+    t = field.times_ps
+    sel = (t >= near_ps - search_half_width_ps) & (t < near_ps + search_half_width_ps)
+    power = np.abs(field.samples[sel]) ** 2
+    if power.sum() == 0:
+        raise ValueError(f"no energy near {near_ps} ps")
+    return float(np.sum(t[sel] * power) / power.sum())
+
+
+def extract_copy_weights(
+    output: SampledField,
+    reference: SampledField,
+    chirp: ChirpSpec,
+    rf_frequency_ghz: float,
+    m_max: int,
+) -> dict[int, complex]:
+    """Complex weights of the pulse copies relative to the input pulse.
+
+    Joint least-squares projection onto the time- and frequency-shifted
+    copies of the input mode (the copies overlap, so independent inner
+    products would cross-contaminate).  The deterministic quadratic copy
+    phase beta2*(m*Omega)^2/2 produced by the chirp pair is compensated,
+    so the weights converge to the discrete operator's J_m(g) e^{-i m alpha}
+    as the dispersion grows.
+    """
+    omega = 2.0 * np.pi * rf_frequency_ghz * 1e-3  # rad/ps
+    spacing = abs(chirp.beta2_ps2) * omega
+    orders = list(range(-m_max, m_max + 1))
+    modes = []
+    for m in orders:
+        shift = int(round(m * spacing / reference.dt_ps))
+        modes.append(
+            np.roll(reference.samples, shift)
+            * np.exp(1j * m * omega * reference.times_ps)
+        )
+    basis = np.column_stack(modes)
+    coeffs = np.linalg.lstsq(basis, output.samples, rcond=None)[0]
+    return {
+        m: complex(c * np.exp(0.5j * chirp.beta2_ps2 * (m * omega) ** 2))
+        for m, c in zip(orders, coeffs)
+    }
+
+
+def spectrogram(
+    field: SampledField,
+    window_fwhm_ps: float = 30.0,
+    time_step_ps: float = 10.0,
+    time_range_ps: tuple[float, float] | None = None,
+    freq_range_ghz: float = 12.0,
+):
+    """Gabor spectrogram: (times_ps, freqs_ghz, intensity[time, freq]).
+
+    A Gaussian analysis window slides over the field; each column is the
+    windowed power spectrum restricted to +-freq_range_ghz.
+    """
+    if window_fwhm_ps <= 2.0 * field.dt_ps:
+        raise ValueError("window must be wider than two samples")
+    t = field.times_ps
+    if time_range_ps is None:
+        power = np.abs(field.samples) ** 2
+        lit = np.nonzero(power > 1e-9 * power.max())[0]
+        time_range_ps = (t[lit[0]], t[lit[-1]])
+    half = int(round(4.0 * window_fwhm_ps / field.dt_ps))
+    window = np.exp(
+        -2.0 * np.log(2.0)
+        * (field.dt_ps * np.arange(-half, half + 1) / window_fwhm_ps) ** 2
+    )
+    n_fft = 1 << int(np.ceil(np.log2(4 * len(window))))
+    freqs = np.fft.fftshift(np.fft.fftfreq(n_fft, field.dt_ps)) * 1e3  # GHz
+    keep = np.abs(freqs) <= freq_range_ghz
+    centers = np.arange(time_range_ps[0], time_range_ps[1] + field.dt_ps, time_step_ps)
+    rows = []
+    for c in centers:
+        k = int(round((c - field.t0_ps) / field.dt_ps))
+        lo, hi = k - half, k + half + 1
+        if lo < 0 or hi > len(field.samples):
+            rows.append(np.zeros(int(keep.sum())))
+            continue
+        seg = field.samples[lo:hi] * window
+        spec = np.fft.fftshift(np.fft.fft(seg, n_fft))
+        rows.append(np.abs(spec[keep]) ** 2)
+    return centers, freqs[keep], np.array(rows)
+
+
+def visibility_fft_chain(sep, fwhm, chirp, n_alpha=16, n_samples=2**18, dt_ps=1.0):
+    """Reference for visibility_bound: the sampled FFT chain it replaces.
+
+    The two pulses are chirped once; each RF phase is then modulated in,
+    chirped back and summed over the central bin window.
+    """
+    rf_frequency_ghz = rf_for_spacing(chirp.beta2_ps2, sep)
+    g_star = solve_balanced_depth()
+    a = gaussian_pulse(0.0, fwhm, n_samples, dt_ps)
+    b = gaussian_pulse(sep, fwhm, n_samples, dt_ps)
+    stretched = apply_chirp(add_fields(a, b), chirp)
+    alphas = np.linspace(0.0, 2.0 * np.pi, n_alpha, endpoint=False)
+    intensities = []
+    for alpha in alphas:
+        modulated = phase_modulate(stretched, g_star, rf_frequency_ghz, -alpha)
+        out = apply_chirp(modulated, chirp.negated())
+        intensities.append(bin_intensity(out, sep, 0.5 * sep))
+    design = np.column_stack([np.ones_like(alphas), np.cos(alphas), np.sin(alphas)])
+    c = np.linalg.lstsq(design, np.asarray(intensities), rcond=None)[0]
+    return float(np.hypot(c[1], c[2]) / c[0])

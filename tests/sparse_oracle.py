@@ -17,13 +17,14 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from clustersim.bessel import bessel_row, efficiency, solve_balanced_depth
+from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.detection import IDLER, SIGNAL, _penalty_branches
 from clustersim.encoding import BinLayout, LevelSpec, bin_to_bits, layout_from_levels
 from clustersim.errors import ClusterSimError, GridMismatch, LayoutMismatch, UnknownLevel
 from clustersim.modes import SPARSITY_THRESHOLD, ModeGrid
 from clustersim.source import ExcitationTrain, shg_phases
+from oracles import CpmOperatorSettings, efficiency
 
 
 class ZeroState(ClusterSimError):
@@ -216,7 +217,7 @@ def freq_steps(settings: CpmSettings, grid: ModeGrid) -> int:
     return int(rounded)
 
 
-def check_truncation(settings: CpmSettings) -> None:
+def check_truncation(settings: CpmOperatorSettings) -> None:
     row = bessel_row(settings.g, settings.truncation_order)
     total = row[0] ** 2 + 2.0 * np.sum(row[1:] ** 2)
     if total < 1.0 - 1e-9:
@@ -226,7 +227,7 @@ def check_truncation(settings: CpmSettings) -> None:
         )
 
 
-def cpm_mode_map(settings: CpmSettings, grid: ModeGrid):
+def cpm_mode_map(settings: CpmOperatorSettings, grid: ModeGrid):
     """Faithful discrete CPM operator: orders m in [-M, M].
 
     Each input mode maps to copies shifted by (m*dt, m*dnu) with weight
@@ -296,8 +297,7 @@ def measurement_map(
     level_idx = levels.index_of(setting.level)
     rf = levels.level(setting.level).rf_frequency_ghz
     g_star = solve_balanced_depth()
-    tuned = replace(base, g=g_star, rf_frequency_ghz=rf, alpha=0.0)
-    tuned.time_steps(grid)  # validates grid consistency for this level
+    replace(base, rf_frequency_ghz=rf).time_steps(grid)  # validates this level's grid
     row = bessel_row(g_star, 1)
     j0, j1 = float(row[0]), float(row[1])
     alpha = setting.effective_alpha + alpha_offset

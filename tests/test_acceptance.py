@@ -14,8 +14,9 @@ import pytest
 import scipy.optimize
 import scipy.special
 
-from clustersim import analysis, channel, detection, waveform
-from clustersim.bessel import efficiency, solve_balanced_depth
+import oracles
+from clustersim import analysis, channel, cpm, detection, waveform
+from clustersim.bessel import solve_balanced_depth
 from clustersim.cli import FRINGE_PROJECTIONS, main
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.encoding import default_levels, layout_from_levels
@@ -144,9 +145,14 @@ def test_criterion_04_splitter_constants(capsys):
     start = time.perf_counter()
     g = solve_balanced_depth.__wrapped__()  # an actual solve, not a cache hit
     elapsed = time.perf_counter() - start
-    eta = efficiency(g)
+    # eta is what measure applies: the squared column norms of an X matrix
+    levels = default_levels()
+    x = cpm.measurement_map(BeamSplitterSetting("X", levels.levels[1].name), levels,
+                            CpmSettings(), ModeGrid())
+    etas = np.sum(np.abs(x) ** 2, axis=0)
     g_ref = _scipy_balanced_depth()
     eta_ref = _scipy_efficiency(g_ref)
+    eta = float(etas[np.argmax(np.abs(etas - eta_ref))])  # the worst column
     ok = abs(g - g_ref) <= 1e-10 and abs(eta - eta_ref) <= 1e-12 and elapsed < 1.0
     # The upstream quote 1.4342 is not a root of J_0 = J_1, and its
     # 0.601 is the efficiency at that misquoted depth.
@@ -164,12 +170,12 @@ def test_criterion_05_shift_law(capsys):
     results = {}
     for ghz, window in ((1.25, 45.0), (3.75, 100.0)):
         discrete = CpmSettings(rf_frequency_ghz=ghz).delta_t_ps
-        out = waveform.cpm_continuous(
-            waveform.gaussian_pulse(0.0, 37.0), waveform.ChirpSpec(10.0),
+        out = oracles.cpm_continuous(
+            oracles.gaussian_pulse(0.0, 37.0), oracles.ChirpSpec(10.0),
             solve_balanced_depth(), ghz, 0.0,
         )
-        spacing = waveform.copy_spacing_ps(waveform.ChirpSpec(10.0), ghz)
-        continuous = waveform.copy_peak_position(out, spacing, window)
+        spacing = oracles.copy_spacing_ps(oracles.ChirpSpec(10.0), ghz)
+        continuous = oracles.copy_peak_position(out, spacing, window)
         results[ghz] = (discrete, continuous)
     elapsed = time.perf_counter() - start
     ok = (
@@ -203,12 +209,12 @@ def _walk_off_factor(separation_ps, fwhm_ps, dispersion_ns_per_nm):
 
 def test_criterion_06_visibility_bounds(capsys):
     start = time.perf_counter()
-    vis100 = waveform.visibility_bound(100.0, 37.0, waveform.ChirpSpec(10.0))
-    vis300 = waveform.visibility_bound(300.0, 37.0, waveform.ChirpSpec(10.0))
+    vis100 = waveform.visibility_bound(100.0, 37.0, CpmSettings())
+    vis300 = waveform.visibility_bound(300.0, 37.0, CpmSettings())
     monotone = True
     for sep in (100.0, 300.0):
         curve = [
-            waveform.visibility_bound(sep, 37.0, waveform.ChirpSpec(d))
+            waveform.visibility_bound(sep, 37.0, CpmSettings(dispersion_ns_per_nm=d))
             for d in (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0)
         ]
         monotone = monotone and curve == sorted(curve)
@@ -319,11 +325,11 @@ def test_criterion_09_oracle_equivalence(capsys):
 
 def test_criterion_10_capacity(capsys):
     start = time.perf_counter()
-    rate = analysis.multiplex_capacity(5000.0, 25.0, 2.0)
+    rate = analysis.multiplex_budget(5000.0, 25.0, 2.0)["qubits_per_s"]
     elapsed = time.perf_counter() - start
     ok = rate == 1e11 and elapsed < 1.0
     _report(capsys, 10, ok,
-            f"multiplex_capacity(5 THz, 25 GHz, 2 ns) = {rate:.6g} qubits/s "
+            f"multiplex_budget(5 THz, 25 GHz, 2 ns) = {rate:.6g} qubits/s "
             f"(target 1e11 exactly), {elapsed:.2f} s")
 
 

@@ -11,7 +11,6 @@ from clustersim.analysis import (
     fit_interference,
     monte_carlo_error,
     multiplex_budget,
-    multiplex_capacity,
     stabilizer_expectation,
     term_signs,
     witness,
@@ -242,22 +241,21 @@ def test_fit_insufficient_scan():
 
 
 def test_capacity_published_operating_point():
-    assert multiplex_capacity(5000.0, 25.0, 2.0) == pytest.approx(1e11)
+    assert multiplex_budget(5000.0, 25.0, 2.0)["qubits_per_s"] == pytest.approx(1e11)
 
 
 def test_capacity_scaling_laws():
-    base = multiplex_capacity(5000.0, 25.0, 2.0)
-    assert multiplex_capacity(10000.0, 25.0, 2.0) == pytest.approx(2 * base)
-    assert multiplex_capacity(5000.0, 25.0, 4.0) == pytest.approx(base / 2)
+    base = multiplex_budget(5000.0, 25.0, 2.0)["qubits_per_s"]
+    assert multiplex_budget(10000.0, 25.0, 2.0)["qubits_per_s"] == pytest.approx(2 * base)
+    assert multiplex_budget(5000.0, 25.0, 4.0)["qubits_per_s"] == pytest.approx(base / 2)
     # channel count floors: 5012 / 25 -> still 200 channels
-    assert multiplex_capacity(5012.0, 25.0, 2.0) == pytest.approx(base)
+    assert multiplex_budget(5012.0, 25.0, 2.0)["qubits_per_s"] == pytest.approx(base)
     with pytest.raises(ValueError):
-        multiplex_capacity(0.0, 25.0, 2.0)
+        multiplex_budget(0.0, 25.0, 2.0)
 
 
 def test_capacity_budget_parts():
     budget = multiplex_budget(5012.0, 25.0, 2.0)
     assert budget == {"channels": 200, "repetition_rate_hz": 5e8, "qubits_per_s": 1e11}
-    assert multiplex_capacity(5012.0, 25.0, 2.0) == budget["qubits_per_s"]
     with pytest.raises(ValueError):
         multiplex_budget(5000.0, 5e-324, 2.0)

@@ -5,7 +5,8 @@ import pytest
 import scipy.optimize
 import scipy.special
 
-from clustersim.bessel import bessel_j, bessel_row, efficiency, solve_balanced_depth
+from clustersim.bessel import bessel_row, solve_balanced_depth
+from oracles import bessel_j, efficiency
 
 
 @pytest.mark.parametrize(

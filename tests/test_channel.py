@@ -16,6 +16,7 @@ from clustersim.channel import (
     stabilize,
     transmit,
 )
+from clustersim.encoding import BinLayout
 from clustersim.errors import OutOfRange
 
 
@@ -23,7 +24,6 @@ def test_loss_budget():
     link = FiberLink()
     assert link.total_loss_db == pytest.approx(7.7)
     assert link.retained_fraction == pytest.approx(0.1698, abs=2e-4)
-    assert link.residual_dispersion_ps_per_nm == pytest.approx(-25.0)
 
 
 def test_transmit_scales_norm_only(cluster):
@@ -153,9 +153,10 @@ def test_stabilized_rms_never_worse(seed):
     assert rms <= trace.rms_ps() + 1e-9
 
 
-def test_bin_corruption_flag():
-    assert not bin_assignment_corrupted(30.0)
-    assert bin_assignment_corrupted(60.0)
+def test_bin_corruption_flag(layout):
+    assert not bin_assignment_corrupted(30.0, layout)
+    assert bin_assignment_corrupted(60.0, layout)
+    assert not bin_assignment_corrupted(1e9, BinLayout((0.0,)))  # no neighbour bin
 
 
 def test_trace_validation():

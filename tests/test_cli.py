@@ -269,6 +269,14 @@ ONE_DISPERSION = {"dispersions_ns_per_nm": [10.0]}
                  id="smoothing-passes-above-bound"),
     pytest.param("drift", {"channel": {"stabilizer": {"estimator_noise_ps": 1e308}}},
                  id="estimator-noise-overflow"),
+    pytest.param("transmit", {"channel": {"loss_db": float("nan")}}, id="loss-nan"),
+    pytest.param("measure", {"channel": {"loss_db": float("inf")}}, id="loss-infinity"),
+    pytest.param("transmit", {"channel": {"readout_time_s": float("-inf")}},
+                 id="readout-time-minus-infinity"),
+    pytest.param("visibility", {"cpm": {"carrier_wavelength_nm": -1e308}},
+                 id="visibility-carrier-negative"),
+    pytest.param("visibility", {"cpm": {"carrier_wavelength_nm": 1e308}},
+                 id="visibility-carrier-square-overflow"),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, overrides)
@@ -276,6 +284,34 @@ def test_bad_config_value_exit_2(tmp_path, capsys, command, overrides):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides,offset,corrupted", [
+    pytest.param({"encoding": {"levels": [["T", 600.0, 3.75], ["t", 200.0, 1.25]]},
+                  "source": {"times_ps": [0.0, 200.0, 600.0, 800.0]},
+                  "channel": {"drift": {"peak_k": 0.25}}}, "-77.47", False, id="200ps-bins"),
+    pytest.param({"encoding": {"time_quantum_ps": 20.0,
+                               "levels": [["T", 60.0, 3.75], ["t", 20.0, 1.25]]},
+                  "source": {"times_ps": [0.0, 20.0, 60.0, 80.0]},
+                  "channel": {"drift": {"peak_k": 0.04}}}, "-12.39", True, id="20ps-bins"),
+])
+def test_bin_corruption_follows_the_layout(tmp_path, capsys, overrides, offset, corrupted):
+    """The flag is raised past half the configured layout's smallest bin spacing."""
+    cfg = _write_config(tmp_path, overrides)
+    assert _run(["transmit", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert f"arrival offset {offset} ps" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "transmit.json").read_text())
+    assert doc["bin_assignment_corrupted"] is corrupted
+
+
+def test_visibility_reads_the_carrier(tmp_path):
+    outputs = []
+    for carrier in (1550.0, 1310.0):
+        cfg = _write_config(tmp_path, {"cpm": {"carrier_wavelength_nm": carrier}})
+        outdir = tmp_path / f"v{carrier:g}"
+        assert _run(["visibility", "--config", cfg, "--out", str(outdir)]) == 0
+        outputs.append((outdir / "visibility.csv").read_text().splitlines()[1:])
+    assert outputs[0] != outputs[1]
 
 
 @pytest.mark.parametrize("command", ["measure", "fringe"])

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from clustersim.bessel import bessel_j, efficiency, solve_balanced_depth
+from clustersim.bessel import solve_balanced_depth
 from clustersim.cpm import BeamSplitterSetting, CpmSettings, measurement_map
 from clustersim.errors import GridMismatch, UnknownLevel
+from oracles import CpmOperatorSettings, bessel_j, efficiency
 from sparse_oracle import TimeFreqMode, check_truncation, cpm_mode_map, freq_steps
 
 
@@ -37,7 +38,7 @@ def test_off_grid_rejected(grid):
 
 def test_mode_map_weights_are_bessel(grid):
     g = 1.1
-    settings = CpmSettings(g=g, rf_frequency_ghz=1.25, alpha=0.7)
+    settings = CpmOperatorSettings(g=g, rf_frequency_ghz=1.25, alpha=0.7)
     targets = dict(
         ((m.t_index, m.f_index), w)
         for m, w in cpm_mode_map(settings, grid)(TimeFreqMode(0, 0))
@@ -48,7 +49,7 @@ def test_mode_map_weights_are_bessel(grid):
 
 
 def test_mode_map_is_unitary_row(grid):
-    settings = CpmSettings(g=2.3, rf_frequency_ghz=1.25, truncation_order=12)
+    settings = CpmOperatorSettings(g=2.3, rf_frequency_ghz=1.25, truncation_order=12)
     weights = [w for _, w in cpm_mode_map(settings, grid)(TimeFreqMode(2, 1))]
     assert sum(abs(w) ** 2 for w in weights) == pytest.approx(1.0, abs=1e-9)
 
@@ -64,9 +65,9 @@ def test_copy_spacing_overflow_rejected(grid):
 
 def test_truncation_guard():
     with pytest.raises(ValueError):
-        check_truncation(CpmSettings(g=9.0, truncation_order=3))
+        check_truncation(CpmOperatorSettings(g=9.0, truncation_order=3))
     with pytest.raises(ValueError):
-        CpmSettings(truncation_order=-1)
+        CpmOperatorSettings(truncation_order=-1)
 
 
 def test_z_setting_is_identity(levels, grid, base_cpm, layout):

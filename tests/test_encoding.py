@@ -9,14 +9,12 @@ from clustersim.encoding import (
     Level,
     LevelSpec,
     bin_to_bits,
-    bits_to_bin,
     default_levels,
-    extend_levels,
     layout_from_levels,
-    uniform_shift_offsets,
 )
-from clustersim.errors import IncompatibleShift, LengthMismatch, OutOfRange
+from clustersim.errors import IncompatibleShift, OutOfRange
 from clustersim.modes import ModeGrid
+from oracles import LengthMismatch, bits_to_bin, extend_levels, uniform_shift_offsets
 
 
 def test_default_layout_positions():

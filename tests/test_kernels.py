@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from clustersim.bessel import bessel_j, bessel_row
+from clustersim.bessel import bessel_row
+from oracles import bessel_j
 
 
 @pytest.mark.parametrize("g", [0.0, 0.3, 1.434696, 4.7, 12.0])

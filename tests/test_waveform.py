@@ -5,15 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clustersim.bessel import bessel_j, solve_balanced_depth
-from clustersim.errors import InconsistentSettings, WindowOverflow
+from clustersim.bessel import solve_balanced_depth
+from clustersim.cpm import CpmSettings
 from clustersim.waveform import (
     MAX_SEPARATION_PS,
     MIN_PULSE_FWHM_PS,
+    rf_for_spacing,
+    visibility_bound,
+)
+from oracles import (
     ChirpSpec,
     SampledField,
+    WindowOverflow,
     add_fields,
     apply_chirp,
+    bessel_j,
     bin_intensity,
     copy_peak_position,
     copy_spacing_ps,
@@ -21,10 +27,13 @@ from clustersim.waveform import (
     extract_copy_weights,
     gaussian_pulse,
     phase_modulate,
-    rf_for_spacing,
     spectrogram,
-    visibility_bound,
+    visibility_fft_chain,
 )
+
+
+def _settings(dispersion_ns_per_nm):
+    return CpmSettings(dispersion_ns_per_nm=dispersion_ns_per_nm)
 
 
 def test_gaussian_intensity_fwhm():
@@ -62,7 +71,7 @@ def test_copy_spacing_matches_discrete_shift_law():
     chirp = ChirpSpec(10.0)
     assert copy_spacing_ps(chirp, 1.25) == pytest.approx(100.17, abs=0.05)
     assert copy_spacing_ps(chirp, 3.75) == pytest.approx(300.52, abs=0.15)
-    assert rf_for_spacing(chirp, 100.0) == pytest.approx(1.25, rel=0.01)
+    assert rf_for_spacing(chirp.beta2_ps2, 100.0) == pytest.approx(1.25, rel=0.01)
 
 
 def test_copy_positions_and_powers():
@@ -120,61 +129,39 @@ def test_transform_limited_spectrogram_single_blob():
     assert abs(freqs[f_idx]) < 0.5
 
 
-def _visibility_fft_chain(sep, fwhm, chirp, rf_frequency_ghz=None, n_alpha=16,
-                          n_samples=2**18, dt_ps=1.0):
-    """Reference for visibility_bound: the sampled FFT chain it replaces.
-
-    The two pulses are chirped once; each RF phase is then modulated in,
-    chirped back and summed over the central bin window.
-    """
-    if rf_frequency_ghz is None:
-        rf_frequency_ghz = rf_for_spacing(chirp, sep)
-    g_star = solve_balanced_depth()
-    a = gaussian_pulse(0.0, fwhm, n_samples, dt_ps)
-    b = gaussian_pulse(sep, fwhm, n_samples, dt_ps)
-    stretched = apply_chirp(add_fields(a, b), chirp)
-    alphas = np.linspace(0.0, 2.0 * np.pi, n_alpha, endpoint=False)
-    intensities = []
-    for alpha in alphas:
-        modulated = phase_modulate(stretched, g_star, rf_frequency_ghz, -alpha)
-        out = apply_chirp(modulated, chirp.negated())
-        intensities.append(bin_intensity(out, sep, 0.5 * sep))
-    design = np.column_stack([np.ones_like(alphas), np.cos(alphas), np.sin(alphas)])
-    c = np.linalg.lstsq(design, np.asarray(intensities), rcond=None)[0]
-    return float(np.hypot(c[1], c[2]) / c[0])
-
-
-@pytest.mark.parametrize("sep,dispersion,fwhm,rf_scale,n_alpha,n_samples", [
-    (100.0, 2.0, 37.0, None, 16, 2**16),
-    (100.0, 150.0, 37.0, None, 8, 2**18),
-    (300.0, 2.0, 37.0, None, 8, 2**16),
-    (300.0, 10.0, 37.0, None, 16, 2**16),
-    (100.0, -10.0, 37.0, None, 8, 2**16),
-    (300.0, 10.0, 37.0, 1.02, 8, 2**16),
-    (100.0, 2.0, 5000.0, None, 32, 2**16),
+@pytest.mark.parametrize("sep,dispersion,fwhm,n_alpha,n_samples", [
+    (100.0, 2.0, 37.0, 16, 2**16),
+    (100.0, 150.0, 37.0, 8, 2**18),
+    (300.0, 2.0, 37.0, 8, 2**16),
+    (300.0, 10.0, 37.0, 16, 2**16),
+    (100.0, -10.0, 37.0, 8, 2**16),
+    (100.0, 2.0, 5000.0, 32, 2**16),
 ])
-def test_visibility_closed_form_matches_fft_chain(sep, dispersion, fwhm, rf_scale,
-                                                  n_alpha, n_samples):
+def test_visibility_closed_form_matches_fft_chain(sep, dispersion, fwhm, n_alpha, n_samples):
     """The copy sum equals the sampled chain; 2**16 points hold |D| <= 10 ns/nm.
 
     The chain's fringe fit is exact once its scan resolves every harmonic
     the copies make (|k| <= 24, so 26 phases), or once the higher ones
     vanish, as they do for 37 ps pulses.
     """
-    chirp = ChirpSpec(dispersion)
-    rf = None if rf_scale is None else rf_scale * rf_for_spacing(chirp, sep)
-    reference = _visibility_fft_chain(sep, fwhm, chirp, rf, n_alpha, n_samples)
-    vis = visibility_bound(sep, fwhm, chirp, rf_frequency_ghz=rf)
+    reference = visibility_fft_chain(sep, fwhm, ChirpSpec(dispersion), n_alpha, n_samples)
+    vis = visibility_bound(sep, fwhm, _settings(dispersion))
     assert abs(vis - reference) <= 1e-12
+
+
+def test_visibility_closed_form_matches_fft_chain_off_carrier():
+    settings = CpmSettings(dispersion_ns_per_nm=10.0, carrier_wavelength_nm=1310.0)
+    reference = visibility_fft_chain(300.0, 37.0, ChirpSpec(10.0, 1310.0), 16, 2**16)
+    assert abs(visibility_bound(300.0, 37.0, settings) - reference) <= 1e-12
 
 
 def test_visibility_window_is_bounded():
     """Separations from 2**17 ps on are refused; the largest one runs in < 64 MB."""
     with pytest.raises(ValueError):
-        visibility_bound(MAX_SEPARATION_PS, 37.0, ChirpSpec(10.0))
+        visibility_bound(MAX_SEPARATION_PS, 37.0, _settings(10.0))
     tracemalloc.start()
     try:
-        vis = visibility_bound(np.nextafter(MAX_SEPARATION_PS, 0.0), 37.0, ChirpSpec(10.0))
+        vis = visibility_bound(np.nextafter(MAX_SEPARATION_PS, 0.0), 37.0, _settings(10.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -186,35 +173,32 @@ def test_visibility_window_is_bounded():
 def test_visibility_rejects_out_of_range_dispersion(dispersion):
     """Copy phases that overflow, or an RF tone that rounds to 0, are refused."""
     with pytest.raises(ValueError):
-        visibility_bound(300.0, 37.0, ChirpSpec(dispersion))
-
-
-def test_visibility_inconsistent_rf_rejected():
-    with pytest.raises(InconsistentSettings):
-        visibility_bound(100.0, 37.0, ChirpSpec(10.0), rf_frequency_ghz=3.75)
+        visibility_bound(300.0, 37.0, _settings(dispersion))
 
 
 @pytest.mark.parametrize("sep,fwhm", [(0.0, 37.0), (-100.0, 37.0), (100.0, 0.0)])
 def test_visibility_rejects_degenerate_inputs(sep, fwhm):
     with pytest.raises(ValueError):
-        visibility_bound(sep, fwhm, ChirpSpec(10.0))
+        visibility_bound(sep, fwhm, _settings(10.0))
 
 
 def test_visibility_pulse_width_floor():
-    vis = visibility_bound(100.0, MIN_PULSE_FWHM_PS, ChirpSpec(10.0))
+    vis = visibility_bound(100.0, MIN_PULSE_FWHM_PS, _settings(10.0))
     assert 0.0 < vis <= 1.0
     with pytest.raises(ValueError, match="pulse width"):
-        visibility_bound(100.0, np.nextafter(MIN_PULSE_FWHM_PS, 0.0), ChirpSpec(10.0))
+        visibility_bound(100.0, np.nextafter(MIN_PULSE_FWHM_PS, 0.0), _settings(10.0))
 
 
 def test_chirp_rejects_vanishing_dispersion():
     for dispersion in (0.0, 5e-324, 1.7e308):  # beta2 of 1.7e308 ns/nm overflows
         with pytest.raises(ValueError):
             ChirpSpec(dispersion)
+        with pytest.raises(ValueError, match="dispersion must be nonzero and finite"):
+            visibility_bound(100.0, 37.0, _settings(dispersion))
 
 
 def test_visibility_100ps_value():
-    vis = visibility_bound(100.0, 37.0, ChirpSpec(10.0))
+    vis = visibility_bound(100.0, 37.0, _settings(10.0))
     assert vis == pytest.approx(0.99, abs=0.01)
 
 
@@ -222,7 +206,7 @@ def test_visibility_monotone_in_dispersion():
     scans = {}
     for sep in (100.0, 300.0):
         values = [
-            visibility_bound(sep, 37.0, ChirpSpec(d))
+            visibility_bound(sep, 37.0, _settings(d))
             for d in (2.0, 5.0, 20.0, 150.0)
         ]
         assert values == sorted(values)
