@@ -51,7 +51,7 @@ DEFAULT_CONFIG = {
         **_defaults(ModeGrid, "time_quantum_ps", "freq_quantum_ghz"),
     },
     "source": _defaults(ExcitationTrain),
-    "cpm": _defaults(CpmSettings, "dispersion_ns_per_nm", "carrier_wavelength_nm"),
+    "cpm": _defaults(CpmSettings),
     "waveform": {
         "dispersions_ns_per_nm": [2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0],
         "separations_ps": [100.0, 300.0],
@@ -104,7 +104,8 @@ _NULLABLE = {"channel.drift.peak_k"}
 
 # Ranges of the leaves that no domain constructor checks; the range of an
 # open section holds for each of its values.  The upper bounds keep counts
-# exact in a float (below 2**53) and witness and fringe near 30 s and 250 MB.
+# exact in a float (below 2**53), witness near 10 s and 200 MB (class-total
+# resampling of 10**7 samples on 2 vCPUs) and fringe near 30 s and 250 MB.
 _RANGES = {"seed": (0, math.inf), "detection.pairs_per_setting": (1, 10**15),
            "analysis.mc_samples": (2, 10**7),
            "analysis.fringe_points": (analysis.MIN_SCAN_PHASES, 10**5),
@@ -423,12 +424,13 @@ def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     ]
     write_csv(outdir / "projections.csv",
               ["basis", "outcome", "value"], rows, stamp)
-    stderr = None
+    stderr = stderr_delta = None
     if not exact:
         raw = detection.raw_basis_counts(hists, levels)
         stderr, hist, edges = analysis.monte_carlo_error(
             raw, int(cfg["analysis"]["mc_samples"]), int(cfg["seed"]) + 1
         )
+        stderr_delta = analysis.delta_method_stderr(raw)
         write_csv(outdir / "witness_hist.csv",
                   ["bin_left", "bin_right", "count"],
                   [(edges[i], edges[i + 1], int(hist[i])) for i in range(len(hist))],
@@ -439,6 +441,7 @@ def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
         "expectations": list(report.expectations),
         "witness": report.witness,
         "stderr": report.stderr,
+        "stderr_delta": stderr_delta,
         "fidelity_bound": report.fidelity_bound,
         "term_pass": list(report.term_pass),
         "mean_pass": report.mean_pass,

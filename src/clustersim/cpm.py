@@ -10,7 +10,7 @@ splitter used for projective measurements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,8 @@ SNAP_TOL = 0.01
 
 @dataclass(frozen=True)
 class CpmSettings:
-    """RF tone and grating dispersion for one CPM pass."""
+    """Grating dispersion and carrier of a CPM pass; each level brings its RF tone."""
 
-    rf_frequency_ghz: float = 1.25
     dispersion_ns_per_nm: float = 10.0
     carrier_wavelength_nm: float = 1550.0
 
@@ -52,25 +51,22 @@ class CpmSettings:
             raise ValueError("carrier wavelength must be positive with a finite square")
 
     @property
-    def omega_rad_per_s(self) -> float:
-        return 2.0 * np.pi * self.rf_frequency_ghz * 1e9
-
-    @property
     def beta2_s2(self) -> float:
         return chirp_beta2_s2(self.dispersion_ns_per_nm, self.carrier_wavelength_nm)
 
-    @property
-    def delta_t_ps(self) -> float:
-        """Physical copy spacing beta2 * Omega."""
-        return self.beta2_s2 * self.omega_rad_per_s * 1e12
+    def delta_t_ps(self, rf_ghz: float) -> float:
+        """Physical copy spacing beta2 * Omega of an rf_ghz tone."""
+        omega_rad_per_s = 2.0 * np.pi * rf_ghz * 1e9
+        return self.beta2_s2 * omega_rad_per_s * 1e12
 
-    def time_steps(self, grid: ModeGrid) -> int:
-        """Copy spacing in grid units; raises GridMismatch when off-grid."""
-        steps = self.delta_t_ps / grid.time_quantum_ps
+    def time_steps(self, grid: ModeGrid, rf_ghz: float) -> int:
+        """Copy spacing of an rf_ghz tone in grid units; raises GridMismatch when off-grid."""
+        dt = self.delta_t_ps(rf_ghz)
+        steps = dt / grid.time_quantum_ps
         rounded = round(steps) if math.isfinite(steps) else 0
         if rounded == 0 or abs(steps - rounded) > SNAP_TOL:
             raise GridMismatch(
-                f"dt = {self.delta_t_ps:.3f} ps does not land on the "
+                f"dt = {dt:.3f} ps does not land on the "
                 f"{grid.time_quantum_ps} ps grid"
             )
         return int(rounded)
@@ -128,8 +124,15 @@ def measurement_map(
     if setting.level not in [lv.name for lv in levels.levels]:
         raise UnknownLevel(setting.level)
     level_idx = levels.index_of(setting.level)
-    rf = levels.level(setting.level).rf_frequency_ghz
-    replace(base, rf_frequency_ghz=rf).time_steps(grid)  # validates this level's grid
+    level = levels.level(setting.level)
+    copy_ps = base.time_steps(grid, level.rf_frequency_ghz) * grid.time_quantum_ps
+    if abs(copy_ps - level.shift_ps) > SNAP_TOL * grid.time_quantum_ps:
+        # the splitter pairs bins by index, which holds only if the copies
+        # bridge this level's bin shift
+        raise GridMismatch(
+            f"level {level.name}: copy spacing {copy_ps:g} ps does not match "
+            f"its {level.shift_ps:g} ps bin shift"
+        )
     row = bessel_row(solve_balanced_depth(), 1)
     j0, j1 = float(row[0]), float(row[1])
     alpha = setting.effective_alpha + alpha_offset

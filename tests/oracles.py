@@ -10,9 +10,11 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
   the references of `bessel.bessel_row` and of the matrices' column norms.
 - Bin-index helpers for deeper trees: `bits_to_bin`, `extend_levels` and
   `uniform_shift_offsets`.
-- `CpmOperatorSettings`, which adds the modulation depth, RF phase and
-  truncation order that the faithful scattering operator of
+- `CpmOperatorSettings`, which adds the RF tone, modulation depth, RF
+  phase and truncation order that the faithful scattering operator of
   ``sparse_oracle.cpm_mode_map`` needs.
+- `witness_samples`, the witness of each resampled set of 48 raw counts,
+  the reference of `analysis.witness_from_class_totals`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from clustersim.analysis import STABILIZER_TERMS, TERM_BASIS, term_signs
 from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.cpm import CpmSettings, chirp_beta2_s2
 from clustersim.encoding import BinLayout, Level, LevelSpec, layout_from_levels
@@ -43,8 +46,9 @@ class LengthMismatch(ClusterSimError):
 
 @dataclass(frozen=True)
 class CpmOperatorSettings(CpmSettings):
-    """CpmSettings plus depth g, RF phase alpha and the orders |m| <= truncation_order kept."""
+    """CpmSettings plus RF tone, depth g, RF phase alpha and the orders |m| <= truncation_order kept."""
 
+    rf_frequency_ghz: float = 1.25
     g: float = 0.0
     alpha: float = 0.0
     truncation_order: int = 8
@@ -55,6 +59,47 @@ class CpmOperatorSettings(CpmSettings):
         if self.truncation_order < 0:
             raise ValueError("truncation order must be nonnegative")
         super().__post_init__()
+
+
+# ----------------------------------------------------------------------
+# witness of the 48 raw counts
+
+def signs_and_bases(basis_order: tuple[str, ...]):
+    signs = np.stack([term_signs(t) for t in STABILIZER_TERMS])
+    term_basis = np.array(
+        [basis_order.index(TERM_BASIS[t]) for t in STABILIZER_TERMS], dtype=np.int64
+    )
+    return signs, term_basis
+
+
+def witness_samples(counts, signs, term_basis):
+    """Witness value for each resampled count set.
+
+    counts: (n, n_bases, 16) nonnegative count samples
+    signs: (n_terms, 16) eigenvalue-product signs per outcome
+    term_basis: (n_terms,) index of the basis each term is evaluated in
+
+    A basis without counts contributes 0 to each of its terms.
+    """
+    totals = counts.sum(axis=2)  # (n, n_bases)
+    s_sum = np.zeros(counts.shape[0])
+    for t in range(signs.shape[0]):
+        b = term_basis[t]
+        acc = counts[:, b, :] @ signs[t]
+        tot = totals[:, b]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s = np.where(tot > 0.0, acc / np.where(tot > 0, tot, 1.0), 0.0)
+        s_sum += s
+    return 2.0 - 0.5 * s_sum
+
+
+def raw_count_witness_samples(raw_counts: dict[str, np.ndarray], samples: int, seed: int):
+    """Witness of `samples` sets of the 48 raw counts, each redrawn from Poisson(count)."""
+    basis_order = tuple(raw_counts)
+    base = np.stack([np.asarray(raw_counts[b], dtype=float) for b in basis_order])
+    signs, term_basis = signs_and_bases(basis_order)
+    counts = np.random.default_rng(seed).poisson(base, size=(samples,) + base.shape)
+    return witness_samples(counts.astype(np.float64), signs, term_basis)
 
 
 # ----------------------------------------------------------------------

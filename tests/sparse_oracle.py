@@ -12,7 +12,7 @@ path; tests compare the dense path against them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -205,7 +205,7 @@ def transmit(state: JointTwoPhotonState, retained_fraction: float) -> JointTwoPh
     return JointTwoPhotonState(state.grid, amps, state.norm_tracking * retained_fraction)
 
 
-def freq_steps(settings: CpmSettings, grid: ModeGrid) -> int:
+def freq_steps(settings: CpmOperatorSettings, grid: ModeGrid) -> int:
     """Copy frequency spacing (the RF tone) in grid units; raises when off-grid."""
     steps = settings.rf_frequency_ghz / grid.freq_quantum_ghz
     rounded = round(steps)
@@ -236,7 +236,7 @@ def cpm_mode_map(settings: CpmOperatorSettings, grid: ModeGrid):
     check_truncation(settings)
     if settings.g == 0.0:
         return lambda mode: [(mode, 1.0 + 0j)]
-    dt = settings.time_steps(grid)
+    dt = settings.time_steps(grid, settings.rf_frequency_ghz)
     dn = freq_steps(settings, grid)
     m_max = settings.truncation_order
     row = bessel_row(settings.g, m_max)
@@ -297,7 +297,7 @@ def measurement_map(
     level_idx = levels.index_of(setting.level)
     rf = levels.level(setting.level).rf_frequency_ghz
     g_star = solve_balanced_depth()
-    replace(base, rf_frequency_ghz=rf).time_steps(grid)  # validates this level's grid
+    base.time_steps(grid, rf)  # validates this level's grid
     row = bessel_row(g_star, 1)
     j0, j1 = float(row[0]), float(row[1])
     alpha = setting.effective_alpha + alpha_offset

@@ -169,7 +169,7 @@ def test_criterion_05_shift_law(capsys):
     start = time.perf_counter()
     results = {}
     for ghz, window in ((1.25, 45.0), (3.75, 100.0)):
-        discrete = CpmSettings(rf_frequency_ghz=ghz).delta_t_ps
+        discrete = CpmSettings().delta_t_ps(ghz)
         out = oracles.cpm_continuous(
             oracles.gaussian_pulse(0.0, 37.0), oracles.ChirpSpec(10.0),
             solve_balanced_depth(), ghz, 0.0,

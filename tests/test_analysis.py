@@ -8,16 +8,20 @@ from hypothesis import strategies as st
 from clustersim.analysis import (
     CHSH_THRESHOLD,
     STABILIZER_TERMS,
+    delta_method_stderr,
     fit_interference,
     monte_carlo_error,
     multiplex_budget,
+    outcome_classes,
+    resample_witness,
     stabilizer_expectation,
     term_signs,
     witness,
-    witness_samples,
+    witness_from_class_totals,
 )
 from clustersim.detection import WITNESS_BASES
 from clustersim.errors import InsufficientScan, MissingBasis
+from oracles import raw_count_witness_samples, signs_and_bases, witness_samples
 
 
 def _density_matrix_oracle(p):
@@ -202,6 +206,60 @@ def test_witness_samples_empty_basis_contributes_zero():
     values = witness_samples(counts, signs, term_basis)
     # two terms evaluate to 1, four contribute 0: W = 2 - 0.5 * 2 = 1
     np.testing.assert_allclose(values, 1.0, atol=1e-12)
+
+
+def test_class_totals_match_raw_count_witness():
+    """Folding the 48 counts into 9 class totals leaves each witness value exact."""
+    rng = np.random.default_rng(5)
+    counts = rng.poisson(rng.uniform(0.0, 60.0, size=(3, 16)), size=(400, 3, 16))
+    counts = counts.astype(np.float64)
+    counts[:7, 0, :] = 0.0  # rows with an empty basis
+    counts[7:10, 2, :] = 0.0
+    totals = np.einsum("bco,nbo->nbc", outcome_classes(WITNESS_BASES), counts)
+    np.testing.assert_allclose(
+        witness_from_class_totals(totals),
+        witness_samples(counts, *signs_and_bases(WITNESS_BASES)),
+        rtol=0.0, atol=1e-12,
+    )
+
+
+def test_class_total_sampler_matches_raw_count_sampler():
+    """Mean and std of the two samplers agree within 5 combined MC errors."""
+    raw = _raw_counts(300)
+    n = 100_000
+    new = resample_witness(raw, n, seed=7)
+    ref = raw_count_witness_samples(raw, n, seed=8)
+    spread = np.hypot(new.std(), ref.std())
+    assert abs(new.mean() - ref.mean()) < 5.0 * spread / np.sqrt(n)
+    # the std of a sample std is about std / sqrt(2 n) for a near-normal variable
+    assert abs(new.std() - ref.std()) < 5.0 * spread / np.sqrt(2.0 * n)
+
+
+def test_mc_draws_nine_variates_per_sample(monkeypatch):
+    raw = _raw_counts(400)
+    drawn = []
+
+    class CountingRng:
+        def __init__(self, seed):
+            self._rng = np.random.Generator(np.random.PCG64(seed))
+
+        def poisson(self, lam, size):
+            drawn.append(int(np.prod(size)))
+            return self._rng.poisson(lam, size)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    monte_carlo_error(raw, samples=120_000, seed=3)
+    assert sum(drawn) == 120_000 * 9
+
+
+def test_delta_method_empty_basis_contributes_zero():
+    raw = _raw_counts(2000)
+    empty = {**raw, "ZZXX": np.zeros(16)}
+    assert 0.0 < delta_method_stderr(empty) < delta_method_stderr(raw)
+    only = {b: (v if b == "ZZXX" else np.zeros(16)) for b, v in raw.items()}
+    assert delta_method_stderr(raw) ** 2 == pytest.approx(
+        delta_method_stderr(empty) ** 2 + delta_method_stderr(only) ** 2, rel=1e-12
+    )
 
 
 def test_fit_exact_fringe():

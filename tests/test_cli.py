@@ -98,6 +98,7 @@ def test_exact_witness_is_minus_one(tmp_path, capsys):
     assert report["certifies_entanglement"] is True
     assert all(report["term_pass"]) and report["mean_pass"]
     assert report["stderr"] is None
+    assert report["stderr_delta"] is None
     assert not (outdir / "witness_hist.csv").exists()
     assert "W = -1.0000" in capsys.readouterr().out
 
@@ -109,6 +110,14 @@ def test_sampled_witness_writes_histogram(tmp_path):
     assert (outdir / "witness_hist.csv").exists()
     report = json.loads((outdir / "witness.json").read_text())
     assert report["stderr"] > 0
+
+
+def test_delta_method_stderr_matches_monte_carlo(tmp_path):
+    outdir = tmp_path / "wd"
+    assert _run(["witness", "--preset", "paper-default", "--seed", "0",
+                 "--out", str(outdir)]) == 0
+    report = json.loads((outdir / "witness.json").read_text())
+    assert report["stderr_delta"] == pytest.approx(report["stderr"], rel=0.03)
 
 
 def test_generate_reports_fidelity(tmp_path, capsys):
@@ -330,6 +339,23 @@ def test_copy_spacing_off_grid_exit_1(tmp_path, capsys, command, overrides):
     ), err
 
 
+@pytest.mark.parametrize("command", [("witness", "--exact"), ("fringe", "--exact"),
+                                     ("measure",)], ids=" ".join)
+def test_copy_spacing_off_level_shift_exit_1(tmp_path, capsys, command):
+    """1.25 and 3.75 GHz tones make 100 and 300 ps copies, not 200 and 600 ps."""
+    cfg = _write_config(tmp_path, {
+        "encoding": {"levels": [["T", 600, 3.75], ["t", 200, 1.25]]},
+        "source": {"times_ps": [0, 200, 600, 800]},
+    })
+    assert _run([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"simulation error: level [Tt]: copy spacing \d+ ps does not match "
+        r"its \d+ ps bin shift\n", captured.err
+    ), captured.err
+
+
 @pytest.mark.parametrize("section,key", [
     ("waveform", "n_alpha"), ("waveform", "pulse_fwhm_ps"),
     ("source", "repetition_ns"), ("cpm", "truncation_order"),
@@ -431,8 +457,12 @@ FUZZ_VALUES = st.one_of(
 
 FUZZ_COMMANDS = (
     ("generate",), ("transmit",), ("drift",), ("capacity",), ("measure",),
-    ("fringe",), ("measure", "--exact"), ("witness", "--exact"), ("visibility",),
+    ("fringe",), ("measure", "--exact"), ("witness",), ("witness", "--exact"),
+    ("visibility",),
 )
+#: Config every fuzzed doc starts from, so sampled witness runs stay fast;
+#: a fuzzed mc_samples replaces it.
+FUZZ_BASE = {"analysis": {"mc_samples": 2000}}
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -442,7 +472,7 @@ FUZZ_COMMANDS = (
                        min_size=1, max_size=2, unique_by=lambda kv: kv[0]),
 )
 def test_fuzzed_overrides_exit_cleanly(command, overrides):
-    doc = {}
+    doc = copy.deepcopy(FUZZ_BASE)
     for path, value in overrides:
         node = doc
         for key in path[:-1]:

@@ -5,35 +5,33 @@ import pytest
 
 from clustersim.bessel import solve_balanced_depth
 from clustersim.cpm import BeamSplitterSetting, CpmSettings, measurement_map
+from clustersim.encoding import Level, LevelSpec
 from clustersim.errors import GridMismatch, UnknownLevel
 from oracles import CpmOperatorSettings, bessel_j, efficiency
 from sparse_oracle import TimeFreqMode, check_truncation, cpm_mode_map, freq_steps
 
 
 def test_shift_law_values():
-    t_scale = CpmSettings(rf_frequency_ghz=1.25)
-    T_scale = CpmSettings(rf_frequency_ghz=3.75)
-    assert t_scale.delta_t_ps == pytest.approx(100.0, abs=0.5)
-    assert T_scale.delta_t_ps == pytest.approx(300.0, abs=1.5)
+    s = CpmSettings()
+    assert s.delta_t_ps(1.25) == pytest.approx(100.0, abs=0.5)
+    assert s.delta_t_ps(3.75) == pytest.approx(300.0, abs=1.5)
     # exact physical values from beta2 = D lambda^2 / (2 pi c)
-    assert t_scale.delta_t_ps == pytest.approx(100.1735, abs=1e-3)
-    assert T_scale.delta_t_ps == pytest.approx(300.5204, abs=1e-3)
+    assert s.delta_t_ps(1.25) == pytest.approx(100.1735, abs=1e-3)
+    assert s.delta_t_ps(3.75) == pytest.approx(300.5204, abs=1e-3)
 
 
 def test_grid_steps(grid):
-    s = CpmSettings(rf_frequency_ghz=1.25)
-    assert s.time_steps(grid) == 1
-    assert freq_steps(s, grid) == 1
-    s = CpmSettings(rf_frequency_ghz=3.75)
-    assert s.time_steps(grid) == 3
-    assert freq_steps(s, grid) == 3
+    assert CpmSettings().time_steps(grid, 1.25) == 1
+    assert freq_steps(CpmOperatorSettings(rf_frequency_ghz=1.25), grid) == 1
+    assert CpmSettings().time_steps(grid, 3.75) == 3
+    assert freq_steps(CpmOperatorSettings(rf_frequency_ghz=3.75), grid) == 3
 
 
 def test_off_grid_rejected(grid):
     with pytest.raises(GridMismatch):
-        CpmSettings(rf_frequency_ghz=1.25, dispersion_ns_per_nm=7.0).time_steps(grid)
+        CpmSettings(dispersion_ns_per_nm=7.0).time_steps(grid, 1.25)
     with pytest.raises(GridMismatch):
-        freq_steps(CpmSettings(rf_frequency_ghz=2.0), grid)
+        freq_steps(CpmOperatorSettings(rf_frequency_ghz=2.0), grid)
 
 
 def test_mode_map_weights_are_bessel(grid):
@@ -58,9 +56,9 @@ def test_copy_spacing_overflow_rejected(grid):
     for carrier in (0.0, -1550.0, 1e308):  # 1e308 nm squared overflows in metres
         with pytest.raises(ValueError):
             CpmSettings(carrier_wavelength_nm=carrier)
-    for spacing in ({"dispersion_ns_per_nm": 1e308}, {"rf_frequency_ghz": 1e308}):
+    for dispersion, rf_ghz in ((1e308, 1.25), (10.0, 1e308)):
         with pytest.raises(GridMismatch):
-            CpmSettings(**spacing).time_steps(grid)
+            CpmSettings(dispersion_ns_per_nm=dispersion).time_steps(grid, rf_ghz)
 
 
 def test_truncation_guard():
@@ -125,6 +123,17 @@ def test_two_bin_interference_full_visibility(levels, grid, base_cpm, layout):
     rates = np.asarray(rates)
     vis = (rates.max() - rates.min()) / (rates.max() + rates.min())
     assert vis == pytest.approx(1.0, abs=1e-9)
+
+
+def test_copy_spacing_must_match_level_shift(grid):
+    """Copies 300 ps and 100 ps apart cannot pair bins 600 ps and 200 ps apart."""
+    levels = LevelSpec((Level("T", 600.0, 3.75), Level("t", 200.0, 1.25)))
+    for level in ("T", "t"):
+        with pytest.raises(GridMismatch, match=f"level {level}: copy spacing"):
+            measurement_map(BeamSplitterSetting("X", level), levels, CpmSettings(), grid)
+    # the Z setting does not modulate, so it has no copies to match
+    z = measurement_map(BeamSplitterSetting("Z", "T"), levels, CpmSettings(), grid)
+    np.testing.assert_array_equal(z, np.eye(4))
 
 
 def test_unknown_level_rejected(levels, grid, base_cpm, layout):
