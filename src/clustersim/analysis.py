@@ -9,6 +9,7 @@ and the fidelity obeys F >= (1 - W)/2.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,8 @@ FRINGE_HARMONIC = 2
 FIT_HARMONICS = (1, 2)
 #: Histogram bins of the resampled witness values.
 WITNESS_HIST_BINS = 80
-#: Resampled count sets drawn per batch.
-MC_CHUNK = 50_000
+#: Resampled count sets per chunk; each chunk has its own seed and thread task.
+MC_CHUNK = 16_384
 
 
 def basis_for_term(term: str) -> str:
@@ -117,19 +118,6 @@ def outcome_classes(basis_order: tuple[str, ...]) -> np.ndarray:
     return np.stack([sign_sum == 2.0, sign_sum == -2.0, sign_sum == 0.0], axis=1)
 
 
-def witness_from_class_totals(totals: np.ndarray) -> np.ndarray:
-    """W = 2 - sum over bases of (A+ - A-) / (A+ + A- + A0) for each sample.
-
-    totals: (n, bases, 3) class totals (A+, A-, A0) per sample and basis.
-    A basis without counts contributes 0.
-    """
-    totals = np.asarray(totals, dtype=np.float64)
-    diff = totals[..., 0] - totals[..., 1]
-    total = totals.sum(axis=-1)
-    ratio = np.divide(diff, total, out=np.zeros_like(diff), where=total > 0.0)
-    return 2.0 - ratio.sum(axis=-1)
-
-
 def _class_means(raw_counts: dict[str, np.ndarray]) -> np.ndarray:
     """(bases, 3) class totals of the raw counts, the means to resample."""
     basis_order = tuple(raw_counts.keys())
@@ -137,6 +125,36 @@ def _class_means(raw_counts: dict[str, np.ndarray]) -> np.ndarray:
     if np.any(base < 0):
         raise ValueError("counts must be nonnegative")
     return np.einsum("bco,bo->bc", outcome_classes(basis_order), base)
+
+
+def _witness_chunk(lam: np.ndarray, seed: np.random.SeedSequence, out: np.ndarray) -> None:
+    """Fill out with the witness of len(out) resamplings drawn from seed.
+
+    Basis by basis, A+, A- and A0 are drawn from Poisson(lam) and
+    (A+ - A-) / N is subtracted from 2.  When N = 0, A+ - A- is 0 too, so
+    dividing by max(N, 1) gives the 0 an empty basis contributes.
+    """
+    rng = np.random.default_rng(seed)
+    n = len(out)
+    out.fill(2.0)
+    for plus_mean, minus_mean, mixed_mean in lam:
+        plus = rng.poisson(plus_mean, size=n)
+        minus = rng.poisson(minus_mean, size=n)
+        total = rng.poisson(mixed_mean, size=n)
+        total += plus
+        total += minus
+        plus -= minus
+        np.maximum(total, 1, out=total)
+        out -= plus / total
+
+
+def _workers(n_chunks: int) -> int:
+    """Threads to resample n_chunks chunks on: one per usable core, at most."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cores = os.cpu_count() or 1
+    return max(1, min(n_chunks, cores))
 
 
 def resample_witness(
@@ -149,16 +167,24 @@ def resample_witness(
     is Poisson.  So each class total is drawn from Poisson(total), 9 draws
     per sample in place of 48, which gives the same witness distribution
     as redrawing each raw count from Poisson(count).
+
+    Samples are drawn in chunks of MC_CHUNK, chunk i from the i-th child of
+    SeedSequence(seed), on a thread per core (numpy's Poisson sampler
+    releases the GIL).  Each chunk depends only on (seed, i), so the values
+    are the same on any number of threads.
     """
     lam = _class_means(raw_counts)
-    rng = np.random.default_rng(seed)
     values = np.empty(samples)
-    done = 0
-    while done < samples:
-        n = min(MC_CHUNK, samples - done)
-        totals = rng.poisson(lam, size=(n,) + lam.shape)
-        values[done : done + n] = witness_from_class_totals(totals)
-        done += n
+    starts = range(0, samples, MC_CHUNK)
+    seeds = np.random.SeedSequence(seed).spawn(len(starts))
+
+    def chunk(i: int) -> None:
+        _witness_chunk(lam, seeds[i], values[starts[i] : starts[i] + MC_CHUNK])
+
+    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
+
+    with ThreadPoolExecutor(_workers(len(starts))) as pool:
+        list(pool.map(chunk, range(len(starts))))
     return values
 
 
@@ -171,11 +197,14 @@ def monte_carlo_error(
 
     The witness is recomputed for `samples` resamplings of the counts (see
     resample_witness).  Returns (stderr, histogram counts, histogram bin
-    edges).
+    edges).  The standard deviation is taken in place after the histogram,
+    so only the one array of values is held.
     """
     values = resample_witness(raw_counts, samples, seed)
     hist, edges = np.histogram(values, bins=WITNESS_HIST_BINS)
-    return float(np.std(values)), hist, edges
+    values -= values.mean()
+    np.square(values, out=values)
+    return math.sqrt(values.mean()), hist, edges
 
 
 def delta_method_stderr(raw_counts: dict[str, np.ndarray]) -> float:

@@ -104,12 +104,19 @@ _NULLABLE = {"channel.drift.peak_k"}
 
 # Ranges of the leaves that no domain constructor checks; the range of an
 # open section holds for each of its values.  The upper bounds keep counts
-# exact in a float (below 2**53), witness near 10 s and 200 MB (class-total
+# exact in a float (below 2**53), witness near 4 s and 120 MB (class-total
 # resampling of 10**7 samples on 2 vCPUs) and fringe near 30 s and 250 MB.
 _RANGES = {"seed": (0, math.inf), "detection.pairs_per_setting": (1, 10**15),
            "analysis.mc_samples": (2, 10**7),
            "analysis.fringe_points": (analysis.MIN_SCAN_PHASES, 10**5),
            "detection.visibility_penalty": (0.0, 1.0)}
+
+# Most entries of the list leaves whose length sets the work: a layout has
+# 2**levels bins (10 levels take 0.5 s and 80 MB to generate), and
+# visibility computes one bound per (separation, dispersion) pair (100 x 100
+# pairs take about 5 s).
+_MAX_ENTRIES = {"encoding.levels": 10, "waveform.dispersions_ns_per_nm": 100,
+                "waveform.separations_ps": 100}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", list: "a list", dict: "an object"}
@@ -160,6 +167,9 @@ def _merge(base: dict, override: dict, path: tuple = ()) -> dict:
             out[key] = _merge(default, value, path + (key,))
         else:
             _check_type(value, default, where)
+            if where in _MAX_ENTRIES and len(value) > _MAX_ENTRIES[where]:
+                raise ConfigError(f"{where} has {len(value)} entries, "
+                                  f"more than {_MAX_ENTRIES[where]}")
             lo, hi = _RANGES.get(rule, (-math.inf, math.inf))
             if rule in _RANGES and not lo <= value <= hi:
                 raise ConfigError(f"{where} = {value} outside [{lo}, {hi}]")

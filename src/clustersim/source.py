@@ -38,8 +38,13 @@ class ExcitationTrain:
 
 
 def shg_phases(train: ExcitationTrain) -> tuple[float, ...]:
-    """Second-harmonic phases: each pump phase is doubled (mod 2 pi)."""
-    return tuple(float(np.mod(2.0 * p, 2.0 * np.pi)) for p in train.phases_rad)
+    """Second-harmonic phases: each pump phase is doubled (mod 2 pi).
+
+    The phase is reduced mod 2 pi before doubling, so a phase near the
+    float maximum does not double to infinity.
+    """
+    two_pi = 2.0 * np.pi
+    return tuple(float(np.mod(2.0 * np.mod(p, two_pi), two_pi)) for p in train.phases_rad)
 
 
 def generate_pair_state(

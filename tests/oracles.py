@@ -13,8 +13,11 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
 - `CpmOperatorSettings`, which adds the RF tone, modulation depth, RF
   phase and truncation order that the faithful scattering operator of
   ``sparse_oracle.cpm_mode_map`` needs.
-- `witness_samples`, the witness of each resampled set of 48 raw counts,
-  the reference of `analysis.witness_from_class_totals`.
+- `witness_samples`, the witness of each resampled set of 48 raw counts;
+  `witness_from_class_totals`, the same witness from each set's 9 class
+  totals; and `broadcast_class_total_samples`, the single-stream sampler
+  that drew all 9 class totals of a batch in one broadcast call.  They are
+  the references of `analysis.resample_witness`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from clustersim.analysis import STABILIZER_TERMS, TERM_BASIS, term_signs
+from clustersim.analysis import STABILIZER_TERMS, TERM_BASIS, outcome_classes, term_signs
 from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.cpm import CpmSettings, chirp_beta2_s2
 from clustersim.encoding import BinLayout, Level, LevelSpec, layout_from_levels
@@ -100,6 +103,37 @@ def raw_count_witness_samples(raw_counts: dict[str, np.ndarray], samples: int, s
     signs, term_basis = signs_and_bases(basis_order)
     counts = np.random.default_rng(seed).poisson(base, size=(samples,) + base.shape)
     return witness_samples(counts.astype(np.float64), signs, term_basis)
+
+
+def witness_from_class_totals(totals: np.ndarray) -> np.ndarray:
+    """W = 2 - sum over bases of (A+ - A-) / (A+ + A- + A0) for each sample.
+
+    totals: (n, bases, 3) class totals (A+, A-, A0) per sample and basis.
+    A basis without counts contributes 0.
+    """
+    totals = np.asarray(totals, dtype=np.float64)
+    diff = totals[..., 0] - totals[..., 1]
+    total = totals.sum(axis=-1)
+    ratio = np.divide(diff, total, out=np.zeros_like(diff), where=total > 0.0)
+    return 2.0 - ratio.sum(axis=-1)
+
+
+def broadcast_class_total_samples(raw_counts: dict[str, np.ndarray], samples: int, seed: int):
+    """Witness of `samples` class-total sets, drawn 50 000 at a time from one stream.
+
+    Each batch draws Poisson(lam) over a broadcast (batch, bases, 3) array.
+    """
+    batch = 50_000
+    basis_order = tuple(raw_counts)
+    base = np.stack([np.asarray(raw_counts[b], dtype=float) for b in basis_order])
+    lam = np.einsum("bco,bo->bc", outcome_classes(basis_order), base)
+    rng = np.random.default_rng(seed)
+    values = np.empty(samples)
+    for done in range(0, samples, batch):
+        n = min(batch, samples - done)
+        values[done : done + n] = witness_from_class_totals(
+            rng.poisson(lam, size=(n,) + lam.shape))
+    return values
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustersim import analysis
 from clustersim.analysis import (
     CHSH_THRESHOLD,
+    MC_CHUNK,
     STABILIZER_TERMS,
     delta_method_stderr,
     fit_interference,
@@ -17,11 +19,16 @@ from clustersim.analysis import (
     stabilizer_expectation,
     term_signs,
     witness,
-    witness_from_class_totals,
 )
 from clustersim.detection import WITNESS_BASES
 from clustersim.errors import InsufficientScan, MissingBasis
-from oracles import raw_count_witness_samples, signs_and_bases, witness_samples
+from oracles import (
+    broadcast_class_total_samples,
+    raw_count_witness_samples,
+    signs_and_bases,
+    witness_from_class_totals,
+    witness_samples,
+)
 
 
 def _density_matrix_oracle(p):
@@ -233,6 +240,57 @@ def test_class_total_sampler_matches_raw_count_sampler():
     assert abs(new.mean() - ref.mean()) < 5.0 * spread / np.sqrt(n)
     # the std of a sample std is about std / sqrt(2 n) for a near-normal variable
     assert abs(new.std() - ref.std()) < 5.0 * spread / np.sqrt(2.0 * n)
+
+
+def test_class_total_sampler_matches_broadcast_sampler():
+    """Chunked per-class draws and the one-stream broadcast draws agree in distribution."""
+    raw = _raw_counts(300)
+    n = 100_000
+    new = resample_witness(raw, n, seed=9)
+    ref = broadcast_class_total_samples(raw, n, seed=10)
+    spread = np.hypot(new.std(), ref.std())
+    assert abs(new.mean() - ref.mean()) < 5.0 * spread / np.sqrt(n)
+    assert abs(new.std() - ref.std()) < 5.0 * spread / np.sqrt(2.0 * n)
+
+
+def _sparse_raw_counts():
+    """Counts with a full basis, an empty basis (all class means 0) and a sparse one."""
+    raw = _raw_counts(400)
+    raw["ZZXX"] = np.zeros(16)
+    raw["XXZZ"] = np.zeros(16)
+    raw["XXZZ"][[0, 1, 5]] = 1.0  # about e^-3 of its resampled totals are 0
+    return raw
+
+
+def test_chunk_replays_class_total_oracle():
+    """A chunk's values are the oracle witness of its 9 draws, replayed from its seed."""
+    raw = _sparse_raw_counts()
+    samples, seed = 2 * MC_CHUNK + 1000, 11
+    values = resample_witness(raw, samples, seed)
+    lam = np.einsum("bco,bo->bc", outcome_classes(tuple(raw)), np.stack(list(raw.values())))
+    assert np.all(lam[1] == 0.0) and np.all(lam[0] > 0.0)
+    children = np.random.SeedSequence(seed).spawn(3)
+    for i, n in ((1, MC_CHUNK), (2, 1000)):
+        rng = np.random.default_rng(children[i])
+        totals = np.empty((n, 3, 3))
+        for b in range(3):
+            for c in range(3):
+                totals[:, b, c] = rng.poisson(lam[b, c], size=n)
+        assert np.any(totals[:, 2].sum(axis=1) == 0.0)
+        np.testing.assert_allclose(
+            values[i * MC_CHUNK : i * MC_CHUNK + n],
+            witness_from_class_totals(totals),
+            rtol=0.0, atol=1e-12,
+        )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_resampling_is_independent_of_worker_count(monkeypatch, workers):
+    raw = _sparse_raw_counts()
+    samples = 4 * MC_CHUNK + 123
+    reference = resample_witness(raw, samples, seed=12)
+    monkeypatch.setattr(analysis, "_workers", lambda n_chunks: workers)
+    assert resample_witness(raw, samples, seed=12).tobytes() == reference.tobytes()
 
 
 def test_mc_draws_nine_variates_per_sample(monkeypatch):

@@ -205,6 +205,24 @@ def test_empty_dispersion_list_exit_2(tmp_path):
     assert _run(["visibility", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("section,key,item,cap", [
+    ("waveform", "separations_ps", 100.0, 100),
+    ("waveform", "dispersions_ns_per_nm", 5.0, 100),
+    ("encoding", "levels", ["T", 300.0, 3.75], 10),
+])
+def test_list_leaf_length_is_capped(tmp_path, capsys, section, key, item, cap):
+    """One entry over the cap exits 2 with one line, from every command."""
+    for command in ("capacity", "visibility"):
+        cfg = _write_config(tmp_path, {section: {key: [item] * (cap + 1)}})
+        assert _run([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {section}.{key} has {cap + 1} entries, more than {cap}\n"
+        )
+    cfg = _write_config(tmp_path, {section: {key: [item] * cap}})
+    _run(["visibility", "--config", cfg, "--out", str(tmp_path)])
+    assert "entries" not in capsys.readouterr().err
+
+
 def test_missing_config_file_exit_2(tmp_path):
     assert _run(["generate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2
@@ -576,22 +594,44 @@ def test_every_config_leaf_changes_an_output():
         assert (code, out, files) != baselines[command], ".".join(path)
 
 
+def _extreme_docs(path, default, value):
+    """(label, doc) with value at a numeric leaf, or at each numeric list item."""
+    where = ".".join(path)
+    if type(default) in (int, float):
+        yield f"{where} = {value}", _override(LEAF_BASE, path, value)
+        return
+    if not isinstance(default, list):
+        return
+    for i, item in enumerate(default):
+        if type(item) in (int, float):
+            slots = [(f"[{i}]", None)]
+        elif isinstance(item, list):
+            slots = [(f"[{i}][{j}]", j) for j, x in enumerate(item) if type(x) in (int, float)]
+        else:
+            continue
+        for label, j in slots:
+            items = copy.deepcopy(default)
+            if j is None:
+                items[i] = value
+            else:
+                items[i][j] = value
+            yield f"{where}{label} = {value}", _override(LEAF_BASE, path, items)
+
+
 @pytest.mark.parametrize("value", [1e308, -1e308, 5e-324])
 def test_extreme_values_exit_cleanly(value):
-    """Every numeric leaf at an extreme, through a command that reads it."""
+    """Every numeric leaf and list item at an extreme, through a command that reads it."""
     for path, (command, _) in LEAF_CHANGES.items():
         default = DEFAULT_CONFIG
         for key in path:
             default = default[key]
-        if type(default) not in (int, float):
-            continue
-        code, _, err, files, caught = _outcome(command, _override(LEAF_BASE, path, value))
-        where = f"{'.'.join(path)} = {value}"
-        assert code in (0, 1, 2), where
-        assert err.count("\n") == (code != 0), (where, err)
-        assert not caught, (where, caught)
-        for name, data in files.items():
-            assert not re.search(rb"Infinity|NaN|\binf\b|\bnan\b", data), (where, name)
+        for where, doc in _extreme_docs(path, default, value):
+            code, _, err, files, caught = _outcome(command, doc)
+            assert code in (0, 1, 2), where
+            assert err.count("\n") == (code != 0), (where, err)
+            assert not caught, (where, caught)
+            for name, data in files.items():
+                assert not re.search(rb"Infinity|NaN|\binf\b|\bnan\b", data), (where, name)
 
 
 def test_runtime_dependencies_are_importable():

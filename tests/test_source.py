@@ -18,6 +18,16 @@ def test_shg_doubles_phases():
     assert shg_phases(train) == pytest.approx((0.0, 0.6, np.pi, 0.0))
 
 
+def test_shg_phases_of_extreme_pump_phases_stay_finite():
+    """Reducing before doubling keeps 2 phi mod 2 pi finite, and exact on [0, 2 pi)."""
+    inside = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 4)
+    train = ExcitationTrain(phases_rad=tuple(inside))
+    assert shg_phases(train) == tuple(float(np.mod(2.0 * p, 2.0 * np.pi)) for p in inside)
+    extreme = shg_phases(ExcitationTrain(phases_rad=(1e308, -1e308, 5e-324, -np.pi / 2)))
+    assert all(0.0 <= p < 2.0 * np.pi for p in extreme)
+    assert extreme[3] == pytest.approx(np.pi)
+
+
 def test_ideal_amplitudes(layout, grid):
     state = ideal_cluster_state(layout, grid)
     assert state.bin_steps == (0, 1, 3, 4)
