@@ -31,11 +31,10 @@ TERM_BASIS = {
 
 STABILIZER_THRESHOLD = 2.0 / 3.0
 CHSH_THRESHOLD = 1.0 / math.sqrt(2.0)
-#: Fewest distinct scan phases fit_interference accepts.
+#: Fewest scan phases fit_interference accepts.
 MIN_SCAN_PHASES = 8
-#: Fringe harmonic expected of the two-qubit fringes (each photon
-#: contributes one factor e^{i alpha}), and the harmonics fit_interference tries.
-FRINGE_HARMONIC = 2
+#: Harmonics fit_interference tries; the two-qubit fringes carry k = 2
+#: (each photon contributes one factor e^{i alpha}).
 FIT_HARMONICS = (1, 2)
 #: Histogram bins of the resampled witness values.
 WITNESS_HIST_BINS = 80
@@ -53,17 +52,13 @@ def term_signs(term: str) -> np.ndarray:
     """Eigenvalue product (+/-1) of a term for each of the 16 outcomes.
 
     Outcome bit 0 carries eigenvalue +1, bit 1 carries -1; identity
-    positions contribute +1 regardless of the outcome bit.
+    positions contribute +1 regardless of the outcome bit.  The first
+    qubit is the most significant bit, so the signs are the Kronecker
+    product of the per-qubit vectors [1, 1] (identity) and [1, -1].
     """
-    signs = np.ones(16)
-    for outcome in range(16):
-        s = 1.0
-        for pos, op in enumerate(term):
-            if op == "1":
-                continue
-            bit = (outcome >> (3 - pos)) & 1
-            s *= -1.0 if bit else 1.0
-        signs[outcome] = s
+    signs = np.ones(1)
+    for op in term:
+        signs = np.kron(signs, [1.0, 1.0] if op == "1" else [1.0, -1.0])
     return signs
 
 
@@ -226,8 +221,6 @@ def delta_method_stderr(raw_counts: dict[str, np.ndarray]) -> float:
 
 @dataclass(frozen=True)
 class InterferenceFit:
-    alphas: np.ndarray
-    rates: np.ndarray
     visibility: float
     phase_offset: float
     harmonic: int  # fitted k in A(1 + V cos(k alpha + phi0))
@@ -238,47 +231,44 @@ class InterferenceFit:
             raise ValueError("visibility outside [0, 1]")
 
 
-def fit_interference(alphas, rates) -> InterferenceFit:
+def scan_phases(n: int) -> np.ndarray:
+    """The uniform full-period fringe scan alpha_j = 2 pi j / n, j < n."""
+    return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+
+
+def fit_interference(rates) -> InterferenceFit:
     """Least-squares fit of a coincidence fringe A(1 + V cos(k a + phi0)).
 
-    The scan must span one period of the expected FRINGE_HARMONIC; the k
-    among FIT_HARMONICS with the smallest residual is fitted and reported
-    via `harmonic`.
+    rates[j] is the rate at scan_phases(n)[j].  On that scan 1, cos(k a) and
+    sin(k a) are orthogonal for every k in FIT_HARMONICS once n >=
+    MIN_SCAN_PHASES, so the least-squares coefficients are the Fourier sums
+    c0 = mean(r), c1 = (2/n) sum r cos(k a) and c2 = (2/n) sum r sin(k a).
+    The residual is sum r^2 - n c0^2 - (n/2)(c1^2 + c2^2), so the k that
+    captures the most power c1^2 + c2^2 fits best; it is reported via
+    `harmonic`.  Powers within rounding of each other (a flat scan) keep the
+    first k.
     """
-    alphas = np.asarray(alphas, dtype=float)
     rates = np.asarray(rates, dtype=float)
-    if alphas.shape != rates.shape or alphas.ndim != 1:
-        raise InsufficientScan("alphas and rates must be equal-length vectors")
-    if len(np.unique(np.round(alphas, 12))) < MIN_SCAN_PHASES:
-        raise InsufficientScan(f"need at least {MIN_SCAN_PHASES} distinct scan phases")
-    span = float(alphas.max() - alphas.min())
-    if span < 2.0 * math.pi / FRINGE_HARMONIC - 1e-9:
-        raise InsufficientScan("scan must span at least one fringe period")
-
-    def solve(k):
-        design = np.column_stack(
-            [np.ones_like(alphas), np.cos(k * alphas), np.sin(k * alphas)]
-        )
-        coef, *_ = np.linalg.lstsq(design, rates, rcond=None)
-        resid = float(np.sum((design @ coef - rates) ** 2))
-        return coef, resid
-
-    best_k, best_coef, best_resid = None, None, np.inf
-    for k in FIT_HARMONICS:
-        coef, resid = solve(k)
-        if best_coef is None or resid < best_resid * (1.0 - 1e-12) - 1e-30:
-            best_k, best_coef, best_resid = k, coef, resid
-    c0, c1, c2 = best_coef
+    if rates.ndim != 1 or len(rates) < MIN_SCAN_PHASES:
+        raise InsufficientScan(f"need a vector of at least {MIN_SCAN_PHASES} scan phases")
+    n = len(rates)
+    alphas = scan_phases(n)
+    c0 = float(rates.mean())
     if c0 <= 0:
         raise InsufficientScan("non-positive mean rate; cannot define visibility")
+    tie = 1e-24 * float(rates @ rates) / n
+    best_k, best_c, best_power = None, None, 0.0
+    for k in FIT_HARMONICS:
+        c = (2.0 / n) * (np.stack([np.cos(k * alphas), np.sin(k * alphas)]) @ rates)
+        power = float(c @ c)
+        if best_k is None or power > best_power + tie:
+            best_k, best_c, best_power = k, c, power
+    c1, c2 = best_c
     vis = min(float(np.hypot(c1, c2) / c0), 1.0)
-    phi0 = float(math.atan2(-c2, c1))
     return InterferenceFit(
-        alphas=alphas,
-        rates=rates,
         visibility=vis,
-        phase_offset=phi0,
-        harmonic=int(best_k),
+        phase_offset=float(math.atan2(-c2, c1)),
+        harmonic=best_k,
         chsh_pass=vis > CHSH_THRESHOLD,
     )
 

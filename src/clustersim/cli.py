@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, channel, detection, waveform
-from .cpm import BeamSplitterSetting, CpmSettings
+from .cpm import CpmSettings
 from .encoding import Level, LevelSpec, default_levels, layout_from_levels
 from .errors import ClusterSimError, ConfigError, OutOfRange
 from .modes import ModeGrid, state_to_json
@@ -462,47 +462,23 @@ def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     return 0
 
 
-#: Canonical two-qubit fringe projections: name, (signal, idler) splitter
-#: output ports on the rotated level, (signal, idler) bits on the other
-#: level, and the expected sign of the cos(2 alpha) term on the ideal
-#: cluster state (oracle-derived).
-FRINGE_PROJECTIONS = (
-    ("d", (0, 0), (0, 0), +1),
-    ("e", (0, 1), (1, 1), +1),
-    ("f", (0, 0), (1, 1), -1),
-    ("g", (0, 1), (0, 0), -1),
-)
-
-
 def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     state, levels, layout = _make_state(cfg)
     state, _ = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
-    outer = levels.levels[0].name
     n_points = int(cfg["analysis"]["fringe_points"])
-    alphas = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-    detector = _build(detection.DetectorModel, cfg, "detection")
-    base = _build(CpmSettings, cfg, "cpm")
-    penalty = cfg["detection"]["visibility_penalty"]
-    pairs = cfg["detection"]["pairs_per_setting"]
-    dark = detector.dark_coincidence_rate
-    rng = np.random.default_rng(int(cfg["seed"]))
-    rates = {name: [] for name, *_ in FRINGE_PROJECTIONS}
-    for alpha in alphas:
-        setting = BeamSplitterSetting("XY", outer, float(alpha))
-        probs = detection.joint_outcome_probabilities(
-            state, setting, setting, levels, base, layout, penalty
-        )
-        total = probs.sum()
-        mixed = (1.0 - dark) * probs + dark * total / probs.size
-        for name, ports, bits, _sign in FRINGE_PROJECTIONS:
-            bs = (ports[0] << 1) | bits[0]
-            bi = (ports[1] << 1) | bits[1]
-            mean = pairs * detector.efficiency * mixed[bs, bi]
-            value = mean if exact else float(rng.poisson(mean))
-            rates[name].append(value)
+    means = detection.fringe_means(
+        state, _build(detection.DetectorModel, cfg, "detection"),
+        cfg["detection"]["pairs_per_setting"], levels, n_points,
+        _build(CpmSettings, cfg, "cpm"), layout, cfg["detection"]["visibility_penalty"],
+    )
+    if exact:
+        rates = means
+    else:
+        rates = np.random.default_rng(int(cfg["seed"])).poisson(means).astype(float)
+    alphas = analysis.scan_phases(n_points)
     rows, fits = [], {}
-    for name, ports, bits, sign in FRINGE_PROJECTIONS:
-        fit = analysis.fit_interference(alphas, np.asarray(rates[name]))
+    for (name, _ports, _bits, sign), column in zip(detection.FRINGE_PROJECTIONS, rates.T):
+        fit = analysis.fit_interference(column)
         fitted_sign = 1 if abs(fit.phase_offset) < math.pi / 2 else -1
         fits[name] = {
             "visibility": fit.visibility,
@@ -512,7 +488,7 @@ def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
             "expected_sign": sign,
             "sign_match": fitted_sign == sign,
         }
-        rows += [(name, a, r) for a, r in zip(alphas, rates[name])]
+        rows += [(name, a, r) for a, r in zip(alphas, column)]
     write_csv(outdir / "fringe.csv", ["projection", "alpha_rad", "rate"], rows, stamp)
     write_json(outdir / "fringe.json", {"fits": fits}, stamp)
     for name, f in fits.items():

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import scan_phases
 from .cpm import BeamSplitterSetting, CpmSettings, measurement_map
-from .encoding import BinLayout, LevelSpec, bin_to_bits, default_levels, layout_from_levels
+from .encoding import BinLayout, LevelSpec, default_levels, layout_from_levels
 from .errors import MissingBasis, UnsupportedLevels
 from .modes import JointTwoPhotonState, clean
 
@@ -209,6 +210,17 @@ def jitter_transition_matrix(
     return k
 
 
+def _detected_means(probs: np.ndarray, detector: DetectorModel, pairs: int) -> np.ndarray:
+    """Mean counts of `pairs` pairs detected with probabilities probs.
+
+    Background coincidences are folded in as a uniform fraction
+    dark_coincidence_rate of the detected total.
+    """
+    d = detector.dark_coincidence_rate
+    mixed = (1.0 - d) * probs + d * probs.sum() / probs.size
+    return pairs * detector.efficiency * mixed
+
+
 def expected_counts(
     state: JointTwoPhotonState,
     pairing: PairingRecord,
@@ -221,8 +233,8 @@ def expected_counts(
 ) -> tuple[np.ndarray, float]:
     """Mean coincidence counts per (signal bin, idler bin) and ancillary mean.
 
-    Background coincidences are folded in as a uniform fraction
-    dark_coincidence_rate of the detected total.
+    The joint probabilities are smeared by the detector jitter windows,
+    then mixed with background (see _detected_means).
     """
     layout = layout or layout_from_levels(levels)
     probs = joint_outcome_probabilities(
@@ -236,12 +248,54 @@ def expected_counts(
         detector.photon_sigma_ps(IDLER), layout, detector.coincidence_window_ps
     )
     smeared = ks.T @ probs @ ki
-    scale = pairs_per_setting * detector.efficiency
-    total = smeared.sum()
-    d = detector.dark_coincidence_rate
-    mean = scale * ((1.0 - d) * smeared + d * total / smeared.size)
-    ancillary = scale * max(state.norm_tracking - total, 0.0)
+    mean = _detected_means(smeared, detector, pairs_per_setting)
+    ancillary = pairs_per_setting * detector.efficiency * max(
+        state.norm_tracking - smeared.sum(), 0.0
+    )
     return mean, ancillary
+
+
+#: Canonical two-qubit fringe projections: name, (signal, idler) splitter
+#: output ports on the rotated level, (signal, idler) bits on the other
+#: level, and the expected sign of the cos(2 alpha) term on the ideal
+#: cluster state (oracle-derived).
+FRINGE_PROJECTIONS = (
+    ("d", (0, 0), (0, 0), +1),
+    ("e", (0, 1), (1, 1), +1),
+    ("f", (0, 0), (1, 1), -1),
+    ("g", (0, 1), (0, 0), -1),
+)
+
+
+def fringe_means(
+    state: JointTwoPhotonState,
+    detector: DetectorModel,
+    pairs_per_setting: int,
+    levels: LevelSpec,
+    n_points: int,
+    base: CpmSettings | None = None,
+    layout: BinLayout | None = None,
+    visibility_penalty: dict[str, float] | None = None,
+) -> np.ndarray:
+    """(n_points, 4) mean counts of FRINGE_PROJECTIONS over a fringe scan.
+
+    Both photons' outer level is read by an XY splitter at each phase of
+    analysis.scan_phases(n_points).  The joint probabilities are mixed with
+    background as in expected_counts, but no jitter window is applied.
+    """
+    layout = layout or layout_from_levels(levels)
+    outer = levels.levels[0].name
+    signal_bins = [(ports[0] << 1) | bits[0] for _, ports, bits, _ in FRINGE_PROJECTIONS]
+    idler_bins = [(ports[1] << 1) | bits[1] for _, ports, bits, _ in FRINGE_PROJECTIONS]
+    means = np.empty((n_points, len(FRINGE_PROJECTIONS)))
+    for j, alpha in enumerate(scan_phases(n_points)):
+        setting = BeamSplitterSetting("XY", outer, float(alpha))
+        probs = joint_outcome_probabilities(
+            state, setting, setting, levels, base, layout, visibility_penalty
+        )
+        mean = _detected_means(probs, detector, pairs_per_setting)
+        means[j] = mean[signal_bins, idler_bins]
+    return means
 
 
 def sample_coincidences(
@@ -304,48 +358,32 @@ def _basis_of_pairing(
     return "XXZZ" if signal_setting.level == outer else "ZZXX"
 
 
-def _outcome_index(
-    bs: int, bi: int, basis: str, layout: BinLayout
-) -> int:
-    """Outcome bit string (T_s, T_i, t_s, t_i) from the measured bin pair.
-
-    Z-read levels report the branch bit directly; X-read levels report
-    the splitter output port, whose "+1" port is the opposite bin (the
-    J0 path keeps the bin, so a photon surfacing in its partner bin took
-    the interference path).  The convention is pinned by requiring all
-    six stabilizer expectations to be +1 on the ideal state.
-    """
-    s_bits = bin_to_bits(layout, bs)
-    i_bits = bin_to_bits(layout, bi)
-    # qubit order (T_s, T_i, t_s, t_i) = (outer_s, outer_i, inner_s, inner_i)
-    raw = (s_bits[0], i_bits[0], s_bits[1], i_bits[1])
-    measured_x = (basis[0] == "X", basis[1] == "X", basis[2] == "X", basis[3] == "X")
-    bits = tuple(1 - b if x else b for b, x in zip(raw, measured_x))
-    return bits[0] << 3 | bits[1] << 2 | bits[2] << 1 | bits[3]
-
-
 def raw_basis_counts(
     histograms: list[JointTemporalIntensity],
     levels: LevelSpec | None = None,
 ) -> dict[str, np.ndarray]:
     """Raw (unnormalized) 16-outcome counts for each witness basis.
 
-    Bin pairs are folded to outcome indices via the stabilizer outcome
-    convention; no efficiency correction or normalization is applied, so
-    these are the counts to feed into Poisson resampling.
+    A histogram cell (signal bin, idler bin) carries the bits
+    (T_s, t_s, T_i, t_i), and its outcome index reads (T_s, T_i, t_s, t_i),
+    so the fold is a fixed permutation of the 16 cells: swap the middle two
+    bits, then flip the bits of the X-read qubits.  Z-read levels report the
+    branch bit directly; X-read levels report the splitter output port,
+    whose "+1" port is the opposite bin (the J0 path keeps the bin, so a
+    photon surfacing in its partner bin took the interference path).  The
+    convention is pinned by requiring all six stabilizer expectations to be
+    +1 on the ideal state.  No efficiency correction or normalization is
+    applied, so these are the counts to feed into Poisson resampling.
     """
     levels = levels or default_levels()
-    layout = layout_from_levels(levels)
     out: dict[str, np.ndarray] = {}
     for h in histograms:
         basis = _basis_of_pairing(h.signal_setting, h.idler_setting, levels)
         if basis is None or basis in out:
             continue
-        values = np.zeros(16)
-        for bs in range(layout.count):
-            for bi in range(layout.count):
-                values[_outcome_index(bs, bi, basis, layout)] += h.counts[bs, bi]
-        out[basis] = values
+        bits = h.counts.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+        x_read = tuple(k for k, op in enumerate(basis) if op == "X")
+        out[basis] = np.flip(bits, axis=x_read).ravel()
     missing = [b for b in WITNESS_BASES if b not in out]
     if missing:
         raise MissingBasis(f"histograms lack bases {missing}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompatibleShift, OutOfRange
+from .errors import IncompatibleShift
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,3 @@ def layout_from_levels(spec: LevelSpec) -> BinLayout:
         for b in range(1 << spec.count)
     ))
 
-
-def bin_to_bits(layout: BinLayout, bin_index: int) -> tuple[int, ...]:
-    """Branch bits taken at each tree level, outermost level first."""
-    if not 0 <= bin_index < layout.count:
-        raise OutOfRange(f"bin {bin_index} outside 0..{layout.count - 1}")
-    top = layout.level_count - 1
-    return tuple((bin_index >> (top - k)) & 1 for k in range(layout.level_count))

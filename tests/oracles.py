@@ -8,8 +8,14 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
   `visibility_fft_chain`, the reference of `waveform.visibility_bound`.
 - The scalar Bessel entry point `bessel_j` and the splitter efficiency,
   the references of `bessel.bessel_row` and of the matrices' column norms.
-- Bin-index helpers for deeper trees: `bits_to_bin`, `extend_levels` and
-  `uniform_shift_offsets`.
+- Bin-index helpers: `bin_to_bits` and `bits_to_bin`, and for deeper trees
+  `extend_levels` and `uniform_shift_offsets`.
+- `outcome_index` and `loop_basis_counts`, the per-cell loop that folds a
+  bin-pair histogram into a basis's 16 outcome counts, the reference of
+  `detection.raw_basis_counts`; `loop_term_signs`, the per-outcome loop of
+  a term's eigenvalue signs, the reference of `analysis.term_signs`.
+- `lstsq_fringe_fit`, the least-squares fringe fit on any scan phases, the
+  reference of the Fourier sums in `analysis.fit_interference`.
 - `CpmOperatorSettings`, which adds the RF tone, modulation depth, RF
   phase and truncation order that the faithful scattering operator of
   ``sparse_oracle.cpm_mode_map`` needs.
@@ -27,11 +33,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from clustersim.analysis import STABILIZER_TERMS, TERM_BASIS, outcome_classes, term_signs
+from clustersim.analysis import (
+    FIT_HARMONICS,
+    STABILIZER_TERMS,
+    TERM_BASIS,
+    outcome_classes,
+    term_signs,
+)
 from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.cpm import CpmSettings, chirp_beta2_s2
 from clustersim.encoding import BinLayout, Level, LevelSpec, layout_from_levels
-from clustersim.errors import ClusterSimError, IncompatibleShift
+from clustersim.errors import ClusterSimError, IncompatibleShift, OutOfRange
 from clustersim.modes import ModeGrid
 from clustersim.waveform import _gaussian, rf_for_spacing
 
@@ -137,6 +149,68 @@ def broadcast_class_total_samples(raw_counts: dict[str, np.ndarray], samples: in
 
 
 # ----------------------------------------------------------------------
+# outcome fold, term signs and fringe fit
+
+def outcome_index(bs: int, bi: int, basis: str, layout: BinLayout) -> int:
+    """Outcome bit string (T_s, T_i, t_s, t_i) from the measured bin pair.
+
+    Z-read levels report the branch bit directly; X-read levels report the
+    splitter output port, whose "+1" port is the opposite bin.
+    """
+    s_bits = bin_to_bits(layout, bs)
+    i_bits = bin_to_bits(layout, bi)
+    # qubit order (T_s, T_i, t_s, t_i) = (outer_s, outer_i, inner_s, inner_i)
+    raw = (s_bits[0], i_bits[0], s_bits[1], i_bits[1])
+    bits = tuple(1 - b if op == "X" else b for b, op in zip(raw, basis))
+    return bits[0] << 3 | bits[1] << 2 | bits[2] << 1 | bits[3]
+
+
+def loop_basis_counts(counts: np.ndarray, basis: str, layout: BinLayout) -> np.ndarray:
+    """16 outcome counts of a basis, added up cell by cell of the bin-pair histogram."""
+    values = np.zeros(16)
+    for bs in range(layout.count):
+        for bi in range(layout.count):
+            values[outcome_index(bs, bi, basis, layout)] += counts[bs, bi]
+    return values
+
+
+def loop_term_signs(term: str) -> np.ndarray:
+    """Eigenvalue product (+/-1) of a term for each of the 16 outcomes, outcome by outcome."""
+    signs = np.ones(16)
+    for outcome in range(16):
+        s = 1.0
+        for pos, op in enumerate(term):
+            if op == "1":
+                continue
+            bit = (outcome >> (3 - pos)) & 1
+            s *= -1.0 if bit else 1.0
+        signs[outcome] = s
+    return signs
+
+
+def lstsq_fringe_fit(alphas, rates) -> tuple[float, float, int]:
+    """(visibility, phase offset, harmonic) of A(1 + V cos(k a + phi0)) by least squares.
+
+    Each k in FIT_HARMONICS is fitted with the (1, cos k a, sin k a) design;
+    a later k replaces an earlier one only if its residual is smaller by
+    more than rounding.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    best_k, best_coef, best_resid = None, None, np.inf
+    for k in FIT_HARMONICS:
+        design = np.column_stack(
+            [np.ones_like(alphas), np.cos(k * alphas), np.sin(k * alphas)]
+        )
+        coef, *_ = np.linalg.lstsq(design, rates, rcond=None)
+        resid = float(np.sum((design @ coef - rates) ** 2))
+        if best_coef is None or resid < best_resid * (1.0 - 1e-12) - 1e-30:
+            best_k, best_coef, best_resid = k, coef, resid
+    c0, c1, c2 = best_coef
+    return min(float(np.hypot(c1, c2) / c0), 1.0), float(math.atan2(-c2, c1)), best_k
+
+
+# ----------------------------------------------------------------------
 # Bessel functions
 
 def bessel_j(m: int, g: float) -> float:
@@ -165,6 +239,14 @@ def efficiency(g: float) -> float:
 
 # ----------------------------------------------------------------------
 # bin-index helpers
+
+def bin_to_bits(layout: BinLayout, bin_index: int) -> tuple[int, ...]:
+    """Branch bits taken at each tree level, outermost level first."""
+    if not 0 <= bin_index < layout.count:
+        raise OutOfRange(f"bin {bin_index} outside 0..{layout.count - 1}")
+    top = layout.level_count - 1
+    return tuple((bin_index >> (top - k)) & 1 for k in range(layout.level_count))
+
 
 def bits_to_bin(layout: BinLayout, bits) -> int:
     bits = tuple(bits)

@@ -20,11 +20,11 @@ import numpy as np
 from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.detection import IDLER, SIGNAL, _penalty_branches
-from clustersim.encoding import BinLayout, LevelSpec, bin_to_bits, layout_from_levels
+from clustersim.encoding import BinLayout, LevelSpec, layout_from_levels
 from clustersim.errors import ClusterSimError, GridMismatch, LayoutMismatch, UnknownLevel
 from clustersim.modes import SPARSITY_THRESHOLD, ModeGrid
 from clustersim.source import ExcitationTrain, shg_phases
-from oracles import CpmOperatorSettings, efficiency
+from oracles import CpmOperatorSettings, bin_to_bits, efficiency
 
 
 class ZeroState(ClusterSimError):

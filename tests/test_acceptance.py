@@ -17,7 +17,7 @@ import scipy.special
 import oracles
 from clustersim import analysis, channel, cpm, detection, waveform
 from clustersim.bessel import solve_balanced_depth
-from clustersim.cli import FRINGE_PROJECTIONS, main
+from clustersim.cli import main
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.encoding import default_levels, layout_from_levels
 from clustersim.modes import ModeGrid
@@ -244,22 +244,12 @@ def _fringe_fits(detector, penalty):
     levels = default_levels()
     layout = layout_from_levels(levels)
     state = ideal_cluster_state(layout, ModeGrid())
-    outer = levels.levels[0].name
-    alphas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
-    dark = detector.dark_coincidence_rate
-    rates = {name: [] for name, *_ in FRINGE_PROJECTIONS}
-    for alpha in alphas:
-        setting = BeamSplitterSetting("XY", outer, float(alpha))
-        probs = detection.joint_outcome_probabilities(
-            state, setting, setting, levels, CpmSettings(), layout, penalty
-        )
-        mixed = (1.0 - dark) * probs + dark * probs.sum() / probs.size
-        for name, ports, bits, _sign in FRINGE_PROJECTIONS:
-            rates[name].append(mixed[(ports[0] << 1) | bits[0],
-                                     (ports[1] << 1) | bits[1]])
+    means = detection.fringe_means(
+        state, detector, 1, levels, 24, CpmSettings(), layout, penalty
+    )
     fits = {}
-    for name, ports, bits, sign in FRINGE_PROJECTIONS:
-        fit = analysis.fit_interference(alphas, np.asarray(rates[name]))
+    for (name, _ports, _bits, sign), column in zip(detection.FRINGE_PROJECTIONS, means.T):
+        fit = analysis.fit_interference(column)
         fitted_sign = 1 if abs(fit.phase_offset) < math.pi / 2 else -1
         fits[name] = (fit, fitted_sign == sign)
     return fits

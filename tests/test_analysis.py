@@ -1,5 +1,8 @@
 """Witness algebra, resampling errors, fringe fits and capacity."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from clustersim.analysis import (
     multiplex_budget,
     outcome_classes,
     resample_witness,
+    scan_phases,
     stabilizer_expectation,
     term_signs,
     witness,
@@ -24,6 +28,8 @@ from clustersim.detection import WITNESS_BASES
 from clustersim.errors import InsufficientScan, MissingBasis
 from oracles import (
     broadcast_class_total_samples,
+    loop_term_signs,
+    lstsq_fringe_fit,
     raw_count_witness_samples,
     signs_and_bases,
     witness_from_class_totals,
@@ -102,6 +108,13 @@ def test_term_signs_structure():
     zzzz = term_signs("ZZZZ")
     for outcome in range(16):
         assert zzzz[outcome] == (-1.0) ** bin(outcome).count("1")
+
+
+def test_term_signs_match_loop_oracle():
+    terms = ["".join(ops) for ops in itertools.product("1ZX", repeat=4)]
+    assert len(terms) == 81
+    for term in terms:
+        np.testing.assert_array_equal(term_signs(term), loop_term_signs(term))
 
 
 @given(
@@ -321,9 +334,8 @@ def test_delta_method_empty_basis_contributes_zero():
 
 
 def test_fit_exact_fringe():
-    alphas = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
-    rates = 5.0 * (1.0 + 0.8 * np.cos(2 * alphas + 0.6))
-    fit = fit_interference(alphas, rates)
+    rates = 5.0 * (1.0 + 0.8 * np.cos(2 * scan_phases(24) + 0.6))
+    fit = fit_interference(rates)
     assert fit.visibility == pytest.approx(0.8, abs=1e-9)
     assert fit.phase_offset == pytest.approx(0.6, abs=1e-9)
     assert fit.harmonic == 2
@@ -331,29 +343,71 @@ def test_fit_exact_fringe():
 
 
 def test_fit_below_chsh_threshold():
-    alphas = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
-    rates = 5.0 * (1.0 + 0.5 * np.cos(2 * alphas))
-    fit = fit_interference(alphas, rates)
+    rates = 5.0 * (1.0 + 0.5 * np.cos(2 * scan_phases(24)))
+    fit = fit_interference(rates)
     assert fit.visibility == pytest.approx(0.5, abs=1e-9)
     assert not fit.chsh_pass
     assert CHSH_THRESHOLD == pytest.approx(1.0 / np.sqrt(2.0))
 
 
 def test_fit_selects_fundamental_when_present():
-    alphas = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
-    rates = 5.0 * (1.0 + 0.8 * np.cos(alphas))
-    fit = fit_interference(alphas, rates)
+    rates = 5.0 * (1.0 + 0.8 * np.cos(scan_phases(24)))
+    fit = fit_interference(rates)
     assert fit.harmonic == 1
     assert fit.visibility == pytest.approx(0.8, abs=1e-9)
 
 
+def _fringe_rates(kind, n, rng):
+    alphas = scan_phases(n)
+    a, b = rng.uniform(0.05, 0.45, 2)
+    p1, p2 = rng.uniform(-math.pi, math.pi, 2)
+    if kind == "k1":
+        shape = a * np.cos(alphas + p1)
+    elif kind == "k2":
+        shape = a * np.cos(2 * alphas + p2)
+    elif kind == "mixed":
+        shape = a * np.cos(alphas + p1) + b * np.cos(2 * alphas + p2)
+    else:  # random rates
+        shape = rng.uniform(-0.9, 0.9, n)
+    return rng.uniform(1.0, 1000.0) * (1.0 + shape)
+
+
+@pytest.mark.parametrize("kind", ["k1", "k2", "mixed", "random"])
+@pytest.mark.parametrize("n", [8, 9, 12, 24, 1000])
+def test_fit_matches_lstsq_oracle(n, kind):
+    rng = np.random.default_rng([n, len(kind)])
+    harmonics = set()
+    for _ in range(20):
+        rates = _fringe_rates(kind, n, rng)
+        fit = fit_interference(rates)
+        vis, phase, harmonic = lstsq_fringe_fit(scan_phases(n), rates)
+        assert fit.harmonic == harmonic
+        assert abs(fit.visibility - vis) <= 1e-12
+        assert abs(math.remainder(fit.phase_offset - phase, 2 * math.pi)) <= 1e-12
+        harmonics.add(fit.harmonic)
+    if kind in ("k1", "k2"):
+        assert harmonics == {int(kind[1])}
+    if kind == "mixed":
+        assert harmonics == {1, 2}
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 24, 1000])
+def test_fit_flat_rates_keep_fundamental(n):
+    for level in (1e-3, 3.7, 1e12):
+        fit = fit_interference(np.full(n, level))
+        assert fit.harmonic == 1
+        assert fit.visibility <= 1e-12
+
+
 def test_fit_insufficient_scan():
     with pytest.raises(InsufficientScan):
-        fit_interference(np.linspace(0, 1, 4), np.ones(4))
+        fit_interference(np.ones(4))
     with pytest.raises(InsufficientScan):
-        fit_interference(np.linspace(0, 0.5, 20), np.ones(20))
+        fit_interference(np.ones(7))
     with pytest.raises(InsufficientScan):
-        fit_interference(np.linspace(0, 7, 20), np.ones((2, 10)).ravel()[:19])
+        fit_interference(np.zeros(24))
+    with pytest.raises(InsufficientScan):
+        fit_interference(np.ones((2, 12)))
 
 
 def test_capacity_published_operating_point():

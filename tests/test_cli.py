@@ -10,11 +10,14 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustersim import channel, cli, detection
 from clustersim.cli import DEFAULT_CONFIG, config_hash, load_config, main
+from clustersim.cpm import CpmSettings
 
 FAST_OVERRIDES = {
     "waveform": {"dispersions_ns_per_nm": [2.0, 10.0]},
@@ -147,6 +150,29 @@ def test_exact_fringe_full_visibility(tmp_path):
         assert f["visibility"] == pytest.approx(1.0, abs=1e-6)
         assert f["harmonic"] == 2
         assert f["chsh_pass"] and f["sign_match"]
+
+
+def test_fringe_draws_cells_phase_by_phase(tmp_path):
+    """fringe.csv rates replay as one Poisson draw per cell, phase-major."""
+    outdir = tmp_path / "f"
+    assert _run(["fringe", "--seed", "3", "--out", str(outdir)]) == 0
+    cfg = load_config(None, None, 3, str(outdir))
+    state, levels, layout = cli._make_state(cfg)
+    state, _ = channel.transmit(state, cli._build(channel.FiberLink, cfg, "channel"))
+    means = detection.fringe_means(
+        state, cli._build(detection.DetectorModel, cfg, "detection"),
+        cfg["detection"]["pairs_per_setting"], levels, cfg["analysis"]["fringe_points"],
+        cli._build(CpmSettings, cfg, "cpm"), layout, cfg["detection"]["visibility_penalty"],
+    )
+    rng = np.random.default_rng(3)
+    replayed = [[float(rng.poisson(mean)) for mean in row] for row in means]
+    rates = {}
+    for line in (outdir / "fringe.csv").read_text().splitlines()[2:]:
+        name, _alpha, rate = line.split(",")
+        rates.setdefault(name, []).append(float(rate))
+    assert list(rates) == [name for name, *_ in detection.FRINGE_PROJECTIONS]
+    for j, name in enumerate(rates):
+        assert rates[name] == [row[j] for row in replayed]
 
 
 def test_preset_applies_noise(tmp_path):

@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+from clustersim.analysis import scan_phases
+from clustersim.cpm import BeamSplitterSetting
 from clustersim.detection import (
+    FRINGE_PROJECTIONS,
     DetectorModel,
+    JointTemporalIntensity,
     WITNESS_BASES,
+    _basis_of_pairing,
     build_default_schedule,
     expected_counts,
     extract_projections,
+    fringe_means,
     jitter_transition_matrix,
     joint_outcome_probabilities,
     raw_basis_counts,
@@ -17,7 +23,7 @@ from clustersim.detection import (
 from clustersim.encoding import Level
 from clustersim.errors import MissingBasis, UnsupportedLevels
 from clustersim.modes import ModeGrid
-from oracles import extend_levels
+from oracles import extend_levels, loop_basis_counts
 
 
 def test_schedule_structure(schedule, levels):
@@ -177,6 +183,42 @@ def test_raw_counts_conserve_totals(cluster, schedule, noiseless_detector):
         kinds = (h.signal_setting.kind, h.idler_setting.kind)
         if kinds == ("Z", "Z"):
             assert raw["ZZZZ"].sum() == h.counts.sum()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_outcome_fold_matches_loop_oracle(schedule, levels, layout, seed):
+    rng = np.random.default_rng(seed)
+    hists = [
+        JointTemporalIntensity(
+            p.name, p.signal_setting, p.idler_setting, rng.uniform(0.0, 1e3, (4, 4))
+        )
+        for p in schedule.pairing
+    ]
+    raw = raw_basis_counts(hists, levels)
+    folded = {}
+    for h in hists:
+        basis = _basis_of_pairing(h.signal_setting, h.idler_setting, levels)
+        if basis is not None:
+            folded[basis] = loop_basis_counts(h.counts, basis, layout)
+    assert sorted(folded) == sorted(WITNESS_BASES)
+    for basis in WITNESS_BASES:
+        np.testing.assert_array_equal(raw[basis], folded[basis])
+
+
+def test_fringe_means_match_per_phase_mixing(cluster, levels, layout):
+    detector = DetectorModel(dark_coincidence_rate=0.0667, efficiency=0.8)
+    penalty = {"T": 0.95, "t": 0.99}
+    means = fringe_means(cluster, detector, 1000, levels, 12, None, layout, penalty)
+    assert means.shape == (12, len(FRINGE_PROJECTIONS))
+    for row, alpha in zip(means, scan_phases(12)):
+        setting = BeamSplitterSetting("XY", levels.levels[0].name, float(alpha))
+        probs = joint_outcome_probabilities(
+            cluster, setting, setting, levels, None, layout, penalty
+        )
+        mixed = (1.0 - 0.0667) * probs + 0.0667 * probs.sum() / 16
+        for value, (_name, ports, bits, _sign) in zip(row, FRINGE_PROJECTIONS):
+            cell = mixed[2 * ports[0] + bits[0], 2 * ports[1] + bits[1]]
+            assert value == pytest.approx(1000 * 0.8 * cell, rel=1e-14)
 
 
 def test_missing_basis_detected(cluster, schedule, noiseless_detector):

@@ -8,13 +8,12 @@ from clustersim.encoding import (
     BinLayout,
     Level,
     LevelSpec,
-    bin_to_bits,
     default_levels,
     layout_from_levels,
 )
 from clustersim.errors import IncompatibleShift, OutOfRange
 from clustersim.modes import ModeGrid
-from oracles import LengthMismatch, bits_to_bin, extend_levels, uniform_shift_offsets
+from oracles import LengthMismatch, bin_to_bits, bits_to_bin, extend_levels, uniform_shift_offsets
 
 
 def test_default_layout_positions():
