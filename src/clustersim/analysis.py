@@ -84,10 +84,8 @@ class WitnessReport:
         return self.witness < 0.0
 
 
-def witness(
-    projections: dict[str, np.ndarray], stderr: float | None = None
-) -> WitnessReport:
-    """Witness report from the 48 normalized projections."""
+def witness(projections: dict[str, np.ndarray], stderr: float | None) -> WitnessReport:
+    """Witness report from the 48 normalized projections; stderr is None in exact mode."""
     exps = tuple(stabilizer_expectation(t, projections) for t in STABILIZER_TERMS)
     w = 2.0 - 0.5 * sum(exps)
     return WitnessReport(
@@ -184,9 +182,7 @@ def resample_witness(
 
 
 def monte_carlo_error(
-    raw_counts: dict[str, np.ndarray],
-    samples: int = 10**6,
-    seed: int = 0,
+    raw_counts: dict[str, np.ndarray], samples: int, seed: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Poisson-resampling standard error of the witness.
 

@@ -79,24 +79,23 @@ class ThermalModel:
 
 @dataclass(frozen=True)
 class DriftTrace:
-    """Sampled time-of-flight offset trace."""
+    """Time-of-flight offsets sampled every step_s seconds from t = 0."""
 
-    times_s: np.ndarray
+    step_s: float
     offsets_ps: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times_s, dtype=float)
+        if not self.step_s > 0:
+            raise ValueError("step must be positive")
         o = np.asarray(self.offsets_ps, dtype=float)
-        if t.shape != o.shape or t.ndim != 1:
-            raise ValueError("times and offsets must be 1-d and equal length")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times_s", t)
+        if o.ndim != 1:
+            raise ValueError("offsets must be 1-d")
+        object.__setattr__(self, "step_s", float(self.step_s))
         object.__setattr__(self, "offsets_ps", o)
 
     @property
-    def duration_s(self) -> float:
-        return float(self.times_s[-1] - self.times_s[0])
+    def times_s(self) -> np.ndarray:
+        return self.step_s * np.arange(len(self.offsets_ps))
 
     def rms_ps(self) -> float:
         return float(np.sqrt(np.mean(self.offsets_ps**2)))
@@ -125,26 +124,19 @@ class StabilizerPolicy:
             raise ValueError(f"estimator noise must be at most {MAX_OFFSET_PS:g} ps")
 
 
-def transmit(
-    state: JointTwoPhotonState,
-    link: FiberLink,
-    drift: DriftTrace | None = None,
-    time_s: float = 0.0,
-) -> tuple[JointTwoPhotonState, float]:
-    """Attenuate the state through the link; returns (state, arrival offset).
+def transmit(state: JointTwoPhotonState, link: FiberLink) -> JointTwoPhotonState:
+    """Attenuate the state through the link's loss.
 
     Loss scales every amplitude by the same factor, so norm_tracking drops
     to retained_fraction while all relative structure survives (dispersion
-    is assumed compensated).  The arrival offset is read from the drift
-    trace at the transmission time, 0 without a trace.
+    is assumed compensated).  Timing drift is not applied here; the
+    arrival offset is read from the link's DriftTrace (offset_at).
     """
-    out = replace(
+    return replace(
         state,
         amplitudes=state.amplitudes * np.sqrt(link.retained_fraction),
         norm_tracking=state.norm_tracking * link.retained_fraction,
     )
-    offset = drift.offset_at(time_s) if drift is not None else 0.0
-    return out, offset
 
 
 def bin_assignment_corrupted(offset_ps: float, layout: BinLayout) -> bool:
@@ -180,8 +172,8 @@ MAX_TRACE_SAMPLES = 10**6
 def simulate_drift(
     link: FiberLink,
     duration_s: float,
-    model: ThermalModel = ThermalModel(),
-    seed: int = 0,
+    model: ThermalModel,
+    seed: int,
 ) -> DriftTrace:
     """Thermal time-of-flight drift trace, reproducible by seed.
 
@@ -194,9 +186,8 @@ def simulate_drift(
             f"duration must be positive and span at most {MAX_TRACE_SAMPLES} samples"
         )
     n = int(n)
-    times = model.step_s * np.arange(n)
     if model.sigma_k == 0.0:
-        return DriftTrace(times, np.zeros(n))
+        return DriftTrace(model.step_s, np.zeros(n))
     rng = np.random.default_rng(seed)
     normals = rng.standard_normal(n)
     decay = np.exp(-model.step_s / model.correlation_s)
@@ -213,11 +204,11 @@ def simulate_drift(
     peak_ps = np.max(np.abs(offsets))
     if not peak_ps <= MAX_OFFSET_PS:
         raise OutOfRange(f"drift offsets reach {peak_ps:g} ps, above {MAX_OFFSET_PS:g} ps")
-    return DriftTrace(times, offsets)
+    return DriftTrace(model.step_s, offsets)
 
 
 def stabilize(
-    trace: DriftTrace, policy: StabilizerPolicy, seed: int = 0
+    trace: DriftTrace, policy: StabilizerPolicy, seed: int
 ) -> tuple[DriftTrace, float]:
     """Apply the periodic correction loop; returns (residual trace, RMS).
 
@@ -225,12 +216,11 @@ def stabilize(
     current residual (true residual plus estimator noise, quantized to
     the actuator resolution).
     """
-    n = len(trace.times_s)
+    n = len(trace.offsets_ps)
     if n < 2:
-        # a single sample has no step and no correction epoch
+        # a single sample has no correction epoch
         return trace, trace.rms_ps()
-    step = float(np.median(np.diff(trace.times_s)))
-    period_steps = int(round(policy.correction_interval_s / step))
+    period_steps = int(round(policy.correction_interval_s / trace.step_s))
     if period_steps < 1:
         raise OutOfRange("correction interval shorter than the trace step")
     if period_steps >= n:

@@ -368,9 +368,8 @@ def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     state, levels, layout = _make_state(cfg)
     link = _build(channel.FiberLink, cfg, "channel")
     trace = _drift(cfg, link)
-    out, offset = channel.transmit(
-        state, link, trace, cfg["channel"]["readout_time_s"]
-    )
+    out = channel.transmit(state, link)
+    offset = trace.offset_at(cfg["channel"]["readout_time_s"])
     corrupted = channel.bin_assignment_corrupted(offset, layout)
     write_json(outdir / "state.json",
                {"state": json.loads(state_to_json(out))}, stamp)
@@ -386,8 +385,8 @@ def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 
 def _sampled_histograms(cfg, exact: bool):
-    state, levels, layout = _make_state(cfg)
-    state, _ = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
+    state, levels, _ = _make_state(cfg)
+    state = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
     hists = detection.sample_coincidences(
         state, detection.build_default_schedule(levels),
         _build(detection.DetectorModel, cfg, "detection"),
@@ -463,13 +462,13 @@ def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 
 def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
-    state, levels, layout = _make_state(cfg)
-    state, _ = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
+    state, levels, _ = _make_state(cfg)
+    state = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
     n_points = int(cfg["analysis"]["fringe_points"])
     means = detection.fringe_means(
         state, _build(detection.DetectorModel, cfg, "detection"),
         cfg["detection"]["pairs_per_setting"], levels, n_points,
-        _build(CpmSettings, cfg, "cpm"), layout, cfg["detection"]["visibility_penalty"],
+        _build(CpmSettings, cfg, "cpm"), cfg["detection"]["visibility_penalty"],
     )
     if exact:
         rates = means

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_row, solve_balanced_depth
-from .encoding import BinLayout, LevelSpec, layout_from_levels
-from .errors import GridMismatch, UnknownLevel
+from .encoding import LevelSpec
+from .errors import GridMismatch
 from .modes import ModeGrid
 
 C_M_PER_S = 299792458.0
@@ -99,11 +99,11 @@ def measurement_map(
     levels: LevelSpec,
     base: CpmSettings,
     grid: ModeGrid,
-    layout: BinLayout | None = None,
-    alpha_offset: float = 0.0,
+    alpha_offset: float,
 ) -> np.ndarray:
     """Single-photon measurement matrix A[out bin, in bin] for one setting.
 
+    The matrix spans the 2**levels.count bins of the canonical layout.
     Z is the identity.  X/XY act as the ideal pairwise splitter derived
     from the CPM operator truncated to the orders that connect a bin to
     its partner on the measured level:
@@ -114,17 +114,16 @@ def measurement_map(
     (order m = -1 carries J_{-1} = -J1 and the conjugate phase, per the
     scattering operator's e^{-i m alpha} convention).  The remaining
     1 - eta(g*) of the probability scatters to ancillary orders and is
-    dropped, so each column has norm eta(g*).  alpha_offset is used by the
-    detection stage to build dephased variants.
+    dropped, so each column has norm eta(g*).  alpha_offset shifts the RF
+    phase; the detection stage uses it to build dephased variants.  A level
+    absent from levels raises UnknownLevel.
     """
-    layout = layout or layout_from_levels(levels)
+    count = 1 << levels.count
     if setting.kind == "Z":
-        return np.eye(layout.count, dtype=complex)
+        return np.eye(count, dtype=complex)
 
-    if setting.level not in [lv.name for lv in levels.levels]:
-        raise UnknownLevel(setting.level)
     level_idx = levels.index_of(setting.level)
-    level = levels.level(setting.level)
+    level = levels.levels[level_idx]
     copy_ps = base.time_steps(grid, level.rf_frequency_ghz) * grid.time_quantum_ps
     if abs(copy_ps - level.shift_ps) > SNAP_TOL * grid.time_quantum_ps:
         # the splitter pairs bins by index, which holds only if the copies
@@ -139,8 +138,8 @@ def measurement_map(
 
     fwd = complex(j1 * np.exp(-1j * alpha))
     bwd = complex(-j1 * np.exp(1j * alpha))
-    flip = 1 << (layout.level_count - 1 - level_idx)
-    a = np.eye(layout.count, dtype=complex) * j0
-    for b in range(layout.count):
+    flip = 1 << (levels.count - 1 - level_idx)
+    a = np.eye(count, dtype=complex) * j0
+    for b in range(count):
         a[b ^ flip, b] = bwd if b & flip else fwd
     return a

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import scan_phases
 from .cpm import BeamSplitterSetting, CpmSettings, measurement_map
-from .encoding import BinLayout, LevelSpec, default_levels, layout_from_levels
+from .encoding import BinLayout, LevelSpec, layout_from_levels
 from .errors import MissingBasis, UnsupportedLevels
 from .modes import JointTwoPhotonState, clean
 
@@ -136,17 +136,16 @@ def build_default_schedule(levels: LevelSpec) -> SegmentSchedule:
     return SegmentSchedule(180.0, 10.0, tuple(entries), tuple(pairing))
 
 
-def _penalty_branches(
-    setting: BeamSplitterSetting, penalty: dict[str, float] | None
-):
+def _penalty_branches(setting: BeamSplitterSetting, penalty: dict[str, float]):
     """Dephasing mixture implementing a fringe-visibility penalty.
 
     Splitting the RF phase between alpha and alpha + pi with weights
     (1 +/- sqrt(V))/2 multiplies every single-photon interference cross
     term by sqrt(V), so a joint fringe acquires exactly visibility V
-    (or V_s * V_i when both photons are penalized).
+    (or V_s * V_i when both photons are penalized).  A level absent from
+    penalty keeps full visibility.
     """
-    if setting.kind == "Z" or not penalty:
+    if setting.kind == "Z":
         return ((1.0, 0.0),)
     v = float(penalty.get(setting.level, 1.0))
     if not 0.0 <= v <= 1.0:
@@ -162,9 +161,8 @@ def joint_outcome_probabilities(
     signal_setting: BeamSplitterSetting,
     idler_setting: BeamSplitterSetting,
     levels: LevelSpec,
-    base: CpmSettings | None = None,
-    layout: BinLayout | None = None,
-    visibility_penalty: dict[str, float] | None = None,
+    base: CpmSettings,
+    visibility_penalty: dict[str, float],
 ) -> np.ndarray:
     """Exact coincidence probability for every (signal bin, idler bin).
 
@@ -173,15 +171,13 @@ def joint_outcome_probabilities(
     probability (state norm times the two splitter efficiencies); it is not
     renormalized here.
     """
-    base = base or CpmSettings()
-    layout = layout or layout_from_levels(levels)
     grid = state.grid
-    probs = np.zeros((layout.count, layout.count))
+    probs = np.zeros(state.amplitudes.shape)
     for ws, offs in _penalty_branches(signal_setting, visibility_penalty):
-        a_s = measurement_map(signal_setting, levels, base, grid, layout, offs)
+        a_s = measurement_map(signal_setting, levels, base, grid, offs)
         after_s = a_s @ state.amplitudes
         for wi, offi in _penalty_branches(idler_setting, visibility_penalty):
-            a_i = measurement_map(idler_setting, levels, base, grid, layout, offi)
+            a_i = measurement_map(idler_setting, levels, base, grid, offi)
             probs += ws * wi * np.abs(clean(after_s @ a_i.T)) ** 2
     return probs
 
@@ -227,19 +223,19 @@ def expected_counts(
     detector: DetectorModel,
     pairs_per_setting: int,
     levels: LevelSpec,
-    base: CpmSettings | None = None,
-    layout: BinLayout | None = None,
-    visibility_penalty: dict[str, float] | None = None,
+    base: CpmSettings,
+    layout: BinLayout,
+    visibility_penalty: dict[str, float],
 ) -> tuple[np.ndarray, float]:
     """Mean coincidence counts per (signal bin, idler bin) and ancillary mean.
 
     The joint probabilities are smeared by the detector jitter windows,
-    then mixed with background (see _detected_means).
+    then mixed with background (see _detected_means).  layout places the
+    jitter windows.
     """
-    layout = layout or layout_from_levels(levels)
     probs = joint_outcome_probabilities(
         state, pairing.signal_setting, pairing.idler_setting,
-        levels, base, layout, visibility_penalty,
+        levels, base, visibility_penalty,
     )
     ks = jitter_transition_matrix(
         detector.photon_sigma_ps(SIGNAL), layout, detector.coincidence_window_ps
@@ -273,9 +269,8 @@ def fringe_means(
     pairs_per_setting: int,
     levels: LevelSpec,
     n_points: int,
-    base: CpmSettings | None = None,
-    layout: BinLayout | None = None,
-    visibility_penalty: dict[str, float] | None = None,
+    base: CpmSettings,
+    visibility_penalty: dict[str, float],
 ) -> np.ndarray:
     """(n_points, 4) mean counts of FRINGE_PROJECTIONS over a fringe scan.
 
@@ -283,7 +278,6 @@ def fringe_means(
     analysis.scan_phases(n_points).  The joint probabilities are mixed with
     background as in expected_counts, but no jitter window is applied.
     """
-    layout = layout or layout_from_levels(levels)
     outer = levels.levels[0].name
     signal_bins = [(ports[0] << 1) | bits[0] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     idler_bins = [(ports[1] << 1) | bits[1] for _, ports, bits, _ in FRINGE_PROJECTIONS]
@@ -291,7 +285,7 @@ def fringe_means(
     for j, alpha in enumerate(scan_phases(n_points)):
         setting = BeamSplitterSetting("XY", outer, float(alpha))
         probs = joint_outcome_probabilities(
-            state, setting, setting, levels, base, layout, visibility_penalty
+            state, setting, setting, levels, base, visibility_penalty
         )
         mean = _detected_means(probs, detector, pairs_per_setting)
         means[j] = mean[signal_bins, idler_bins]
@@ -303,11 +297,11 @@ def sample_coincidences(
     schedule: SegmentSchedule,
     detector: DetectorModel,
     pairs_per_setting: int,
-    visibility_penalty: dict[str, float] | None = None,
-    seed: int = 0,
-    levels: LevelSpec | None = None,
-    base: CpmSettings | None = None,
-    exact: bool = False,
+    visibility_penalty: dict[str, float],
+    seed: int,
+    levels: LevelSpec,
+    base: CpmSettings,
+    exact: bool,
 ) -> list[JointTemporalIntensity]:
     """Histogram of coincidences for every joint setting of the schedule.
 
@@ -315,7 +309,6 @@ def sample_coincidences(
     statistics); otherwise each cell is an independent Poisson draw,
     reproducible via per-setting child seeds.
     """
-    levels = levels or default_levels()
     layout = layout_from_levels(levels)
     children = np.random.SeedSequence(seed).spawn(len(schedule.pairing))
     out = []
@@ -359,8 +352,7 @@ def _basis_of_pairing(
 
 
 def raw_basis_counts(
-    histograms: list[JointTemporalIntensity],
-    levels: LevelSpec | None = None,
+    histograms: list[JointTemporalIntensity], levels: LevelSpec
 ) -> dict[str, np.ndarray]:
     """Raw (unnormalized) 16-outcome counts for each witness basis.
 
@@ -375,7 +367,6 @@ def raw_basis_counts(
     +1 on the ideal state.  No efficiency correction or normalization is
     applied, so these are the counts to feed into Poisson resampling.
     """
-    levels = levels or default_levels()
     out: dict[str, np.ndarray] = {}
     for h in histograms:
         basis = _basis_of_pairing(h.signal_setting, h.idler_setting, levels)
@@ -391,15 +382,14 @@ def raw_basis_counts(
 
 
 def extract_projections(
-    histograms: list[JointTemporalIntensity],
-    levels: LevelSpec | None = None,
+    histograms: list[JointTemporalIntensity], levels: LevelSpec
 ) -> dict[str, np.ndarray]:
     """48 normalized projection values: 3 witness bases x 16 outcomes.
 
     Each basis is normalized to sum 1, so a per-basis throughput factor
     such as the splitter efficiency eta(g*) of X-read photons cancels.
     """
-    raw = raw_basis_counts(histograms, levels or default_levels())
+    raw = raw_basis_counts(histograms, levels)
     out: dict[str, np.ndarray] = {}
     for basis, values in raw.items():
         total = values.sum()

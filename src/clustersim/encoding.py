@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompatibleShift
+from .errors import IncompatibleShift, UnknownLevel
 
 
 @dataclass(frozen=True)
@@ -35,17 +35,11 @@ class LevelSpec:
     def count(self) -> int:
         return len(self.levels)
 
-    def level(self, name: str) -> Level:
-        for lv in self.levels:
-            if lv.name == name:
-                return lv
-        raise KeyError(name)
-
     def index_of(self, name: str) -> int:
         for k, lv in enumerate(self.levels):
             if lv.name == name:
                 return k
-        raise KeyError(name)
+        raise UnknownLevel(name)
 
 
 @dataclass(frozen=True)
@@ -69,10 +63,6 @@ class BinLayout:
     @property
     def count(self) -> int:
         return len(self.positions_ps)
-
-    @property
-    def level_count(self) -> int:
-        return self.count.bit_length() - 1
 
     def position(self, bin_index: int) -> float:
         return self.positions_ps[bin_index]

@@ -240,19 +240,24 @@ def efficiency(g: float) -> float:
 # ----------------------------------------------------------------------
 # bin-index helpers
 
+def level_count(layout: BinLayout) -> int:
+    """Tree depth of a layout: log2 of its bin count."""
+    return layout.count.bit_length() - 1
+
+
 def bin_to_bits(layout: BinLayout, bin_index: int) -> tuple[int, ...]:
     """Branch bits taken at each tree level, outermost level first."""
     if not 0 <= bin_index < layout.count:
         raise OutOfRange(f"bin {bin_index} outside 0..{layout.count - 1}")
-    top = layout.level_count - 1
-    return tuple((bin_index >> (top - k)) & 1 for k in range(layout.level_count))
+    top = level_count(layout) - 1
+    return tuple((bin_index >> (top - k)) & 1 for k in range(level_count(layout)))
 
 
 def bits_to_bin(layout: BinLayout, bits) -> int:
     bits = tuple(bits)
-    if len(bits) != layout.level_count:
+    if len(bits) != level_count(layout):
         raise LengthMismatch(
-            f"expected {layout.level_count} bits, got {len(bits)}"
+            f"expected {level_count(layout)} bits, got {len(bits)}"
         )
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
@@ -285,7 +290,7 @@ def uniform_shift_offsets(layout: BinLayout) -> tuple[float, ...]:
 
     Raises IncompatibleShift if any level's pairs are not uniformly spaced.
     """
-    n_levels = layout.level_count
+    n_levels = level_count(layout)
     out = []
     for k in range(n_levels):
         flip = 1 << (n_levels - 1 - k)

@@ -21,10 +21,10 @@ from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.detection import IDLER, SIGNAL, _penalty_branches
 from clustersim.encoding import BinLayout, LevelSpec, layout_from_levels
-from clustersim.errors import ClusterSimError, GridMismatch, LayoutMismatch, UnknownLevel
+from clustersim.errors import ClusterSimError, GridMismatch, LayoutMismatch
 from clustersim.modes import SPARSITY_THRESHOLD, ModeGrid
 from clustersim.source import ExcitationTrain, shg_phases
-from oracles import CpmOperatorSettings, bin_to_bits, efficiency
+from oracles import CpmOperatorSettings, bin_to_bits, efficiency, level_count
 
 
 class ZeroState(ClusterSimError):
@@ -291,11 +291,9 @@ def measurement_map(
     if setting.kind == "Z":
         return PhotonMeasurement(setting, lambda m: [(m, 1.0 + 0j)], 1.0, None)
 
-    if setting.level not in [lv.name for lv in levels.levels]:
-        raise UnknownLevel(setting.level)
     layout = layout or layout_from_levels(levels)
     level_idx = levels.index_of(setting.level)
-    rf = levels.level(setting.level).rf_frequency_ghz
+    rf = levels.levels[level_idx].rf_frequency_ghz
     g_star = solve_balanced_depth()
     base.time_steps(grid, rf)  # validates this level's grid
     row = bessel_row(g_star, 1)
@@ -305,7 +303,7 @@ def measurement_map(
     steps_of_bin = {}
     for b in range(layout.count):
         steps_of_bin[grid.t_steps(layout.position(b) - grid.time_origin_ps)] = b
-    flip = 1 << (layout.level_count - 1 - level_idx)
+    flip = 1 << (level_count(layout) - 1 - level_idx)
     partner_steps = {}
     bit_of_steps = {}
     for steps, b in steps_of_bin.items():
@@ -333,17 +331,15 @@ def joint_outcome_probabilities(
     signal_setting: BeamSplitterSetting,
     idler_setting: BeamSplitterSetting,
     levels: LevelSpec,
-    base: CpmSettings | None = None,
-    layout: BinLayout | None = None,
-    visibility_penalty: dict[str, float] | None = None,
+    base: CpmSettings,
+    layout: BinLayout,
+    visibility_penalty: dict[str, float],
 ) -> np.ndarray:
     """Exact coincidence probability for every (signal bin, idler bin).
 
     The matrix sums to the jointly retained probability (state norm times
     the two splitter efficiencies); it is not renormalized here.
     """
-    base = base or CpmSettings()
-    layout = layout or layout_from_levels(levels)
     grid = state.grid
     steps_of_bin = {
         b: grid.t_steps(layout.position(b) - grid.time_origin_ps)

@@ -42,10 +42,10 @@ def _pipeline_witness(detector, pairs=1, seed=0, exact=True):
     state = ideal_cluster_state(layout, ModeGrid())
     schedule = detection.build_default_schedule(levels)
     hists = detection.sample_coincidences(
-        state, schedule, detector, pairs, seed=seed, exact=exact
+        state, schedule, detector, pairs, {}, seed, levels, CpmSettings(), exact
     )
-    projections = detection.extract_projections(hists)
-    return analysis.witness(projections), hists
+    projections = detection.extract_projections(hists, levels)
+    return analysis.witness(projections, None), hists
 
 
 def test_criterion_01_ideal_witness(capsys):
@@ -106,16 +106,16 @@ def test_criterion_03_calibrated_match(capsys):
     layout = layout_from_levels(levels)
     schedule = detection.build_default_schedule(levels)
     state = ideal_cluster_state(layout, ModeGrid())
-    lossy, _ = channel.transmit(state, channel.FiberLink())
+    lossy = channel.transmit(state, channel.FiberLink())
     witnesses, ratios = [], []
     for seed in range(20):
         hists = detection.sample_coincidences(
-            lossy, schedule, detector, 2473, seed=seed
+            lossy, schedule, detector, 2473, {}, seed, levels, CpmSettings(), False
         )
-        projections = detection.extract_projections(hists)
-        raw = detection.raw_basis_counts(hists)
+        projections = detection.extract_projections(hists, levels)
+        raw = detection.raw_basis_counts(hists, levels)
         stderr, _, _ = analysis.monte_carlo_error(raw, 20_000, seed=seed + 1)
-        w = analysis.witness(projections).witness
+        w = analysis.witness(projections, None).witness
         witnesses.append(w)
         ratios.append(abs(w) / stderr)
     mean_w = float(np.mean(witnesses))
@@ -148,7 +148,7 @@ def test_criterion_04_splitter_constants(capsys):
     # eta is what measure applies: the squared column norms of an X matrix
     levels = default_levels()
     x = cpm.measurement_map(BeamSplitterSetting("X", levels.levels[1].name), levels,
-                            CpmSettings(), ModeGrid())
+                            CpmSettings(), ModeGrid(), 0.0)
     etas = np.sum(np.abs(x) ** 2, axis=0)
     g_ref = _scipy_balanced_depth()
     eta_ref = _scipy_efficiency(g_ref)
@@ -245,7 +245,7 @@ def _fringe_fits(detector, penalty):
     layout = layout_from_levels(levels)
     state = ideal_cluster_state(layout, ModeGrid())
     means = detection.fringe_means(
-        state, detector, 1, levels, 24, CpmSettings(), layout, penalty
+        state, detector, 1, levels, 24, CpmSettings(), penalty
     )
     fits = {}
     for (name, _ports, _bits, sign), column in zip(detection.FRINGE_PROJECTIONS, means.T):
@@ -257,7 +257,7 @@ def _fringe_fits(detector, penalty):
 
 def test_criterion_07_fringes(capsys):
     start = time.perf_counter()
-    clean = _fringe_fits(_noiseless_detector(), None)
+    clean = _fringe_fits(_noiseless_detector(), {})
     noisy = _fringe_fits(
         _noiseless_detector(dark_coincidence_rate=0.0667),
         {"T": 0.95, "t": 0.99},
@@ -279,7 +279,7 @@ def test_criterion_07_fringes(capsys):
 def test_criterion_08_drift_stabilization(capsys):
     start = time.perf_counter()
     link = channel.FiberLink()
-    trace = channel.simulate_drift(link, 86400.0, seed=0)
+    trace = channel.simulate_drift(link, 86400.0, channel.ThermalModel(), seed=0)
     _, rms = channel.stabilize(trace, channel.StabilizerPolicy(), seed=1)
     elapsed = time.perf_counter() - start
     ok = abs(trace.peak_ps() - 92.0) <= 5.0 and rms <= 3.0 and elapsed < 30.0

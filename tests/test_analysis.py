@@ -75,7 +75,7 @@ def _projections_for_noise(p):
 
 
 def test_ideal_projections_give_witness_minus_one():
-    report = witness(_projections_for_noise(0.0))
+    report = witness(_projections_for_noise(0.0), None)
     assert report.witness == pytest.approx(-1.0, abs=1e-12)
     assert report.expectations == pytest.approx((1.0,) * 6, abs=1e-12)
     assert report.fidelity_bound == pytest.approx(1.0, abs=1e-12)
@@ -92,15 +92,15 @@ def test_white_noise_matches_density_matrix_oracle(p):
             oracle[term], abs=1e-10
         )
     # W(p) = -1 + 3p on the white-noise line
-    assert witness(proj).witness == pytest.approx(-1.0 + 3.0 * p, abs=1e-10)
+    assert witness(proj, None).witness == pytest.approx(-1.0 + 3.0 * p, abs=1e-10)
 
 
 def test_witness_boundary_at_one_third():
-    assert witness(_projections_for_noise(1.0 / 3.0)).witness == pytest.approx(
+    assert witness(_projections_for_noise(1.0 / 3.0), None).witness == pytest.approx(
         0.0, abs=1e-12
     )
-    assert not witness(_projections_for_noise(0.34)).certifies_entanglement()
-    assert witness(_projections_for_noise(0.32)).certifies_entanglement()
+    assert not witness(_projections_for_noise(0.34), None).certifies_entanglement()
+    assert witness(_projections_for_noise(0.32), None).certifies_entanglement()
 
 
 def test_term_signs_structure():
@@ -130,7 +130,7 @@ def test_witness_identity(values):
     for i, basis in enumerate(WITNESS_BASES):
         chunk = np.asarray(values[16 * i : 16 * (i + 1)]) + 1e-6
         arrays[basis] = chunk / chunk.sum()
-    report = witness(arrays)
+    report = witness(arrays, None)
     total = sum(stabilizer_expectation(t, arrays) for t in STABILIZER_TERMS)
     assert report.witness == pytest.approx(2.0 - 0.5 * total, abs=1e-12)
     assert report.fidelity_bound == pytest.approx(
@@ -142,7 +142,7 @@ def test_missing_basis_raises():
     proj = _projections_for_noise(0.0)
     del proj["XXZZ"]
     with pytest.raises(MissingBasis):
-        witness(proj)
+        witness(proj, None)
 
 
 def _raw_counts(scale, p=0.1, seed=0):
@@ -183,7 +183,7 @@ def test_mc_rejects_negative_counts():
     counts = _raw_counts(400)
     counts["ZZZZ"] = counts["ZZZZ"] - 1e9
     with pytest.raises(ValueError):
-        monte_carlo_error(counts, samples=100)
+        monte_carlo_error(counts, samples=100, seed=0)
 
 
 def _witness_samples_reference(counts, signs, term_basis):

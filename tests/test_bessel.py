@@ -48,3 +48,13 @@ def test_balance_splits_evenly():
     j0, j1 = bessel_j(0, g_star), bessel_j(1, g_star)
     assert j0**2 == pytest.approx(j1**2, rel=1e-10)
     assert efficiency(g_star) == pytest.approx(2 * j0**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.3, 1.434696, 4.7, 12.0])
+def test_bessel_row_backends_agree(g):
+    # bessel_j(m, g) runs its own recurrence truncated at order m, so each
+    # entry comes from a different start order than the full row.
+    row = bessel_row(g, 10)
+    scalar = np.array([bessel_j(m, g) for m in range(11)])
+    np.testing.assert_allclose(row, scalar, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(row, scipy.special.jv(np.arange(11), g), atol=1e-13)

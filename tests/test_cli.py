@@ -157,12 +157,12 @@ def test_fringe_draws_cells_phase_by_phase(tmp_path):
     outdir = tmp_path / "f"
     assert _run(["fringe", "--seed", "3", "--out", str(outdir)]) == 0
     cfg = load_config(None, None, 3, str(outdir))
-    state, levels, layout = cli._make_state(cfg)
-    state, _ = channel.transmit(state, cli._build(channel.FiberLink, cfg, "channel"))
+    state, levels, _ = cli._make_state(cfg)
+    state = channel.transmit(state, cli._build(channel.FiberLink, cfg, "channel"))
     means = detection.fringe_means(
         state, cli._build(detection.DetectorModel, cfg, "detection"),
         cfg["detection"]["pairs_per_setting"], levels, cfg["analysis"]["fringe_points"],
-        cli._build(CpmSettings, cfg, "cpm"), layout, cfg["detection"]["visibility_penalty"],
+        cli._build(CpmSettings, cfg, "cpm"), cfg["detection"]["visibility_penalty"],
     )
     rng = np.random.default_rng(3)
     replayed = [[float(rng.poisson(mean)) for mean in row] for row in means]

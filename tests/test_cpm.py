@@ -68,8 +68,8 @@ def test_truncation_guard():
         CpmOperatorSettings(truncation_order=-1)
 
 
-def test_z_setting_is_identity(levels, grid, base_cpm, layout):
-    a = measurement_map(BeamSplitterSetting("Z", "t"), levels, base_cpm, grid, layout)
+def test_z_setting_is_identity(levels, grid, base_cpm):
+    a = measurement_map(BeamSplitterSetting("Z", "t"), levels, base_cpm, grid, 0.0)
     np.testing.assert_array_equal(a, np.eye(4))
     # every column keeps its full probability: efficiency 1
     np.testing.assert_array_equal(np.sum(np.abs(a) ** 2, axis=0), np.ones(4))
@@ -81,7 +81,7 @@ def test_x_setting_connects_level_partners(levels, grid, base_cpm, layout,
                                            level, partner_steps):
     g_star = solve_balanced_depth()
     j0 = bessel_j(0, g_star)
-    a = measurement_map(BeamSplitterSetting("X", level), levels, base_cpm, grid, layout)
+    a = measurement_map(BeamSplitterSetting("X", level), levels, base_cpm, grid, 0.0)
     bin_of_steps = {grid.t_steps(p): b for b, p in enumerate(layout.positions_ps)}
     for steps, partner in partner_steps.items():
         b = bin_of_steps[steps]
@@ -92,13 +92,13 @@ def test_x_setting_connects_level_partners(levels, grid, base_cpm, layout,
         assert norm == pytest.approx(efficiency(g_star), abs=1e-12)
 
 
-def test_xy_phase_signs(levels, grid, base_cpm, layout):
+def test_xy_phase_signs(levels, grid, base_cpm):
     """|0> picks up J1 e^{-i a} toward |1>; |1> picks up -J1 e^{+i a}."""
     alpha = 0.9
     g_star = solve_balanced_depth()
     j1 = bessel_j(1, g_star)
     a = measurement_map(
-        BeamSplitterSetting("XY", "t", alpha), levels, base_cpm, grid, layout
+        BeamSplitterSetting("XY", "t", alpha), levels, base_cpm, grid, 0.0
     )
     fwd = a[1, 0]
     bwd = a[0, 1]
@@ -106,7 +106,7 @@ def test_xy_phase_signs(levels, grid, base_cpm, layout):
     assert bwd == pytest.approx(-j1 * np.exp(1j * alpha), abs=1e-12)
 
 
-def test_two_bin_interference_full_visibility(levels, grid, base_cpm, layout):
+def test_two_bin_interference_full_visibility(levels, grid, base_cpm):
     """(|0> + e^{i phi} |1>)/sqrt(2) on the t level sweeps a full fringe."""
     phi = 1.1
     probe = np.zeros(4, dtype=complex)
@@ -117,7 +117,7 @@ def test_two_bin_interference_full_visibility(levels, grid, base_cpm, layout):
     alphas = -phi + np.linspace(0, 2 * np.pi, 32, endpoint=False)
     for alpha in alphas:
         a = measurement_map(
-            BeamSplitterSetting("XY", "t", alpha), levels, base_cpm, grid, layout
+            BeamSplitterSetting("XY", "t", alpha), levels, base_cpm, grid, 0.0
         )
         rates.append(abs((a @ probe)[0]) ** 2)
     rates = np.asarray(rates)
@@ -130,16 +130,16 @@ def test_copy_spacing_must_match_level_shift(grid):
     levels = LevelSpec((Level("T", 600.0, 3.75), Level("t", 200.0, 1.25)))
     for level in ("T", "t"):
         with pytest.raises(GridMismatch, match=f"level {level}: copy spacing"):
-            measurement_map(BeamSplitterSetting("X", level), levels, CpmSettings(), grid)
+            measurement_map(BeamSplitterSetting("X", level), levels, CpmSettings(), grid, 0.0)
     # the Z setting does not modulate, so it has no copies to match
-    z = measurement_map(BeamSplitterSetting("Z", "T"), levels, CpmSettings(), grid)
+    z = measurement_map(BeamSplitterSetting("Z", "T"), levels, CpmSettings(), grid, 0.0)
     np.testing.assert_array_equal(z, np.eye(4))
 
 
-def test_unknown_level_rejected(levels, grid, base_cpm, layout):
+def test_unknown_level_rejected(levels, grid, base_cpm):
     with pytest.raises(UnknownLevel):
         measurement_map(
-            BeamSplitterSetting("X", "tau"), levels, base_cpm, grid, layout
+            BeamSplitterSetting("X", "tau"), levels, base_cpm, grid, 0.0
         )
 
 

@@ -52,25 +52,25 @@ def test_schedule_needs_two_levels():
         build_default_schedule(three)
 
 
-def test_zzzz_probabilities_are_quarter_diagonal(cluster, levels, schedule):
+def test_zzzz_probabilities_are_quarter_diagonal(cluster, levels, schedule, base_cpm):
     zz = next(
         p for p in schedule.pairing
         if p.signal_setting.kind == "Z" and p.idler_setting.kind == "Z"
     )
     probs = joint_outcome_probabilities(
-        cluster, zz.signal_setting, zz.idler_setting, levels
+        cluster, zz.signal_setting, zz.idler_setting, levels, base_cpm, {}
     )
     np.testing.assert_allclose(probs, np.diag([0.25] * 4), atol=1e-12)
 
 
-def test_xxzz_has_four_quarter_outcomes(cluster, levels, schedule):
+def test_xxzz_has_four_quarter_outcomes(cluster, levels, schedule, base_cpm):
     xx = next(
         p for p in schedule.pairing
         if p.signal_setting.kind == "X" == p.idler_setting.kind
         and p.signal_setting.level == levels.levels[0].name == p.idler_setting.level
     )
     probs = joint_outcome_probabilities(
-        cluster, xx.signal_setting, xx.idler_setting, levels
+        cluster, xx.signal_setting, xx.idler_setting, levels, base_cpm, {}
     )
     from clustersim.bessel import solve_balanced_depth
     from oracles import efficiency
@@ -82,17 +82,17 @@ def test_xxzz_has_four_quarter_outcomes(cluster, levels, schedule):
     np.testing.assert_allclose(nonzero, [0.25] * 4, atol=1e-12)
 
 
-def test_visibility_penalty_reduces_cross_terms(cluster, levels, schedule):
+def test_visibility_penalty_reduces_cross_terms(cluster, levels, schedule, base_cpm):
     xx = next(
         p for p in schedule.pairing
         if p.signal_setting.kind == "X" == p.idler_setting.kind
         and p.signal_setting.level == p.idler_setting.level == levels.levels[1].name
     )
     clean = joint_outcome_probabilities(
-        cluster, xx.signal_setting, xx.idler_setting, levels
+        cluster, xx.signal_setting, xx.idler_setting, levels, base_cpm, {}
     )
     penalized = joint_outcome_probabilities(
-        cluster, xx.signal_setting, xx.idler_setting, levels,
+        cluster, xx.signal_setting, xx.idler_setting, levels, base_cpm,
         visibility_penalty={levels.levels[1].name: 0.9},
     )
     # total detected probability is preserved; contrast is compressed
@@ -119,45 +119,54 @@ def test_jitter_matrix_rows_bounded(layout):
     )
 
 
-def test_crosstalk_monotone_in_jitter(cluster, levels, schedule, layout):
+def test_crosstalk_monotone_in_jitter(cluster, levels, schedule, layout, base_cpm):
     zz = schedule.pairing[0]
     fractions = []
     for j in (5.0, 17.0, 30.0):
         det = DetectorModel(jitter_signal_ps=j, jitter_idler_ps=j, tdc_jitter_ps=18.0)
-        mean, _ = expected_counts(cluster, zz, det, 10**6, levels)
+        mean, _ = expected_counts(cluster, zz, det, 10**6, levels, base_cpm, layout, {})
         off = mean.sum() - np.trace(mean)
         fractions.append(off / mean.sum())
     assert fractions == sorted(fractions)
     assert fractions[1] == pytest.approx(0.043, abs=0.01)
 
 
-def test_sampling_is_deterministic(cluster, schedule, noiseless_detector):
-    a = sample_coincidences(cluster, schedule, noiseless_detector, 500, seed=7)
-    b = sample_coincidences(cluster, schedule, noiseless_detector, 500, seed=7)
+def test_sampling_is_deterministic(cluster, schedule, noiseless_detector, levels, base_cpm):
+    def sample(seed):
+        return sample_coincidences(
+            cluster, schedule, noiseless_detector, 500, {}, seed, levels, base_cpm, False
+        )
+
+    a = sample(7)
+    b = sample(7)
     for ha, hb in zip(a, b):
         np.testing.assert_array_equal(ha.counts, hb.counts)
-    c = sample_coincidences(cluster, schedule, noiseless_detector, 500, seed=8)
+    c = sample(8)
     assert any(
         not np.array_equal(ha.counts, hc.counts) for ha, hc in zip(a, c)
     )
 
 
-def test_exact_sampling_matches_means(cluster, schedule, noiseless_detector, levels):
+def test_exact_sampling_matches_means(
+    cluster, schedule, noiseless_detector, levels, layout, base_cpm
+):
     hists = sample_coincidences(
-        cluster, schedule, noiseless_detector, 1000, exact=True
+        cluster, schedule, noiseless_detector, 1000, {}, 0, levels, base_cpm, True
     )
     for h, pairing in zip(hists, schedule.pairing):
-        mean, _ = expected_counts(cluster, pairing, noiseless_detector, 1000, levels)
+        mean, _ = expected_counts(
+            cluster, pairing, noiseless_detector, 1000, levels, base_cpm, layout, {}
+        )
         np.testing.assert_allclose(h.counts, mean, atol=1e-9)
 
 
 def test_projections_normalized_and_loss_invariant(
-    cluster, schedule, noiseless_detector
+    cluster, schedule, noiseless_detector, levels, base_cpm
 ):
     hists = sample_coincidences(
-        cluster, schedule, noiseless_detector, 1, exact=True
+        cluster, schedule, noiseless_detector, 1, {}, 0, levels, base_cpm, True
     )
-    proj = extract_projections(hists)
+    proj = extract_projections(hists, levels)
     assert set(proj) == set(WITNESS_BASES)
     for values in proj.values():
         assert values.sum() == pytest.approx(1.0, abs=1e-12)
@@ -166,17 +175,17 @@ def test_projections_normalized_and_loss_invariant(
         jitter_signal_ps=0.0, jitter_idler_ps=0.0, tdc_jitter_ps=0.0,
         efficiency=0.2,
     )
-    hists2 = sample_coincidences(cluster, schedule, lossy, 1, exact=True)
-    proj2 = extract_projections(hists2)
+    hists2 = sample_coincidences(cluster, schedule, lossy, 1, {}, 0, levels, base_cpm, True)
+    proj2 = extract_projections(hists2, levels)
     for basis in WITNESS_BASES:
         np.testing.assert_allclose(proj2[basis], proj[basis], atol=1e-12)
 
 
-def test_raw_counts_conserve_totals(cluster, schedule, noiseless_detector):
+def test_raw_counts_conserve_totals(cluster, schedule, noiseless_detector, levels, base_cpm):
     hists = sample_coincidences(
-        cluster, schedule, noiseless_detector, 300, seed=3
+        cluster, schedule, noiseless_detector, 300, {}, 3, levels, base_cpm, False
     )
-    raw = raw_basis_counts(hists)
+    raw = raw_basis_counts(hists, levels)
     by_name = {h.name: h for h in hists}
     # each basis total equals the originating histogram's total counts
     for h in hists:
@@ -205,15 +214,15 @@ def test_outcome_fold_matches_loop_oracle(schedule, levels, layout, seed):
         np.testing.assert_array_equal(raw[basis], folded[basis])
 
 
-def test_fringe_means_match_per_phase_mixing(cluster, levels, layout):
+def test_fringe_means_match_per_phase_mixing(cluster, levels, base_cpm):
     detector = DetectorModel(dark_coincidence_rate=0.0667, efficiency=0.8)
     penalty = {"T": 0.95, "t": 0.99}
-    means = fringe_means(cluster, detector, 1000, levels, 12, None, layout, penalty)
+    means = fringe_means(cluster, detector, 1000, levels, 12, base_cpm, penalty)
     assert means.shape == (12, len(FRINGE_PROJECTIONS))
     for row, alpha in zip(means, scan_phases(12)):
         setting = BeamSplitterSetting("XY", levels.levels[0].name, float(alpha))
         probs = joint_outcome_probabilities(
-            cluster, setting, setting, levels, None, layout, penalty
+            cluster, setting, setting, levels, base_cpm, penalty
         )
         mixed = (1.0 - 0.0667) * probs + 0.0667 * probs.sum() / 16
         for value, (_name, ports, bits, _sign) in zip(row, FRINGE_PROJECTIONS):
@@ -221,16 +230,16 @@ def test_fringe_means_match_per_phase_mixing(cluster, levels, layout):
             assert value == pytest.approx(1000 * 0.8 * cell, rel=1e-14)
 
 
-def test_missing_basis_detected(cluster, schedule, noiseless_detector):
+def test_missing_basis_detected(cluster, schedule, noiseless_detector, levels, base_cpm):
     hists = sample_coincidences(
-        cluster, schedule, noiseless_detector, 100, exact=True
+        cluster, schedule, noiseless_detector, 100, {}, 0, levels, base_cpm, True
     )
     only_zz = [
         h for h in hists
         if (h.signal_setting.kind, h.idler_setting.kind) == ("Z", "Z")
     ]
     with pytest.raises(MissingBasis):
-        extract_projections(only_zz)
+        extract_projections(only_zz, levels)
 
 
 def test_detector_validation():

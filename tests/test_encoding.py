@@ -13,13 +13,20 @@ from clustersim.encoding import (
 )
 from clustersim.errors import IncompatibleShift, OutOfRange
 from clustersim.modes import ModeGrid
-from oracles import LengthMismatch, bin_to_bits, bits_to_bin, extend_levels, uniform_shift_offsets
+from oracles import (
+    LengthMismatch,
+    bin_to_bits,
+    bits_to_bin,
+    extend_levels,
+    level_count,
+    uniform_shift_offsets,
+)
 
 
 def test_default_layout_positions():
     layout = layout_from_levels(default_levels())
     assert layout.positions_ps == (0.0, 100.0, 300.0, 400.0)
-    assert layout.level_count == 2
+    assert level_count(layout) == 2
 
 
 def test_bin_bits_msb_is_outer_level():

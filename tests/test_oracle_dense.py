@@ -129,7 +129,7 @@ def test_joint_probabilities_match_dense():
     state, v = random_state(rng, grid)
     ss = BeamSplitterSetting("XY", "T", 0.4)
     si = BeamSplitterSetting("X", "t")
-    probs = joint_outcome_probabilities(state, ss, si, levels)
+    probs = joint_outcome_probabilities(state, ss, si, levels, CpmSettings(), layout, {})
     a_s = dense_matrix_from_mode_map(
         measurement_map(ss, levels, CpmSettings(), grid, layout).mode_map
     )
@@ -168,17 +168,17 @@ def test_product_path_matches_dense(case):
     block = np.zeros((N, N), dtype=complex)
     block[np.ix_(F0, F0)] = psi
     ss, si = random_setting(rng), random_setting(rng)
-    penalty = {"T": rng.uniform(), "t": rng.uniform()} if rng.random() < 0.5 else None
+    penalty = {"T": rng.uniform(), "t": rng.uniform()} if rng.random() < 0.5 else {}
 
     for setting in (ss, si):
         a = dense_matrix_from_mode_map(
             measurement_map(setting, levels, CpmSettings(), grid, layout).mode_map
         )
-        product = cpm.measurement_map(setting, levels, CpmSettings(), grid, layout)
+        product = cpm.measurement_map(setting, levels, CpmSettings(), grid, 0.0)
         np.testing.assert_allclose(product, a[np.ix_(F0, F0)], atol=1e-10)
 
     probs = detection.joint_outcome_probabilities(
-        state, ss, si, levels, visibility_penalty=penalty
+        state, ss, si, levels, CpmSettings(), visibility_penalty=penalty
     )
     ref = np.zeros((4, 4))
     for ws, offs in detection._penalty_branches(ss, penalty):

@@ -5,12 +5,12 @@ import pytest
 
 import sparse_oracle as so
 from clustersim import channel, detection
-from clustersim.cpm import BeamSplitterSetting
+from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.modes import state_to_json
 from clustersim.source import ExcitationTrain, generate_pair_state
 
 LINK = channel.FiberLink()
-PENALTIES = (None, {"T": 0.9, "t": 0.8})
+PENALTIES = ({}, {"T": 0.9, "t": 0.8})
 RANDOM_PHASES = tuple(np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 4))
 
 
@@ -21,7 +21,7 @@ def _states(name, layout, grid):
     dense = generate_pair_state(train, layout, grid)
     sparse = so.generate_pair_state(train, layout, grid)
     if name == "transmitted":
-        dense, _ = channel.transmit(dense, LINK)
+        dense = channel.transmit(dense, LINK)
         sparse = so.transmit(sparse, LINK.retained_fraction)
     return dense, sparse
 
@@ -48,10 +48,10 @@ def test_joint_probabilities_match_sparse_oracle(levels, layout, grid, name, pen
     dense, sparse = _states(name, layout, grid)
     for ss, si in _readout_settings(levels):
         product = detection.joint_outcome_probabilities(
-            dense, ss, si, levels, None, layout, penalty
+            dense, ss, si, levels, CpmSettings(), penalty
         )
         oracle = so.joint_outcome_probabilities(
-            sparse, ss, si, levels, None, layout, penalty
+            sparse, ss, si, levels, CpmSettings(), layout, penalty
         )
         np.testing.assert_allclose(product, oracle, rtol=0, atol=1e-15)
         # outcomes the oracle forbids stay exactly 0, not cancellation residue

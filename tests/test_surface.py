@@ -9,6 +9,9 @@ statements other than definitions are always kept, and so is the console
 script ``cli.main``.  Names are removed to a fixed point: a definition
 referred to only by removed definitions (or by itself) goes as well.
 Test-only code belongs in ``tests/oracles.py`` or ``tests/sparse_oracle.py``.
+
+Each pipeline function also has one call form: a parameter keeps a default
+only if some call in the package leaves it out (see defaults_never_used).
 """
 
 import ast
@@ -72,3 +75,59 @@ def unreached_names(package: Path) -> list[str]:
 
 def test_every_definition_is_reached():
     assert unreached_names(Path(clustersim.__file__).parent) == []
+
+
+def _defaulted(fn: ast.FunctionDef, is_method: bool) -> list[tuple[str, int | None]]:
+    """(name, positional index or None if keyword-only) of the defaulted parameters."""
+    a = fn.args
+    positional = [*a.posonlyargs, *a.args][1 if is_method else 0:]
+    first = len(positional) - len(a.defaults)
+    out = [(p.arg, k) for k, p in enumerate(positional) if k >= first]
+    out += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _leaves_out(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether the call surely omits the parameter; a * or ** argument may pass it."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return False
+    if index is not None and index < len(call.args):
+        return False
+    return all(kw.arg not in (name, None) for kw in call.keywords)
+
+
+def defaults_never_used(package: Path) -> list[str]:
+    """Defaulted parameters that every call of that name passes.
+
+    A default that no caller relies on is a second copy of a value the
+    caller already owns.  Calls are matched by the function's bare name,
+    so a call of another function with the same name counts too, which
+    errs towards keeping a default.  Dataclass fields are not parameters
+    and so are exempt; the config sets them.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    calls: dict[str, list[ast.Call]] = {}  # by callee name, bare or attribute
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    out = []
+    for module, tree in trees.items():
+        methods = {
+            id(member)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for member in node.body if isinstance(member, ast.FunctionDef)
+            and not any(getattr(d, "id", None) == "staticmethod" for d in member.decorator_list)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for param, index in _defaulted(fn, id(fn) in methods):
+                if not any(_leaves_out(c, param, index) for c in calls.get(fn.name, [])):
+                    out.append(f"{module}.{fn.name}({param})")
+    return sorted(out)
+
+
+def test_every_default_is_used():
+    assert defaults_never_used(Path(clustersim.__file__).parent) == []
