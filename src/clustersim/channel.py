@@ -227,12 +227,7 @@ def stabilize(
         # no correction epoch fits inside the trace: no-op policy
         return trace, trace.rms_ps()
     n_epochs = n // period_steps + 1
-    rng = np.random.default_rng(seed)
-    noise = (
-        rng.normal(0.0, policy.estimator_noise_ps, n_epochs)
-        if policy.estimator_noise_ps > 0
-        else np.zeros(n_epochs)
-    )
+    noise = np.random.default_rng(seed).normal(0.0, policy.estimator_noise_ps, n_epochs)
     offsets = trace.offsets_ps
     resolution = policy.actuator_resolution_ps
     residual = np.empty(n)

@@ -228,20 +228,21 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _numpy_json(obj):
+    """json.dumps default hook: numpy scalars and arrays as Python values.
+
+    np.float64 is a float and never reaches the hook; json writes it with
+    float.__repr__ like any float.
+    """
     if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: Path, payload: dict, stamp: str) -> None:
-    doc = {"config_sha256": stamp}
-    doc.update(_jsonable(payload))
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    doc = {"config_sha256": stamp, **payload}
+    text = json.dumps(doc, sort_keys=True, indent=2, default=_numpy_json)
+    _atomic_write(path, text + "\n")
 
 
 def _fmt(x) -> str:
@@ -387,19 +388,18 @@ def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 def _sampled_histograms(cfg, exact: bool):
     state, levels, _ = _make_state(cfg)
     state = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
-    hists = detection.sample_coincidences(
+    return detection.sample_coincidences(
         state, detection.build_default_schedule(levels),
         _build(detection.DetectorModel, cfg, "detection"),
         cfg["detection"]["pairs_per_setting"], cfg["detection"]["visibility_penalty"],
         int(cfg["seed"]), levels, _build(CpmSettings, cfg, "cpm"), exact,
     )
-    return hists, levels
 
 
 def cmd_measure(cfg, outdir: Path, stamp: str, exact: bool) -> int:
-    hists, levels = _sampled_histograms(cfg, exact)
+    hists = _sampled_histograms(cfg, exact)
     rows = [
-        (h.name, bs, bi, h.counts[bs, bi])
+        (h.pairing.name, bs, bi, h.counts[bs, bi])
         for h in hists
         for bs in range(h.counts.shape[0])
         for bi in range(h.counts.shape[1])
@@ -409,9 +409,9 @@ def cmd_measure(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     write_json(outdir / "histograms.json", {
         "settings": [
             {
-                "name": h.name,
-                "signal": [h.signal_setting.kind, h.signal_setting.level],
-                "idler": [h.idler_setting.kind, h.idler_setting.level],
+                "name": h.pairing.name,
+                "signal": [h.pairing.signal_setting.kind, h.pairing.signal_setting.level],
+                "idler": [h.pairing.idler_setting.kind, h.pairing.idler_setting.level],
                 "counts": h.counts,
                 "ancillary": h.ancillary,
             }
@@ -424,8 +424,8 @@ def cmd_measure(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 
 def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
-    hists, levels = _sampled_histograms(cfg, exact)
-    projections = detection.extract_projections(hists, levels)
+    raw = detection.raw_basis_counts(_sampled_histograms(cfg, exact))
+    projections = detection.extract_projections(raw)
     rows = [
         (basis, outcome, projections[basis][outcome])
         for basis in projections
@@ -435,7 +435,6 @@ def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
               ["basis", "outcome", "value"], rows, stamp)
     stderr = stderr_delta = None
     if not exact:
-        raw = detection.raw_basis_counts(hists, levels)
         stderr, hist, edges = analysis.monte_carlo_error(
             raw, int(cfg["analysis"]["mc_samples"]), int(cfg["seed"]) + 1
         )

@@ -2,9 +2,11 @@
 
 One 180 ns RF frame holds 18 segments of 10 ns; interleaving signal and
 idler segments (48 ns apart, 5 segments) realizes all nine joint
-beam-splitter settings in parallel.  Exact output-bin probabilities are
-degraded by interference-visibility penalties, detector jitter and
-uniform background, then realized as Poisson counts.
+beam-splitter settings in parallel.  The schedule is those nine pairings,
+and each names the witness basis it reads, if any.  The readout (schedule
+and fringe scan) reads two-level trees only.  Exact output-bin
+probabilities are degraded by interference-visibility penalties, detector
+jitter and uniform background, then realized as Poisson counts.
 """
 
 from __future__ import annotations
@@ -24,40 +26,31 @@ SIGNAL = "signal"
 IDLER = "idler"
 
 
-@dataclass(frozen=True)
-class SegmentEntry:
-    segment_index: int
-    photon: str  # "signal" | "idler"
-    setting: BeamSplitterSetting
+#: Segments in one RF frame, and how many segments each idler segment
+#: lags its signal partner (50 ns ~ the 48 ns pair separation).
+FRAME_SEGMENTS = 18
+IDLER_LAG = 5
+
+#: Witness bases in qubit order (T_s, T_i, t_s, t_i), in the order of the
+#: per-photon settings that read them: Z, X on the inner level, X on the
+#: outer level.
+WITNESS_BASES = ("ZZZZ", "ZZXX", "XXZZ")
 
 
 @dataclass(frozen=True)
 class PairingRecord:
-    """One joint setting: which segments measure the paired photons."""
+    """One joint setting: which segments measure the paired photons.
+
+    basis names the witness basis a matched setting reads, None for a
+    mixed one.
+    """
 
     name: str
     signal_segment: int
     idler_segment: int
     signal_setting: BeamSplitterSetting
     idler_setting: BeamSplitterSetting
-
-
-@dataclass(frozen=True)
-class SegmentSchedule:
-    frame_period_ns: float
-    segment_length_ns: float
-    entries: tuple[SegmentEntry, ...]
-    pairing: tuple[PairingRecord, ...]
-
-    def __post_init__(self):
-        n = self.frame_period_ns / self.segment_length_ns
-        if abs(n - round(n)) > 1e-9:
-            raise ValueError("frame period must be a whole number of segments")
-        used = [e.segment_index for e in self.entries]
-        if len(set(used)) != len(used):
-            raise ValueError("segments assigned more than once")
-        if any(not 0 <= s < round(n) for s in used):
-            raise ValueError("segment index outside the frame")
+    basis: str | None
 
 
 @dataclass(frozen=True)
@@ -90,9 +83,7 @@ class DetectorModel:
 class JointTemporalIntensity:
     """Coincidence histogram over (signal bin, idler bin) for one setting."""
 
-    name: str
-    signal_setting: BeamSplitterSetting
-    idler_setting: BeamSplitterSetting
+    pairing: PairingRecord
     counts: np.ndarray  # (n_bins, n_bins)
     ancillary: float = 0.0
 
@@ -103,37 +94,37 @@ class JointTemporalIntensity:
         object.__setattr__(self, "counts", c)
 
 
-def default_settings(levels: LevelSpec) -> tuple[BeamSplitterSetting, ...]:
-    """The three per-photon settings Z, X_t, X_T (unmodulated + one tone)."""
+def _readout_levels(levels: LevelSpec) -> tuple[str, str]:
+    """(outer, inner) level names of the two-level tree the readout reads."""
     if levels.count != 2:
         raise UnsupportedLevels(f"default schedule needs 2 levels, got {levels.count}")
-    inner, outer = levels.levels[1].name, levels.levels[0].name
-    return (
+    return levels.levels[0].name, levels.levels[1].name
+
+
+def build_default_schedule(levels: LevelSpec) -> tuple[PairingRecord, ...]:
+    """The nine joint settings of the 18-segment frame, a to i.
+
+    Each photon is read by Z, X on the inner level or X on the outer
+    level; pairing k reads the signal with setting k // 3 and the idler
+    with setting k % 3, so the three matched pairings a, e and i read the
+    witness bases ZZZZ, ZZXX and XXZZ.  Signal photons occupy the even
+    segments 0..16 and each idler segment lags its partner by IDLER_LAG,
+    so the nine pairings fill the frame's 18 segments once each.
+    """
+    outer, inner = _readout_levels(levels)
+    settings = (
         BeamSplitterSetting("Z", inner),
         BeamSplitterSetting("X", inner),
         BeamSplitterSetting("X", outer),
     )
-
-
-def build_default_schedule(levels: LevelSpec) -> SegmentSchedule:
-    """Canonical 18-segment frame covering all 9 joint settings.
-
-    Signal photons occupy even segments 0..16; each idler segment sits
-    5 segments (50 ns ~ the 48 ns pair separation) after its partner.
-    """
-    settings = default_settings(levels)
-    entries: list[SegmentEntry] = []
-    pairing: list[PairingRecord] = []
-    names = "abcdefghi"
-    for k in range(9):
-        s_setting = settings[k // 3]
-        i_setting = settings[k % 3]
-        s_seg = 2 * k
-        i_seg = (s_seg + 5) % 18
-        entries.append(SegmentEntry(s_seg, SIGNAL, s_setting))
-        entries.append(SegmentEntry(i_seg, IDLER, i_setting))
-        pairing.append(PairingRecord(names[k], s_seg, i_seg, s_setting, i_setting))
-    return SegmentSchedule(180.0, 10.0, tuple(entries), tuple(pairing))
+    return tuple(
+        PairingRecord(
+            "abcdefghi"[k], 2 * k, (2 * k + IDLER_LAG) % FRAME_SEGMENTS,
+            settings[k // 3], settings[k % 3],
+            WITNESS_BASES[k // 3] if k // 3 == k % 3 else None,
+        )
+        for k in range(9)
+    )
 
 
 def _penalty_branches(setting: BeamSplitterSetting, penalty: dict[str, float]):
@@ -278,7 +269,7 @@ def fringe_means(
     analysis.scan_phases(n_points).  The joint probabilities are mixed with
     background as in expected_counts, but no jitter window is applied.
     """
-    outer = levels.levels[0].name
+    outer, _ = _readout_levels(levels)
     signal_bins = [(ports[0] << 1) | bits[0] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     idler_bins = [(ports[1] << 1) | bits[1] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     means = np.empty((n_points, len(FRINGE_PROJECTIONS)))
@@ -294,7 +285,7 @@ def fringe_means(
 
 def sample_coincidences(
     state: JointTwoPhotonState,
-    schedule: SegmentSchedule,
+    schedule: tuple[PairingRecord, ...],
     detector: DetectorModel,
     pairs_per_setting: int,
     visibility_penalty: dict[str, float],
@@ -310,9 +301,9 @@ def sample_coincidences(
     reproducible via per-setting child seeds.
     """
     layout = layout_from_levels(levels)
-    children = np.random.SeedSequence(seed).spawn(len(schedule.pairing))
+    children = np.random.SeedSequence(seed).spawn(len(schedule))
     out = []
-    for pairing, child in zip(schedule.pairing, children):
+    for pairing, child in zip(schedule, children):
         mean, ancillary = expected_counts(
             state, pairing, detector, pairs_per_setting,
             levels, base, layout, visibility_penalty,
@@ -323,37 +314,11 @@ def sample_coincidences(
             rng = np.random.default_rng(child)
             counts = rng.poisson(mean).astype(float)
             anc = float(rng.poisson(ancillary))
-        out.append(
-            JointTemporalIntensity(
-                pairing.name, pairing.signal_setting, pairing.idler_setting,
-                counts, anc,
-            )
-        )
+        out.append(JointTemporalIntensity(pairing, counts, anc))
     return out
 
 
-WITNESS_BASES = ("ZZZZ", "ZZXX", "XXZZ")
-
-
-def _basis_of_pairing(
-    signal_setting: BeamSplitterSetting,
-    idler_setting: BeamSplitterSetting,
-    levels: LevelSpec,
-) -> str | None:
-    """Witness basis label (qubit order T_s, T_i, t_s, t_i) for matched settings."""
-    if signal_setting.kind != idler_setting.kind:
-        return None
-    if signal_setting.kind == "Z":
-        return "ZZZZ"
-    if signal_setting.level != idler_setting.level:
-        return None
-    outer = levels.levels[0].name
-    return "XXZZ" if signal_setting.level == outer else "ZZXX"
-
-
-def raw_basis_counts(
-    histograms: list[JointTemporalIntensity], levels: LevelSpec
-) -> dict[str, np.ndarray]:
+def raw_basis_counts(histograms: list[JointTemporalIntensity]) -> dict[str, np.ndarray]:
     """Raw (unnormalized) 16-outcome counts for each witness basis.
 
     A histogram cell (signal bin, idler bin) carries the bits
@@ -369,7 +334,7 @@ def raw_basis_counts(
     """
     out: dict[str, np.ndarray] = {}
     for h in histograms:
-        basis = _basis_of_pairing(h.signal_setting, h.idler_setting, levels)
+        basis = h.pairing.basis
         if basis is None or basis in out:
             continue
         bits = h.counts.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
@@ -381,17 +346,15 @@ def raw_basis_counts(
     return {b: out[b] for b in WITNESS_BASES}
 
 
-def extract_projections(
-    histograms: list[JointTemporalIntensity], levels: LevelSpec
-) -> dict[str, np.ndarray]:
+def extract_projections(raw_counts: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """48 normalized projection values: 3 witness bases x 16 outcomes.
 
-    Each basis is normalized to sum 1, so a per-basis throughput factor
-    such as the splitter efficiency eta(g*) of X-read photons cancels.
+    Each basis of raw_basis_counts is normalized to sum 1, so a per-basis
+    throughput factor such as the splitter efficiency eta(g*) of X-read
+    photons cancels.
     """
-    raw = raw_basis_counts(histograms, levels)
     out: dict[str, np.ndarray] = {}
-    for basis, values in raw.items():
+    for basis, values in raw_counts.items():
         total = values.sum()
         if total <= 0:
             raise MissingBasis(f"basis {basis} has no counts")

@@ -44,7 +44,7 @@ def _pipeline_witness(detector, pairs=1, seed=0, exact=True):
     hists = detection.sample_coincidences(
         state, schedule, detector, pairs, {}, seed, levels, CpmSettings(), exact
     )
-    projections = detection.extract_projections(hists, levels)
+    projections = detection.extract_projections(detection.raw_basis_counts(hists))
     return analysis.witness(projections, None), hists
 
 
@@ -112,8 +112,8 @@ def test_criterion_03_calibrated_match(capsys):
         hists = detection.sample_coincidences(
             lossy, schedule, detector, 2473, {}, seed, levels, CpmSettings(), False
         )
-        projections = detection.extract_projections(hists, levels)
-        raw = detection.raw_basis_counts(hists, levels)
+        raw = detection.raw_basis_counts(hists)
+        projections = detection.extract_projections(raw)
         stderr, _, _ = analysis.monte_carlo_error(raw, 20_000, seed=seed + 1)
         w = analysis.witness(projections, None).witness
         witnesses.append(w)

@@ -45,7 +45,11 @@ def test_zero_length_link_is_identity(cluster):
 def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, levels):
     from clustersim.analysis import witness
     from clustersim.cpm import CpmSettings
-    from clustersim.detection import extract_projections, sample_coincidences
+    from clustersim.detection import (
+        extract_projections,
+        raw_basis_counts,
+        sample_coincidences,
+    )
 
     lossy = transmit(cluster, FiberLink())
     reports = []
@@ -53,7 +57,8 @@ def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, lev
         hists = sample_coincidences(
             state, schedule, noiseless_detector, 1, {}, 0, levels, CpmSettings(), True
         )
-        reports.append(witness(extract_projections(hists, levels), None).witness)
+        projections = extract_projections(raw_basis_counts(hists))
+        reports.append(witness(projections, None).witness)
     assert reports[0] == pytest.approx(reports[1], abs=1e-12)
 
 

@@ -400,6 +400,23 @@ def test_copy_spacing_off_level_shift_exit_1(tmp_path, capsys, command):
     ), captured.err
 
 
+@pytest.mark.parametrize("command", [("fringe", "--exact"), ("measure",),
+                                     ("witness", "--exact")], ids=" ".join)
+def test_readout_needs_two_levels_exit_1(tmp_path, capsys, command):
+    """The schedule and the fringe scan read two-level trees only."""
+    cfg = _write_config(tmp_path, {
+        "encoding": {"levels": [["T", 900.0, 11.2313], ["t", 300.0, 3.75],
+                                ["u", 100.0, 1.25]]},
+        "source": {"times_ps": [0, 100, 300, 400, 900, 1000, 1200, 1300],
+                   "phases_rad": [0.0] * 8},
+        "detection": {"dark_coincidence_rate": 0.1},
+    })
+    assert _run([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "simulation error: default schedule needs 2 levels, got 3\n"
+
+
 @pytest.mark.parametrize("section,key", [
     ("waveform", "n_alpha"), ("waveform", "pulse_fwhm_ps"),
     ("source", "repetition_ns"), ("cpm", "truncation_order"),

@@ -10,7 +10,6 @@ from clustersim.detection import (
     DetectorModel,
     JointTemporalIntensity,
     WITNESS_BASES,
-    _basis_of_pairing,
     build_default_schedule,
     expected_counts,
     extract_projections,
@@ -27,19 +26,33 @@ from oracles import extend_levels, loop_basis_counts
 
 
 def test_schedule_structure(schedule, levels):
-    assert len(schedule.pairing) == 9
-    assert len(schedule.entries) == 18
+    assert len(schedule) == 9
     # every (signal setting, idler setting) combination appears exactly once
-    combos = {(p.signal_setting, p.idler_setting) for p in schedule.pairing}
+    combos = {(p.signal_setting, p.idler_setting) for p in schedule}
     assert len(combos) == 9
-    for p in schedule.pairing:
+    for p in schedule:
         assert p.signal_segment % 2 == 0
         assert p.idler_segment == (p.signal_segment + 5) % 18
+    # the nine pairings fill the 18 segments of the frame once each
+    segments = [s for p in schedule for s in (p.signal_segment, p.idler_segment)]
+    assert sorted(segments) == list(range(18))
     # each photon sees each of the three settings three times
-    for photon in ("signal", "idler"):
-        settings = [e.setting for e in schedule.entries if e.photon == photon]
-        assert len(settings) == 9
+    for settings in ([p.signal_setting for p in schedule],
+                     [p.idler_setting for p in schedule]):
+        assert len(set(settings)) == 3
         assert all(settings.count(s) == 3 for s in set(settings))
+    # matched settings read a witness basis: X on the outer level reads the
+    # outer qubits (T_s, T_i), X on the inner level the inner ones (t_s, t_i)
+    outer = levels.levels[0].name
+    for p in schedule:
+        s, i = p.signal_setting, p.idler_setting
+        if s != i:
+            assert p.basis is None
+        elif s.kind == "Z":
+            assert p.basis == "ZZZZ"
+        else:
+            assert p.basis == ("XXZZ" if s.level == outer else "ZZXX")
+    assert sorted(p.basis for p in schedule if p.basis) == sorted(WITNESS_BASES)
 
 
 def test_schedule_needs_two_levels():
@@ -54,7 +67,7 @@ def test_schedule_needs_two_levels():
 
 def test_zzzz_probabilities_are_quarter_diagonal(cluster, levels, schedule, base_cpm):
     zz = next(
-        p for p in schedule.pairing
+        p for p in schedule
         if p.signal_setting.kind == "Z" and p.idler_setting.kind == "Z"
     )
     probs = joint_outcome_probabilities(
@@ -65,7 +78,7 @@ def test_zzzz_probabilities_are_quarter_diagonal(cluster, levels, schedule, base
 
 def test_xxzz_has_four_quarter_outcomes(cluster, levels, schedule, base_cpm):
     xx = next(
-        p for p in schedule.pairing
+        p for p in schedule
         if p.signal_setting.kind == "X" == p.idler_setting.kind
         and p.signal_setting.level == levels.levels[0].name == p.idler_setting.level
     )
@@ -84,7 +97,7 @@ def test_xxzz_has_four_quarter_outcomes(cluster, levels, schedule, base_cpm):
 
 def test_visibility_penalty_reduces_cross_terms(cluster, levels, schedule, base_cpm):
     xx = next(
-        p for p in schedule.pairing
+        p for p in schedule
         if p.signal_setting.kind == "X" == p.idler_setting.kind
         and p.signal_setting.level == p.idler_setting.level == levels.levels[1].name
     )
@@ -120,7 +133,7 @@ def test_jitter_matrix_rows_bounded(layout):
 
 
 def test_crosstalk_monotone_in_jitter(cluster, levels, schedule, layout, base_cpm):
-    zz = schedule.pairing[0]
+    zz = schedule[0]
     fractions = []
     for j in (5.0, 17.0, 30.0):
         det = DetectorModel(jitter_signal_ps=j, jitter_idler_ps=j, tdc_jitter_ps=18.0)
@@ -153,7 +166,7 @@ def test_exact_sampling_matches_means(
     hists = sample_coincidences(
         cluster, schedule, noiseless_detector, 1000, {}, 0, levels, base_cpm, True
     )
-    for h, pairing in zip(hists, schedule.pairing):
+    for h, pairing in zip(hists, schedule):
         mean, _ = expected_counts(
             cluster, pairing, noiseless_detector, 1000, levels, base_cpm, layout, {}
         )
@@ -166,7 +179,7 @@ def test_projections_normalized_and_loss_invariant(
     hists = sample_coincidences(
         cluster, schedule, noiseless_detector, 1, {}, 0, levels, base_cpm, True
     )
-    proj = extract_projections(hists, levels)
+    proj = extract_projections(raw_basis_counts(hists))
     assert set(proj) == set(WITNESS_BASES)
     for values in proj.values():
         assert values.sum() == pytest.approx(1.0, abs=1e-12)
@@ -176,7 +189,7 @@ def test_projections_normalized_and_loss_invariant(
         efficiency=0.2,
     )
     hists2 = sample_coincidences(cluster, schedule, lossy, 1, {}, 0, levels, base_cpm, True)
-    proj2 = extract_projections(hists2, levels)
+    proj2 = extract_projections(raw_basis_counts(hists2))
     for basis in WITNESS_BASES:
         np.testing.assert_allclose(proj2[basis], proj[basis], atol=1e-12)
 
@@ -185,11 +198,10 @@ def test_raw_counts_conserve_totals(cluster, schedule, noiseless_detector, level
     hists = sample_coincidences(
         cluster, schedule, noiseless_detector, 300, {}, 3, levels, base_cpm, False
     )
-    raw = raw_basis_counts(hists, levels)
-    by_name = {h.name: h for h in hists}
+    raw = raw_basis_counts(hists)
     # each basis total equals the originating histogram's total counts
     for h in hists:
-        kinds = (h.signal_setting.kind, h.idler_setting.kind)
+        kinds = (h.pairing.signal_setting.kind, h.pairing.idler_setting.kind)
         if kinds == ("Z", "Z"):
             assert raw["ZZZZ"].sum() == h.counts.sum()
 
@@ -198,15 +210,13 @@ def test_raw_counts_conserve_totals(cluster, schedule, noiseless_detector, level
 def test_outcome_fold_matches_loop_oracle(schedule, levels, layout, seed):
     rng = np.random.default_rng(seed)
     hists = [
-        JointTemporalIntensity(
-            p.name, p.signal_setting, p.idler_setting, rng.uniform(0.0, 1e3, (4, 4))
-        )
-        for p in schedule.pairing
+        JointTemporalIntensity(p, rng.uniform(0.0, 1e3, (4, 4)))
+        for p in schedule
     ]
-    raw = raw_basis_counts(hists, levels)
+    raw = raw_basis_counts(hists)
     folded = {}
     for h in hists:
-        basis = _basis_of_pairing(h.signal_setting, h.idler_setting, levels)
+        basis = h.pairing.basis
         if basis is not None:
             folded[basis] = loop_basis_counts(h.counts, basis, layout)
     assert sorted(folded) == sorted(WITNESS_BASES)
@@ -236,10 +246,10 @@ def test_missing_basis_detected(cluster, schedule, noiseless_detector, levels, b
     )
     only_zz = [
         h for h in hists
-        if (h.signal_setting.kind, h.idler_setting.kind) == ("Z", "Z")
+        if (h.pairing.signal_setting.kind, h.pairing.idler_setting.kind) == ("Z", "Z")
     ]
     with pytest.raises(MissingBasis):
-        extract_projections(only_zz, levels)
+        extract_projections(raw_basis_counts(only_zz))
 
 
 def test_detector_validation():

@@ -29,7 +29,7 @@ def _states(name, layout, grid):
 def _readout_settings(levels):
     """The 9 joint schedule settings and the 24 fringe phases."""
     settings = [(p.signal_setting, p.idler_setting)
-                for p in detection.build_default_schedule(levels).pairing]
+                for p in detection.build_default_schedule(levels)]
     for alpha in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False):
         xy = BeamSplitterSetting("XY", levels.levels[0].name, float(alpha))
         settings.append((xy, xy))

@@ -11,13 +11,15 @@ referred to only by removed definitions (or by itself) goes as well.
 Test-only code belongs in ``tests/oracles.py`` or ``tests/sparse_oracle.py``.
 
 Each pipeline function also has one call form: a parameter keeps a default
-only if some call in the package leaves it out (see defaults_never_used).
+only if some call in the package leaves it out (see defaults_never_used),
+and every parameter is read (see parameters_never_read).
 """
 
 import ast
 from pathlib import Path
 
 import clustersim
+from clustersim import cli
 
 #: Definitions kept without a reference: the console script.
 ROOTS = {"cli.main"}
@@ -131,3 +133,33 @@ def defaults_never_used(package: Path) -> list[str]:
 
 def test_every_default_is_used():
     assert defaults_never_used(Path(clustersim.__file__).parent) == []
+
+
+def parameters_never_read(package: Path, exempt: set[str]) -> list[str]:
+    """Parameters that their function's body never reads, by name.
+
+    A parameter no body reads makes every caller supply a value that
+    changes nothing.  A read is a loaded ``Name`` anywhere in the function,
+    nested functions included, which errs towards keeping.  Functions whose
+    bare name is in exempt are skipped.
+    """
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef) or fn.name in exempt:
+                continue
+            a = fn.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs]
+            params += [p for p in (a.vararg, a.kwarg) if p is not None]
+            read = {
+                sub.id for sub in ast.walk(fn)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            out += [f"{path.stem}.{fn.name}({p.arg})" for p in params if p.arg not in read]
+    return sorted(out)
+
+
+def test_every_parameter_is_read():
+    # the commands share the dispatch signature (cfg, outdir, stamp, exact)
+    commands = {fn.__name__ for fn in cli.COMMANDS.values()}
+    assert parameters_never_read(Path(clustersim.__file__).parent, commands) == []
