@@ -104,6 +104,10 @@ class DriftTrace:
         return float(np.max(np.abs(self.offsets_ps)))
 
     def offset_at(self, time_s: float) -> float:
+        """Offset at time_s, interpolated; OutOfRange outside the trace's span."""
+        end_s = self.step_s * (len(self.offsets_ps) - 1)
+        if not 0.0 <= time_s <= end_s:
+            raise OutOfRange(f"{time_s:g} s is outside the drift trace's span [0, {end_s:g}] s")
         return float(np.interp(time_s, self.times_s, self.offsets_ps))
 
 

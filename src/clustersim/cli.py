@@ -27,7 +27,7 @@ from . import analysis, channel, detection, waveform
 from .cpm import CpmSettings
 from .encoding import Level, LevelSpec, default_levels, layout_from_levels
 from .errors import ClusterSimError, ConfigError, OutOfRange
-from .modes import ModeGrid, state_to_json
+from .modes import state_to_json
 from .source import ExcitationTrain, generate_pair_state, is_cluster_state
 
 
@@ -48,7 +48,6 @@ DEFAULT_CONFIG = {
     "svg": False,
     "encoding": {
         "levels": [list(dataclasses.astuple(lv)) for lv in default_levels().levels],
-        **_defaults(ModeGrid, "time_quantum_ps", "freq_quantum_ghz"),
     },
     "source": _defaults(ExcitationTrain),
     "cpm": _defaults(CpmSettings),
@@ -346,8 +345,7 @@ def _make_state(cfg):
     levels = LevelSpec(tuple(Level(*lv) for lv in cfg["encoding"]["levels"]))
     layout = layout_from_levels(levels)
     train = _build(ExcitationTrain, cfg, "source")
-    grid = _build(ModeGrid, cfg, "encoding")
-    return generate_pair_state(train, layout, grid), levels, layout
+    return generate_pair_state(train, layout), levels, layout
 
 
 # ----------------------------------------------------------------------
@@ -357,7 +355,7 @@ def cmd_generate(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     state, levels, layout = _make_state(cfg)
     ok, fidelity = is_cluster_state(state, layout)
     write_json(outdir / "state.json",
-               {"state": json.loads(state_to_json(state)), "fidelity": fidelity},
+               {"state": json.loads(state_to_json(state, layout)), "fidelity": fidelity},
                stamp)
     print(f"fidelity vs target cluster state: {fidelity:.6f}")
     if not ok:
@@ -370,10 +368,13 @@ def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     link = _build(channel.FiberLink, cfg, "channel")
     trace = _drift(cfg, link)
     out = channel.transmit(state, link)
-    offset = trace.offset_at(cfg["channel"]["readout_time_s"])
+    try:
+        offset = trace.offset_at(cfg["channel"]["readout_time_s"])
+    except OutOfRange as exc:
+        raise ConfigError(f"channel.readout_time_s: {exc}") from exc
     corrupted = channel.bin_assignment_corrupted(offset, layout)
     write_json(outdir / "state.json",
-               {"state": json.loads(state_to_json(out))}, stamp)
+               {"state": json.loads(state_to_json(out, layout))}, stamp)
     write_json(outdir / "transmit.json", {
         "retained_fraction": link.retained_fraction,
         "arrival_offset_ps": offset,
@@ -502,6 +503,8 @@ def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     dispersions = wf["dispersions_ns_per_nm"]
     if not dispersions:
         raise ConfigError("dispersion list must not be empty")
+    if not wf["separations_ps"]:
+        raise ConfigError("separation list must not be empty")
     base = _build(CpmSettings, cfg, "cpm")
     rows = []
     curves = {}

@@ -17,7 +17,6 @@ import numpy as np
 from .bessel import bessel_row, solve_balanced_depth
 from .encoding import LevelSpec
 from .errors import GridMismatch
-from .modes import ModeGrid
 
 C_M_PER_S = 299792458.0
 
@@ -32,9 +31,9 @@ def chirp_beta2_s2(dispersion_ns_per_nm: float, carrier_wavelength_nm: float) ->
     return d_s_per_m * lam_m**2 / (2.0 * np.pi * C_M_PER_S)
 
 
-#: |dt - k*quantum| <= SNAP_TOL * quantum is accepted as on-grid; the
-#: physical dt for the paper parameters is 100.17 ps on a 100 ps grid.
-SNAP_TOL = 0.01
+#: |dt - shift| <= SNAP_TOL_PS is accepted as bridging a level's bin shift;
+#: the physical dt for the paper parameters is 100.17 ps for the 100 ps level.
+SNAP_TOL_PS = 1.0
 
 
 @dataclass(frozen=True)
@@ -58,18 +57,6 @@ class CpmSettings:
         """Physical copy spacing beta2 * Omega of an rf_ghz tone."""
         omega_rad_per_s = 2.0 * np.pi * rf_ghz * 1e9
         return self.beta2_s2 * omega_rad_per_s * 1e12
-
-    def time_steps(self, grid: ModeGrid, rf_ghz: float) -> int:
-        """Copy spacing of an rf_ghz tone in grid units; raises GridMismatch when off-grid."""
-        dt = self.delta_t_ps(rf_ghz)
-        steps = dt / grid.time_quantum_ps
-        rounded = round(steps) if math.isfinite(steps) else 0
-        if rounded == 0 or abs(steps - rounded) > SNAP_TOL:
-            raise GridMismatch(
-                f"dt = {dt:.3f} ps does not land on the "
-                f"{grid.time_quantum_ps} ps grid"
-            )
-        return int(rounded)
 
 
 @dataclass(frozen=True)
@@ -98,7 +85,6 @@ def measurement_map(
     setting: BeamSplitterSetting,
     levels: LevelSpec,
     base: CpmSettings,
-    grid: ModeGrid,
     alpha_offset: float,
 ) -> np.ndarray:
     """Single-photon measurement matrix A[out bin, in bin] for one setting.
@@ -124,10 +110,10 @@ def measurement_map(
 
     level_idx = levels.index_of(setting.level)
     level = levels.levels[level_idx]
-    copy_ps = base.time_steps(grid, level.rf_frequency_ghz) * grid.time_quantum_ps
-    if abs(copy_ps - level.shift_ps) > SNAP_TOL * grid.time_quantum_ps:
-        # the splitter pairs bins by index, which holds only if the copies
-        # bridge this level's bin shift
+    copy_ps = base.delta_t_ps(level.rf_frequency_ghz)
+    # the splitter pairs bins by index, which holds only if the copies bridge
+    # this level's bin shift; a nan spacing fails the test too
+    if not abs(copy_ps - level.shift_ps) <= SNAP_TOL_PS:
         raise GridMismatch(
             f"level {level.name}: copy spacing {copy_ps:g} ps does not match "
             f"its {level.shift_ps:g} ps bin shift"

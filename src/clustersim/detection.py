@@ -162,13 +162,12 @@ def joint_outcome_probabilities(
     probability (state norm times the two splitter efficiencies); it is not
     renormalized here.
     """
-    grid = state.grid
     probs = np.zeros(state.amplitudes.shape)
     for ws, offs in _penalty_branches(signal_setting, visibility_penalty):
-        a_s = measurement_map(signal_setting, levels, base, grid, offs)
+        a_s = measurement_map(signal_setting, levels, base, offs)
         after_s = a_s @ state.amplitudes
         for wi, offi in _penalty_branches(idler_setting, visibility_penalty):
-            a_i = measurement_map(idler_setting, levels, base, grid, offi)
+            a_i = measurement_map(idler_setting, levels, base, offi)
             probs += ws * wi * np.abs(clean(after_s @ a_i.T)) ** 2
     return probs
 

@@ -6,7 +6,7 @@ class ClusterSimError(Exception):
 
 
 class OutOfRange(ClusterSimError):
-    """Bin index outside the layout."""
+    """A drift trace, its correction interval or its readout time out of range."""
 
 
 class IncompatibleShift(ClusterSimError):
@@ -18,7 +18,7 @@ class LayoutMismatch(ClusterSimError):
 
 
 class GridMismatch(ClusterSimError):
-    """Derived time/frequency shift does not land on the mode grid."""
+    """A level's splitter copy spacing does not bridge its bin shift."""
 
 
 class UnknownLevel(ClusterSimError):

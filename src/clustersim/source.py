@@ -16,23 +16,22 @@ import numpy as np
 
 from .encoding import BinLayout
 from .errors import LayoutMismatch
-from .modes import JointTwoPhotonState, ModeGrid
+from .modes import JointTwoPhotonState
 from .waveform import MIN_PULSE_FWHM_PS
 
 
 @dataclass(frozen=True)
 class ExcitationTrain:
-    """Excitation pulse train driving the SHG/SPDC cascade."""
+    """Excitation pulse train driving the SHG/SPDC cascade.
 
-    times_ps: tuple[float, ...] = (0.0, 100.0, 300.0, 400.0)
+    The pulses sit at the bin positions of the layout they drive, one
+    phase per bin.
+    """
+
     phases_rad: tuple[float, ...] = (0.0, 0.0, 0.0, np.pi / 2)
     pulse_fwhm_ps: float = 37.0
 
     def __post_init__(self):
-        if len(self.times_ps) != len(self.phases_rad):
-            raise ValueError("times and phases must have the same length")
-        if any(b <= a for a, b in zip(self.times_ps, self.times_ps[1:])):
-            raise ValueError("pulse times must be strictly increasing")
         if not self.pulse_fwhm_ps >= MIN_PULSE_FWHM_PS:
             raise ValueError(f"pulse width must be at least {MIN_PULSE_FWHM_PS:g} ps")
 
@@ -47,41 +46,30 @@ def shg_phases(train: ExcitationTrain) -> tuple[float, ...]:
     return tuple(float(np.mod(2.0 * np.mod(p, two_pi), two_pi)) for p in train.phases_rad)
 
 
-def generate_pair_state(
-    train: ExcitationTrain, layout: BinLayout, grid: ModeGrid
-) -> JointTwoPhotonState:
+def generate_pair_state(train: ExcitationTrain, layout: BinLayout) -> JointTwoPhotonState:
     """Pair state (1/sqrt(K)) sum_k e^{i 2 phi_k} |bin k>_s |bin k>_i.
 
     SPDC amplitudes are equal across pulses (flat pump envelope), so the
     state fills the diagonal of the bin-pair matrix; the signal-idler
     600 GHz offset is not carried, only the relative structure matters here.
     """
-    if len(train.times_ps) != layout.count:
-        raise LayoutMismatch(
-            f"{len(train.times_ps)} pulses vs {layout.count} bins"
-        )
-    for t, p in zip(train.times_ps, layout.positions_ps):
-        if abs(t - p) > 1e-9:
-            raise LayoutMismatch(f"pulse at {t} ps does not match bin at {p} ps")
-    steps = tuple(grid.t_steps(t - grid.time_origin_ps) for t in train.times_ps)
+    if len(train.phases_rad) != layout.count:
+        raise LayoutMismatch(f"{len(train.phases_rad)} pulse phases vs {layout.count} bins")
     amps = np.exp(1j * np.array(shg_phases(train)))
     amps = amps * (1.0 / np.sqrt(np.sum(np.abs(amps) ** 2)))
-    return JointTwoPhotonState(grid, steps, np.diag(amps), 1.0)
+    return JointTwoPhotonState(np.diag(amps), 1.0)
 
 
-def ideal_cluster_state(layout: BinLayout, grid: ModeGrid) -> JointTwoPhotonState:
+def ideal_cluster_state(layout: BinLayout) -> JointTwoPhotonState:
     """The target state with amplitudes (1/2, 1/2, 1/2, -1/2)."""
-    train = ExcitationTrain(
-        times_ps=layout.positions_ps,
-        phases_rad=(0.0,) * (layout.count - 1) + (np.pi / 2,),
-    )
-    return generate_pair_state(train, layout, grid)
+    train = ExcitationTrain(phases_rad=(0.0,) * (layout.count - 1) + (np.pi / 2,))
+    return generate_pair_state(train, layout)
 
 
 def is_cluster_state(
     state: JointTwoPhotonState, layout: BinLayout
 ) -> tuple[bool, float]:
     """Overlap fidelity |<cluster|state>|^2 and a pass flag at 1 - 1e-9."""
-    target = ideal_cluster_state(layout, state.grid)
+    target = ideal_cluster_state(layout)
     fidelity = float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
     return fidelity > 1.0 - 1e-9, fidelity

@@ -4,8 +4,8 @@ import pytest
 from clustersim.cpm import CpmSettings
 from clustersim.detection import DetectorModel, build_default_schedule
 from clustersim.encoding import default_levels, layout_from_levels
-from clustersim.modes import ModeGrid
 from clustersim.source import ideal_cluster_state
+from oracles import ModeGrid
 
 
 @pytest.fixture(scope="session")
@@ -24,8 +24,8 @@ def grid():
 
 
 @pytest.fixture(scope="session")
-def cluster(layout, grid):
-    return ideal_cluster_state(layout, grid)
+def cluster(layout):
+    return ideal_cluster_state(layout)
 
 
 @pytest.fixture(scope="session")

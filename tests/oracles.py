@@ -19,6 +19,11 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
 - `CpmOperatorSettings`, which adds the RF tone, modulation depth, RF
   phase and truncation order that the faithful scattering operator of
   ``sparse_oracle.cpm_mode_map`` needs.
+- `ModeGrid`, the time/frequency mode grid of the sparse and dense
+  oracles; `grid_time_steps`, a copy spacing snapped to that grid; and
+  `grid_copy_spacing_ok`, the two-step copy-spacing check (snap to the
+  100 ps grid, then match the bin shift), the reference of the one-step
+  check in `cpm.measurement_map`.
 - `witness_samples`, the witness of each resampled set of 48 raw counts;
   `witness_from_class_totals`, the same witness from each set's 9 class
   totals; and `broadcast_class_total_samples`, the single-stream sampler
@@ -43,8 +48,7 @@ from clustersim.analysis import (
 from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.cpm import CpmSettings, chirp_beta2_s2
 from clustersim.encoding import BinLayout, Level, LevelSpec, layout_from_levels
-from clustersim.errors import ClusterSimError, IncompatibleShift, OutOfRange
-from clustersim.modes import ModeGrid
+from clustersim.errors import ClusterSimError, GridMismatch, IncompatibleShift, OutOfRange
 from clustersim.waveform import _gaussian, rf_for_spacing
 
 
@@ -74,6 +78,66 @@ class CpmOperatorSettings(CpmSettings):
         if self.truncation_order < 0:
             raise ValueError("truncation order must be nonnegative")
         super().__post_init__()
+
+
+# ----------------------------------------------------------------------
+# time/frequency mode grid
+
+#: Relative tolerance of ModeGrid.t_steps for a duration on the grid.
+GRID_REL_TOL = 1e-9
+#: |dt - k*quantum| <= SNAP_TOL * quantum is accepted as on-grid.
+SNAP_TOL = 0.01
+
+
+@dataclass(frozen=True)
+class ModeGrid:
+    """Discretization grid for mode coordinates.
+
+    Chosen so both modulation scales used in the experiment (100 ps /
+    1.25 GHz and 300 ps / 3.75 GHz) are integer multiples of the quanta.
+    """
+
+    time_quantum_ps: float = 100.0
+    freq_quantum_ghz: float = 1.25
+    time_origin_ps: float = 0.0
+
+    def __post_init__(self):
+        if self.time_quantum_ps <= 0 or self.freq_quantum_ghz <= 0:
+            raise ValueError("grid quanta must be positive")
+
+    def t_steps(self, duration_ps: float) -> int:
+        """Integer number of time quanta in a duration; raises if off-grid."""
+        steps = duration_ps / self.time_quantum_ps
+        tol = GRID_REL_TOL * max(1.0, abs(steps))
+        if not np.isfinite(steps) or abs(steps - round(steps)) > tol:
+            raise ValueError(f"{duration_ps} ps is not on the {self.time_quantum_ps} ps grid")
+        return int(round(steps))
+
+
+def grid_time_steps(settings: CpmSettings, grid: ModeGrid, rf_ghz: float) -> int:
+    """Copy spacing of an rf_ghz tone in grid units; raises GridMismatch when off-grid."""
+    dt = settings.delta_t_ps(rf_ghz)
+    steps = dt / grid.time_quantum_ps
+    rounded = round(steps) if math.isfinite(steps) else 0
+    if rounded == 0 or abs(steps - rounded) > SNAP_TOL:
+        raise GridMismatch(
+            f"dt = {dt:.3f} ps does not land on the {grid.time_quantum_ps} ps grid"
+        )
+    return int(rounded)
+
+
+def grid_copy_spacing_ok(settings: CpmSettings, level: Level) -> bool:
+    """Whether a level's copies bridge its bin shift, checked in two steps.
+
+    The copy spacing is snapped to the 100 ps grid, and the snapped spacing
+    must then match the level's shift within 1 % of the quantum.
+    """
+    grid = ModeGrid()
+    try:
+        copy_ps = grid_time_steps(settings, grid, level.rf_frequency_ghz) * grid.time_quantum_ps
+    except GridMismatch:
+        return False
+    return abs(copy_ps - level.shift_ps) <= SNAP_TOL * grid.time_quantum_ps
 
 
 # ----------------------------------------------------------------------

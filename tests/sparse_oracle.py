@@ -1,6 +1,6 @@
 """Sparse mode-dict readout path, kept as the oracle of the dense bin-pair path.
 
-A mode is a pair of integer indices (t_index, f_index) on a ModeGrid, and
+A mode is a pair of integer indices (t_index, f_index) on an `oracles.ModeGrid`, and
 a two-photon state is a sparse complex map over (signal mode, idler mode)
 pairs.  Unlike the dense path, maps may shift the frequency index: the
 faithful discrete CPM operator `cpm_mode_map` scatters every mode into
@@ -22,9 +22,16 @@ from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.detection import IDLER, SIGNAL, _penalty_branches
 from clustersim.encoding import BinLayout, LevelSpec, layout_from_levels
 from clustersim.errors import ClusterSimError, GridMismatch, LayoutMismatch
-from clustersim.modes import SPARSITY_THRESHOLD, ModeGrid
+from clustersim.modes import SPARSITY_THRESHOLD
 from clustersim.source import ExcitationTrain, shg_phases
-from oracles import CpmOperatorSettings, bin_to_bits, efficiency, level_count
+from oracles import (
+    CpmOperatorSettings,
+    ModeGrid,
+    bin_to_bits,
+    efficiency,
+    grid_time_steps,
+    level_count,
+)
 
 
 class ZeroState(ClusterSimError):
@@ -140,37 +147,38 @@ def inner_product(a: JointTwoPhotonState, b: JointTwoPhotonState) -> complex:
 
 
 def state_to_json(state: JointTwoPhotonState) -> str:
-    """Serialize to a JSON document with stable key order (debugging aid)."""
+    """Serialize in the product's state.json form: amplitudes keyed by bin positions in ps.
+
+    That form has no frequency coordinate, so a populated mode off
+    frequency index 0 raises ValueError.
+    """
+    grid = state.grid
+
+    def position(mode: TimeFreqMode) -> float:
+        if mode.f_index != 0:
+            raise ValueError(f"mode {mode} is off frequency index 0")
+        return grid.time_origin_ps + mode.t_index * grid.time_quantum_ps
+
     entries = [
         {
-            "t_s": s.t_index,
-            "f_s": s.f_index,
-            "t_i": i.t_index,
-            "f_i": i.f_index,
+            "signal_ps": position(s),
+            "idler_ps": position(i),
             "re": amp.real,
             "im": amp.imag,
         }
         for (s, i), amp in sorted(state.amplitudes.items())
     ]
-    doc = {
-        "grid": {
-            "time_quantum_ps": state.grid.time_quantum_ps,
-            "freq_quantum_ghz": state.grid.freq_quantum_ghz,
-            "time_origin_ps": state.grid.time_origin_ps,
-        },
-        "amplitudes": entries,
-        "norm_tracking": state.norm_tracking,
-    }
+    doc = {"amplitudes": entries, "norm_tracking": state.norm_tracking}
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def state_from_json(text: str) -> JointTwoPhotonState:
+def state_from_json(text: str, grid: ModeGrid) -> JointTwoPhotonState:
+    """The state of a state_to_json document, its positions read on grid."""
     doc = json.loads(text)
-    grid = ModeGrid(**doc["grid"])
     amps = {
         (
-            TimeFreqMode(e["t_s"], e["f_s"]),
-            TimeFreqMode(e["t_i"], e["f_i"]),
+            TimeFreqMode(grid.t_steps(e["signal_ps"] - grid.time_origin_ps), 0),
+            TimeFreqMode(grid.t_steps(e["idler_ps"] - grid.time_origin_ps), 0),
         ): complex(e["re"], e["im"])
         for e in doc["amplitudes"]
     }
@@ -182,16 +190,13 @@ def generate_pair_state(
     train: ExcitationTrain, layout: BinLayout, grid: ModeGrid
 ) -> JointTwoPhotonState:
     """Pair state (1/sqrt(K)) sum_k e^{i 2 phi_k} |bin k>_s |bin k>_i."""
-    if len(train.times_ps) != layout.count:
+    if len(train.phases_rad) != layout.count:
         raise LayoutMismatch(
-            f"{len(train.times_ps)} pulses vs {layout.count} bins"
+            f"{len(train.phases_rad)} pulse phases vs {layout.count} bins"
         )
-    for t, p in zip(train.times_ps, layout.positions_ps):
-        if abs(t - p) > 1e-9:
-            raise LayoutMismatch(f"pulse at {t} ps does not match bin at {p} ps")
     doubled = shg_phases(train)
     amps = {}
-    for k, (t, phase) in enumerate(zip(train.times_ps, doubled)):
+    for t, phase in zip(layout.positions_ps, doubled):
         steps = grid.t_steps(t - grid.time_origin_ps)
         mode = TimeFreqMode(steps, 0)
         amps[(mode, mode)] = np.exp(1j * phase)
@@ -236,7 +241,7 @@ def cpm_mode_map(settings: CpmOperatorSettings, grid: ModeGrid):
     check_truncation(settings)
     if settings.g == 0.0:
         return lambda mode: [(mode, 1.0 + 0j)]
-    dt = settings.time_steps(grid, settings.rf_frequency_ghz)
+    dt = grid_time_steps(settings, grid, settings.rf_frequency_ghz)
     dn = freq_steps(settings, grid)
     m_max = settings.truncation_order
     row = bessel_row(settings.g, m_max)
@@ -295,7 +300,7 @@ def measurement_map(
     level_idx = levels.index_of(setting.level)
     rf = levels.levels[level_idx].rf_frequency_ghz
     g_star = solve_balanced_depth()
-    base.time_steps(grid, rf)  # validates this level's grid
+    grid_time_steps(base, grid, rf)  # validates this level's grid
     row = bessel_row(g_star, 1)
     j0, j1 = float(row[0]), float(row[1])
     alpha = setting.effective_alpha + alpha_offset

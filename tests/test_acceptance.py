@@ -20,7 +20,6 @@ from clustersim.bessel import solve_balanced_depth
 from clustersim.cli import main
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.encoding import default_levels, layout_from_levels
-from clustersim.modes import ModeGrid
 from clustersim.source import ideal_cluster_state
 
 
@@ -39,7 +38,7 @@ def _noiseless_detector(**kwargs):
 def _pipeline_witness(detector, pairs=1, seed=0, exact=True):
     levels = default_levels()
     layout = layout_from_levels(levels)
-    state = ideal_cluster_state(layout, ModeGrid())
+    state = ideal_cluster_state(layout)
     schedule = detection.build_default_schedule(levels)
     hists = detection.sample_coincidences(
         state, schedule, detector, pairs, {}, seed, levels, CpmSettings(), exact
@@ -105,7 +104,7 @@ def test_criterion_03_calibrated_match(capsys):
     levels = default_levels()
     layout = layout_from_levels(levels)
     schedule = detection.build_default_schedule(levels)
-    state = ideal_cluster_state(layout, ModeGrid())
+    state = ideal_cluster_state(layout)
     lossy = channel.transmit(state, channel.FiberLink())
     witnesses, ratios = [], []
     for seed in range(20):
@@ -148,7 +147,7 @@ def test_criterion_04_splitter_constants(capsys):
     # eta is what measure applies: the squared column norms of an X matrix
     levels = default_levels()
     x = cpm.measurement_map(BeamSplitterSetting("X", levels.levels[1].name), levels,
-                            CpmSettings(), ModeGrid(), 0.0)
+                            CpmSettings(), 0.0)
     etas = np.sum(np.abs(x) ** 2, axis=0)
     g_ref = _scipy_balanced_depth()
     eta_ref = _scipy_efficiency(g_ref)
@@ -243,7 +242,7 @@ def test_criterion_06_visibility_bounds(capsys):
 def _fringe_fits(detector, penalty):
     levels = default_levels()
     layout = layout_from_levels(levels)
-    state = ideal_cluster_state(layout, ModeGrid())
+    state = ideal_cluster_state(layout)
     means = detection.fringe_means(
         state, detector, 1, levels, 24, CpmSettings(), penalty
     )
@@ -330,7 +329,7 @@ def test_criterion_11_cli_determinism(capsys, tmp_path):
         "waveform": {"dispersions_ns_per_nm": [2.0, 10.0]},
         "detection": {"pairs_per_setting": 200},
         "analysis": {"mc_samples": 2000, "fringe_points": 12},
-        "channel": {"drift": {"duration_s": 14400.0}},
+        "channel": {"readout_time_s": 7200.0, "drift": {"duration_s": 14400.0}},
     }))
     commands = ("generate", "transmit", "measure", "witness",
                 "fringe", "visibility", "drift", "capacity")

@@ -23,7 +23,7 @@ FAST_OVERRIDES = {
     "waveform": {"dispersions_ns_per_nm": [2.0, 10.0]},
     "detection": {"pairs_per_setting": 200},
     "analysis": {"mc_samples": 2000, "fringe_points": 12},
-    "channel": {"drift": {"duration_s": 14400.0}},
+    "channel": {"readout_time_s": 7200.0, "drift": {"duration_s": 14400.0}},
 }
 
 EXACT_NOISELESS = {
@@ -270,7 +270,6 @@ ONE_DISPERSION = {"dispersions_ns_per_nm": [10.0]}
     pytest.param("witness", {"analysis": {"mc_samples": 2.5}}, id="mc-samples-2.5"),
     pytest.param("witness", {"analysis": {"mc_samples": 0}}, id="mc-samples-0"),
     pytest.param("witness", {"analysis": {"mc_samples": 1}}, id="mc-samples-1"),
-    pytest.param("witness", {"encoding": {"time_quantum_ps": 30.0}}, id="bins-off-grid"),
     pytest.param("generate", {"seed": -1}, id="seed-negative"),
     pytest.param("measure", {"detection": {"pairs_per_setting": -5}}, id="pairs-negative"),
     pytest.param("witness", {"detection": {"pairs_per_setting": 0}}, id="pairs-zero"),
@@ -293,8 +292,6 @@ ONE_DISPERSION = {"dispersions_ns_per_nm": [10.0]}
     pytest.param("drift", {"channel": {"drift": {"step_s": 5e-324}}}, id="drift-step-tiny"),
     pytest.param("capacity", {"capacity": {"qubit_spectral_width_ghz": 5e-324}},
                  id="capacity-overflow"),
-    pytest.param("generate", {"encoding": {"time_quantum_ps": 5e-324}},
-                 id="time-quantum-tiny"),
     pytest.param("fringe", {"analysis": {"fringe_points": -3}}, id="fringe-points-negative"),
     pytest.param("visibility", {"waveform": {"dispersions_ns_per_nm": [5e-324]}},
                  id="dispersion-underflow"),
@@ -330,22 +327,40 @@ ONE_DISPERSION = {"dispersions_ns_per_nm": [10.0]}
                  id="visibility-carrier-negative"),
     pytest.param("visibility", {"cpm": {"carrier_wavelength_nm": 1e308}},
                  id="visibility-carrier-square-overflow"),
+    pytest.param("visibility", {"waveform": {"separations_ps": []}}, id="separations-empty"),
+    pytest.param("visibility", {"svg": True, "waveform": {"separations_ps": []}},
+                 id="separations-empty-svg"),
+    pytest.param("transmit", {"channel": {"readout_time_s": 1e9}},
+                 id="readout-time-after-trace"),
+    pytest.param("transmit", {"channel": {"readout_time_s": -5.0}},
+                 id="readout-time-negative"),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, command, overrides):
     cfg = _write_config(tmp_path, overrides)
-    assert _run([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    outdir = tmp_path / "out"
+    assert _run([command, "--config", cfg, "--out", str(outdir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not outdir.exists()
+
+
+def test_readout_time_is_read_inside_the_trace(tmp_path, capsys):
+    """The arrival offset is read within the drift trace, ends included, never clamped."""
+    for readout, code in ((0.0, 0), (3600.0, 0), (3600.5, 2)):
+        cfg = _write_config(tmp_path, {"channel": {"readout_time_s": readout,
+                                                   "drift": {"duration_s": 3600.0}}})
+        assert _run(["transmit", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == (
+        "config error: channel.readout_time_s: 3600.5 s is outside "
+        "the drift trace's span [0, 3600] s\n"
+    )
 
 
 @pytest.mark.parametrize("overrides,offset,corrupted", [
     pytest.param({"encoding": {"levels": [["T", 600.0, 3.75], ["t", 200.0, 1.25]]},
-                  "source": {"times_ps": [0.0, 200.0, 600.0, 800.0]},
                   "channel": {"drift": {"peak_k": 0.25}}}, "-77.47", False, id="200ps-bins"),
-    pytest.param({"encoding": {"time_quantum_ps": 20.0,
-                               "levels": [["T", 60.0, 3.75], ["t", 20.0, 1.25]]},
-                  "source": {"times_ps": [0.0, 20.0, 60.0, 80.0]},
+    pytest.param({"encoding": {"levels": [["T", 60.0, 3.75], ["t", 20.0, 1.25]]},
                   "channel": {"drift": {"peak_k": 0.04}}}, "-12.39", True, id="20ps-bins"),
 ])
 def test_bin_corruption_follows_the_layout(tmp_path, capsys, overrides, offset, corrupted):
@@ -367,35 +382,33 @@ def test_visibility_reads_the_carrier(tmp_path):
     assert outputs[0] != outputs[1]
 
 
-@pytest.mark.parametrize("command", ["measure", "fringe"])
-@pytest.mark.parametrize("overrides", [
-    pytest.param({"cpm": {"dispersion_ns_per_nm": 7.0}}, id="dispersion-off-grid"),
-    pytest.param({"cpm": {"dispersion_ns_per_nm": 1e308}}, id="spacing-overflow"),
-    pytest.param({"encoding": {"levels": [["T", 300.0, 1e308], ["t", 100.0, 1.25]]}},
-                 id="level-tone-overflow"),
+#: 1.25 and 3.75 GHz tones make 100 and 300 ps copies, not 200 and 600 ps.
+WIDE_LEVELS = {"encoding": {"levels": [["T", 600, 3.75], ["t", 200, 1.25]]}}
+
+
+@pytest.mark.parametrize("command,overrides", [
+    pytest.param(("witness", "--exact"), WIDE_LEVELS, id="witness --exact"),
+    pytest.param(("fringe", "--exact"), WIDE_LEVELS, id="fringe --exact"),
+    pytest.param(("measure",), WIDE_LEVELS, id="measure"),
+    *(
+        pytest.param((command,), overrides, id=f"{name}-{command}")
+        for name, overrides in (
+            ("dispersion-off-grid", {"cpm": {"dispersion_ns_per_nm": 7.0}}),
+            ("spacing-overflow", {"cpm": {"dispersion_ns_per_nm": 1e308}}),
+            ("level-tone-overflow",
+             {"encoding": {"levels": [["T", 300.0, 1e308], ["t", 100.0, 1.25]]}}),
+        )
+        for command in ("fringe", "measure")
+    ),
 ])
-def test_copy_spacing_off_grid_exit_1(tmp_path, capsys, command, overrides):
+def test_copy_spacing_off_level_shift_exit_1(tmp_path, capsys, command, overrides):
+    """Copies that miss a level's bin shift, by a wrong tone, dispersion or overflow."""
     cfg = _write_config(tmp_path, overrides)
-    assert _run([command, "--config", cfg, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(
-        r"simulation error: dt = \S+ ps does not land on the 100\.0 ps grid\n", err
-    ), err
-
-
-@pytest.mark.parametrize("command", [("witness", "--exact"), ("fringe", "--exact"),
-                                     ("measure",)], ids=" ".join)
-def test_copy_spacing_off_level_shift_exit_1(tmp_path, capsys, command):
-    """1.25 and 3.75 GHz tones make 100 and 300 ps copies, not 200 and 600 ps."""
-    cfg = _write_config(tmp_path, {
-        "encoding": {"levels": [["T", 600, 3.75], ["t", 200, 1.25]]},
-        "source": {"times_ps": [0, 200, 600, 800]},
-    })
     assert _run([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(
-        r"simulation error: level [Tt]: copy spacing \d+ ps does not match "
+        r"simulation error: level [Tt]: copy spacing \S+ ps does not match "
         r"its \d+ ps bin shift\n", captured.err
     ), captured.err
 
@@ -407,8 +420,7 @@ def test_readout_needs_two_levels_exit_1(tmp_path, capsys, command):
     cfg = _write_config(tmp_path, {
         "encoding": {"levels": [["T", 900.0, 11.2313], ["t", 300.0, 3.75],
                                 ["u", 100.0, 1.25]]},
-        "source": {"times_ps": [0, 100, 300, 400, 900, 1000, 1200, 1300],
-                   "phases_rad": [0.0] * 8},
+        "source": {"phases_rad": [0.0] * 8},
         "detection": {"dark_coincidence_rate": 0.1},
     })
     assert _run([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -420,6 +432,8 @@ def test_readout_needs_two_levels_exit_1(tmp_path, capsys, command):
 @pytest.mark.parametrize("section,key", [
     ("waveform", "n_alpha"), ("waveform", "pulse_fwhm_ps"),
     ("source", "repetition_ns"), ("cpm", "truncation_order"),
+    ("encoding", "time_quantum_ps"), ("encoding", "freq_quantum_ghz"),
+    ("source", "times_ps"),
 ])
 def test_removed_keys_are_unknown(tmp_path, capsys, section, key):
     cfg = _write_config(tmp_path, {section: {key: 1}})
@@ -444,13 +458,11 @@ def test_drift_overflow_exit_2(tmp_path, capsys, command, overrides):
     assert not outdir.exists()
 
 
-def test_grid_merging_bins_exit_2(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"encoding": {"time_quantum_ps": 1e12}})
+def test_phase_count_off_the_layout_exit_1(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"source": {"phases_rad": [0.0, 0.0]}})
     outdir = tmp_path / "out"
-    assert _run(["generate", "--config", cfg, "--out", str(outdir)]) == 2
-    assert capsys.readouterr().err == (
-        "config error: encoding: bins share a time step on the 1000000000000.0 ps grid\n"
-    )
+    assert _run(["generate", "--config", cfg, "--out", str(outdir)]) == 1
+    assert capsys.readouterr().err == "simulation error: 2 pulse phases vs 4 bins\n"
     assert not outdir.exists()
 
 
@@ -481,8 +493,8 @@ def test_visibility_wide_pulse_runs(tmp_path):
 
 
 def test_config_hash_is_pinned():
-    assert config_hash(load_config(None, None, None, None)) == "08690250adb08669"
-    assert config_hash(load_config(None, "paper-default", None, None)) == "ad6a6516353f427d"
+    assert config_hash(load_config(None, None, None, None)) == "82d7f0e2e5a2559e"
+    assert config_hash(load_config(None, "paper-default", None, None)) == "c9c37803fbe4ac3c"
 
 
 def test_null_peak_runs_without_rescale(tmp_path):
@@ -552,15 +564,12 @@ def test_fuzzed_overrides_exit_cleanly(command, overrides):
 #: For each config leaf but `out`: a command that reads it and a valid
 #: value that changes its exit code, stdout or --out files (stamps aside),
 #: from LEAF_BASE.  The sigma_k change is 0 because the peak rescale
-#: cancels any other; the cpm values move a copy spacing off the grid.
+#: cancels any other; the cpm values move a copy spacing off its bin shift.
 LEAF_BASE = {"analysis": {"mc_samples": 2000}}
 LEAF_CHANGES = {
     ("seed",): (("measure",), 1),
     ("svg",): (("drift",), True),
     ("encoding", "levels"): (("measure",), [["T", 300.0, 3.75], ["u", 100.0, 1.25]]),
-    ("encoding", "time_quantum_ps"): (("generate",), 50.0),
-    ("encoding", "freq_quantum_ghz"): (("generate",), 2.5),
-    ("source", "times_ps"): (("generate",), [0.0, 100.0, 300.0, 500.0]),
     ("source", "phases_rad"): (("generate",), [0.0, 0.0, 0.0, 0.0]),
     ("source", "pulse_fwhm_ps"): (("visibility",), 30.0),
     ("cpm", "dispersion_ns_per_nm"): (("measure",), 7.0),

@@ -7,7 +7,13 @@ from clustersim.bessel import solve_balanced_depth
 from clustersim.cpm import BeamSplitterSetting, CpmSettings, measurement_map
 from clustersim.encoding import Level, LevelSpec
 from clustersim.errors import GridMismatch, UnknownLevel
-from oracles import CpmOperatorSettings, bessel_j, efficiency
+from oracles import (
+    CpmOperatorSettings,
+    bessel_j,
+    efficiency,
+    grid_copy_spacing_ok,
+    grid_time_steps,
+)
 from sparse_oracle import TimeFreqMode, check_truncation, cpm_mode_map, freq_steps
 
 
@@ -21,15 +27,18 @@ def test_shift_law_values():
 
 
 def test_grid_steps(grid):
-    assert CpmSettings().time_steps(grid, 1.25) == 1
+    assert grid_time_steps(CpmSettings(), grid, 1.25) == 1
     assert freq_steps(CpmOperatorSettings(rf_frequency_ghz=1.25), grid) == 1
-    assert CpmSettings().time_steps(grid, 3.75) == 3
+    assert grid_time_steps(CpmSettings(), grid, 3.75) == 3
     assert freq_steps(CpmOperatorSettings(rf_frequency_ghz=3.75), grid) == 3
 
 
-def test_off_grid_rejected(grid):
+def test_off_grid_rejected(grid, levels):
     with pytest.raises(GridMismatch):
-        CpmSettings(dispersion_ns_per_nm=7.0).time_steps(grid, 1.25)
+        grid_time_steps(CpmSettings(dispersion_ns_per_nm=7.0), grid, 1.25)
+    with pytest.raises(GridMismatch, match=r"level t: copy spacing 70\.1214 ps"):
+        measurement_map(BeamSplitterSetting("X", "t"), levels,
+                        CpmSettings(dispersion_ns_per_nm=7.0), 0.0)
     with pytest.raises(GridMismatch):
         freq_steps(CpmOperatorSettings(rf_frequency_ghz=2.0), grid)
 
@@ -52,13 +61,46 @@ def test_mode_map_is_unitary_row(grid):
     assert sum(abs(w) ** 2 for w in weights) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_copy_spacing_overflow_rejected(grid):
+def test_copy_spacing_overflow_rejected():
     for carrier in (0.0, -1550.0, 1e308):  # 1e308 nm squared overflows in metres
         with pytest.raises(ValueError):
             CpmSettings(carrier_wavelength_nm=carrier)
-    for dispersion, rf_ghz in ((1e308, 1.25), (10.0, 1e308)):
-        with pytest.raises(GridMismatch):
-            CpmSettings(dispersion_ns_per_nm=dispersion).time_steps(grid, rf_ghz)
+    for dispersion, rf_ghz in ((1e308, 1.25), (10.0, 1e308), (0.0, 1e308)):
+        levels = LevelSpec((Level("t", 100.0, rf_ghz),))
+        settings = CpmSettings(dispersion_ns_per_nm=dispersion)
+        with pytest.raises(GridMismatch, match=r"copy spacing (inf|nan) ps"):
+            measurement_map(BeamSplitterSetting("X", "t"), levels, settings, 0.0)
+
+
+def _bridges(settings: CpmSettings, level: Level) -> bool:
+    """Whether measurement_map accepts an X splitter on a one-level tree of level."""
+    try:
+        measurement_map(BeamSplitterSetting("X", level.name), LevelSpec((level,)), settings, 0.0)
+    except GridMismatch:
+        return False
+    return True
+
+
+def test_copy_spacing_check_matches_grid_oracle():
+    """The one-step check accepts what the two-step grid check accepts.
+
+    The sweep holds shifts on the 100 ps grid, and no dt within an ulp of the
+    1 ps tolerance edge, where the two roundings may differ.  The 1e308 GHz
+    tone overflows the angular frequency to infinity.
+    """
+    dispersions = [7.0, *np.linspace(9.85, 10.10, 26), -10.0, 0.0, 1e308]
+    tones = [1.25, 2.5, 3.75, -1.25, 1e290, 1e308]
+    shifts = [100.0, 200.0, 300.0, 400.0, 600.0]
+    verdicts = []
+    for dispersion in dispersions:
+        settings = CpmSettings(dispersion_ns_per_nm=float(dispersion))
+        for tone in tones:
+            for shift in shifts:
+                level = Level("t", shift, tone)
+                new = _bridges(settings, level)
+                assert new == grid_copy_spacing_ok(settings, level), (dispersion, tone, shift)
+                verdicts.append(new)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_truncation_guard():
@@ -68,8 +110,8 @@ def test_truncation_guard():
         CpmOperatorSettings(truncation_order=-1)
 
 
-def test_z_setting_is_identity(levels, grid, base_cpm):
-    a = measurement_map(BeamSplitterSetting("Z", "t"), levels, base_cpm, grid, 0.0)
+def test_z_setting_is_identity(levels, base_cpm):
+    a = measurement_map(BeamSplitterSetting("Z", "t"), levels, base_cpm, 0.0)
     np.testing.assert_array_equal(a, np.eye(4))
     # every column keeps its full probability: efficiency 1
     np.testing.assert_array_equal(np.sum(np.abs(a) ** 2, axis=0), np.ones(4))
@@ -81,7 +123,7 @@ def test_x_setting_connects_level_partners(levels, grid, base_cpm, layout,
                                            level, partner_steps):
     g_star = solve_balanced_depth()
     j0 = bessel_j(0, g_star)
-    a = measurement_map(BeamSplitterSetting("X", level), levels, base_cpm, grid, 0.0)
+    a = measurement_map(BeamSplitterSetting("X", level), levels, base_cpm, 0.0)
     bin_of_steps = {grid.t_steps(p): b for b, p in enumerate(layout.positions_ps)}
     for steps, partner in partner_steps.items():
         b = bin_of_steps[steps]
@@ -92,13 +134,13 @@ def test_x_setting_connects_level_partners(levels, grid, base_cpm, layout,
         assert norm == pytest.approx(efficiency(g_star), abs=1e-12)
 
 
-def test_xy_phase_signs(levels, grid, base_cpm):
+def test_xy_phase_signs(levels, base_cpm):
     """|0> picks up J1 e^{-i a} toward |1>; |1> picks up -J1 e^{+i a}."""
     alpha = 0.9
     g_star = solve_balanced_depth()
     j1 = bessel_j(1, g_star)
     a = measurement_map(
-        BeamSplitterSetting("XY", "t", alpha), levels, base_cpm, grid, 0.0
+        BeamSplitterSetting("XY", "t", alpha), levels, base_cpm, 0.0
     )
     fwd = a[1, 0]
     bwd = a[0, 1]
@@ -106,7 +148,7 @@ def test_xy_phase_signs(levels, grid, base_cpm):
     assert bwd == pytest.approx(-j1 * np.exp(1j * alpha), abs=1e-12)
 
 
-def test_two_bin_interference_full_visibility(levels, grid, base_cpm):
+def test_two_bin_interference_full_visibility(levels, base_cpm):
     """(|0> + e^{i phi} |1>)/sqrt(2) on the t level sweeps a full fringe."""
     phi = 1.1
     probe = np.zeros(4, dtype=complex)
@@ -117,7 +159,7 @@ def test_two_bin_interference_full_visibility(levels, grid, base_cpm):
     alphas = -phi + np.linspace(0, 2 * np.pi, 32, endpoint=False)
     for alpha in alphas:
         a = measurement_map(
-            BeamSplitterSetting("XY", "t", alpha), levels, base_cpm, grid, 0.0
+            BeamSplitterSetting("XY", "t", alpha), levels, base_cpm, 0.0
         )
         rates.append(abs((a @ probe)[0]) ** 2)
     rates = np.asarray(rates)
@@ -125,22 +167,20 @@ def test_two_bin_interference_full_visibility(levels, grid, base_cpm):
     assert vis == pytest.approx(1.0, abs=1e-9)
 
 
-def test_copy_spacing_must_match_level_shift(grid):
+def test_copy_spacing_must_match_level_shift():
     """Copies 300 ps and 100 ps apart cannot pair bins 600 ps and 200 ps apart."""
     levels = LevelSpec((Level("T", 600.0, 3.75), Level("t", 200.0, 1.25)))
     for level in ("T", "t"):
         with pytest.raises(GridMismatch, match=f"level {level}: copy spacing"):
-            measurement_map(BeamSplitterSetting("X", level), levels, CpmSettings(), grid, 0.0)
+            measurement_map(BeamSplitterSetting("X", level), levels, CpmSettings(), 0.0)
     # the Z setting does not modulate, so it has no copies to match
-    z = measurement_map(BeamSplitterSetting("Z", "T"), levels, CpmSettings(), grid, 0.0)
+    z = measurement_map(BeamSplitterSetting("Z", "T"), levels, CpmSettings(), 0.0)
     np.testing.assert_array_equal(z, np.eye(4))
 
 
-def test_unknown_level_rejected(levels, grid, base_cpm):
+def test_unknown_level_rejected(levels, base_cpm):
     with pytest.raises(UnknownLevel):
-        measurement_map(
-            BeamSplitterSetting("X", "tau"), levels, base_cpm, grid, 0.0
-        )
+        measurement_map(BeamSplitterSetting("X", "tau"), levels, base_cpm, 0.0)
 
 
 def test_setting_kind_validation():

@@ -21,8 +21,7 @@ from clustersim.detection import (
 )
 from clustersim.encoding import Level
 from clustersim.errors import MissingBasis, UnsupportedLevels
-from clustersim.modes import ModeGrid
-from oracles import extend_levels, loop_basis_counts
+from oracles import ModeGrid, extend_levels, loop_basis_counts
 
 
 def test_schedule_structure(schedule, levels):

@@ -12,9 +12,9 @@ from clustersim.encoding import (
     layout_from_levels,
 )
 from clustersim.errors import IncompatibleShift, OutOfRange
-from clustersim.modes import ModeGrid
 from oracles import (
     LengthMismatch,
+    ModeGrid,
     bin_to_bits,
     bits_to_bin,
     extend_levels,

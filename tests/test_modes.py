@@ -1,4 +1,6 @@
-"""Sparse two-photon state algebra of the oracle path, and the mode grid."""
+"""The bin-pair state and its JSON form; the oracle path's sparse state algebra and mode grid."""
+
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from clustersim import modes
 from clustersim.detection import IDLER, SIGNAL
-from clustersim.modes import ModeGrid
+from clustersim.encoding import Level, LevelSpec, layout_from_levels
+from oracles import ModeGrid
 from sparse_oracle import (
     JointTwoPhotonState,
     NonContractive,
@@ -36,15 +39,29 @@ def test_norm_tracking_is_total_probability():
 
 
 def test_bin_pair_state_is_a_read_only_square_matrix():
-    grid = ModeGrid()
-    state = modes.JointTwoPhotonState(grid, (0, 1), [[1.0, 0.0], [0.0, 0.0]], 1.0)
+    state = modes.JointTwoPhotonState([[1.0, 0.0], [0.0, 0.0]], 1.0)
     assert state.amplitudes.dtype == complex
     with pytest.raises(ValueError):
         state.amplitudes[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        modes.JointTwoPhotonState(grid, (0, 1, 3), np.eye(2), 1.0)
-    with pytest.raises(ValueError, match="share a time step"):
-        modes.JointTwoPhotonState(grid, (0, 1, 1, 3), np.eye(4), 1.0)
+    for bad in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="square matrix"):
+            modes.JointTwoPhotonState(bad, 1.0)
+
+
+def test_state_json_keys_amplitudes_by_bin_position():
+    """Positions are the layout's, as floats, on or off the 100 ps grid."""
+    layout = layout_from_levels(LevelSpec((Level("T", 150.0, 1.0), Level("t", 50.0, 1.0))))
+    amps = np.zeros((4, 4), dtype=complex)
+    amps[0, 0], amps[3, 1] = 0.6, 0.8j
+    doc = json.loads(modes.state_to_json(modes.JointTwoPhotonState(amps, 0.5), layout))
+    assert doc == {
+        "amplitudes": [
+            {"signal_ps": 0.0, "idler_ps": 0.0, "re": 0.6, "im": 0.0},
+            {"signal_ps": 200.0, "idler_ps": 50.0, "re": 0.0, "im": 0.8},
+        ],
+        "norm_tracking": 0.5,
+    }
+    assert all(type(e["signal_ps"]) is float for e in doc["amplitudes"])
 
 
 def test_t_steps_rejects_off_grid_and_overflow():
@@ -102,11 +119,14 @@ def test_projection_probability_and_inner_product():
 
 
 def test_json_round_trip():
-    s = make_state({(0, 0, 0, 0): 0.5, (3, 1, 3, -2): -0.5 + 0.25j})
-    r = state_from_json(state_to_json(s))
+    s = make_state({(0, 0, 0, 0): 0.5, (3, 0, 4, 0): -0.5 + 0.25j})
+    r = state_from_json(state_to_json(s), s.grid)
     assert r.grid == s.grid
     assert r.amplitudes == s.amplitudes
     assert r.norm_tracking == pytest.approx(s.norm_tracking)
+    # the JSON form keys bins by time alone, so it refuses a frequency shift
+    with pytest.raises(ValueError, match="off frequency index 0"):
+        state_to_json(make_state({(3, 1, 3, -2): 1.0}))
 
 
 amp = st.complex_numbers(

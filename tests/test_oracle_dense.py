@@ -14,7 +14,7 @@ from clustersim import cpm, detection, modes
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.detection import IDLER, SIGNAL
 from clustersim.encoding import default_levels, layout_from_levels
-from clustersim.modes import ModeGrid
+from oracles import ModeGrid
 from sparse_oracle import (
     JointTwoPhotonState,
     TimeFreqMode,
@@ -164,7 +164,7 @@ def test_product_path_matches_dense(case):
     grid = ModeGrid()
     psi = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     psi /= np.linalg.norm(psi)
-    state = modes.JointTwoPhotonState(grid, T_STEPS, psi, 1.0)
+    state = modes.JointTwoPhotonState(psi, 1.0)
     block = np.zeros((N, N), dtype=complex)
     block[np.ix_(F0, F0)] = psi
     ss, si = random_setting(rng), random_setting(rng)
@@ -174,7 +174,7 @@ def test_product_path_matches_dense(case):
         a = dense_matrix_from_mode_map(
             measurement_map(setting, levels, CpmSettings(), grid, layout).mode_map
         )
-        product = cpm.measurement_map(setting, levels, CpmSettings(), grid, 0.0)
+        product = cpm.measurement_map(setting, levels, CpmSettings(), 0.0)
         np.testing.assert_allclose(product, a[np.ix_(F0, F0)], atol=1e-10)
 
     probs = detection.joint_outcome_probabilities(

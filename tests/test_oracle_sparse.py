@@ -18,7 +18,7 @@ def _states(name, layout, grid):
     """(product state, oracle state) built independently by each path."""
     phases = {"random": RANDOM_PHASES, "zero": (0.0,) * 4}.get(name)
     train = ExcitationTrain() if phases is None else ExcitationTrain(phases_rad=phases)
-    dense = generate_pair_state(train, layout, grid)
+    dense = generate_pair_state(train, layout)
     sparse = so.generate_pair_state(train, layout, grid)
     if name == "transmitted":
         dense = channel.transmit(dense, LINK)
@@ -39,7 +39,7 @@ def _readout_settings(levels):
 @pytest.mark.parametrize("name", ["cluster", "transmitted", "random", "zero"])
 def test_state_json_matches_oracle_serializer(layout, grid, name):
     dense, sparse = _states(name, layout, grid)
-    assert state_to_json(dense) == so.state_to_json(sparse)
+    assert state_to_json(dense, layout) == so.state_to_json(sparse)
 
 
 @pytest.mark.parametrize("penalty", PENALTIES, ids=["no-penalty", "penalty"])
