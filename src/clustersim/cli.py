@@ -65,7 +65,7 @@ DEFAULT_CONFIG = {
     "detection": {
         **_defaults(detection.DetectorModel),
         "pairs_per_setting": 1000,
-        "visibility_penalty": {"T": 1.0, "t": 1.0},
+        "visibility_penalty": {},
     },
     "analysis": {
         "mc_samples": 1_000_000,
@@ -94,8 +94,9 @@ PRESETS = {
     },
 }
 
-# Sections whose keys are free-form (level names etc.), exempt from
-# unknown-key rejection; each value must have the type of the given one.
+# Sections keyed by level name, exempt from unknown-key rejection; each
+# value must have the type of the given one, and load_config refuses a key
+# that names no level of encoding.levels.
 _OPEN_SECTIONS = {"detection.visibility_penalty": 1.0}
 
 # Leaves that may be null: no peak rescale of the drift.
@@ -110,12 +111,14 @@ _RANGES = {"seed": (0, math.inf), "detection.pairs_per_setting": (1, 10**15),
            "analysis.fringe_points": (analysis.MIN_SCAN_PHASES, 10**5),
            "detection.visibility_penalty": (0.0, 1.0)}
 
-# Most entries of the list leaves whose length sets the work: a layout has
-# 2**levels bins (10 levels take 0.5 s and 80 MB to generate), and
-# visibility computes one bound per (separation, dispersion) pair (100 x 100
-# pairs take about 5 s).
-_MAX_ENTRIES = {"encoding.levels": 10, "waveform.dispersions_ns_per_nm": 100,
-                "waveform.separations_ps": 100}
+# Lists with exactly as many entries as their default: the readout reads
+# the paper's two-level tree, whose four bins take one pump phase each.
+_FIXED_LENGTH = {"encoding.levels", "source.phases_rad"}
+
+# Most entries of the list leaves whose length sets the work: visibility
+# computes one bound per (separation, dispersion) pair (100 x 100 pairs
+# take about 5 s).
+_MAX_ENTRIES = {"waveform.dispersions_ns_per_nm": 100, "waveform.separations_ps": 100}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", list: "a list", dict: "an object"}
@@ -127,7 +130,8 @@ def _check_type(value, default, where: str) -> None:
     Integers are numbers and integral numbers are integers; booleans are
     neither.  Values are not converted, so config hashes stay as written.
     List items are checked against the default's first item, or position
-    by position when its items differ in type (a level [name, shift, freq]).
+    by position, with the default's length, when its items differ in type
+    (a level [name, shift, freq]) or the list is in _FIXED_LENGTH.
     """
     if value is None and where in _NULLABLE:
         return
@@ -143,7 +147,7 @@ def _check_type(value, default, where: str) -> None:
         expected = _TYPE_NAMES[type(default)]
         raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
     if isinstance(default, list) and default:
-        positional = len({type(item) for item in default}) > 1
+        positional = where in _FIXED_LENGTH or len({type(item) for item in default}) > 1
         if positional and len(value) != len(default):
             raise ConfigError(f"{where} must have {len(default)} entries")
         for i, item in enumerate(value):
@@ -204,6 +208,11 @@ def load_config(
         cfg = _merge(cfg, {"seed": int(seed)})
     if out is not None:
         cfg = _merge(cfg, {"out": out})
+    names = {name for name, *_ in cfg["encoding"]["levels"]}
+    for key in cfg["detection"]["visibility_penalty"]:
+        if key not in names:
+            raise ConfigError(f"detection.visibility_penalty.{key} names no level "
+                              f"of encoding.levels")
     return cfg
 
 
@@ -345,7 +354,7 @@ def _make_state(cfg):
     levels = LevelSpec(tuple(Level(*lv) for lv in cfg["encoding"]["levels"]))
     layout = layout_from_levels(levels)
     train = _build(ExcitationTrain, cfg, "source")
-    return generate_pair_state(train, layout), levels, layout
+    return generate_pair_state(train), levels, layout
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +362,7 @@ def _make_state(cfg):
 
 def cmd_generate(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     state, levels, layout = _make_state(cfg)
-    ok, fidelity = is_cluster_state(state, layout)
+    ok, fidelity = is_cluster_state(state)
     write_json(outdir / "state.json",
                {"state": json.loads(state_to_json(state, layout)), "fidelity": fidelity},
                stamp)

@@ -89,10 +89,12 @@ def measurement_map(
 ) -> np.ndarray:
     """Single-photon measurement matrix A[out bin, in bin] for one setting.
 
-    The matrix spans the 2**levels.count bins of the canonical layout.
-    Z is the identity.  X/XY act as the ideal pairwise splitter derived
-    from the CPM operator truncated to the orders that connect a bin to
-    its partner on the measured level:
+    The matrix spans the 2**levels.count bins of the tree, four for the
+    two-level tree of a config; a level's partner bin is the bin with that
+    level's bit flipped, so the map holds at any depth.  Z is the identity.
+    X/XY act as the ideal pairwise splitter derived from the CPM operator
+    truncated to the orders that connect a bin to its partner on the
+    measured level:
 
         |0> -> J0 |0> + J1 e^{-i alpha} |1>
         |1> -> J0 |1> - J1 e^{+i alpha} |0>

@@ -3,8 +3,7 @@
 One 180 ns RF frame holds 18 segments of 10 ns; interleaving signal and
 idler segments (48 ns apart, 5 segments) realizes all nine joint
 beam-splitter settings in parallel.  The schedule is those nine pairings,
-and each names the witness basis it reads, if any.  The readout (schedule
-and fringe scan) reads two-level trees only.  Exact output-bin
+and each names the witness basis it reads, if any.  Exact output-bin
 probabilities are degraded by interference-visibility penalties, detector
 jitter and uniform background, then realized as Poisson counts.
 """
@@ -19,7 +18,7 @@ import numpy as np
 from .analysis import scan_phases
 from .cpm import BeamSplitterSetting, CpmSettings, measurement_map
 from .encoding import BinLayout, LevelSpec, layout_from_levels
-from .errors import MissingBasis, UnsupportedLevels
+from .errors import MissingBasis
 from .modes import JointTwoPhotonState, clean
 
 SIGNAL = "signal"
@@ -94,28 +93,22 @@ class JointTemporalIntensity:
         object.__setattr__(self, "counts", c)
 
 
-def _readout_levels(levels: LevelSpec) -> tuple[str, str]:
-    """(outer, inner) level names of the two-level tree the readout reads."""
-    if levels.count != 2:
-        raise UnsupportedLevels(f"default schedule needs 2 levels, got {levels.count}")
-    return levels.levels[0].name, levels.levels[1].name
-
-
 def build_default_schedule(levels: LevelSpec) -> tuple[PairingRecord, ...]:
     """The nine joint settings of the 18-segment frame, a to i.
 
-    Each photon is read by Z, X on the inner level or X on the outer
-    level; pairing k reads the signal with setting k // 3 and the idler
-    with setting k % 3, so the three matched pairings a, e and i read the
-    witness bases ZZZZ, ZZXX and XXZZ.  Signal photons occupy the even
-    segments 0..16 and each idler segment lags its partner by IDLER_LAG,
-    so the nine pairings fill the frame's 18 segments once each.
+    levels is the two-level tree (outer, inner); a spec of another depth
+    does not unpack.  Each photon is read by Z, X on the inner level or X
+    on the outer level; pairing k reads the signal with setting k // 3 and
+    the idler with setting k % 3, so the three matched pairings a, e and i
+    read the witness bases ZZZZ, ZZXX and XXZZ.  Signal photons occupy the
+    even segments 0..16 and each idler segment lags its partner by
+    IDLER_LAG, so the nine pairings fill the frame's 18 segments once each.
     """
-    outer, inner = _readout_levels(levels)
+    outer, inner = levels.levels
     settings = (
-        BeamSplitterSetting("Z", inner),
-        BeamSplitterSetting("X", inner),
-        BeamSplitterSetting("X", outer),
+        BeamSplitterSetting("Z", inner.name),
+        BeamSplitterSetting("X", inner.name),
+        BeamSplitterSetting("X", outer.name),
     )
     return tuple(
         PairingRecord(
@@ -268,12 +261,12 @@ def fringe_means(
     analysis.scan_phases(n_points).  The joint probabilities are mixed with
     background as in expected_counts, but no jitter window is applied.
     """
-    outer, _ = _readout_levels(levels)
+    outer, _ = levels.levels
     signal_bins = [(ports[0] << 1) | bits[0] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     idler_bins = [(ports[1] << 1) | bits[1] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     means = np.empty((n_points, len(FRINGE_PROJECTIONS)))
     for j, alpha in enumerate(scan_phases(n_points)):
-        setting = BeamSplitterSetting("XY", outer, float(alpha))
+        setting = BeamSplitterSetting("XY", outer.name, float(alpha))
         probs = joint_outcome_probabilities(
             state, setting, setting, levels, base, visibility_penalty
         )

@@ -1,13 +1,14 @@
-"""Binary-tree multi-level time-bin encoding.
+"""Two-level time-bin encoding: an outer level over an inner one.
 
-Each level of the tree encodes one qubit; the outermost level (largest
-time shift) is the most significant bit.  The default two-level spec is
+Each level of the tree encodes one qubit; the outer level (larger time
+shift) is the high bit of a bin index.  The default spec is the paper's
 T (300 ps shift, 3.75 GHz tone) over t (100 ps shift, 1.25 GHz tone),
 giving the irregular physical bin positions 0, 100, 300, 400 ps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import IncompatibleShift, UnknownLevel
@@ -54,11 +55,9 @@ class BinLayout:
 
     def __post_init__(self):
         pos = self.positions_ps
-        if any(b <= a for a, b in zip(pos, pos[1:])):
-            raise ValueError("bin positions must be strictly increasing")
-        n = len(pos)
-        if n & (n - 1) or n == 0:
-            raise ValueError("bin count must be a power of two")
+        # an outer shift plus an inner one may overflow to infinity
+        if not all(a < b < math.inf for a, b in zip(pos, pos[1:])):
+            raise ValueError("bin positions must be finite and strictly increasing")
 
     @property
     def count(self) -> int:
@@ -73,20 +72,15 @@ def default_levels() -> LevelSpec:
 
 
 def layout_from_levels(spec: LevelSpec) -> BinLayout:
-    """Canonical layout: position(bin) = sum of the shifts of set branch bits.
+    """Bin positions 0, t, T, T + t of an outer shift T over an inner shift t.
 
-    Valid only when every level's shift exceeds the sum of the inner
-    shifts, so bin order by position equals binary order.
+    Valid only when T > t > 0, so bin order by position equals binary
+    order.  A spec of another depth does not unpack.
     """
-    shifts = [lv.shift_ps for lv in spec.levels]
-    for k, s in enumerate(shifts):
-        if s <= sum(shifts[k + 1:]):
+    outer, inner = spec.levels
+    for level, inner_span in ((outer, inner.shift_ps), (inner, 0)):
+        if level.shift_ps <= inner_span:
             raise IncompatibleShift(
-                f"level {spec.levels[k].name}: shift {s} ps does not clear inner levels"
+                f"level {level.name}: shift {level.shift_ps} ps does not clear inner levels"
             )
-    top = spec.count - 1
-    return BinLayout(tuple(
-        sum(s for k, s in enumerate(shifts) if (b >> (top - k)) & 1)
-        for b in range(1 << spec.count)
-    ))
-
+    return BinLayout((0, inner.shift_ps, outer.shift_ps, outer.shift_ps + inner.shift_ps))

@@ -13,20 +13,12 @@ class IncompatibleShift(ClusterSimError):
     """No bin layout satisfies the uniform-shift property for this level."""
 
 
-class LayoutMismatch(ClusterSimError):
-    """Excitation train and bin layout disagree."""
-
-
 class GridMismatch(ClusterSimError):
     """A level's splitter copy spacing does not bridge its bin shift."""
 
 
 class UnknownLevel(ClusterSimError):
     """Measurement references a level absent from the level spec."""
-
-
-class UnsupportedLevels(ClusterSimError):
-    """The default schedule builder only handles two levels."""
 
 
 class MissingBasis(ClusterSimError):

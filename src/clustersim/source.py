@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import BinLayout
-from .errors import LayoutMismatch
 from .modes import JointTwoPhotonState
 from .waveform import MIN_PULSE_FWHM_PS
 
@@ -24,8 +22,8 @@ from .waveform import MIN_PULSE_FWHM_PS
 class ExcitationTrain:
     """Excitation pulse train driving the SHG/SPDC cascade.
 
-    The pulses sit at the bin positions of the layout they drive, one
-    phase per bin.
+    The four pulses sit at the four bin positions of the two-level
+    layout, one phase per bin.
     """
 
     phases_rad: tuple[float, ...] = (0.0, 0.0, 0.0, np.pi / 2)
@@ -46,30 +44,25 @@ def shg_phases(train: ExcitationTrain) -> tuple[float, ...]:
     return tuple(float(np.mod(2.0 * np.mod(p, two_pi), two_pi)) for p in train.phases_rad)
 
 
-def generate_pair_state(train: ExcitationTrain, layout: BinLayout) -> JointTwoPhotonState:
+def generate_pair_state(train: ExcitationTrain) -> JointTwoPhotonState:
     """Pair state (1/sqrt(K)) sum_k e^{i 2 phi_k} |bin k>_s |bin k>_i.
 
     SPDC amplitudes are equal across pulses (flat pump envelope), so the
     state fills the diagonal of the bin-pair matrix; the signal-idler
     600 GHz offset is not carried, only the relative structure matters here.
     """
-    if len(train.phases_rad) != layout.count:
-        raise LayoutMismatch(f"{len(train.phases_rad)} pulse phases vs {layout.count} bins")
     amps = np.exp(1j * np.array(shg_phases(train)))
     amps = amps * (1.0 / np.sqrt(np.sum(np.abs(amps) ** 2)))
     return JointTwoPhotonState(np.diag(amps), 1.0)
 
 
-def ideal_cluster_state(layout: BinLayout) -> JointTwoPhotonState:
+def ideal_cluster_state() -> JointTwoPhotonState:
     """The target state with amplitudes (1/2, 1/2, 1/2, -1/2)."""
-    train = ExcitationTrain(phases_rad=(0.0,) * (layout.count - 1) + (np.pi / 2,))
-    return generate_pair_state(train, layout)
+    return generate_pair_state(ExcitationTrain(phases_rad=(0.0, 0.0, 0.0, np.pi / 2)))
 
 
-def is_cluster_state(
-    state: JointTwoPhotonState, layout: BinLayout
-) -> tuple[bool, float]:
+def is_cluster_state(state: JointTwoPhotonState) -> tuple[bool, float]:
     """Overlap fidelity |<cluster|state>|^2 and a pass flag at 1 - 1e-9."""
-    target = ideal_cluster_state(layout)
+    target = ideal_cluster_state()
     fidelity = float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
     return fidelity > 1.0 - 1e-9, fidelity

@@ -24,8 +24,8 @@ def grid():
 
 
 @pytest.fixture(scope="session")
-def cluster(layout):
-    return ideal_cluster_state(layout)
+def cluster():
+    return ideal_cluster_state()
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,10 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
   `visibility_fft_chain`, the reference of `waveform.visibility_bound`.
 - The scalar Bessel entry point `bessel_j` and the splitter efficiency,
   the references of `bessel.bessel_row` and of the matrices' column norms.
-- Bin-index helpers: `bin_to_bits` and `bits_to_bin`, and for deeper trees
-  `extend_levels` and `uniform_shift_offsets`.
+- Bin-index helpers: `bin_to_bits` and `bits_to_bin`, and for trees of
+  any depth `any_depth_layout` (the reference of the two-level
+  `encoding.layout_from_levels`), `extend_levels` and
+  `uniform_shift_offsets`.
 - `outcome_index` and `loop_basis_counts`, the per-cell loop that folds a
   bin-pair histogram into a basis's 16 outcome counts, the reference of
   `detection.raw_basis_counts`; `loop_term_signs`, the per-outcome loop of
@@ -47,7 +49,7 @@ from clustersim.analysis import (
 )
 from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.cpm import CpmSettings, chirp_beta2_s2
-from clustersim.encoding import BinLayout, Level, LevelSpec, layout_from_levels
+from clustersim.encoding import BinLayout, Level, LevelSpec
 from clustersim.errors import ClusterSimError, GridMismatch, IncompatibleShift, OutOfRange
 from clustersim.waveform import _gaussian, rf_for_spacing
 
@@ -331,6 +333,25 @@ def bits_to_bin(layout: BinLayout, bits) -> int:
     return out
 
 
+def any_depth_layout(spec: LevelSpec) -> BinLayout:
+    """Canonical layout of any depth: position(bin) = sum of the shifts of set branch bits.
+
+    Valid only when every level's shift exceeds the sum of the inner
+    shifts, so bin order by position equals binary order.
+    """
+    shifts = [lv.shift_ps for lv in spec.levels]
+    for k, s in enumerate(shifts):
+        if s <= sum(shifts[k + 1:]):
+            raise IncompatibleShift(
+                f"level {spec.levels[k].name}: shift {s} ps does not clear inner levels"
+            )
+    top = spec.count - 1
+    return BinLayout(tuple(
+        sum(s for k, s in enumerate(shifts) if (b >> (top - k)) & 1)
+        for b in range(1 << spec.count)
+    ))
+
+
 def extend_levels(spec: LevelSpec, new_level: Level, grid: ModeGrid | None = None) -> LevelSpec:
     """Add an outer level with twice the bin count.
 
@@ -345,7 +366,7 @@ def extend_levels(spec: LevelSpec, new_level: Level, grid: ModeGrid | None = Non
             f"{grid.time_quantum_ps} ps"
         )
     extended = LevelSpec((new_level,) + spec.levels)
-    layout_from_levels(extended)  # raises IncompatibleShift if invalid
+    any_depth_layout(extended)  # raises IncompatibleShift if invalid
     return extended
 
 

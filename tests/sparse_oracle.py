@@ -21,7 +21,7 @@ from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.detection import IDLER, SIGNAL, _penalty_branches
 from clustersim.encoding import BinLayout, LevelSpec, layout_from_levels
-from clustersim.errors import ClusterSimError, GridMismatch, LayoutMismatch
+from clustersim.errors import ClusterSimError, GridMismatch
 from clustersim.modes import SPARSITY_THRESHOLD
 from clustersim.source import ExcitationTrain, shg_phases
 from oracles import (
@@ -191,9 +191,7 @@ def generate_pair_state(
 ) -> JointTwoPhotonState:
     """Pair state (1/sqrt(K)) sum_k e^{i 2 phi_k} |bin k>_s |bin k>_i."""
     if len(train.phases_rad) != layout.count:
-        raise LayoutMismatch(
-            f"{len(train.phases_rad)} pulse phases vs {layout.count} bins"
-        )
+        raise ValueError(f"{len(train.phases_rad)} pulse phases vs {layout.count} bins")
     doubled = shg_phases(train)
     amps = {}
     for t, phase in zip(layout.positions_ps, doubled):

@@ -19,7 +19,7 @@ from clustersim import analysis, channel, cpm, detection, waveform
 from clustersim.bessel import solve_balanced_depth
 from clustersim.cli import main
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
-from clustersim.encoding import default_levels, layout_from_levels
+from clustersim.encoding import default_levels
 from clustersim.source import ideal_cluster_state
 
 
@@ -37,8 +37,7 @@ def _noiseless_detector(**kwargs):
 
 def _pipeline_witness(detector, pairs=1, seed=0, exact=True):
     levels = default_levels()
-    layout = layout_from_levels(levels)
-    state = ideal_cluster_state(layout)
+    state = ideal_cluster_state()
     schedule = detection.build_default_schedule(levels)
     hists = detection.sample_coincidences(
         state, schedule, detector, pairs, {}, seed, levels, CpmSettings(), exact
@@ -102,9 +101,8 @@ def test_criterion_03_calibrated_match(capsys):
     start = time.perf_counter()
     detector = _noiseless_detector(dark_coincidence_rate=0.0667)
     levels = default_levels()
-    layout = layout_from_levels(levels)
     schedule = detection.build_default_schedule(levels)
-    state = ideal_cluster_state(layout)
+    state = ideal_cluster_state()
     lossy = channel.transmit(state, channel.FiberLink())
     witnesses, ratios = [], []
     for seed in range(20):
@@ -241,8 +239,7 @@ def test_criterion_06_visibility_bounds(capsys):
 
 def _fringe_fits(detector, penalty):
     levels = default_levels()
-    layout = layout_from_levels(levels)
-    state = ideal_cluster_state(layout)
+    state = ideal_cluster_state()
     means = detection.fringe_means(
         state, detector, 1, levels, 24, CpmSettings(), penalty
     )

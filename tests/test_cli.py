@@ -234,7 +234,6 @@ def test_empty_dispersion_list_exit_2(tmp_path):
 @pytest.mark.parametrize("section,key,item,cap", [
     ("waveform", "separations_ps", 100.0, 100),
     ("waveform", "dispersions_ns_per_nm", 5.0, 100),
-    ("encoding", "levels", ["T", 300.0, 3.75], 10),
 ])
 def test_list_leaf_length_is_capped(tmp_path, capsys, section, key, item, cap):
     """One entry over the cap exits 2 with one line, from every command."""
@@ -413,22 +412,6 @@ def test_copy_spacing_off_level_shift_exit_1(tmp_path, capsys, command, override
     ), captured.err
 
 
-@pytest.mark.parametrize("command", [("fringe", "--exact"), ("measure",),
-                                     ("witness", "--exact")], ids=" ".join)
-def test_readout_needs_two_levels_exit_1(tmp_path, capsys, command):
-    """The schedule and the fringe scan read two-level trees only."""
-    cfg = _write_config(tmp_path, {
-        "encoding": {"levels": [["T", 900.0, 11.2313], ["t", 300.0, 3.75],
-                                ["u", 100.0, 1.25]]},
-        "source": {"phases_rad": [0.0] * 8},
-        "detection": {"dark_coincidence_rate": 0.1},
-    })
-    assert _run([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "simulation error: default schedule needs 2 levels, got 3\n"
-
-
 @pytest.mark.parametrize("section,key", [
     ("waveform", "n_alpha"), ("waveform", "pulse_fwhm_ps"),
     ("source", "repetition_ns"), ("cpm", "truncation_order"),
@@ -458,12 +441,84 @@ def test_drift_overflow_exit_2(tmp_path, capsys, command, overrides):
     assert not outdir.exists()
 
 
-def test_phase_count_off_the_layout_exit_1(tmp_path, capsys):
-    cfg = _write_config(tmp_path, {"source": {"phases_rad": [0.0, 0.0]}})
+#: Trees of another depth than the readout's two levels, and pump phase
+#: lists of another length than its four bins.
+LEVELS = {
+    0: [],
+    1: [["T", 300.0, 3.75]],
+    3: [["T", 900.0, 11.2313], ["t", 300.0, 3.75], ["u", 100.0, 1.25]],
+}
+NO_LEVEL = ("config error: detection.visibility_penalty.{} names no level "
+            "of encoding.levels\n")
+AB_LEVELS = [["A", 300.0, 3.75], ["B", 100.0, 1.25]]
+
+
+@pytest.mark.parametrize("command,doc,code,err", [
+    *(
+        pytest.param((command,), {"encoding": {"levels": levels}}, 2,
+                     "config error: encoding.levels must have 2 entries\n",
+                     id=f"levels-{depth}-{command}")
+        for depth, levels in LEVELS.items() for command in cli.COMMANDS
+    ),
+    *(
+        pytest.param((command,), {"source": {"phases_rad": [0.0] * count}}, 2,
+                     "config error: source.phases_rad must have 4 entries\n",
+                     id=f"phases-{count}-{command}")
+        for count in (3, 5) for command in cli.COMMANDS
+    ),
+    pytest.param(("witness", "--exact"), {"detection": {"visibility_penalty": {"X": 0.5}}},
+                 2, NO_LEVEL.format("X"), id="penalty-no-level"),
+    pytest.param(("measure",), {"encoding": {"levels": AB_LEVELS},
+                                "detection": {"visibility_penalty": {"T": 0.5, "t": 0.9}}},
+                 2, NO_LEVEL.format("T"), id="penalty-of-renamed-level"),
+    pytest.param(("capacity",), {"detection": {"visibility_penalty": {"t": 0.9, "x": 1.0}}},
+                 2, NO_LEVEL.format("x"), id="penalty-one-key-off"),
+    pytest.param(("witness",), {"detection": {"pairs_per_setting": 1}}, 1,
+                 "simulation error: basis ZZZZ has no counts\n", id="witness-no-counts"),
+    pytest.param(("fringe", "--exact"), {"channel": {"loss_db": 1e6}}, 1,
+                 "simulation error: non-positive mean rate; cannot define visibility\n",
+                 id="fringe-no-rate"),
+    pytest.param(("generate",), {"encoding": {"levels": [["T", 300.0, 3.75],
+                                                         ["T", 100.0, 1.25]]}},
+                 2, "config error: encoding: duplicate level names\n",
+                 id="duplicate-names"),
+    pytest.param(("generate",), {"encoding": {"levels": [["T", 300.0],
+                                                         ["t", 100.0, 1.25]]}},
+                 2, "config error: encoding.levels[0] must have 3 entries\n",
+                 id="level-two-entries"),
+    pytest.param(("capacity",), [1], 2, "config error: config root must be a JSON object\n",
+                 id="root-not-object"),
+    *(
+        pytest.param((command,), {"encoding": {"levels": [["T", 1.7e308, 3.75],
+                                                          ["t", 1e308, 1.25]]}}, 2,
+                     "config error: encoding: bin positions must be finite and strictly "
+                     "increasing\n", id=f"bins-overflow-{command}")
+        for command in ("generate", "transmit", "measure")
+    ),
+])
+def test_refused_input_one_line(tmp_path, capsys, command, doc, code, err):
+    """Each refused input exits with its code and one exact line, writing nothing."""
+    cfg = _write_config(tmp_path, doc)
     outdir = tmp_path / "out"
-    assert _run(["generate", "--config", cfg, "--out", str(outdir)]) == 1
-    assert capsys.readouterr().err == "simulation error: 2 pulse phases vs 4 bins\n"
+    assert _run([*command, "--config", cfg, "--out", str(outdir)]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
     assert not outdir.exists()
+
+
+def test_penalty_keys_follow_the_level_names(tmp_path):
+    """Renamed levels take their penalties under the new names."""
+    runs = []
+    for outer, inner, penalty in (("T", "t", {"T": 0.5}), ("A", "B", {"A": 0.5}),
+                                  ("A", "B", {})):
+        cfg = _write_config(tmp_path, {
+            "encoding": {"levels": [[outer, 300.0, 3.75], [inner, 100.0, 1.25]]},
+            "detection": {"visibility_penalty": penalty},
+        })
+        outdir = tmp_path / f"{outer}{len(penalty)}"
+        assert _run(["witness", "--exact", "--config", cfg, "--out", str(outdir)]) == 0
+        runs.append(json.loads((outdir / "witness.json").read_text())["witness"])
+    assert runs[0] == runs[1] != runs[2]
 
 
 def test_negative_seed_option_exit_2(tmp_path, capsys):
@@ -493,8 +548,8 @@ def test_visibility_wide_pulse_runs(tmp_path):
 
 
 def test_config_hash_is_pinned():
-    assert config_hash(load_config(None, None, None, None)) == "82d7f0e2e5a2559e"
-    assert config_hash(load_config(None, "paper-default", None, None)) == "c9c37803fbe4ac3c"
+    assert config_hash(load_config(None, None, None, None)) == "b374176380540448"
+    assert config_hash(load_config(None, "paper-default", None, None)) == "5eb5005b828e6a64"
 
 
 def test_null_peak_runs_without_rescale(tmp_path):
@@ -514,13 +569,19 @@ def test_integral_numbers_fill_integer_leaves(tmp_path, command, overrides):
 
 def _leaves(tree, path=()):
     for key, value in tree.items():
-        if isinstance(value, dict) and value:
+        if isinstance(value, dict):
             yield from _leaves(value, path + (key,))
         else:
             yield path + (key,)
 
 
-CONFIG_LEAVES = sorted(_leaves(DEFAULT_CONFIG))
+#: Keys of the open sections that the default config accepts: one per level name.
+OPEN_LEAVES = [
+    tuple(section.split(".")) + (name,)
+    for section in cli._OPEN_SECTIONS
+    for name, *_ in DEFAULT_CONFIG["encoding"]["levels"]
+]
+CONFIG_LEAVES = sorted([*_leaves(DEFAULT_CONFIG), *OPEN_LEAVES])
 
 FUZZ_VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=4), st.just([]), st.just({}),
@@ -565,6 +626,7 @@ def test_fuzzed_overrides_exit_cleanly(command, overrides):
 #: value that changes its exit code, stdout or --out files (stamps aside),
 #: from LEAF_BASE.  The sigma_k change is 0 because the peak rescale
 #: cancels any other; the cpm values move a copy spacing off its bin shift.
+#: The visibility_penalty rows are OPEN_LEAVES, keys the default omits.
 LEAF_BASE = {"analysis": {"mc_samples": 2000}}
 LEAF_CHANGES = {
     ("seed",): (("measure",), 1),
@@ -676,7 +738,8 @@ def test_extreme_values_exit_cleanly(value):
     for path, (command, _) in LEAF_CHANGES.items():
         default = DEFAULT_CONFIG
         for key in path:
-            default = default[key]
+            default = (default[key] if key in default
+                       else cli._OPEN_SECTIONS[".".join(path[:-1])])
         for where, doc in _extreme_docs(path, default, value):
             code, _, err, files, caught = _outcome(command, doc)
             assert code in (0, 1, 2), where

@@ -19,8 +19,8 @@ from clustersim.detection import (
     raw_basis_counts,
     sample_coincidences,
 )
-from clustersim.encoding import Level
-from clustersim.errors import MissingBasis, UnsupportedLevels
+from clustersim.encoding import Level, LevelSpec
+from clustersim.errors import MissingBasis
 from oracles import ModeGrid, extend_levels, loop_basis_counts
 
 
@@ -54,14 +54,15 @@ def test_schedule_structure(schedule, levels):
     assert sorted(p.basis for p in schedule if p.basis) == sorted(WITNESS_BASES)
 
 
-def test_schedule_needs_two_levels():
-    three = extend_levels(
-        __import__("clustersim.encoding", fromlist=["default_levels"]).default_levels(),
-        Level("tau", 900.0, 0.4166666667),
-        ModeGrid(),
-    )
-    with pytest.raises(UnsupportedLevels):
-        build_default_schedule(three)
+def test_schedule_needs_two_levels(levels, cluster, noiseless_detector, base_cpm):
+    """The readout unpacks (outer, inner), so another depth fails loudly."""
+    three = extend_levels(levels, Level("tau", 900.0, 0.4166666667), ModeGrid())
+    one = LevelSpec(levels.levels[:1])
+    for spec in (three, one):
+        with pytest.raises(ValueError, match="values to unpack"):
+            build_default_schedule(spec)
+        with pytest.raises(ValueError, match="values to unpack"):
+            fringe_means(cluster, noiseless_detector, 1, spec, 8, base_cpm, {})
 
 
 def test_zzzz_probabilities_are_quarter_diagonal(cluster, levels, schedule, base_cpm):

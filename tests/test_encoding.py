@@ -1,4 +1,4 @@
-"""Binary-tree bin layouts and level specifications."""
+"""Two-level bin layouts and level specifications."""
 
 import pytest
 from hypothesis import given
@@ -15,6 +15,7 @@ from clustersim.errors import IncompatibleShift, OutOfRange
 from oracles import (
     LengthMismatch,
     ModeGrid,
+    any_depth_layout,
     bin_to_bits,
     bits_to_bin,
     extend_levels,
@@ -56,15 +57,44 @@ def test_incompatible_shift_rejected():
 def test_layout_validation():
     with pytest.raises(ValueError):
         BinLayout((0.0, 100.0, 50.0, 400.0))  # not increasing
-    with pytest.raises(ValueError):
-        BinLayout((0.0, 100.0, 300.0))  # not a power of two
+    with pytest.raises(ValueError, match="finite"):
+        BinLayout((0.0, 1e308, 1.7e308, float("inf")))  # overflowed T + t
+
+
+@pytest.mark.parametrize("outer,inner", [
+    (300.0, 100.0), (600, 200), (150.0, 50.0), (100.0, 99.99999999999999),
+    (100.0, 100.0), (90.0, 100.0), (300.0, 0.0), (300.0, -0.0), (300.0, -100.0),
+    (-100.0, -300.0), (300.0, 5e-324), (1e308, 1e308), (1.7e308, 1e308),
+])
+def test_two_level_layout_matches_any_depth_oracle(outer, inner):
+    """Same positions, or the same IncompatibleShift, on each side of T > t > 0."""
+    spec = LevelSpec((Level("T", outer, 3.75), Level("t", inner, 1.25)))
+    try:
+        expected = any_depth_layout(spec).positions_ps
+    except (IncompatibleShift, ValueError) as exc:
+        with pytest.raises(type(exc)) as caught:
+            layout_from_levels(spec)
+        assert str(caught.value) == str(exc)
+        return
+    got = layout_from_levels(spec).positions_ps
+    assert got == expected
+    assert [type(p) for p in got] == [type(p) for p in expected]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_layout_needs_two_levels(depth):
+    """A tree of another depth does not unpack into (outer, inner)."""
+    spec = LevelSpec(tuple(Level(f"L{k}", 100.0 * 3 ** (depth - k), 1.0)
+                           for k in range(depth)))
+    with pytest.raises(ValueError, match="values to unpack"):
+        layout_from_levels(spec)
 
 
 def test_extend_to_three_levels():
     extended = extend_levels(
         default_levels(), Level("tau", 900.0, 0.4166666667), ModeGrid()
     )
-    layout = layout_from_levels(extended)
+    layout = any_depth_layout(extended)
     assert layout.count == 8
     assert layout.positions_ps == (
         0.0, 100.0, 300.0, 400.0, 900.0, 1000.0, 1200.0, 1300.0,
@@ -96,7 +126,7 @@ def test_bits_round_trip_any_depth(n_levels, raw):
     spec = LevelSpec(
         tuple(Level(f"L{k}", s, 1.0 + k) for k, s in enumerate(shifts))
     )
-    layout = layout_from_levels(spec)
+    layout = any_depth_layout(spec)
     b = raw % layout.count
     assert bits_to_bin(layout, bin_to_bits(layout, b)) == b
     # position equals the sum of the set branch shifts

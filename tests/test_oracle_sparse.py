@@ -18,7 +18,7 @@ def _states(name, layout, grid):
     """(product state, oracle state) built independently by each path."""
     phases = {"random": RANDOM_PHASES, "zero": (0.0,) * 4}.get(name)
     train = ExcitationTrain() if phases is None else ExcitationTrain(phases_rad=phases)
-    dense = generate_pair_state(train, layout)
+    dense = generate_pair_state(train)
     sparse = so.generate_pair_state(train, layout, grid)
     if name == "transmitted":
         dense = channel.transmit(dense, LINK)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from clustersim.errors import LayoutMismatch
 from clustersim.source import (
     ExcitationTrain,
     generate_pair_state,
@@ -28,8 +27,8 @@ def test_shg_phases_of_extreme_pump_phases_stay_finite():
     assert extreme[3] == pytest.approx(np.pi)
 
 
-def test_ideal_amplitudes(layout):
-    state = ideal_cluster_state(layout)
+def test_ideal_amplitudes():
+    state = ideal_cluster_state()
     assert state.amplitudes.shape == (4, 4)
     amps = np.diag(state.amplitudes)
     np.testing.assert_allclose(amps, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
@@ -38,39 +37,32 @@ def test_ideal_amplitudes(layout):
     assert np.count_nonzero(state.amplitudes) == 4
 
 
-def test_is_cluster_state_accepts_ideal(layout):
-    ok, fidelity = is_cluster_state(ideal_cluster_state(layout), layout)
+def test_is_cluster_state_accepts_ideal():
+    ok, fidelity = is_cluster_state(ideal_cluster_state())
     assert ok and fidelity == pytest.approx(1.0, abs=1e-12)
 
 
-def test_zero_phases_give_quarter_fidelity(layout):
+def test_zero_phases_give_quarter_fidelity():
     """All-zero phases produce |++| overlap 1/4 with the cluster state."""
     train = ExcitationTrain(phases_rad=(0.0, 0.0, 0.0, 0.0))
-    state = generate_pair_state(train, layout)
-    ok, fidelity = is_cluster_state(state, layout)
+    state = generate_pair_state(train)
+    ok, fidelity = is_cluster_state(state)
     assert not ok
     assert fidelity == pytest.approx(0.25, abs=1e-12)
 
 
-def test_orthogonal_phase_pattern(layout):
+def test_orthogonal_phase_pattern():
     """Doubling (0, 0, pi/2, 0) flips only the third amplitude: orthogonal."""
     train = ExcitationTrain(phases_rad=(0.0, 0.0, np.pi / 2, 0.0))
-    state = generate_pair_state(train, layout)
-    _, fidelity = is_cluster_state(state, layout)
+    state = generate_pair_state(train)
+    _, fidelity = is_cluster_state(state)
     assert fidelity == pytest.approx(0.0, abs=1e-12)
 
 
-def test_global_phase_invariance(layout):
+def test_global_phase_invariance():
     train = ExcitationTrain(phases_rad=(0.4, 0.4, 0.4, 0.4 + np.pi / 2))
-    _, fidelity = is_cluster_state(generate_pair_state(train, layout), layout)
+    _, fidelity = is_cluster_state(generate_pair_state(train))
     assert fidelity == pytest.approx(1.0, abs=1e-12)
-
-
-def test_layout_mismatch(layout):
-    """The train needs one phase per bin of the layout."""
-    for phases in ((0.0, 0.0), (0.0,) * 8, ()):
-        with pytest.raises(LayoutMismatch, match=f"{len(phases)} pulse phases vs 4 bins"):
-            generate_pair_state(ExcitationTrain(phases_rad=phases), layout)
 
 
 def test_train_validation():
