@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientScan, MissingBasis
+from .errors import InsufficientScan
 
 # Operator strings over qubit order (T_s, T_i, t_s, t_i).
 STABILIZER_TERMS = ("11ZZ", "ZZ11", "1ZXX", "Z1XX", "XX1Z", "XXZ1")
@@ -31,7 +31,7 @@ TERM_BASIS = {
 
 STABILIZER_THRESHOLD = 2.0 / 3.0
 CHSH_THRESHOLD = 1.0 / math.sqrt(2.0)
-#: Fewest scan phases fit_interference accepts.
+#: Fewest scan phases a fringe scan takes (the floor of analysis.fringe_points).
 MIN_SCAN_PHASES = 8
 #: Harmonics fit_interference tries; the two-qubit fringes carry k = 2
 #: (each photon contributes one factor e^{i alpha}).
@@ -40,12 +40,6 @@ FIT_HARMONICS = (1, 2)
 WITNESS_HIST_BINS = 80
 #: Resampled count sets per chunk; each chunk has its own seed and thread task.
 MC_CHUNK = 16_384
-
-
-def basis_for_term(term: str) -> str:
-    if term not in TERM_BASIS:
-        raise ValueError(f"unknown stabilizer term {term!r}")
-    return TERM_BASIS[term]
 
 
 def term_signs(term: str) -> np.ndarray:
@@ -64,10 +58,7 @@ def term_signs(term: str) -> np.ndarray:
 
 def stabilizer_expectation(term: str, projections: dict[str, np.ndarray]) -> float:
     """<term> from the normalized 16-outcome distribution of its basis."""
-    basis = basis_for_term(term)
-    if basis not in projections:
-        raise MissingBasis(f"basis {basis} required for term {term}")
-    values = np.asarray(projections[basis], dtype=float)
+    values = np.asarray(projections[TERM_BASIS[term]], dtype=float)
     return float(term_signs(term) @ values)
 
 
@@ -115,8 +106,6 @@ def _class_means(raw_counts: dict[str, np.ndarray]) -> np.ndarray:
     """(bases, 3) class totals of the raw counts, the means to resample."""
     basis_order = tuple(raw_counts.keys())
     base = np.stack([np.asarray(raw_counts[b], dtype=float) for b in basis_order])
-    if np.any(base < 0):
-        raise ValueError("counts must be nonnegative")
     return np.einsum("bco,bo->bc", outcome_classes(basis_order), base)
 
 
@@ -222,10 +211,6 @@ class InterferenceFit:
     harmonic: int  # fitted k in A(1 + V cos(k alpha + phi0))
     chsh_pass: bool
 
-    def __post_init__(self):
-        if not 0.0 <= self.visibility <= 1.0 + 1e-9:
-            raise ValueError("visibility outside [0, 1]")
-
 
 def scan_phases(n: int) -> np.ndarray:
     """The uniform full-period fringe scan alpha_j = 2 pi j / n, j < n."""
@@ -245,8 +230,6 @@ def fit_interference(rates) -> InterferenceFit:
     first k.
     """
     rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 1 or len(rates) < MIN_SCAN_PHASES:
-        raise InsufficientScan(f"need a vector of at least {MIN_SCAN_PHASES} scan phases")
     n = len(rates)
     alphas = scan_phases(n)
     c0 = float(rates.mean())

@@ -85,13 +85,8 @@ class DriftTrace:
     offsets_ps: np.ndarray
 
     def __post_init__(self):
-        if not self.step_s > 0:
-            raise ValueError("step must be positive")
-        o = np.asarray(self.offsets_ps, dtype=float)
-        if o.ndim != 1:
-            raise ValueError("offsets must be 1-d")
         object.__setattr__(self, "step_s", float(self.step_s))
-        object.__setattr__(self, "offsets_ps", o)
+        object.__setattr__(self, "offsets_ps", np.asarray(self.offsets_ps, dtype=float))
 
     @property
     def times_s(self) -> np.ndarray:
@@ -147,10 +142,10 @@ def bin_assignment_corrupted(offset_ps: float, layout: BinLayout) -> bool:
     """True when an uncorrected offset would scramble bin assignment.
 
     That is when it exceeds half the layout's smallest bin spacing, so a
-    photon lands nearer a neighbouring bin; a single bin has no neighbour.
+    photon lands nearer a neighbouring bin.
     """
     pos = layout.positions_ps
-    spacing = min((b - a for a, b in zip(pos, pos[1:])), default=np.inf)
+    spacing = min(b - a for a, b in zip(pos, pos[1:]))
     return abs(offset_ps) > 0.5 * spacing
 
 

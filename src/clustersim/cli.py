@@ -31,12 +31,11 @@ from .modes import state_to_json
 from .source import ExcitationTrain, generate_pair_state, is_cluster_state
 
 
-def _defaults(cls, *names) -> dict:
-    """JSON defaults of a dataclass's fields: all of them, or the named ones."""
+def _defaults(cls) -> dict:
+    """JSON defaults of a dataclass's fields."""
     return {
         f.name: list(f.default) if isinstance(f.default, tuple) else f.default
         for f in dataclasses.fields(cls)
-        if not names or f.name in names
     }
 
 
@@ -56,8 +55,7 @@ DEFAULT_CONFIG = {
         "separations_ps": [100.0, 300.0],
     },
     "channel": {
-        **_defaults(channel.FiberLink, "length_km", "loss_db", "compensator_loss_db",
-                    "thermal_sensitivity_ps_per_k_km"),
+        **_defaults(channel.FiberLink),
         "readout_time_s": 43200.0,
         "drift": {**_defaults(channel.ThermalModel), "duration_s": 86400.0},
         "stabilizer": _defaults(channel.StabilizerPolicy),
@@ -190,8 +188,6 @@ def load_config(
 ) -> dict:
     cfg = DEFAULT_CONFIG
     if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}")
         cfg = _merge(cfg, PRESETS[preset])
     if path is not None:
         try:
@@ -236,20 +232,9 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _numpy_json(obj):
-    """json.dumps default hook: numpy scalars and arrays as Python values.
-
-    np.float64 is a float and never reaches the hook; json writes it with
-    float.__repr__ like any float.
-    """
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def write_json(path: Path, payload: dict, stamp: str) -> None:
     doc = {"config_sha256": stamp, **payload}
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_numpy_json)
+    text = json.dumps(doc, sort_keys=True, indent=2)
     _atomic_write(path, text + "\n")
 
 
@@ -320,15 +305,14 @@ def _from_config(where: str):
 def _build(cls, cfg: dict, where: str):
     """cls from the keys of config section `where` that name its fields.
 
-    Lists become tuples and integral numbers become ints for int fields.
+    Every field is a leaf of its section.  Lists become tuples and integral
+    numbers become ints for int fields.
     """
     section = cfg
     for key in where.split("."):
         section = section[key]
     kwargs = {}
     for f in dataclasses.fields(cls):
-        if f.name not in section:
-            continue
         value = section[f.name]
         if isinstance(value, list):
             value = tuple(value)
@@ -422,7 +406,7 @@ def cmd_measure(cfg, outdir: Path, stamp: str, exact: bool) -> int:
                 "name": h.pairing.name,
                 "signal": [h.pairing.signal_setting.kind, h.pairing.signal_setting.level],
                 "idler": [h.pairing.idler_setting.kind, h.pairing.idler_setting.level],
-                "counts": h.counts,
+                "counts": h.counts.tolist(),
                 "ancillary": h.ancillary,
             }
             for h in hists

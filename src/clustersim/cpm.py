@@ -72,10 +72,6 @@ class BeamSplitterSetting:
     level: str
     alpha: float = 0.0
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "X", "XY"):
-            raise ValueError(f"unknown setting kind {self.kind!r}")
-
     @property
     def effective_alpha(self) -> float:
         return 0.0 if self.kind == "X" else float(np.mod(self.alpha, 2.0 * np.pi))
@@ -104,7 +100,7 @@ def measurement_map(
     1 - eta(g*) of the probability scatters to ancillary orders and is
     dropped, so each column has norm eta(g*).  alpha_offset shifts the RF
     phase; the detection stage uses it to build dephased variants.  A level
-    absent from levels raises UnknownLevel.
+    absent from levels raises ValueError.
     """
     count = 1 << levels.count
     if setting.kind == "Z":

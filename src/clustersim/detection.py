@@ -86,12 +86,6 @@ class JointTemporalIntensity:
     counts: np.ndarray  # (n_bins, n_bins)
     ancillary: float = 0.0
 
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=float)
-        if c.ndim != 2 or np.any(c < 0):
-            raise ValueError("counts must be a nonnegative matrix")
-        object.__setattr__(self, "counts", c)
-
 
 def build_default_schedule(levels: LevelSpec) -> tuple[PairingRecord, ...]:
     """The nine joint settings of the 18-segment frame, a to i.
@@ -132,8 +126,6 @@ def _penalty_branches(setting: BeamSplitterSetting, penalty: dict[str, float]):
     if setting.kind == "Z":
         return ((1.0, 0.0),)
     v = float(penalty.get(setting.level, 1.0))
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility penalty {v} outside [0, 1]")
     if v >= 1.0:
         return ((1.0, 0.0),)
     s = math.sqrt(v)
@@ -332,9 +324,6 @@ def raw_basis_counts(histograms: list[JointTemporalIntensity]) -> dict[str, np.n
         bits = h.counts.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
         x_read = tuple(k for k, op in enumerate(basis) if op == "X")
         out[basis] = np.flip(bits, axis=x_read).ravel()
-    missing = [b for b in WITNESS_BASES if b not in out]
-    if missing:
-        raise MissingBasis(f"histograms lack bases {missing}")
     return {b: out[b] for b in WITNESS_BASES}
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import IncompatibleShift, UnknownLevel
+from .errors import IncompatibleShift
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,7 @@ class LevelSpec:
         return len(self.levels)
 
     def index_of(self, name: str) -> int:
-        for k, lv in enumerate(self.levels):
-            if lv.name == name:
-                return k
-        raise UnknownLevel(name)
+        return [lv.name for lv in self.levels].index(name)
 
 
 @dataclass(frozen=True)

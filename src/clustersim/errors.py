@@ -17,16 +17,12 @@ class GridMismatch(ClusterSimError):
     """A level's splitter copy spacing does not bridge its bin shift."""
 
 
-class UnknownLevel(ClusterSimError):
-    """Measurement references a level absent from the level spec."""
-
-
 class MissingBasis(ClusterSimError):
-    """A required joint measurement basis is absent."""
+    """A witness basis has no counts (detection.extract_projections)."""
 
 
 class InsufficientScan(ClusterSimError):
-    """Fringe scan does not span enough phase values."""
+    """A fringe scan has a non-positive mean rate (analysis.fit_interference)."""
 
 
 class ConfigError(ClusterSimError):

@@ -41,8 +41,6 @@ class JointTwoPhotonState:
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex)
-        if amps.ndim != 2 or amps.shape[0] != amps.shape[1]:
-            raise ValueError("amplitudes must be a square matrix over the bins")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 

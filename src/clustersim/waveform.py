@@ -25,7 +25,8 @@ COPY_ORDERS = 12
 #: visibility_bound refuses separations from here on, so its 1 ps
 #: detection window holds at most 2**17 points.
 MAX_SEPARATION_PS = 2.0**17
-#: Narrowest pulse visibility_bound and ExcitationTrain accept.  By Poisson
+#: Narrowest pulse ExcitationTrain accepts, and so the narrowest that
+#: visibility_bound is given.  By Poisson
 #: summation the 1 ps window samples hold a Gaussian pulse of intensity FWHM
 #: w to a relative error of 2 exp(-pi^2 w^2 / (4 ln 2)): 2.4e-14 at 3 ps,
 #: inside the 1e-12 the closed form keeps to the FFT chain, but 1.3e-6 at
@@ -52,6 +53,8 @@ def visibility_bound(
     the chirp -> modulation -> inverse-chirp chain at the balanced depth g*,
     with the grating dispersion and carrier of settings and the RF tone
     whose copy spacing equals the separation (settings' own tone is unused).
+    The pulse width comes from an ExcitationTrain, so it is at least
+    MIN_PULSE_FWHM_PS.
     Swept over the RF phase alpha, the intensity summed over the central
     output bin window [sep/2, 3 sep/2), sampled at 1 ps, traces a fringe
     I(alpha); the bound is its first-harmonic contrast.
@@ -71,11 +74,6 @@ def visibility_bound(
         raise ValueError("dispersion must be nonzero and finite")
     if bin_separation_ps <= 0:
         raise ValueError("bin separation must be positive")
-    if not pulse_fwhm_ps >= MIN_PULSE_FWHM_PS:
-        raise ValueError(
-            f"pulse width must be at least {MIN_PULSE_FWHM_PS:g} ps, "
-            "the narrowest the 1 ps window sampling resolves"
-        )
     if bin_separation_ps >= MAX_SEPARATION_PS:
         raise ValueError(f"bin separation must be below {MAX_SEPARATION_PS:g} ps")
     orders = np.arange(-COPY_ORDERS, COPY_ORDERS + 1)

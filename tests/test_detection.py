@@ -244,12 +244,12 @@ def test_missing_basis_detected(cluster, schedule, noiseless_detector, levels, b
     hists = sample_coincidences(
         cluster, schedule, noiseless_detector, 100, {}, 0, levels, base_cpm, True
     )
-    only_zz = [
-        h for h in hists
-        if (h.pairing.signal_setting.kind, h.pairing.idler_setting.kind) == ("Z", "Z")
+    emptied = [
+        JointTemporalIntensity(h.pairing, 0.0 * h.counts) if h.pairing.basis == "XXZZ" else h
+        for h in hists
     ]
-    with pytest.raises(MissingBasis):
-        extract_projections(raw_basis_counts(only_zz))
+    with pytest.raises(MissingBasis, match="basis XXZZ has no counts"):
+        extract_projections(raw_basis_counts(emptied))
 
 
 def test_detector_validation():

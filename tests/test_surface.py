@@ -13,13 +13,20 @@ Test-only code belongs in ``tests/oracles.py`` or ``tests/sparse_oracle.py``.
 Each pipeline function also has one call form: a parameter keeps a default
 only if some call in the package leaves it out (see defaults_never_used),
 and every parameter is read (see parameters_never_read).
+
+Every ``raise`` statement in the package is reached by an input that the
+CLI refuses: the rows of ``test_cli.REFUSALS``, run through ``cli.main``
+under a line tracer, execute each one (see raise_sites and lines_run).
 """
 
 import ast
+import os
+import sys
 from pathlib import Path
 
 import clustersim
 from clustersim import cli
+from test_cli import REFUSALS, assert_refused
 
 #: Definitions kept without a reference: the console script.
 ROOTS = {"cli.main"}
@@ -163,3 +170,52 @@ def test_every_parameter_is_read():
     # the commands share the dispatch signature (cfg, outdir, stamp, exact)
     commands = {fn.__name__ for fn in cli.COMMANDS.values()}
     assert parameters_never_read(Path(clustersim.__file__).parent, commands) == []
+
+
+def raise_sites(package: Path) -> set[tuple[str, int]]:
+    """(file name, line) of every ``raise`` statement in the package."""
+    return {
+        (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+    }
+
+
+def lines_run(package: Path, run) -> set[tuple[str, int]]:
+    """(file name, line) of every line of the package that run() executes.
+
+    A sys.settrace tracer records `line` events in the package's own files
+    and does not trace other frames; the previous trace function is restored
+    afterwards.
+    """
+    root = str(package)
+    seen = set()
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code.co_filename, frame.f_lineno))
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if os.path.dirname(frame.f_code.co_filename) == root else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return {(Path(name).name, line) for name, line in seen}
+
+
+def test_every_raise_is_reached_by_a_refused_input():
+    package = Path(clustersim.__file__).parent
+    rows = [row.values for group in REFUSALS.values() for row in group]
+
+    def run_rows():
+        for row in rows:
+            assert_refused(*row)
+
+    unreached = raise_sites(package) - lines_run(package, run_rows)
+    assert [f"{name}:{line}" for name, line in sorted(unreached)] == []
