@@ -1,6 +1,6 @@
 """Desk-scale simulator of fiber-transmitted multi-level time-bin cluster states.
 
-Subpackages follow the experiment's signal chain: ``source`` prepares the
+Modules follow the experiment's signal chain: ``source`` prepares the
 four-qubit time-bin cluster state, ``cpm`` implements the
 chirp-modulate-unchirp beam splitter as bin matrices and ``waveform``
 bounds its visibility at finite dispersion in closed form,

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .encoding import BinLayout
-from .errors import OutOfRange
 from .modes import JointTwoPhotonState
 
 #: Largest drift offset or estimator noise: sums of 10**6 squares stay finite.
@@ -99,10 +98,10 @@ class DriftTrace:
         return float(np.max(np.abs(self.offsets_ps)))
 
     def offset_at(self, time_s: float) -> float:
-        """Offset at time_s, interpolated; OutOfRange outside the trace's span."""
+        """Offset at time_s, interpolated; ValueError outside the trace's span."""
         end_s = self.step_s * (len(self.offsets_ps) - 1)
         if not 0.0 <= time_s <= end_s:
-            raise OutOfRange(f"{time_s:g} s is outside the drift trace's span [0, {end_s:g}] s")
+            raise ValueError(f"{time_s:g} s is outside the drift trace's span [0, {end_s:g}] s")
         return float(np.interp(time_s, self.times_s, self.offsets_ps))
 
 
@@ -181,7 +180,7 @@ def simulate_drift(
     """
     n = np.floor(duration_s / model.step_s) + 1
     if duration_s <= 0 or n > MAX_TRACE_SAMPLES:
-        raise OutOfRange(
+        raise ValueError(
             f"duration must be positive and span at most {MAX_TRACE_SAMPLES} samples"
         )
     n = int(n)
@@ -202,7 +201,7 @@ def simulate_drift(
     offsets = link.thermal_sensitivity_ps_per_k_km * link.length_km * temp
     peak_ps = np.max(np.abs(offsets))
     if not peak_ps <= MAX_OFFSET_PS:
-        raise OutOfRange(f"drift offsets reach {peak_ps:g} ps, above {MAX_OFFSET_PS:g} ps")
+        raise ValueError(f"drift offsets reach {peak_ps:g} ps, above {MAX_OFFSET_PS:g} ps")
     return DriftTrace(model.step_s, offsets)
 
 
@@ -221,7 +220,7 @@ def stabilize(
         return trace, trace.rms_ps()
     period_steps = int(round(policy.correction_interval_s / trace.step_s))
     if period_steps < 1:
-        raise OutOfRange("correction interval shorter than the trace step")
+        raise ValueError("correction interval shorter than the trace step")
     if period_steps >= n:
         # no correction epoch fits inside the trace: no-op policy
         return trace, trace.rms_ps()

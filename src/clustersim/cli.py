@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import copy
 import dataclasses
 import hashlib
 import json
@@ -26,7 +25,7 @@ import numpy as np
 from . import analysis, channel, detection, waveform
 from .cpm import CpmSettings
 from .encoding import Level, LevelSpec, default_levels, layout_from_levels
-from .errors import ClusterSimError, ConfigError, OutOfRange
+from .errors import ClusterSimError, ConfigError
 from .modes import state_to_json
 from .source import ExcitationTrain, generate_pair_state, is_cluster_state
 
@@ -153,7 +152,8 @@ def _check_type(value, default, where: str) -> None:
 
 
 def _merge(base: dict, override: dict, path: tuple = ()) -> dict:
-    out = copy.deepcopy(base)
+    """base with override's checked values; untouched sections are shared, not copied."""
+    out = dict(base)
     section = ".".join(path)
     for key, value in override.items():
         where = ".".join(path + (str(key),))
@@ -174,7 +174,7 @@ def _merge(base: dict, override: dict, path: tuple = ()) -> dict:
             lo, hi = _RANGES.get(rule, (-math.inf, math.inf))
             if rule in _RANGES and not lo <= value <= hi:
                 raise ConfigError(f"{where} = {value} outside [{lo}, {hi}]")
-            out[key] = copy.deepcopy(value)
+            out[key] = value
     return out
 
 
@@ -294,7 +294,11 @@ def write_line_svg(path: Path, curves: dict, stamp: str, x_label: str, y_label: 
 def _from_config(where: str):
     """Report a domain ValueError on config values as a ConfigError.
 
-    Works as a ``with`` block and as a function decorator.
+    The one place a domain error becomes a config error: a domain
+    constructor or function rejects a bad parameter with ValueError, which
+    means a config error (exit 2), and raises a ClusterSimError for a
+    simulation-contract violation (exit 1), which passes through.  Works as
+    a ``with`` block and as a function decorator.
     """
     try:
         yield
@@ -327,10 +331,8 @@ def _drift(cfg, link: channel.FiberLink) -> channel.DriftTrace:
     """The link's thermal drift trace over channel.drift.duration_s."""
     model = _build(channel.ThermalModel, cfg, "channel.drift")
     duration_s = cfg["channel"]["drift"]["duration_s"]
-    try:
+    with _from_config("channel.drift"):
         return channel.simulate_drift(link, duration_s, model, int(cfg["seed"]))
-    except OutOfRange as exc:
-        raise ConfigError(f"channel.drift: {exc}") from exc
 
 
 @_from_config("encoding")
@@ -361,10 +363,8 @@ def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     link = _build(channel.FiberLink, cfg, "channel")
     trace = _drift(cfg, link)
     out = channel.transmit(state, link)
-    try:
+    with _from_config("channel.readout_time_s"):
         offset = trace.offset_at(cfg["channel"]["readout_time_s"])
-    except OutOfRange as exc:
-        raise ConfigError(f"channel.readout_time_s: {exc}") from exc
     corrupted = channel.bin_assignment_corrupted(offset, layout)
     write_json(outdir / "state.json",
                {"state": json.loads(state_to_json(out, layout))}, stamp)
@@ -523,7 +523,8 @@ def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 def cmd_drift(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     trace = _drift(cfg, _build(channel.FiberLink, cfg, "channel"))
     policy = _build(channel.StabilizerPolicy, cfg, "channel.stabilizer")
-    residual, rms = channel.stabilize(trace, policy, int(cfg["seed"]) + 1)
+    with _from_config("channel.stabilizer"):
+        residual, rms = channel.stabilize(trace, policy, int(cfg["seed"]) + 1)
     rows = list(zip(trace.times_s, trace.offsets_ps, residual.offsets_ps))
     write_csv(outdir / "drift.csv",
               ["time_s", "offset_ps", "corrected_offset_ps"], rows, stamp)
@@ -568,16 +569,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="clustersim",
         description="Multi-level time-bin cluster-state transmission simulator",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--exact", action="store_true",
-                       help="infinite-statistics mode (no sampling)")
-        p.add_argument("--preset", default=None, choices=sorted(PRESETS),
-                       help="named parameter preset")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument("--seed", type=int, help="RNG seed override")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--exact", action="store_true",
+                        help="infinite-statistics mode (no sampling)")
+    parser.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
     return parser
 
 

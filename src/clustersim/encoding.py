@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import IncompatibleShift
-
 
 @dataclass(frozen=True)
 class Level:
@@ -77,7 +75,7 @@ def layout_from_levels(spec: LevelSpec) -> BinLayout:
     outer, inner = spec.levels
     for level, inner_span in ((outer, inner.shift_ps), (inner, 0)):
         if level.shift_ps <= inner_span:
-            raise IncompatibleShift(
+            raise ValueError(
                 f"level {level.name}: shift {level.shift_ps} ps does not clear inner levels"
             )
     return BinLayout((0, inner.shift_ps, outer.shift_ps, outer.shift_ps + inner.shift_ps))

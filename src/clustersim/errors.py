@@ -1,20 +1,16 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator.
+
+A bad config value is refused with ValueError instead, which
+``cli._from_config`` reports as a ConfigError.
+"""
 
 
 class ClusterSimError(Exception):
-    """Base class for simulation contract violations."""
-
-
-class OutOfRange(ClusterSimError):
-    """A drift trace, its correction interval or its readout time out of range."""
-
-
-class IncompatibleShift(ClusterSimError):
-    """No bin layout satisfies the uniform-shift property for this level."""
+    """Base class for simulation contract violations (exit 1)."""
 
 
 class GridMismatch(ClusterSimError):
-    """A level's splitter copy spacing does not bridge its bin shift."""
+    """A level's splitter copy spacing does not bridge its bin shift (cpm.measurement_map)."""
 
 
 class MissingBasis(ClusterSimError):
@@ -26,4 +22,4 @@ class InsufficientScan(ClusterSimError):
 
 
 class ConfigError(ClusterSimError):
-    """Malformed run configuration."""
+    """Malformed run configuration (exit 2): cli's config checks and _from_config."""

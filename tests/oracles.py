@@ -50,7 +50,7 @@ from clustersim.analysis import (
 from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.cpm import CpmSettings, chirp_beta2_s2
 from clustersim.encoding import BinLayout, Level, LevelSpec
-from clustersim.errors import ClusterSimError, GridMismatch, IncompatibleShift, OutOfRange
+from clustersim.errors import ClusterSimError, GridMismatch
 from clustersim.waveform import _gaussian, rf_for_spacing
 
 
@@ -314,7 +314,7 @@ def level_count(layout: BinLayout) -> int:
 def bin_to_bits(layout: BinLayout, bin_index: int) -> tuple[int, ...]:
     """Branch bits taken at each tree level, outermost level first."""
     if not 0 <= bin_index < layout.count:
-        raise OutOfRange(f"bin {bin_index} outside 0..{layout.count - 1}")
+        raise ValueError(f"bin {bin_index} outside 0..{layout.count - 1}")
     top = level_count(layout) - 1
     return tuple((bin_index >> (top - k)) & 1 for k in range(level_count(layout)))
 
@@ -342,7 +342,7 @@ def any_depth_layout(spec: LevelSpec) -> BinLayout:
     shifts = [lv.shift_ps for lv in spec.levels]
     for k, s in enumerate(shifts):
         if s <= sum(shifts[k + 1:]):
-            raise IncompatibleShift(
+            raise ValueError(
                 f"level {spec.levels[k].name}: shift {s} ps does not clear inner levels"
             )
     top = spec.count - 1
@@ -361,19 +361,19 @@ def extend_levels(spec: LevelSpec, new_level: Level, grid: ModeGrid | None = Non
     grid = grid or ModeGrid()
     steps = new_level.shift_ps / grid.time_quantum_ps
     if abs(steps - round(steps)) > 1e-9:
-        raise IncompatibleShift(
+        raise ValueError(
             f"shift {new_level.shift_ps} ps is not a multiple of "
             f"{grid.time_quantum_ps} ps"
         )
     extended = LevelSpec((new_level,) + spec.levels)
-    any_depth_layout(extended)  # raises IncompatibleShift if invalid
+    any_depth_layout(extended)  # raises ValueError if invalid
     return extended
 
 
 def uniform_shift_offsets(layout: BinLayout) -> tuple[float, ...]:
     """Per-level offset between paired |0> and |1> branch bins.
 
-    Raises IncompatibleShift if any level's pairs are not uniformly spaced.
+    Raises ValueError if any level's pairs are not uniformly spaced.
     """
     n_levels = level_count(layout)
     out = []
@@ -385,7 +385,7 @@ def uniform_shift_offsets(layout: BinLayout) -> tuple[float, ...]:
             if not b & flip
         }
         if len(deltas) != 1:
-            raise IncompatibleShift(f"level index {k}: non-uniform pair shifts {sorted(deltas)}")
+            raise ValueError(f"level index {k}: non-uniform pair shifts {sorted(deltas)}")
         out.append(deltas.pop())
     return tuple(out)
 

@@ -16,7 +16,6 @@ from clustersim.channel import (
     stabilize,
     transmit,
 )
-from clustersim.errors import OutOfRange
 
 
 def test_loss_budget():
@@ -143,7 +142,7 @@ def test_subnormal_resolution_leaves_estimates_unquantized():
 
 def test_subsample_interval_rejected():
     trace = simulate_drift(FiberLink(), 7200.0, ThermalModel(), seed=3)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match="correction interval shorter than the trace step"):
         stabilize(trace, StabilizerPolicy(correction_interval_s=1.0), seed=0)
 
 
@@ -162,9 +161,9 @@ def test_bin_corruption_flag(layout):
 
 
 def test_trace_validation():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match="duration must be positive"):
         simulate_drift(FiberLink(), -1.0, ThermalModel(), seed=0)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(ValueError, match="duration must be positive"):
         simulate_drift(FiberLink(), 86400.0, ThermalModel(step_s=5e-324), seed=0)
     with pytest.raises(ValueError):
         ThermalModel(smoothing_passes=-1)

@@ -213,9 +213,49 @@ def test_svg_option(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
-def test_unknown_command_exit_2(capsys):
-    assert _run(["frobnicate"]) == 2
-    capsys.readouterr()
+#: Argument lists the parser refuses before any config is read, with the
+#: start of its error line.
+USAGE_ERRORS = [
+    pytest.param((), "the following arguments are required: command", id="no-command"),
+    pytest.param(("frobnicate",), "argument command: invalid choice: 'frobnicate'",
+                 id="unknown-command"),
+    pytest.param(("generate", "--preset", "nope"), "argument --preset: invalid choice: 'nope'",
+                 id="unknown-preset"),
+    pytest.param(("generate", "--seed", "x"), "argument --seed: invalid int value: 'x'",
+                 id="seed-not-an-integer"),
+    pytest.param(("generate", "--seed"), "argument --seed: expected one argument",
+                 id="seed-without-value"),
+    pytest.param(("generate", "--frobnicate"), "unrecognized arguments: --frobnicate",
+                 id="unknown-option"),
+]
+
+
+@pytest.mark.parametrize("argv,error", USAGE_ERRORS)
+def test_usage_error_exit_2(argv, error):
+    """Exit 2 with the usage and one error line; no stdout, no --out, no traceback."""
+    code, out, err, files, caught = _outcome(argv, {})
+    assert (code, out, files, caught) == (2, "", None, [])
+    assert "Traceback" not in err
+    usage, *_, last = err.splitlines()
+    assert usage.startswith("usage: clustersim ")
+    assert last.startswith(f"clustersim: error: {error}"), err
+
+
+def test_help_names_every_command_and_option():
+    code, out, err, files, caught = _outcome(("--help",), {})
+    assert (code, err, files, caught) == (0, "", None, [])
+    for word in (*cli.COMMANDS, "--config", "--seed", "--out", "--exact", "--preset"):
+        assert word in out, word
+
+
+def test_commands_leave_shared_config_unchanged(tmp_path):
+    """Configs share their untouched sections with DEFAULT_CONFIG, so no command may write one."""
+    before = json.dumps(DEFAULT_CONFIG), json.dumps(cli.PRESETS)
+    for flags in ((), ("--exact",), ("--preset", "paper-default")):
+        for command in cli.COMMANDS:
+            outdir = tmp_path / f"{command}{len(flags)}"
+            assert _run([command, *flags, "--out", str(outdir)]) == 0, (command, flags)
+    assert (json.dumps(DEFAULT_CONFIG), json.dumps(cli.PRESETS)) == before
 
 
 ONE_DISPERSION = {"dispersions_ns_per_nm": [10.0]}
@@ -327,11 +367,9 @@ REFUSALS = {
                           "encoding: bin positions must be finite and strictly increasing")
             for command in ("generate", "transmit", "measure")
         ),
-        # exit 1 although a config value is at fault (FOUND in CHANGES.md); meant to become 2
-        pytest.param(("generate",),
-                     {"encoding": {"levels": [["T", 100.0, 3.75], ["t", 300.0, 1.25]]}}, 1,
-                     "simulation error: level T: shift 100.0 ps does not clear inner levels\n",
-                     id="outer-shift-below-inner"),
+        _config_error("outer-shift-below-inner", "generate",
+                      {"encoding": {"levels": [["T", 100.0, 3.75], ["t", 300.0, 1.25]]}},
+                      "encoding: level T: shift 100.0 ps does not clear inner levels"),
         _config_error("capacity-zero", "capacity", {"capacity": {"total_bandwidth_ghz": 0.0}},
                       "capacity: all capacity arguments must be positive"),
         _config_error("length-negative", "transmit", {"channel": {"length_km": -1.0}},
@@ -347,10 +385,9 @@ REFUSALS = {
         _config_error("resolution-negative", "drift",
                       {"channel": {"stabilizer": {"actuator_resolution_ps": -1.0}}},
                       "channel.stabilizer: noise and resolution must be nonnegative"),
-        # exit 1 although a config value is at fault (FOUND in CHANGES.md); meant to become 2
-        pytest.param(("drift",), {"channel": {"stabilizer": {"correction_interval_s": 1.0}}}, 1,
-                     "simulation error: correction interval shorter than the trace step\n",
-                     id="correction-interval-below-step"),
+        _config_error("correction-interval-below-step", "drift",
+                      {"channel": {"stabilizer": {"correction_interval_s": 1.0}}},
+                      "channel.stabilizer: correction interval shorter than the trace step"),
         _config_error("jitter-negative", "measure", {"detection": {"tdc_jitter_ps": -1.0}},
                       "detection: jitters must be nonnegative"),
         _config_error("window-zero", "measure", {"detection": {"coincidence_window_ps": 0.0}},
