@@ -140,7 +140,7 @@ def _workers(n_chunks: int) -> int:
 
 
 def resample_witness(
-    raw_counts: dict[str, np.ndarray], samples: int, seed: int
+    raw_counts: dict[str, np.ndarray], samples: int, seed: np.random.SeedSequence
 ) -> np.ndarray:
     """Witness values of `samples` Poisson resamplings of the raw counts.
 
@@ -150,15 +150,15 @@ def resample_witness(
     per sample in place of 48, which gives the same witness distribution
     as redrawing each raw count from Poisson(count).
 
-    Samples are drawn in chunks of MC_CHUNK, chunk i from the i-th child of
-    SeedSequence(seed), on a thread per core (numpy's Poisson sampler
-    releases the GIL).  Each chunk depends only on (seed, i), so the values
-    are the same on any number of threads.
+    Samples are drawn in chunks of MC_CHUNK, chunk i from the i-th child
+    that seed spawns (so a reused seed spawns other children), on a thread
+    per core (numpy's Poisson sampler releases the GIL).  Each chunk depends
+    only on (seed, i), so the values are the same on any number of threads.
     """
     lam = _class_means(raw_counts)
     values = np.empty(samples)
     starts = range(0, samples, MC_CHUNK)
-    seeds = np.random.SeedSequence(seed).spawn(len(starts))
+    seeds = seed.spawn(len(starts))
 
     def chunk(i: int) -> None:
         _witness_chunk(lam, seeds[i], values[starts[i] : starts[i] + MC_CHUNK])
@@ -171,7 +171,7 @@ def resample_witness(
 
 
 def monte_carlo_error(
-    raw_counts: dict[str, np.ndarray], samples: int, seed: int
+    raw_counts: dict[str, np.ndarray], samples: int, seed: np.random.SeedSequence
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Poisson-resampling standard error of the witness.
 

@@ -171,9 +171,9 @@ def simulate_drift(
     link: FiberLink,
     duration_s: float,
     model: ThermalModel,
-    seed: int,
+    rng: np.random.Generator,
 ) -> DriftTrace:
-    """Thermal time-of-flight drift trace, reproducible by seed.
+    """Thermal time-of-flight drift trace, drawn from rng.
 
     offsets = thermal_sensitivity * length * T(t) with T(t) the smoothed
     (and optionally peak-rescaled) temperature process.
@@ -186,7 +186,6 @@ def simulate_drift(
     n = int(n)
     if model.sigma_k == 0.0:
         return DriftTrace(model.step_s, np.zeros(n))
-    rng = np.random.default_rng(seed)
     normals = rng.standard_normal(n)
     decay = np.exp(-model.step_s / model.correlation_s)
     innovation = model.sigma_k * np.sqrt(1.0 - decay**2)
@@ -206,13 +205,13 @@ def simulate_drift(
 
 
 def stabilize(
-    trace: DriftTrace, policy: StabilizerPolicy, seed: int
+    trace: DriftTrace, policy: StabilizerPolicy, rng: np.random.Generator
 ) -> tuple[DriftTrace, float]:
     """Apply the periodic correction loop; returns (residual trace, RMS).
 
     At each correction epoch the loop subtracts its estimate of the
-    current residual (true residual plus estimator noise, quantized to
-    the actuator resolution).
+    current residual (true residual plus estimator noise drawn from rng,
+    quantized to the actuator resolution).
     """
     n = len(trace.offsets_ps)
     if n < 2:
@@ -225,7 +224,7 @@ def stabilize(
         # no correction epoch fits inside the trace: no-op policy
         return trace, trace.rms_ps()
     n_epochs = n // period_steps + 1
-    noise = np.random.default_rng(seed).normal(0.0, policy.estimator_noise_ps, n_epochs)
+    noise = rng.normal(0.0, policy.estimator_noise_ps, n_epochs)
     offsets = trace.offsets_ps
     resolution = policy.actuator_resolution_ps
     residual = np.empty(n)

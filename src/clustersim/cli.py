@@ -108,14 +108,16 @@ _RANGES = {"seed": (0, math.inf), "detection.pairs_per_setting": (1, 10**15),
            "analysis.fringe_points": (analysis.MIN_SCAN_PHASES, 10**5),
            "detection.visibility_penalty": (0.0, 1.0)}
 
-# Lists with exactly as many entries as their default: the readout reads
-# the paper's two-level tree, whose four bins take one pump phase each.
-_FIXED_LENGTH = {"encoding.levels", "source.phases_rad"}
-
-# Most entries of the list leaves whose length sets the work: visibility
+# Fewest and most entries of the list leaves: the readout reads the paper's
+# two-level tree, whose four bins take one pump phase each, and visibility
 # computes one bound per (separation, dispersion) pair (100 x 100 pairs
 # take about 5 s).
-_MAX_ENTRIES = {"waveform.dispersions_ns_per_nm": 100, "waveform.separations_ps": 100}
+_ENTRIES = {"encoding.levels": (2, 2), "source.phases_rad": (4, 4),
+            "waveform.dispersions_ns_per_nm": (1, 100), "waveform.separations_ps": (1, 100)}
+
+#: The spawn key under SeedSequence(seed) of each random stream.  The drift
+#: trace draws from the root; the settings spawn its children (0,)-(8,).
+STREAMS = {"drift": (), "settings": (), "witness": (9,), "stabilizer": (10,), "fringe": (11,)}
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
                str: "a string", list: "a list", dict: "an object"}
@@ -126,9 +128,9 @@ def _check_type(value, default, where: str) -> None:
 
     Integers are numbers and integral numbers are integers; booleans are
     neither.  Values are not converted, so config hashes stay as written.
-    List items are checked against the default's first item, or position
-    by position, with the default's length, when its items differ in type
-    (a level [name, shift, freq]) or the list is in _FIXED_LENGTH.
+    A list's length is checked first, against _ENTRIES (or the default's
+    length when its items differ in type, a level [name, shift, freq]);
+    then its items, against the default's first item or position by position.
     """
     if value is None and where in _NULLABLE:
         return
@@ -144,9 +146,11 @@ def _check_type(value, default, where: str) -> None:
         expected = _TYPE_NAMES[type(default)]
         raise ConfigError(f"{where} must be {expected}, got {json.dumps(value)}")
     if isinstance(default, list) and default:
-        positional = where in _FIXED_LENGTH or len({type(item) for item in default}) > 1
-        if positional and len(value) != len(default):
-            raise ConfigError(f"{where} must have {len(default)} entries")
+        positional = len({type(item) for item in default}) > 1
+        lo, hi = _ENTRIES.get(where, (len(default),) * 2 if positional else (0, math.inf))
+        if not lo <= len(value) <= hi:
+            raise ConfigError(f"{where} must have {lo} entries" if lo == hi else
+                              f"{where} has {len(value)} entries, outside [{lo}, {hi}]")
         for i, item in enumerate(value):
             _check_type(item, default[i if positional else 0], f"{where}[{i}]")
 
@@ -168,9 +172,6 @@ def _merge(base: dict, override: dict, path: tuple = ()) -> dict:
             out[key] = _merge(default, value, path + (key,))
         else:
             _check_type(value, default, where)
-            if where in _MAX_ENTRIES and len(value) > _MAX_ENTRIES[where]:
-                raise ConfigError(f"{where} has {len(value)} entries, "
-                                  f"more than {_MAX_ENTRIES[where]}")
             lo, hi = _RANGES.get(rule, (-math.inf, math.inf))
             if rule in _RANGES and not lo <= value <= hi:
                 raise ConfigError(f"{where} = {value} outside [{lo}, {hi}]")
@@ -210,6 +211,11 @@ def load_config(
             raise ConfigError(f"detection.visibility_penalty.{key} names no level "
                               f"of encoding.levels")
     return cfg
+
+
+def stream(seed: int, name: str) -> np.random.SeedSequence:
+    """The seed sequence of random stream `name` (see STREAMS)."""
+    return np.random.SeedSequence(int(seed), spawn_key=STREAMS[name])
 
 
 def config_hash(cfg: dict) -> str:
@@ -331,8 +337,9 @@ def _drift(cfg, link: channel.FiberLink) -> channel.DriftTrace:
     """The link's thermal drift trace over channel.drift.duration_s."""
     model = _build(channel.ThermalModel, cfg, "channel.drift")
     duration_s = cfg["channel"]["drift"]["duration_s"]
+    rng = np.random.default_rng(stream(cfg["seed"], "drift"))
     with _from_config("channel.drift"):
-        return channel.simulate_drift(link, duration_s, model, int(cfg["seed"]))
+        return channel.simulate_drift(link, duration_s, model, rng)
 
 
 @_from_config("encoding")
@@ -350,7 +357,7 @@ def cmd_generate(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     state, levels, layout = _make_state(cfg)
     ok, fidelity = is_cluster_state(state)
     write_json(outdir / "state.json",
-               {"state": json.loads(state_to_json(state, layout)), "fidelity": fidelity},
+               {"state": state_to_json(state, layout), "fidelity": fidelity},
                stamp)
     print(f"fidelity vs target cluster state: {fidelity:.6f}")
     if not ok:
@@ -366,8 +373,7 @@ def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     with _from_config("channel.readout_time_s"):
         offset = trace.offset_at(cfg["channel"]["readout_time_s"])
     corrupted = channel.bin_assignment_corrupted(offset, layout)
-    write_json(outdir / "state.json",
-               {"state": json.loads(state_to_json(out, layout))}, stamp)
+    write_json(outdir / "state.json", {"state": state_to_json(out, layout)}, stamp)
     write_json(outdir / "transmit.json", {
         "retained_fraction": link.retained_fraction,
         "arrival_offset_ps": offset,
@@ -386,7 +392,7 @@ def _sampled_histograms(cfg, exact: bool):
         state, detection.build_default_schedule(levels),
         _build(detection.DetectorModel, cfg, "detection"),
         cfg["detection"]["pairs_per_setting"], cfg["detection"]["visibility_penalty"],
-        int(cfg["seed"]), levels, _build(CpmSettings, cfg, "cpm"), exact,
+        stream(cfg["seed"], "settings"), levels, _build(CpmSettings, cfg, "cpm"), exact,
     )
 
 
@@ -430,7 +436,7 @@ def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     stderr = stderr_delta = None
     if not exact:
         stderr, hist, edges = analysis.monte_carlo_error(
-            raw, int(cfg["analysis"]["mc_samples"]), int(cfg["seed"]) + 1
+            raw, int(cfg["analysis"]["mc_samples"]), stream(cfg["seed"], "witness")
         )
         stderr_delta = analysis.delta_method_stderr(raw)
         write_csv(outdir / "witness_hist.csv",
@@ -466,7 +472,8 @@ def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     if exact:
         rates = means
     else:
-        rates = np.random.default_rng(int(cfg["seed"])).poisson(means).astype(float)
+        rng = np.random.default_rng(stream(cfg["seed"], "fringe"))
+        rates = rng.poisson(means).astype(float)
     alphas = analysis.scan_phases(n_points)
     rows, fits = [], {}
     for (name, _ports, _bits, sign), column in zip(detection.FRINGE_PROJECTIONS, rates.T):
@@ -494,22 +501,17 @@ def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     wf = cfg["waveform"]
     fwhm = _build(ExcitationTrain, cfg, "source").pulse_fwhm_ps
     dispersions = wf["dispersions_ns_per_nm"]
-    if not dispersions:
-        raise ConfigError("dispersion list must not be empty")
-    if not wf["separations_ps"]:
-        raise ConfigError("separation list must not be empty")
     base = _build(CpmSettings, cfg, "cpm")
     rows = []
     curves = {}
     for sep in wf["separations_ps"]:
-        xs, ys = [], []
+        ys = []
         for disp in dispersions:
             settings = dataclasses.replace(base, dispersion_ns_per_nm=disp)
             vis = waveform.visibility_bound(sep, fwhm, settings)
             rows.append((disp, sep, vis))
-            xs.append(disp)
             ys.append(vis)
-        curves[f"{sep:g} ps"] = (xs, ys)
+        curves[f"{sep:g} ps"] = (dispersions, ys)
     write_csv(outdir / "visibility.csv",
               ["dispersion_ns_per_nm", "separation_ps", "visibility"], rows, stamp)
     if cfg["svg"]:
@@ -523,8 +525,9 @@ def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 def cmd_drift(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     trace = _drift(cfg, _build(channel.FiberLink, cfg, "channel"))
     policy = _build(channel.StabilizerPolicy, cfg, "channel.stabilizer")
+    rng = np.random.default_rng(stream(cfg["seed"], "stabilizer"))
     with _from_config("channel.stabilizer"):
-        residual, rms = channel.stabilize(trace, policy, int(cfg["seed"]) + 1)
+        residual, rms = channel.stabilize(trace, policy, rng)
     rows = list(zip(trace.times_s, trace.offsets_ps, residual.offsets_ps))
     write_csv(outdir / "drift.csv",
               ["time_s", "offset_ps", "corrected_offset_ps"], rows, stamp)

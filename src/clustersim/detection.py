@@ -273,7 +273,7 @@ def sample_coincidences(
     detector: DetectorModel,
     pairs_per_setting: int,
     visibility_penalty: dict[str, float],
-    seed: int,
+    seed: np.random.SeedSequence,
     levels: LevelSpec,
     base: CpmSettings,
     exact: bool,
@@ -281,11 +281,11 @@ def sample_coincidences(
     """Histogram of coincidences for every joint setting of the schedule.
 
     With exact=True the mean counts are returned unsampled (infinite
-    statistics); otherwise each cell is an independent Poisson draw,
-    reproducible via per-setting child seeds.
+    statistics); otherwise each cell is an independent Poisson draw, setting
+    k's from the k-th child that seed spawns.
     """
     layout = layout_from_levels(levels)
-    children = np.random.SeedSequence(seed).spawn(len(schedule))
+    children = seed.spawn(len(schedule))
     out = []
     for pairing, child in zip(schedule, children):
         mean, ancillary = expected_counts(

@@ -9,7 +9,6 @@ All state values are immutable; operations return new states.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +44,8 @@ class JointTwoPhotonState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def state_to_json(state: JointTwoPhotonState, layout: BinLayout) -> str:
-    """Serialize the nonzero amplitudes keyed by their bin positions in ps.
+def state_to_json(state: JointTwoPhotonState, layout: BinLayout) -> dict:
+    """JSON document of the nonzero amplitudes keyed by their bin positions in ps.
 
     The order is by signal bin, then idler bin.
     """
@@ -61,5 +60,4 @@ def state_to_json(state: JointTwoPhotonState, layout: BinLayout) -> str:
         for (s, i), amp in np.ndenumerate(state.amplitudes)
         if amp != 0
     ]
-    doc = {"amplitudes": entries, "norm_tracking": state.norm_tracking}
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return {"amplitudes": entries, "norm_tracking": state.norm_tracking}

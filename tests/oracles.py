@@ -31,6 +31,9 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
   totals; and `broadcast_class_total_samples`, the single-stream sampler
   that drew all 9 class totals of a batch in one broadcast call.  They are
   the references of `analysis.resample_witness`.
+- `witness_sigma`, the closed-form standard deviation of the resampled
+  witness, built from `inverse_count_mean` (E[1/N; N >= 1] of a Poisson N)
+  and `class_total_variance`; the reference of `analysis.monte_carlo_error`.
 """
 
 from __future__ import annotations
@@ -212,6 +215,67 @@ def broadcast_class_total_samples(raw_counts: dict[str, np.ndarray], samples: in
         values[done : done + n] = witness_from_class_totals(
             rng.poisson(lam, size=(n,) + lam.shape))
     return values
+
+
+# ----------------------------------------------------------------------
+# closed-form standard deviation of the resampled witness
+
+EULER_GAMMA = 0.5772156649015329
+#: Below this mean inverse_count_mean sums the Poisson terms; above it the
+#: asymptotic series takes over (it is wrong at means of 5 and below).
+SERIES_SWITCH = 50.0
+
+
+def inverse_count_mean(lam: float) -> float:
+    """E[1/N; N >= 1] for N ~ Poisson(lam), which is e^-lam (Ei(lam) - gamma - ln lam).
+
+    Below SERIES_SWITCH it is the sum over n >= 1 of e^-lam lam^n / (n! n),
+    each term formed in log space with math.lgamma, out to 40 standard
+    deviations past the mean.  Above, it is the asymptotic series
+    (1/lam) sum_k k!/lam^k - e^-lam (gamma + ln lam), cut at its smallest term.
+    """
+    if lam == 0.0:
+        return 0.0
+    if lam < SERIES_SWITCH:
+        top = int(lam + 40.0 * math.sqrt(lam)) + 40
+        return math.fsum(
+            math.exp(n * math.log(lam) - lam - math.lgamma(n + 1)) / n for n in range(1, top)
+        )
+    terms, k = [1.0], 1
+    while k / lam < 1.0:  # the next term k!/lam^k is still smaller
+        terms.append(terms[-1] * k / lam)
+        k += 1
+    return math.fsum(terms) / lam - math.exp(-lam) * (EULER_GAMMA + math.log(lam))
+
+
+def class_total_variance(plus: float, minus: float, mixed: float) -> float:
+    """Var r for r = (A+ - A-) / N, and r = 0 when N = 0.
+
+    A+, A- and A0 are independent Poisson totals with the given means, and
+    N = A+ + A- + A0.  Given N = n >= 1, A+ - A- is a sum of n independent
+    steps +1, -1, 0 with probabilities p_c = mean_c / lam (lam the sum of
+    the means), of mean d = p+ - p- and variance s = p+ + p- - d^2.  So with
+    q = P(N >= 1) = 1 - e^-lam, Var r = s E[1/N; N >= 1] + d^2 q (1 - q).
+    """
+    lam = plus + minus + mixed
+    if lam == 0.0:
+        return 0.0
+    d = (plus - minus) / lam
+    s = (plus + minus) / lam - d * d
+    q = -math.expm1(-lam)
+    return s * inverse_count_mean(lam) + d * d * q * (1.0 - q)
+
+
+def witness_sigma(raw_counts: dict[str, np.ndarray]) -> float:
+    """Standard deviation of the witness under Poisson resampling of raw_counts.
+
+    W = 2 - sum over bases of r_b, each r_b a function of its basis's three
+    class totals (analysis.outcome_classes), and the bases are independent.
+    """
+    basis_order = tuple(raw_counts)
+    base = np.stack([np.asarray(raw_counts[b], dtype=float) for b in basis_order])
+    lam = np.einsum("bco,bo->bc", outcome_classes(basis_order), base)
+    return math.sqrt(sum(class_total_variance(*map(float, row)) for row in lam))
 
 
 # ----------------------------------------------------------------------

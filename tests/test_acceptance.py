@@ -17,7 +17,7 @@ import scipy.special
 import oracles
 from clustersim import analysis, channel, cpm, detection, waveform
 from clustersim.bessel import solve_balanced_depth
-from clustersim.cli import main
+from clustersim.cli import main, stream
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.encoding import default_levels
 from clustersim.source import ideal_cluster_state
@@ -40,7 +40,8 @@ def _pipeline_witness(detector, pairs=1, seed=0, exact=True):
     state = ideal_cluster_state()
     schedule = detection.build_default_schedule(levels)
     hists = detection.sample_coincidences(
-        state, schedule, detector, pairs, {}, seed, levels, CpmSettings(), exact
+        state, schedule, detector, pairs, {}, np.random.SeedSequence(seed), levels,
+        CpmSettings(), exact,
     )
     projections = detection.extract_projections(detection.raw_basis_counts(hists))
     return analysis.witness(projections, None), hists
@@ -107,11 +108,12 @@ def test_criterion_03_calibrated_match(capsys):
     witnesses, ratios = [], []
     for seed in range(20):
         hists = detection.sample_coincidences(
-            lossy, schedule, detector, 2473, {}, seed, levels, CpmSettings(), False
+            lossy, schedule, detector, 2473, {}, stream(seed, "settings"), levels,
+            CpmSettings(), False,
         )
         raw = detection.raw_basis_counts(hists)
         projections = detection.extract_projections(raw)
-        stderr, _, _ = analysis.monte_carlo_error(raw, 20_000, seed=seed + 1)
+        stderr, _, _ = analysis.monte_carlo_error(raw, 20_000, stream(seed, "witness"))
         w = analysis.witness(projections, None).witness
         witnesses.append(w)
         ratios.append(abs(w) / stderr)
@@ -275,8 +277,10 @@ def test_criterion_07_fringes(capsys):
 def test_criterion_08_drift_stabilization(capsys):
     start = time.perf_counter()
     link = channel.FiberLink()
-    trace = channel.simulate_drift(link, 86400.0, channel.ThermalModel(), seed=0)
-    _, rms = channel.stabilize(trace, channel.StabilizerPolicy(), seed=1)
+    trace = channel.simulate_drift(link, 86400.0, channel.ThermalModel(),
+                                   np.random.default_rng(stream(0, "drift")))
+    _, rms = channel.stabilize(trace, channel.StabilizerPolicy(),
+                               np.random.default_rng(stream(0, "stabilizer")))
     elapsed = time.perf_counter() - start
     ok = abs(trace.peak_ps() - 92.0) <= 5.0 and rms <= 3.0 and elapsed < 30.0
     _report(capsys, 8, ok,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import SeedSequence
 
 from clustersim import analysis
 from clustersim.analysis import (
@@ -148,8 +149,8 @@ def _raw_counts(scale, p=0.1, seed=0):
 
 def test_mc_stderr_scaling():
     """Quadrupled counts halve the resampled standard error."""
-    err1, hist, edges = monte_carlo_error(_raw_counts(500), samples=40_000, seed=1)
-    err4, _, _ = monte_carlo_error(_raw_counts(2000), samples=40_000, seed=1)
+    err1, hist, edges = monte_carlo_error(_raw_counts(500), 40_000, SeedSequence(1))
+    err4, _, _ = monte_carlo_error(_raw_counts(2000), 40_000, SeedSequence(1))
     assert err1 > 0
     assert err4 / err1 == pytest.approx(0.5, rel=0.15)
     assert hist.sum() == 40_000
@@ -158,7 +159,7 @@ def test_mc_stderr_scaling():
 
 def test_mc_stderr_inverse_sqrt_over_decades():
     errs = [
-        monte_carlo_error(_raw_counts(n), samples=20_000, seed=2)[0]
+        monte_carlo_error(_raw_counts(n), samples=20_000, seed=SeedSequence(2))[0]
         for n in (100, 10_000)
     ]
     assert errs[0] / errs[1] == pytest.approx(10.0, rel=0.2)
@@ -166,8 +167,8 @@ def test_mc_stderr_inverse_sqrt_over_decades():
 
 def test_mc_is_deterministic():
     counts = _raw_counts(400)
-    a = monte_carlo_error(counts, samples=5_000, seed=3)
-    b = monte_carlo_error(counts, samples=5_000, seed=3)
+    a = monte_carlo_error(counts, samples=5_000, seed=SeedSequence(3))
+    b = monte_carlo_error(counts, samples=5_000, seed=SeedSequence(3))
     assert a[0] == b[0]
     np.testing.assert_array_equal(a[1], b[1])
 
@@ -176,7 +177,7 @@ def test_mc_rejects_negative_counts():
     counts = _raw_counts(400)
     counts["ZZZZ"] = counts["ZZZZ"] - 1e9
     with pytest.raises(ValueError):
-        monte_carlo_error(counts, samples=100, seed=0)
+        monte_carlo_error(counts, samples=100, seed=SeedSequence(0))
 
 
 def _witness_samples_reference(counts, signs, term_basis):
@@ -240,7 +241,7 @@ def test_class_total_sampler_matches_raw_count_sampler():
     """Mean and std of the two samplers agree within 5 combined MC errors."""
     raw = _raw_counts(300)
     n = 100_000
-    new = resample_witness(raw, n, seed=7)
+    new = resample_witness(raw, n, seed=SeedSequence(7))
     ref = raw_count_witness_samples(raw, n, seed=8)
     spread = np.hypot(new.std(), ref.std())
     assert abs(new.mean() - ref.mean()) < 5.0 * spread / np.sqrt(n)
@@ -252,7 +253,7 @@ def test_class_total_sampler_matches_broadcast_sampler():
     """Chunked per-class draws and the one-stream broadcast draws agree in distribution."""
     raw = _raw_counts(300)
     n = 100_000
-    new = resample_witness(raw, n, seed=9)
+    new = resample_witness(raw, n, seed=SeedSequence(9))
     ref = broadcast_class_total_samples(raw, n, seed=10)
     spread = np.hypot(new.std(), ref.std())
     assert abs(new.mean() - ref.mean()) < 5.0 * spread / np.sqrt(n)
@@ -272,10 +273,10 @@ def test_chunk_replays_class_total_oracle():
     """A chunk's values are the oracle witness of its 9 draws, replayed from its seed."""
     raw = _sparse_raw_counts()
     samples, seed = 2 * MC_CHUNK + 1000, 11
-    values = resample_witness(raw, samples, seed)
+    values = resample_witness(raw, samples, SeedSequence(seed))
     lam = np.einsum("bco,bo->bc", outcome_classes(tuple(raw)), np.stack(list(raw.values())))
     assert np.all(lam[1] == 0.0) and np.all(lam[0] > 0.0)
-    children = np.random.SeedSequence(seed).spawn(3)
+    children = SeedSequence(seed).spawn(3)
     for i, n in ((1, MC_CHUNK), (2, 1000)):
         rng = np.random.default_rng(children[i])
         totals = np.empty((n, 3, 3))
@@ -294,9 +295,10 @@ def test_chunk_replays_class_total_oracle():
 def test_resampling_is_independent_of_worker_count(monkeypatch, workers):
     raw = _sparse_raw_counts()
     samples = 4 * MC_CHUNK + 123
-    reference = resample_witness(raw, samples, seed=12)
+    reference = resample_witness(raw, samples, seed=SeedSequence(12))
     monkeypatch.setattr(analysis, "_workers", lambda n_chunks: workers)
-    assert resample_witness(raw, samples, seed=12).tobytes() == reference.tobytes()
+    again = resample_witness(raw, samples, seed=SeedSequence(12))
+    assert again.tobytes() == reference.tobytes()
 
 
 def test_mc_draws_nine_variates_per_sample(monkeypatch):
@@ -312,7 +314,7 @@ def test_mc_draws_nine_variates_per_sample(monkeypatch):
             return self._rng.poisson(lam, size)
 
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
-    monte_carlo_error(raw, samples=120_000, seed=3)
+    monte_carlo_error(raw, samples=120_000, seed=SeedSequence(3))
     assert sum(drawn) == 120_000 * 9
 
 

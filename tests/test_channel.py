@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import SeedSequence, default_rng
 
 from clustersim.channel import (
     DriftTrace,
@@ -16,6 +17,7 @@ from clustersim.channel import (
     stabilize,
     transmit,
 )
+from clustersim.cli import stream
 
 
 def test_loss_budget():
@@ -53,7 +55,7 @@ def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, lev
     reports = []
     for state in (cluster, lossy):
         hists = sample_coincidences(
-            state, schedule, noiseless_detector, 1, {}, 0, levels, CpmSettings(), True
+            state, schedule, noiseless_detector, 1, {}, SeedSequence(0), levels, CpmSettings(), True
         )
         projections = extract_projections(raw_basis_counts(hists))
         reports.append(witness(projections, None).witness)
@@ -62,27 +64,27 @@ def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, lev
 
 def test_drift_is_deterministic():
     link = FiberLink()
-    a = simulate_drift(link, 3600.0, ThermalModel(), seed=5)
-    b = simulate_drift(link, 3600.0, ThermalModel(), seed=5)
+    a = simulate_drift(link, 3600.0, ThermalModel(), default_rng(5))
+    b = simulate_drift(link, 3600.0, ThermalModel(), default_rng(5))
     np.testing.assert_array_equal(a.offsets_ps, b.offsets_ps)
-    c = simulate_drift(link, 3600.0, ThermalModel(), seed=6)
+    c = simulate_drift(link, 3600.0, ThermalModel(), default_rng(6))
     assert not np.array_equal(a.offsets_ps, c.offsets_ps)
 
 
 def test_zero_temperature_gives_zero_trace():
-    trace = simulate_drift(FiberLink(), 3600.0, ThermalModel(sigma_k=0.0), seed=0)
+    trace = simulate_drift(FiberLink(), 3600.0, ThermalModel(sigma_k=0.0), default_rng(0))
     assert np.all(trace.offsets_ps == 0.0)
 
 
 def test_doubling_length_doubles_offsets():
-    short = simulate_drift(FiberLink(length_km=25.0), 7200.0, ThermalModel(), seed=2)
-    long = simulate_drift(FiberLink(length_km=50.0), 7200.0, ThermalModel(), seed=2)
+    short = simulate_drift(FiberLink(length_km=25.0), 7200.0, ThermalModel(), default_rng(2))
+    long = simulate_drift(FiberLink(length_km=50.0), 7200.0, ThermalModel(), default_rng(2))
     np.testing.assert_allclose(long.offsets_ps, 2.0 * short.offsets_ps, rtol=1e-12)
 
 
 def test_peak_offset_matches_thermal_budget():
     """36.8 ps/(K km) x 25 km x 0.1 K = 92 ps peak excursion."""
-    trace = simulate_drift(FiberLink(), 86400.0, ThermalModel(), seed=0)
+    trace = simulate_drift(FiberLink(), 86400.0, ThermalModel(), default_rng(0))
     assert trace.peak_ps() == pytest.approx(92.0, abs=1e-9)
 
 
@@ -93,8 +95,8 @@ def test_ou_decay_one_is_random_walk():
 
 
 def test_stabilize_reduces_rms():
-    trace = simulate_drift(FiberLink(), 86400.0, ThermalModel(), seed=1)
-    residual, rms = stabilize(trace, StabilizerPolicy(), seed=2)
+    trace = simulate_drift(FiberLink(), 86400.0, ThermalModel(), default_rng(1))
+    residual, rms = stabilize(trace, StabilizerPolicy(), default_rng(2))
     assert rms < trace.rms_ps()
     assert rms <= 3.0
     assert len(residual.offsets_ps) == len(trace.offsets_ps)
@@ -103,7 +105,7 @@ def test_stabilize_reduces_rms():
 def test_zero_drift_zero_residual():
     trace = DriftTrace(60.0, np.zeros(120))
     residual, rms = stabilize(
-        trace, StabilizerPolicy(estimator_noise_ps=0.0), seed=0
+        trace, StabilizerPolicy(estimator_noise_ps=0.0), default_rng(0)
     )
     assert rms == 0.0
 
@@ -111,47 +113,48 @@ def test_zero_drift_zero_residual():
 def test_stabilize_perfect_feedback_zeroes_epochs():
     offsets = np.full(30, 7.0)
     trace = DriftTrace(1.0, offsets)
-    residual, _ = stabilize(trace, StabilizerPolicy(10, 0, 0), seed=0)
+    residual, _ = stabilize(trace, StabilizerPolicy(10, 0, 0), default_rng(0))
     # before the first correction the drift passes through untouched
     np.testing.assert_array_equal(residual.offsets_ps[:10], offsets[:10])
     np.testing.assert_allclose(residual.offsets_ps[10:], 0.0, atol=1e-12)
 
 
 def test_infinite_interval_is_noop():
-    trace = simulate_drift(FiberLink(), 7200.0, ThermalModel(), seed=3)
+    trace = simulate_drift(FiberLink(), 7200.0, ThermalModel(), default_rng(3))
     residual, rms = stabilize(
-        trace, StabilizerPolicy(correction_interval_s=1e9), seed=0
+        trace, StabilizerPolicy(correction_interval_s=1e9), default_rng(0)
     )
     np.testing.assert_array_equal(residual.offsets_ps, trace.offsets_ps)
     assert rms == pytest.approx(trace.rms_ps())
 
 
 def test_single_sample_trace_is_noop():
-    trace = simulate_drift(FiberLink(), 1.0, ThermalModel(), seed=3)
+    trace = simulate_drift(FiberLink(), 1.0, ThermalModel(), default_rng(3))
     assert len(trace.times_s) == 1
-    residual, rms = stabilize(trace, StabilizerPolicy(), seed=0)
+    residual, rms = stabilize(trace, StabilizerPolicy(), default_rng(0))
     assert residual is trace and rms == trace.rms_ps()
 
 
 def test_subnormal_resolution_leaves_estimates_unquantized():
-    trace = simulate_drift(FiberLink(), 43200.0, ThermalModel(), seed=3)
-    fine, _ = stabilize(trace, StabilizerPolicy(900.0, 0.5, 5e-324), seed=1)
-    exact, _ = stabilize(trace, StabilizerPolicy(900.0, 0.5, 0.0), seed=1)
+    trace = simulate_drift(FiberLink(), 43200.0, ThermalModel(), default_rng(3))
+    fine, _ = stabilize(trace, StabilizerPolicy(900.0, 0.5, 5e-324), default_rng(1))
+    exact, _ = stabilize(trace, StabilizerPolicy(900.0, 0.5, 0.0), default_rng(1))
     np.testing.assert_array_equal(fine.offsets_ps, exact.offsets_ps)
 
 
 def test_subsample_interval_rejected():
-    trace = simulate_drift(FiberLink(), 7200.0, ThermalModel(), seed=3)
+    trace = simulate_drift(FiberLink(), 7200.0, ThermalModel(), default_rng(3))
     with pytest.raises(ValueError, match="correction interval shorter than the trace step"):
-        stabilize(trace, StabilizerPolicy(correction_interval_s=1.0), seed=0)
+        stabilize(trace, StabilizerPolicy(correction_interval_s=1.0), default_rng(0))
 
 
 @given(st.integers(min_value=0, max_value=50))
 @settings(max_examples=25, deadline=None)
 def test_stabilized_rms_never_worse(seed):
-    trace = simulate_drift(FiberLink(), 43200.0, ThermalModel(), seed=seed)
+    drift_rng = default_rng(stream(seed, "drift"))
+    trace = simulate_drift(FiberLink(), 43200.0, ThermalModel(), drift_rng)
     policy = StabilizerPolicy(estimator_noise_ps=0.5)
-    _, rms = stabilize(trace, policy, seed=seed + 1)
+    _, rms = stabilize(trace, policy, default_rng(stream(seed, "stabilizer")))
     assert rms <= trace.rms_ps() + 1e-9
 
 
@@ -162,9 +165,9 @@ def test_bin_corruption_flag(layout):
 
 def test_trace_validation():
     with pytest.raises(ValueError, match="duration must be positive"):
-        simulate_drift(FiberLink(), -1.0, ThermalModel(), seed=0)
+        simulate_drift(FiberLink(), -1.0, ThermalModel(), default_rng(0))
     with pytest.raises(ValueError, match="duration must be positive"):
-        simulate_drift(FiberLink(), 86400.0, ThermalModel(step_s=5e-324), seed=0)
+        simulate_drift(FiberLink(), 86400.0, ThermalModel(step_s=5e-324), default_rng(0))
     with pytest.raises(ValueError):
         ThermalModel(smoothing_passes=-1)
     with pytest.raises(ValueError):

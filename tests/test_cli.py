@@ -164,7 +164,7 @@ def test_fringe_draws_cells_phase_by_phase(tmp_path):
         cfg["detection"]["pairs_per_setting"], levels, cfg["analysis"]["fringe_points"],
         cli._build(CpmSettings, cfg, "cpm"), cfg["detection"]["visibility_penalty"],
     )
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(cli.stream(3, "fringe"))
     replayed = [[float(rng.poisson(mean)) for mean in row] for row in means]
     rates = {}
     for line in (outdir / "fringe.csv").read_text().splitlines()[2:]:
@@ -360,6 +360,10 @@ REFUSALS = {
         _config_error("level-two-entries", "generate",
                       {"encoding": {"levels": [["T", 300.0], ["t", 100.0, 1.25]]}},
                       "encoding.levels[0] must have 3 entries"),
+        # a list's length is checked before its items
+        _config_error("levels-length-before-items", "generate",
+                      {"encoding": {"levels": [["T", 300.0, 3.75], ["t", 100.0, 1.25], "x"]}},
+                      "encoding.levels must have 2 entries"),
         _config_error("root-not-object", "capacity", [1], "config root must be a JSON object"),
         *(
             _config_error(f"bins-overflow-{command}", command,
@@ -493,11 +497,16 @@ REFUSALS = {
                 ("readout-time-minus-infinity", "transmit", "readout_time_s", float("-inf")),
             )
         ),
-        _config_error("separations-empty", "visibility", {"waveform": {"separations_ps": []}},
-                      "separation list must not be empty"),
-        _config_error("separations-empty-svg", "visibility",
-                      {"svg": True, "waveform": {"separations_ps": []}},
-                      "separation list must not be empty"),
+        *(
+            _config_error(row_id, command, doc,
+                          "waveform.separations_ps has 0 entries, outside [1, 100]")
+            for row_id, command, doc in (
+                ("separations-empty", "visibility", {"waveform": {"separations_ps": []}}),
+                ("separations-empty-svg", "visibility",
+                 {"svg": True, "waveform": {"separations_ps": []}}),
+                ("capacity-separations-empty", "capacity", {"waveform": {"separations_ps": []}}),
+            )
+        ),
         *(
             _config_error(row_id, "transmit", {"channel": {"readout_time_s": time_s}},
                           f"channel.readout_time_s: {time_s:g} s is outside the drift "
@@ -518,7 +527,7 @@ REFUSALS = {
     "test_empty_dispersion_list_exit_2": [
         _config_error("dispersions-empty", "visibility",
                       {"waveform": {"dispersions_ns_per_nm": []}},
-                      "dispersion list must not be empty"),
+                      "waveform.dispersions_ns_per_nm has 0 entries, outside [1, 100]"),
     ],
     "test_missing_config_file_exit_2": [
         pytest.param(("generate",), None, 2,
@@ -530,7 +539,7 @@ REFUSALS = {
     "test_list_leaf_length_is_capped": [
         _config_error(f"{prefix}{section}-{key}-{item}-{cap}", command,
                       {section: {key: [item] * (cap + 1)}},
-                      f"{section}.{key} has {cap + 1} entries, more than {cap}")
+                      f"{section}.{key} has {cap + 1} entries, outside [1, {cap}]")
         for prefix, command in (("", "visibility"), ("capacity-", "capacity"))
         for section, key, item, cap in (("waveform", "separations_ps", 100.0, 100),
                                         ("waveform", "dispersions_ns_per_nm", 5.0, 100))
@@ -658,11 +667,11 @@ def test_visibility_rejects_unresolvable_pulse_width(argv, config, code, err):
 
 
 def test_list_leaves_at_their_cap_load(tmp_path):
-    """The list caps refuse only what is longer than the cap."""
+    """The list caps refuse only what is shorter or longer than the caps."""
     for key, item in (("separations_ps", 100.0), ("dispersions_ns_per_nm", 5.0)):
-        cap = cli._MAX_ENTRIES[f"waveform.{key}"]
-        cfg = _write_config(tmp_path, {"waveform": {key: [item] * cap}})
-        assert len(load_config(cfg, None, None, None)["waveform"][key]) == cap
+        for count in cli._ENTRIES[f"waveform.{key}"]:
+            cfg = _write_config(tmp_path, {"waveform": {key: [item] * count}})
+            assert len(load_config(cfg, None, None, None)["waveform"][key]) == count
 
 
 def test_penalty_keys_follow_the_level_names(tmp_path):

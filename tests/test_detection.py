@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
 from clustersim.analysis import scan_phases
 from clustersim.cpm import BeamSplitterSetting
@@ -147,7 +148,8 @@ def test_crosstalk_monotone_in_jitter(cluster, levels, schedule, layout, base_cp
 def test_sampling_is_deterministic(cluster, schedule, noiseless_detector, levels, base_cpm):
     def sample(seed):
         return sample_coincidences(
-            cluster, schedule, noiseless_detector, 500, {}, seed, levels, base_cpm, False
+            cluster, schedule, noiseless_detector, 500, {}, SeedSequence(seed), levels,
+            base_cpm, False,
         )
 
     a = sample(7)
@@ -164,7 +166,7 @@ def test_exact_sampling_matches_means(
     cluster, schedule, noiseless_detector, levels, layout, base_cpm
 ):
     hists = sample_coincidences(
-        cluster, schedule, noiseless_detector, 1000, {}, 0, levels, base_cpm, True
+        cluster, schedule, noiseless_detector, 1000, {}, SeedSequence(0), levels, base_cpm, True
     )
     for h, pairing in zip(hists, schedule):
         mean, _ = expected_counts(
@@ -177,7 +179,7 @@ def test_projections_normalized_and_loss_invariant(
     cluster, schedule, noiseless_detector, levels, base_cpm
 ):
     hists = sample_coincidences(
-        cluster, schedule, noiseless_detector, 1, {}, 0, levels, base_cpm, True
+        cluster, schedule, noiseless_detector, 1, {}, SeedSequence(0), levels, base_cpm, True
     )
     proj = extract_projections(raw_basis_counts(hists))
     assert set(proj) == set(WITNESS_BASES)
@@ -188,7 +190,9 @@ def test_projections_normalized_and_loss_invariant(
         jitter_signal_ps=0.0, jitter_idler_ps=0.0, tdc_jitter_ps=0.0,
         efficiency=0.2,
     )
-    hists2 = sample_coincidences(cluster, schedule, lossy, 1, {}, 0, levels, base_cpm, True)
+    hists2 = sample_coincidences(
+        cluster, schedule, lossy, 1, {}, SeedSequence(0), levels, base_cpm, True
+    )
     proj2 = extract_projections(raw_basis_counts(hists2))
     for basis in WITNESS_BASES:
         np.testing.assert_allclose(proj2[basis], proj[basis], atol=1e-12)
@@ -196,7 +200,7 @@ def test_projections_normalized_and_loss_invariant(
 
 def test_raw_counts_conserve_totals(cluster, schedule, noiseless_detector, levels, base_cpm):
     hists = sample_coincidences(
-        cluster, schedule, noiseless_detector, 300, {}, 3, levels, base_cpm, False
+        cluster, schedule, noiseless_detector, 300, {}, SeedSequence(3), levels, base_cpm, False
     )
     raw = raw_basis_counts(hists)
     # each basis total equals the originating histogram's total counts
@@ -242,7 +246,7 @@ def test_fringe_means_match_per_phase_mixing(cluster, levels, base_cpm):
 
 def test_missing_basis_detected(cluster, schedule, noiseless_detector, levels, base_cpm):
     hists = sample_coincidences(
-        cluster, schedule, noiseless_detector, 100, {}, 0, levels, base_cpm, True
+        cluster, schedule, noiseless_detector, 100, {}, SeedSequence(0), levels, base_cpm, True
     )
     emptied = [
         JointTemporalIntensity(h.pairing, 0.0 * h.counts) if h.pairing.basis == "XXZZ" else h

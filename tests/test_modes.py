@@ -1,7 +1,5 @@
 """The bin-pair state and its JSON form; the oracle path's sparse state algebra and mode grid."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,7 +48,7 @@ def test_state_json_keys_amplitudes_by_bin_position():
     layout = layout_from_levels(LevelSpec((Level("T", 150.0, 1.0), Level("t", 50.0, 1.0))))
     amps = np.zeros((4, 4), dtype=complex)
     amps[0, 0], amps[3, 1] = 0.6, 0.8j
-    doc = json.loads(modes.state_to_json(modes.JointTwoPhotonState(amps, 0.5), layout))
+    doc = modes.state_to_json(modes.JointTwoPhotonState(amps, 0.5), layout)
     assert doc == {
         "amplitudes": [
             {"signal_ps": 0.0, "idler_ps": 0.0, "re": 0.6, "im": 0.0},
