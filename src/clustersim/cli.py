@@ -501,16 +501,12 @@ def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     wf = cfg["waveform"]
     fwhm = _build(ExcitationTrain, cfg, "source").pulse_fwhm_ps
     dispersions = wf["dispersions_ns_per_nm"]
-    base = _build(CpmSettings, cfg, "cpm")
+    carrier = _build(CpmSettings, cfg, "cpm").carrier_wavelength_nm
     rows = []
     curves = {}
     for sep in wf["separations_ps"]:
-        ys = []
-        for disp in dispersions:
-            settings = dataclasses.replace(base, dispersion_ns_per_nm=disp)
-            vis = waveform.visibility_bound(sep, fwhm, settings)
-            rows.append((disp, sep, vis))
-            ys.append(vis)
+        ys = waveform.visibility_bound(sep, fwhm, dispersions, carrier).tolist()
+        rows += [(disp, sep, vis) for disp, vis in zip(dispersions, ys)]
         curves[f"{sep:g} ps"] = (dispersions, ys)
     write_csv(outdir / "visibility.csv",
               ["dispersion_ns_per_nm", "separation_ps", "visibility"], rows, stamp)

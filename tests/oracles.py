@@ -5,7 +5,9 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
 - The sampled-field FFT chain: chirp -> sinusoidal phase modulation ->
   inverse chirp on complex envelopes over a power-of-two grid, with the
   copy-weight, copy-position and spectrogram probes, and
-  `visibility_fft_chain`, the reference of `waveform.visibility_bound`.
+  `visibility_fft_chain`, a reference of `waveform.visibility_bound`.
+- `visibility_copy_sum`, the other reference of `waveform.visibility_bound`:
+  the same closed-form copy sum, evaluated one dispersion at a time.
 - The scalar Bessel entry point `bessel_j` and the splitter efficiency,
   the references of `bessel.bessel_row` and of the matrices' column norms.
 - Bin-index helpers: `bin_to_bits` and `bits_to_bin`, and for trees of
@@ -54,7 +56,7 @@ from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.cpm import CpmSettings, chirp_beta2_s2
 from clustersim.encoding import BinLayout, Level, LevelSpec
 from clustersim.errors import ClusterSimError, GridMismatch
-from clustersim.waveform import _gaussian, rf_for_spacing
+from clustersim.waveform import COPY_ORDERS, MAX_SEPARATION_PS, _gaussian, rf_for_spacing
 
 
 class WindowOverflow(ClusterSimError):
@@ -707,3 +709,62 @@ def visibility_fft_chain(sep, fwhm, chirp, n_alpha=16, n_samples=2**18, dt_ps=1.
     design = np.column_stack([np.ones_like(alphas), np.cos(alphas), np.sin(alphas)])
     c = np.linalg.lstsq(design, np.asarray(intensities), rcond=None)[0]
     return float(np.hypot(c[1], c[2]) / c[0])
+
+
+def visibility_copy_sum(
+    bin_separation_ps: float, pulse_fwhm_ps: float, settings: CpmSettings
+) -> float:
+    """Reference for visibility_bound: its copy sum at one dispersion.
+
+    The sum over copies and times runs once per dispersion, with the
+    copies' delays m beta2 Omega and carriers e^{i m Omega t} evaluated
+    anew each time.
+
+    Two equal-amplitude Gaussian pulses separated by bin_separation_ps pass
+    the chirp -> modulation -> inverse-chirp chain at the balanced depth g*,
+    with the grating dispersion and carrier of settings and the RF tone
+    whose copy spacing equals the separation.  Swept over the RF phase alpha, the intensity summed over the central
+    output bin window [sep/2, 3 sep/2), sampled at 1 ps, traces a fringe
+    I(alpha); the bound is its first-harmonic contrast.
+
+    The chain is evaluated in closed form.  For D = exp(i beta2 w^2 / 2),
+    D^-1 e^{i m Omega t} D = e^{-i beta2 (m Omega)^2 / 2} e^{i m Omega t}
+    (delay by m beta2 Omega) exactly, and Jacobi-Anger expands the
+    modulator as sum_m J_m(g*) e^{-i m alpha} e^{i m Omega t}.  The output
+    is thus sum_m u_m(t) e^{-i m alpha}: Bessel-weighted copies u_m of the
+    two pulses, shifted by m Omega in frequency and m beta2 Omega in time,
+    for |m| <= COPY_ORDERS (J_13(g*) = 2e-12).  So I(alpha) = H0 +
+    2 Re(H1 e^{-i alpha}) + higher harmonics, with H0 = sum_t,m |u_m|^2 and
+    H1 = sum_t,m u_m conj(u_{m-1}), and the visibility is 2 |H1| / H0.
+    """
+    beta2 = settings.beta2_s2 * 1e24  # ps^2
+    if beta2 == 0 or not math.isfinite(beta2):
+        raise ValueError("dispersion must be nonzero and finite")
+    if bin_separation_ps <= 0:
+        raise ValueError("bin separation must be positive")
+    if bin_separation_ps >= MAX_SEPARATION_PS:
+        raise ValueError(f"bin separation must be below {MAX_SEPARATION_PS:g} ps")
+    orders = np.arange(-COPY_ORDERS, COPY_ORDERS + 1)
+    bessel = bessel_row(solve_balanced_depth(), COPY_ORDERS)[np.abs(orders)]
+    bessel = np.where((orders < 0) & (orders % 2 == 1), -bessel, bessel)  # J_-m
+    omega = 2.0 * np.pi * rf_for_spacing(beta2, bin_separation_ps) * 1e-3  # rad/ps
+    top = COPY_ORDERS * omega  # the highest copy frequency
+    if not (omega > 0 and math.isfinite(top * top * beta2)):
+        raise ValueError("dispersion out of range for the bin separation")
+    weights = bessel * np.exp(-0.5j * beta2 * (orders * omega) ** 2)
+    delays = orders * (beta2 * omega)
+    # the integer times the 1 ps field grid has in the window
+    times = np.arange(np.ceil(0.5 * bin_separation_ps), np.ceil(1.5 * bin_separation_ps))
+    # chunk so each (copy, time) array stays near 1 MB
+    step = 2**16 // len(orders)
+    h0 = h1 = 0j
+    for start in range(0, len(times), step):
+        t = times[start:start + step]
+        shifted = t - delays[:, None]
+        envelope = _gaussian(shifted, pulse_fwhm_ps) + _gaussian(
+            shifted - bin_separation_ps, pulse_fwhm_ps
+        )
+        copies = weights[:, None] * np.exp(1j * omega * np.outer(orders, t)) * envelope
+        h0 += np.vdot(copies, copies)
+        h1 += np.vdot(copies[:-1], copies[1:])
+    return float(2.0 * abs(h1) / h0.real)

@@ -208,14 +208,13 @@ def _walk_off_factor(separation_ps, fwhm_ps, dispersion_ns_per_nm):
 
 def test_criterion_06_visibility_bounds(capsys):
     start = time.perf_counter()
-    vis100 = waveform.visibility_bound(100.0, 37.0, CpmSettings())
-    vis300 = waveform.visibility_bound(300.0, 37.0, CpmSettings())
+    vis100 = float(waveform.visibility_bound(100.0, 37.0, [10.0], 1550.0)[0])
+    vis300 = float(waveform.visibility_bound(300.0, 37.0, [10.0], 1550.0)[0])
     monotone = True
     for sep in (100.0, 300.0):
-        curve = [
-            waveform.visibility_bound(sep, 37.0, CpmSettings(dispersion_ns_per_nm=d))
-            for d in (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0)
-        ]
+        curve = waveform.visibility_bound(
+            sep, 37.0, [2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0], 1550.0
+        ).tolist()
         monotone = monotone and curve == sorted(curve)
     elapsed = time.perf_counter() - start
     # The [150, 450) ps window spans +-9.5 sigma_t at 300 ps, so the closed

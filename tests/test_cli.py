@@ -441,8 +441,9 @@ REFUSALS = {
         *(
             _config_error(row_id, "visibility",
                           {"waveform": {**ONE_DISPERSION, "separations_ps": [sep]}},
-                          "waveform: bin separation must be positive")
-            for row_id, sep in (("separation-zero", 0.0), ("separation-negative", -100.0))
+                          "waveform: bin separation must be at least 1 ps")
+            for row_id, sep in (("separation-zero", 0.0), ("separation-negative", -100.0),
+                                ("separation-half-ps", 0.5))
         ),
         _config_error("pulse-width-zero", "visibility", {"source": {"pulse_fwhm_ps": 0.0}},
                       "source: pulse width must be at least 3 ps"),

@@ -1,11 +1,13 @@
 """Continuous-field numerics: chirp pair, pulse copies, visibility bounds."""
 
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from clustersim.bessel import solve_balanced_depth
+from clustersim.cli import _ENTRIES
 from clustersim.cpm import CpmSettings
 from clustersim.waveform import (
     MAX_SEPARATION_PS,
@@ -28,12 +30,14 @@ from oracles import (
     gaussian_pulse,
     phase_modulate,
     spectrogram,
+    visibility_copy_sum,
     visibility_fft_chain,
 )
 
 
-def _settings(dispersion_ns_per_nm):
-    return CpmSettings(dispersion_ns_per_nm=dispersion_ns_per_nm)
+def _bound(sep, fwhm, dispersion_ns_per_nm):
+    """visibility_bound at one dispersion and the 1550 nm carrier."""
+    return float(visibility_bound(sep, fwhm, [dispersion_ns_per_nm], 1550.0)[0])
 
 
 def test_gaussian_intensity_fwhm():
@@ -145,45 +149,91 @@ def test_visibility_closed_form_matches_fft_chain(sep, dispersion, fwhm, n_alpha
     vanish, as they do for 37 ps pulses.
     """
     reference = visibility_fft_chain(sep, fwhm, ChirpSpec(dispersion), n_alpha, n_samples)
-    vis = visibility_bound(sep, fwhm, _settings(dispersion))
+    vis = _bound(sep, fwhm, dispersion)
     assert abs(vis - reference) <= 1e-12
 
 
 def test_visibility_closed_form_matches_fft_chain_off_carrier():
-    settings = CpmSettings(dispersion_ns_per_nm=10.0, carrier_wavelength_nm=1310.0)
     reference = visibility_fft_chain(300.0, 37.0, ChirpSpec(10.0, 1310.0), 16, 2**16)
-    assert abs(visibility_bound(300.0, 37.0, settings) - reference) <= 1e-12
+    assert abs(visibility_bound(300.0, 37.0, [10.0], 1310.0)[0] - reference) <= 1e-12
+
+
+#: The paper's dispersion grid, which the visibility-grid benchmark jitters.
+PAPER_DISPERSIONS = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 150.0)
+
+
+def _jittered(seed):
+    """The paper grid with each dispersion moved by up to 3 %, kept to 4 decimals."""
+    rng = random.Random(seed)
+    return [round(d * (1.0 + rng.uniform(-0.03, 0.03)), 4) for d in PAPER_DISPERSIONS]
+
+
+@pytest.mark.parametrize("sep,dispersions,carrier", [
+    *((sep, _jittered(seed), 1550.0) for sep in (100.0, 300.0) for seed in range(4)),
+    (100.0, [-d for d in PAPER_DISPERSIONS], 1550.0),
+    (300.0, [-d for d in _jittered(7)], 1550.0),
+    (100.0, [10.0, -10.0, 2.0, -150.0, 50.0, -5.0], 1550.0),
+    (300.0, [5.0, 5.0, -5.0, 150.0, 5.0, 150.0], 1550.0),
+    (100.0, [10.0], 1550.0),
+    (300.0, [-20.0], 1550.0),
+    (300.0, list(PAPER_DISPERSIONS), 1310.0),
+    (100.0, [10.0, -2.0, 10.0], 1310.0),
+    (1.0, [2.0, -10.0], 1550.0),
+    (7.3, [0.05, 0.5, -2.0], 1550.0),
+    (3000.0, [-150.0, *np.linspace(2.0, 150.0, 29)], 1550.0),  # two time chunks
+])
+def test_visibility_matches_per_dispersion_copy_sum(sep, dispersions, carrier):
+    """One call per separation equals the copy sum run at each dispersion alone."""
+    vis = visibility_bound(sep, 37.0, dispersions, carrier)
+    reference = [
+        visibility_copy_sum(sep, 37.0, CpmSettings(float(d), carrier)) for d in dispersions
+    ]
+    assert vis.shape == (len(dispersions),)
+    np.testing.assert_allclose(vis, reference, rtol=0.0, atol=1e-14)
 
 
 def test_visibility_window_is_bounded():
-    """Separations from 2**17 ps on are refused; the largest one runs in < 64 MB."""
+    """Separations from 2**17 ps on are refused; the largest one runs in < 64 MB.
+
+    That holds with the longest dispersion list a config takes too, where
+    one (dispersion, time) carrier array over the whole window would take
+    about 210 MB.
+    """
     with pytest.raises(ValueError):
-        visibility_bound(MAX_SEPARATION_PS, 37.0, _settings(10.0))
-    tracemalloc.start()
-    try:
-        vis = visibility_bound(np.nextafter(MAX_SEPARATION_PS, 0.0), 37.0, _settings(10.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0.0 <= vis < 1e-9  # copies 10.3 rad/ps apart in frequency do not interfere
-    assert peak < 64 * 2**20
+        visibility_bound(MAX_SEPARATION_PS, 37.0, [10.0], 1550.0)
+    sep = np.nextafter(MAX_SEPARATION_PS, 0.0)
+    longest = _ENTRIES["waveform.dispersions_ns_per_nm"][1]
+    for dispersions in ([10.0], np.linspace(2.0, 150.0, longest)):
+        tracemalloc.start()
+        try:
+            vis = visibility_bound(sep, 37.0, dispersions, 1550.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vis.shape == (len(dispersions),)
+        assert peak < 64 * 2**20
+        # copies 10.3 (at 10 ns/nm) or 0.69 rad/ps (at 150) apart do not interfere
+        assert 0.0 <= vis[-1] < 1e-9
+    for k in (0, 4, longest - 1):
+        reference = visibility_copy_sum(sep, 37.0, CpmSettings(dispersions[k]))
+        assert abs(vis[k] - reference) <= 1e-14
 
 
 @pytest.mark.parametrize("dispersion", [1e-300, -1e-300, 1e305])
 def test_visibility_rejects_out_of_range_dispersion(dispersion):
     """Copy phases that overflow, or an RF tone that rounds to 0, are refused."""
     with pytest.raises(ValueError):
-        visibility_bound(300.0, 37.0, _settings(dispersion))
+        _bound(300.0, 37.0, dispersion)
 
 
 @pytest.mark.parametrize("sep,fwhm", [(0.0, 37.0), (-100.0, 37.0)])
 def test_visibility_rejects_degenerate_inputs(sep, fwhm):
     with pytest.raises(ValueError):
-        visibility_bound(sep, fwhm, _settings(10.0))
+        _bound(sep, fwhm, 10.0)
 
 
 def test_visibility_pulse_width_floor():
-    vis = visibility_bound(100.0, MIN_PULSE_FWHM_PS, _settings(10.0))
+    vis = _bound(100.0, MIN_PULSE_FWHM_PS, 10.0)
     assert 0.0 < vis <= 1.0
 
 
@@ -192,21 +242,18 @@ def test_chirp_rejects_vanishing_dispersion():
         with pytest.raises(ValueError):
             ChirpSpec(dispersion)
         with pytest.raises(ValueError, match="dispersion must be nonzero and finite"):
-            visibility_bound(100.0, 37.0, _settings(dispersion))
+            _bound(100.0, 37.0, dispersion)
 
 
 def test_visibility_100ps_value():
-    vis = visibility_bound(100.0, 37.0, _settings(10.0))
+    vis = _bound(100.0, 37.0, 10.0)
     assert vis == pytest.approx(0.99, abs=0.01)
 
 
 def test_visibility_monotone_in_dispersion():
     scans = {}
     for sep in (100.0, 300.0):
-        values = [
-            visibility_bound(sep, 37.0, _settings(d))
-            for d in (2.0, 5.0, 20.0, 150.0)
-        ]
+        values = visibility_bound(sep, 37.0, [2.0, 5.0, 20.0, 150.0], 1550.0).tolist()
         assert values == sorted(values)
         scans[sep] = values
     # In the walk-off-dominated regime the t-scale curve sits above the
