@@ -9,6 +9,7 @@ with a delay line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -152,13 +153,21 @@ def ou_accumulate(normals, decay, innovation):
     """Exact-discretization Ornstein-Uhlenbeck path starting at 0.
 
     x[k] = decay * x[k-1] + innovation * normals[k]
+
+    The loop runs on Python floats rather than numpy scalars, which pay a
+    dispatch per element.  Each step is the same IEEE multiplies and add
+    either way, so the path keeps its bits; a vectorised form (a cumulative
+    sum of decay powers, or a linear filter) would reorder the sums and move
+    the last bits of every drift trace.  Overflow gives inf or nan silently.
     """
-    out = np.empty(len(normals))
+    decay, innovation = float(decay), float(innovation)
+    out = []
+    append = out.append
     x = 0.0
-    for k in range(len(normals)):
-        x = decay * x + innovation * normals[k]
-        out[k] = x
-    return out
+    for z in np.asarray(normals, dtype=float).tolist():
+        x = decay * x + innovation * z
+        append(x)
+    return np.array(out)
 
 
 #: Largest drift trace simulate_drift builds (a day at 0.1 s steps is 864001).
@@ -224,21 +233,20 @@ def stabilize(
         # no correction epoch fits inside the trace: no-op policy
         return trace, trace.rms_ps()
     n_epochs = n // period_steps + 1
-    noise = rng.normal(0.0, policy.estimator_noise_ps, n_epochs)
+    noise = rng.normal(0.0, policy.estimator_noise_ps, n_epochs).tolist()
     offsets = trace.offsets_ps
     resolution = policy.actuator_resolution_ps
-    residual = np.empty(n)
+    # corrections[j] holds from epoch j on; the loop visits the epochs only
+    corrections = [0.0]
     correction = 0.0
-    epoch = 0
-    for k in range(n):
-        if k > 0 and k % period_steps == 0:
-            est = (offsets[k] - correction) + noise[epoch]
-            epoch += 1
-            # quantize, unless the resolution is finer than a float can step
-            steps = float(est) / resolution if resolution > 0.0 else np.inf
-            if np.isfinite(steps):
-                est = np.round(steps) * resolution
-            correction += est
-        residual[k] = offsets[k] - correction
+    for offset, epoch_noise in zip(offsets[period_steps::period_steps].tolist(), noise):
+        est = (offset - correction) + epoch_noise
+        # quantize, unless the resolution is finer than a float can step
+        steps = est / resolution if resolution > 0.0 else math.inf
+        if math.isfinite(steps):
+            est = round(steps, 0) * resolution
+        correction += est
+        corrections.append(correction)
+    residual = offsets - np.repeat(corrections, period_steps)[:n]
     out = replace(trace, offsets_ps=residual)
     return out, out.rms_ps()

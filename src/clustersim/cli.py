@@ -110,8 +110,9 @@ _RANGES = {"seed": (0, math.inf), "detection.pairs_per_setting": (1, 10**15),
 
 # Fewest and most entries of the list leaves: the readout reads the paper's
 # two-level tree, whose four bins take one pump phase each, and visibility
-# computes one bound per (separation, dispersion) pair (100 x 100 pairs
-# take about 5 s).
+# computes one bound per (separation, dispersion) pair (README gives the
+# time of 100 x 100 pairs: 1.3 s at 100-300 ps, 3.9 s at 100-10000 ps and
+# 102 s at 131000 ps).
 _ENTRIES = {"encoding.levels": (2, 2), "source.phases_rad": (4, 4),
             "waveform.dispersions_ns_per_nm": (1, 100), "waveform.separations_ps": (1, 100)}
 
@@ -250,9 +251,31 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _spec(column) -> str | None:
+    """%-spec of a column: %.12g if every value is a float, %s if none is, else None."""
+    floats = [issubclass(t, (float, np.floating)) for t in set(map(type, column))]
+    return "%.12g" if all(floats) else None if any(floats) else "%s"
+
+
 def write_csv(path: Path, columns: list[str], rows: list, stamp: str) -> None:
+    """Write a stamped CSV: the config_sha256 comment, the header, then rows.
+
+    Format contract: a float cell (Python float or numpy floating) is
+    written as format(float(x), ".12g"), so nan, inf and -0.0 read "nan",
+    "inf" and "-0"; any other cell (int, numpy integer, bool, str) as str(x).
+    Rows have one cell per column.  The cell types of each column pick one
+    %-spec for the whole file, so a row is written by one %-template; a
+    column that mixes floats with other types (a config list like [2, 5.5])
+    is formatted value by value.
+    """
     lines = [f"# config_sha256={stamp}", ",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    if rows:
+        specs = [_spec(column) for column in zip(*rows)]
+        if None in specs:
+            rows = [tuple(_fmt(v) if spec is None else v for v, spec in zip(row, specs))
+                    for row in rows]
+        template = ",".join(spec or "%s" for spec in specs)
+        lines += [template % tuple(row) for row in rows]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -524,7 +547,8 @@ def cmd_drift(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     rng = np.random.default_rng(stream(cfg["seed"], "stabilizer"))
     with _from_config("channel.stabilizer"):
         residual, rms = channel.stabilize(trace, policy, rng)
-    rows = list(zip(trace.times_s, trace.offsets_ps, residual.offsets_ps))
+    rows = list(zip(trace.times_s.tolist(), trace.offsets_ps.tolist(),
+                    residual.offsets_ps.tolist()))
     write_csv(outdir / "drift.csv",
               ["time_s", "offset_ps", "corrected_offset_ps"], rows, stamp)
     write_json(outdir / "drift.json", {
@@ -562,6 +586,9 @@ COMMANDS = {
     "capacity": cmd_capacity,
 }
 
+#: The commands with an infinite-statistics mode; the others refuse --exact.
+EXACT_COMMANDS = {"measure", "witness", "fringe"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -573,15 +600,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="RNG seed override")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--exact", action="store_true",
-                        help="infinite-statistics mode (no sampling)")
+                        help="infinite-statistics mode (no sampling) of measure, "
+                             "witness and fringe")
     parser.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
     return parser
 
 
+# parse_args keeps no state between calls, so one parser serves every main call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
+        if args.exact and args.command not in EXACT_COMMANDS:
+            _PARSER.error("--exact applies to measure, witness and fringe")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

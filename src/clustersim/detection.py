@@ -181,6 +181,16 @@ def jitter_transition_matrix(
     return k
 
 
+def jitter_matrices(detector: DetectorModel, layout: BinLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The signal and idler jitter_transition_matrix of detector on layout."""
+    return tuple(
+        jitter_transition_matrix(
+            detector.photon_sigma_ps(photon), layout, detector.coincidence_window_ps
+        )
+        for photon in (SIGNAL, IDLER)
+    )
+
+
 def _detected_means(probs: np.ndarray, detector: DetectorModel, pairs: int) -> np.ndarray:
     """Mean counts of `pairs` pairs detected with probabilities probs.
 
@@ -199,25 +209,22 @@ def expected_counts(
     pairs_per_setting: int,
     levels: LevelSpec,
     base: CpmSettings,
-    layout: BinLayout,
+    jitter: tuple[np.ndarray, np.ndarray],
     visibility_penalty: dict[str, float],
 ) -> tuple[np.ndarray, float]:
     """Mean coincidence counts per (signal bin, idler bin) and ancillary mean.
 
     The joint probabilities are smeared by the detector jitter windows,
-    then mixed with background (see _detected_means).  layout places the
-    jitter windows.
+    then mixed with background (see _detected_means).  jitter holds the
+    signal and idler jitter matrices (jitter_matrices), which depend on the
+    detector and layout only, so a caller reading several settings builds
+    them once.
     """
     probs = joint_outcome_probabilities(
         state, pairing.signal_setting, pairing.idler_setting,
         levels, base, visibility_penalty,
     )
-    ks = jitter_transition_matrix(
-        detector.photon_sigma_ps(SIGNAL), layout, detector.coincidence_window_ps
-    )
-    ki = jitter_transition_matrix(
-        detector.photon_sigma_ps(IDLER), layout, detector.coincidence_window_ps
-    )
+    ks, ki = jitter
     smeared = ks.T @ probs @ ki
     mean = _detected_means(smeared, detector, pairs_per_setting)
     ancillary = pairs_per_setting * detector.efficiency * max(
@@ -282,15 +289,16 @@ def sample_coincidences(
 
     With exact=True the mean counts are returned unsampled (infinite
     statistics); otherwise each cell is an independent Poisson draw, setting
-    k's from the k-th child that seed spawns.
+    k's from the k-th child that seed spawns.  The jitter matrices are built
+    once per call and shared by every setting.
     """
-    layout = layout_from_levels(levels)
+    jitter = jitter_matrices(detector, layout_from_levels(levels))
     children = seed.spawn(len(schedule))
     out = []
     for pairing, child in zip(schedule, children):
         mean, ancillary = expected_counts(
             state, pairing, detector, pairs_per_setting,
-            levels, base, layout, visibility_penalty,
+            levels, base, jitter, visibility_penalty,
         )
         if exact:
             counts, anc = mean, ancillary

@@ -33,6 +33,12 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
   totals; and `broadcast_class_total_samples`, the single-stream sampler
   that drew all 9 class totals of a batch in one broadcast call.  They are
   the references of `analysis.resample_witness`.
+- The light commands' element-at-a-time loops: `step_ou_accumulate` and
+  `sample_stabilize`, the references of `channel.ou_accumulate` and
+  `channel.stabilize`; `cell_csv_lines`, the per-cell line builder, the
+  reference of `cli.write_csv`; and `per_setting_sample_coincidences`, which
+  rebuilds the jitter matrices for every setting, the reference of
+  `detection.sample_coincidences`.
 - `witness_sigma`, the closed-form standard deviation of the resampled
   witness, built from `inverse_count_mean` (E[1/N; N >= 1] of a Poisson N)
   and `class_total_variance`; the reference of `analysis.monte_carlo_error`.
@@ -53,8 +59,17 @@ from clustersim.analysis import (
     term_signs,
 )
 from clustersim.bessel import bessel_row, solve_balanced_depth
+from clustersim.channel import DriftTrace, StabilizerPolicy
 from clustersim.cpm import CpmSettings, chirp_beta2_s2
-from clustersim.encoding import BinLayout, Level, LevelSpec
+from clustersim.detection import (
+    IDLER,
+    SIGNAL,
+    JointTemporalIntensity,
+    _detected_means,
+    jitter_transition_matrix,
+    joint_outcome_probabilities,
+)
+from clustersim.encoding import BinLayout, Level, LevelSpec, layout_from_levels
 from clustersim.errors import ClusterSimError, GridMismatch
 from clustersim.waveform import COPY_ORDERS, MAX_SEPARATION_PS, _gaussian, rf_for_spacing
 
@@ -278,6 +293,92 @@ def witness_sigma(raw_counts: dict[str, np.ndarray]) -> float:
     base = np.stack([np.asarray(raw_counts[b], dtype=float) for b in basis_order])
     lam = np.einsum("bco,bo->bc", outcome_classes(basis_order), base)
     return math.sqrt(sum(class_total_variance(*map(float, row)) for row in lam))
+
+
+# ----------------------------------------------------------------------
+# drift, stabilizer, CSV cells and jitter, one element at a time
+
+def step_ou_accumulate(normals, decay, innovation) -> np.ndarray:
+    """OU path stepped on numpy scalars, one index at a time; reference of `channel.ou_accumulate`."""
+    out = np.empty(len(normals))
+    x = 0.0
+    for k in range(len(normals)):
+        x = decay * x + innovation * normals[k]
+        out[k] = x
+    return out
+
+
+def sample_stabilize(trace: DriftTrace, policy: StabilizerPolicy, rng: np.random.Generator):
+    """The correction loop visiting every sample; reference of `channel.stabilize`."""
+    n = len(trace.offsets_ps)
+    if n < 2:
+        return trace, trace.rms_ps()
+    period_steps = int(round(policy.correction_interval_s / trace.step_s))
+    if period_steps >= n:
+        return trace, trace.rms_ps()
+    noise = rng.normal(0.0, policy.estimator_noise_ps, n // period_steps + 1)
+    offsets = trace.offsets_ps
+    resolution = policy.actuator_resolution_ps
+    residual = np.empty(n)
+    correction = 0.0
+    epoch = 0
+    for k in range(n):
+        if k > 0 and k % period_steps == 0:
+            est = (offsets[k] - correction) + noise[epoch]
+            epoch += 1
+            steps = float(est) / resolution if resolution > 0.0 else np.inf
+            if np.isfinite(steps):
+                est = np.round(steps) * resolution
+            correction += est
+        residual[k] = offsets[k] - correction
+    out = replace(trace, offsets_ps=residual)
+    return out, out.rms_ps()
+
+
+def cell_csv_lines(rows) -> list[str]:
+    """CSV lines built cell by cell; reference of the rows `cli.write_csv` writes."""
+    def cell(x):
+        if isinstance(x, (float, np.floating)):
+            return format(float(x), ".12g")
+        return str(x)
+
+    return [",".join(cell(v) for v in row) for row in rows]
+
+
+def per_setting_sample_coincidences(
+    state, schedule, detector, pairs_per_setting, visibility_penalty, seed,
+    levels, base, exact,
+) -> list[JointTemporalIntensity]:
+    """Histograms with both jitter matrices rebuilt for every setting.
+
+    The reference of `detection.sample_coincidences`, which builds them once.
+    """
+    layout = layout_from_levels(levels)
+    out = []
+    for pairing, child in zip(schedule, seed.spawn(len(schedule))):
+        probs = joint_outcome_probabilities(
+            state, pairing.signal_setting, pairing.idler_setting,
+            levels, base, visibility_penalty,
+        )
+        ks = jitter_transition_matrix(
+            detector.photon_sigma_ps(SIGNAL), layout, detector.coincidence_window_ps
+        )
+        ki = jitter_transition_matrix(
+            detector.photon_sigma_ps(IDLER), layout, detector.coincidence_window_ps
+        )
+        smeared = ks.T @ probs @ ki
+        mean = _detected_means(smeared, detector, pairs_per_setting)
+        ancillary = pairs_per_setting * detector.efficiency * max(
+            state.norm_tracking - smeared.sum(), 0.0
+        )
+        if exact:
+            counts, anc = mean, ancillary
+        else:
+            rng = np.random.default_rng(child)
+            counts = rng.poisson(mean).astype(float)
+            anc = float(rng.poisson(ancillary))
+        out.append(JointTemporalIntensity(pairing, counts, anc))
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
 
+from clustersim import channel
 from clustersim.channel import (
     DriftTrace,
     FiberLink,
@@ -18,6 +19,14 @@ from clustersim.channel import (
     transmit,
 )
 from clustersim.cli import stream
+from oracles import sample_stabilize, step_ou_accumulate
+
+
+def assert_same_bits(a, b):
+    """Equal arrays, bit for bit: nan matches nan and -0.0 differs from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_loss_budget():
@@ -173,3 +182,86 @@ def test_trace_validation():
     with pytest.raises(ValueError):
         ThermalModel(peak_k=-5.0)
     assert ThermalModel(peak_k=None).peak_k is None
+
+
+# ----------------------------------------------------------------------
+# the float loops against the element-at-a-time oracles, bit for bit
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("decay,innovation", [
+    (np.exp(-60.0 / 14400.0), 0.033 * np.sqrt(1.0 - np.exp(-120.0 / 14400.0))),
+    (np.exp(-60.0 / 7200.0), 1.0 - np.exp(-60.0 / 7200.0)),
+    (1.0, 1.0),
+    (0.0, 5e-324),
+])
+def test_ou_accumulate_matches_step_oracle(seed, decay, innovation):
+    normals = default_rng(seed).standard_normal(1441)
+    assert_same_bits(ou_accumulate(normals, decay, innovation),
+                     step_ou_accumulate(normals, decay, innovation))
+
+
+def test_ou_accumulate_overflows_silently_like_the_oracle():
+    """Overflow to inf, then inf - inf = nan, and no RuntimeWarning (an error under pytest)."""
+    normals = np.array([1e308, 1e308, 1.0, -1e308, -1e308, -1e308, 0.0, -0.0])
+    for decay, innovation in ((1.0, 10.0), (0.5, 1e10), (1.0, -0.0)):
+        new = ou_accumulate(normals, decay, innovation)
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = step_ou_accumulate(normals, decay, innovation)
+        assert_same_bits(new, old)
+    path = ou_accumulate(normals, 1.0, 10.0)
+    assert np.isinf(path[0]) and np.isnan(path[-1])
+
+
+def test_ou_accumulate_empty_and_list_input():
+    assert_same_bits(ou_accumulate([], 0.5, 1.0), np.empty(0))
+    assert_same_bits(ou_accumulate([1.0, -2.0, 3.5], 0.5, 0.25),
+                     step_ou_accumulate(np.array([1.0, -2.0, 3.5]), 0.5, 0.25))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_drift_trace_matches_step_oracle(monkeypatch, seed):
+    """The whole trace, three passes and the peak rescale, keeps its bits."""
+    model = ThermalModel(smoothing_passes=3, peak_k=None)
+    new = simulate_drift(FiberLink(), 86400.0, model, default_rng(stream(seed, "drift")))
+    monkeypatch.setattr(channel, "ou_accumulate", step_ou_accumulate)
+    old = simulate_drift(FiberLink(), 86400.0, model, default_rng(stream(seed, "drift")))
+    assert_same_bits(new.offsets_ps, old.offsets_ps)
+
+
+def _drift_trace(seed, duration_s=86400.0):
+    return simulate_drift(FiberLink(), duration_s, ThermalModel(), default_rng(seed))
+
+
+STABILIZER_CASES = [
+    pytest.param(86400.0, StabilizerPolicy(), id="default"),
+    pytest.param(86400.0, StabilizerPolicy(420.0, 0.5, 0.1), id="period-not-dividing-n"),
+    pytest.param(86400.0, StabilizerPolicy(60.0, 2.0, 0.3), id="period-one-step"),
+    pytest.param(86400.0, StabilizerPolicy(900.0, 0.5, 5e-324), id="subnormal-resolution"),
+    pytest.param(86400.0, StabilizerPolicy(900.0, 0.5, 0.0), id="no-quantization"),
+    pytest.param(86400.0, StabilizerPolicy(900.0, 3.0, 1), id="integer-resolution"),
+    pytest.param(86400.0, StabilizerPolicy(900.0, 0.0, 0.1), id="noiseless"),
+    pytest.param(7200.0, StabilizerPolicy(7200.0, 0.5, 0.1), id="period-equals-span"),
+    pytest.param(7200.0, StabilizerPolicy(7260.0, 0.5, 0.1), id="period-at-least-n"),
+    pytest.param(10.0, StabilizerPolicy(), id="one-sample"),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("duration_s,policy", STABILIZER_CASES)
+def test_stabilize_matches_sample_loop_oracle(seed, duration_s, policy):
+    trace = _drift_trace(seed, duration_s)
+    new, new_rms = stabilize(trace, policy, default_rng(seed + 100))
+    old, old_rms = sample_stabilize(trace, policy, default_rng(seed + 100))
+    assert_same_bits(new.offsets_ps, old.offsets_ps)
+    assert_same_bits(new_rms, old_rms)
+    assert new.step_s == old.step_s
+
+
+def test_stabilize_rounds_ties_like_the_oracle():
+    """Estimates on exact half steps round half to even, as numpy's round does."""
+    trace = DriftTrace(1.0, [0.0, 2.5, -3.5, 0.5, -0.5, 1.5, 4.5, -2.5, 7.5, -0.25])
+    for resolution in (1.0, 0.5):
+        policy = StabilizerPolicy(1.0, 0.0, resolution)
+        new, _ = stabilize(trace, policy, default_rng(0))
+        old, _ = sample_stabilize(trace, policy, default_rng(0))
+        assert_same_bits(new.offsets_ps, old.offsets_ps)

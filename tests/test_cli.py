@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from clustersim import channel, cli, detection
 from clustersim.cli import DEFAULT_CONFIG, config_hash, load_config, main
 from clustersim.cpm import CpmSettings
+from oracles import cell_csv_lines
 
 FAST_OVERRIDES = {
     "waveform": {"dispersions_ns_per_nm": [2.0, 10.0]},
@@ -213,6 +214,70 @@ def test_svg_option(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+CSV_CASES = {
+    "floats": [(0.1 + 0.2, np.float64(1e16), np.float32(0.1)),
+               (float("nan"), float("inf"), float("-inf")),
+               (-0.0, np.float64(-0.0), 5e-324),
+               (np.nan, -np.inf, 1e308)],
+    "non-floats": [(np.int64(-7), True, "T"), (3, np.bool_(False), "a,b"),
+                   (10**20, np.int32(2), "%s %d")],
+    "mixed-columns": [(2, 0.1, True), (5.5, np.int64(4), 0.25), (np.float64(7.0), "x", 1)],
+    "waveform-list": [(disp, 300.5, 0.1 * disp) for disp in [2, 5.5, 10, 150.0]],
+    "one-column": [(1.5,), (2.5,)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("rows", CSV_CASES.values(), ids=CSV_CASES.keys())
+def test_csv_rows_match_cell_oracle(tmp_path, rows):
+    """One %-template per file writes the bytes the per-cell formatter wrote."""
+    width = len(rows[0]) if rows else 3
+    columns = [f"c{k}" for k in range(width)]
+    cli.write_csv(tmp_path / "t.csv", columns, rows, "0123456789abcdef")
+    expected = ["# config_sha256=0123456789abcdef", ",".join(columns), *cell_csv_lines(rows)]
+    assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+
+
+def test_csv_float_lists_match_numpy_scalars(tmp_path):
+    """drift passes tolist() columns; numpy scalars of the same values write the same bytes."""
+    values = np.random.default_rng(0).standard_normal((300, 3)) * [1e-300, 1.0, 1e300]
+    values[0] = [-0.0, np.inf, 5e-324]
+    cli.write_csv(tmp_path / "py.csv", ["a", "b", "c"], [tuple(r) for r in values.tolist()], "s")
+    cli.write_csv(tmp_path / "np.csv", ["a", "b", "c"], list(zip(*values.T)), "s")
+    assert (tmp_path / "py.csv").read_bytes() == (tmp_path / "np.csv").read_bytes()
+
+
+def test_commands_repeat_in_one_process(tmp_path):
+    """Each command writes the same bytes and stdout after other presets and configs ran.
+
+    Guards state kept across main calls: the one parser and each file's CSV template.
+    """
+    plain = ["--config", _write_config(tmp_path, FAST_OVERRIDES), "--seed", "3"]
+    other = ["--config", _write_config(tmp_path, {
+        **FAST_OVERRIDES, "svg": True,
+        "waveform": {"dispersions_ns_per_nm": [2, 5.5], "separations_ps": [100, 250.5]},
+        "channel": {"stabilizer": {"correction_interval_s": 420.0}},
+    }, name="other.json"), "--preset", "paper-default", "--seed", "8"]
+
+    def run_all(flags, tag):
+        runs = {}
+        for command in cli.COMMANDS:
+            exact = ["--exact"] if tag == "other" and command in cli.EXACT_COMMANDS else []
+            outdir = tmp_path / f"{tag}-{command}"
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = _run([command, *flags, *exact, "--out", str(outdir)])
+            runs[command] = code, out.getvalue(), _snapshot(outdir)
+        return runs
+
+    first = run_all(plain, "first")
+    run_all(other, "other")
+    again = run_all(plain, "again")
+    for command in cli.COMMANDS:
+        assert first[command][0] == 0, command
+        assert first[command] == again[command], command
+
+
 #: Argument lists the parser refuses before any config is read, with the
 #: start of its error line.
 USAGE_ERRORS = [
@@ -227,6 +292,9 @@ USAGE_ERRORS = [
                  id="seed-without-value"),
     pytest.param(("generate", "--frobnicate"), "unrecognized arguments: --frobnicate",
                  id="unknown-option"),
+    *(pytest.param((command, "--exact"), "--exact applies to measure, witness and fringe",
+                   id=f"exact-{command}")
+      for command in ("generate", "transmit", "visibility", "drift", "capacity")),
 ]
 
 
@@ -253,6 +321,8 @@ def test_commands_leave_shared_config_unchanged(tmp_path):
     before = json.dumps(DEFAULT_CONFIG), json.dumps(cli.PRESETS)
     for flags in ((), ("--exact",), ("--preset", "paper-default")):
         for command in cli.COMMANDS:
+            if "--exact" in flags and command not in cli.EXACT_COMMANDS:
+                continue
             outdir = tmp_path / f"{command}{len(flags)}"
             assert _run([command, *flags, "--out", str(outdir)]) == 0, (command, flags)
     assert (json.dumps(DEFAULT_CONFIG), json.dumps(cli.PRESETS)) == before

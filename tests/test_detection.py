@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence
 
+from clustersim import detection
 from clustersim.analysis import scan_phases
+from clustersim.channel import FiberLink, transmit
 from clustersim.cpm import BeamSplitterSetting
 from clustersim.detection import (
     FRINGE_PROJECTIONS,
@@ -15,6 +17,7 @@ from clustersim.detection import (
     expected_counts,
     extract_projections,
     fringe_means,
+    jitter_matrices,
     jitter_transition_matrix,
     joint_outcome_probabilities,
     raw_basis_counts,
@@ -22,7 +25,7 @@ from clustersim.detection import (
 )
 from clustersim.encoding import Level, LevelSpec
 from clustersim.errors import MissingBasis
-from oracles import ModeGrid, extend_levels, loop_basis_counts
+from oracles import ModeGrid, extend_levels, loop_basis_counts, per_setting_sample_coincidences
 
 
 def test_schedule_structure(schedule, levels):
@@ -138,7 +141,9 @@ def test_crosstalk_monotone_in_jitter(cluster, levels, schedule, layout, base_cp
     fractions = []
     for j in (5.0, 17.0, 30.0):
         det = DetectorModel(jitter_signal_ps=j, jitter_idler_ps=j, tdc_jitter_ps=18.0)
-        mean, _ = expected_counts(cluster, zz, det, 10**6, levels, base_cpm, layout, {})
+        mean, _ = expected_counts(
+            cluster, zz, det, 10**6, levels, base_cpm, jitter_matrices(det, layout), {}
+        )
         off = mean.sum() - np.trace(mean)
         fractions.append(off / mean.sum())
     assert fractions == sorted(fractions)
@@ -170,7 +175,8 @@ def test_exact_sampling_matches_means(
     )
     for h, pairing in zip(hists, schedule):
         mean, _ = expected_counts(
-            cluster, pairing, noiseless_detector, 1000, levels, base_cpm, layout, {}
+            cluster, pairing, noiseless_detector, 1000, levels, base_cpm,
+            jitter_matrices(noiseless_detector, layout), {},
         )
         np.testing.assert_allclose(h.counts, mean, atol=1e-9)
 
@@ -265,3 +271,48 @@ def test_detector_validation():
         DetectorModel(efficiency=0.0)
     with pytest.raises(ValueError):
         DetectorModel(coincidence_window_ps=0.0)
+
+
+DETECTORS = [
+    pytest.param(DetectorModel(), id="default"),
+    pytest.param(DetectorModel(jitter_signal_ps=0.0, jitter_idler_ps=0.0, tdc_jitter_ps=0.0,
+                               dark_coincidence_rate=0.0667), id="paper-default"),
+    pytest.param(DetectorModel(jitter_signal_ps=40.0, jitter_idler_ps=5.0, tdc_jitter_ps=0.0,
+                               coincidence_window_ps=30.0, efficiency=0.7), id="asymmetric"),
+]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_shared_jitter_matches_per_setting_oracle(
+    cluster, schedule, levels, base_cpm, detector, seed, exact
+):
+    """Histograms and ancillary counts keep their bits when the matrices are built once."""
+    state = transmit(cluster, FiberLink())
+    def run(sampler):
+        # a fresh SeedSequence each time: spawning advances its child counter
+        return sampler(state, schedule, detector, 1000, {"T": 0.9}, SeedSequence(seed),
+                       levels, base_cpm, exact)
+
+    new, old = run(sample_coincidences), run(per_setting_sample_coincidences)
+    for h_new, h_old in zip(new, old, strict=True):
+        assert h_new.pairing == h_old.pairing
+        np.testing.assert_array_equal(h_new.counts.view(np.uint64), h_old.counts.view(np.uint64))
+        assert np.float64(h_new.ancillary).view(np.uint64) == np.float64(h_old.ancillary).view(np.uint64)
+
+
+def test_jitter_matrices_built_once_per_readout(
+    monkeypatch, cluster, schedule, levels, base_cpm
+):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return jitter_transition_matrix(*args)
+
+    monkeypatch.setattr(detection, "jitter_transition_matrix", counted)
+    detector = DetectorModel(jitter_signal_ps=30.0)
+    sample_coincidences(cluster, schedule, detector, 10, {}, SeedSequence(0), levels,
+                        base_cpm, True)
+    assert calls == [detector.photon_sigma_ps("signal"), detector.photon_sigma_ps("idler")]
