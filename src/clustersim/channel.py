@@ -144,9 +144,7 @@ def bin_assignment_corrupted(offset_ps: float, layout: BinLayout) -> bool:
     That is when it exceeds half the layout's smallest bin spacing, so a
     photon lands nearer a neighbouring bin.
     """
-    pos = layout.positions_ps
-    spacing = min(b - a for a, b in zip(pos, pos[1:]))
-    return abs(offset_ps) > 0.5 * spacing
+    return abs(offset_ps) > 0.5 * layout.min_spacing_ps
 
 
 def ou_accumulate(normals, decay, innovation):

@@ -408,14 +408,27 @@ def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     return 0
 
 
-def _sampled_histograms(cfg, exact: bool):
-    state, levels, _ = _make_state(cfg)
+def _readout(cfg) -> detection.Readout:
+    """The readout that measure, witness and fringe share.
+
+    Sections are built as encoding/source, channel, detection, then cpm, so
+    every readout command reports the same first of several bad values.
+    """
+    state, levels, layout = _make_state(cfg)
     state = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
+    detector = _build(detection.DetectorModel, cfg, "detection")
+    with _from_config("detection"):
+        jitter = detection.jitter_matrices(detector, layout)
+    return detection.Readout(state, levels, _build(CpmSettings, cfg, "cpm"), detector,
+                             cfg["detection"]["pairs_per_setting"],
+                             cfg["detection"]["visibility_penalty"], jitter)
+
+
+def _sampled_histograms(cfg, exact: bool):
+    readout = _readout(cfg)
     return detection.sample_coincidences(
-        state, detection.build_default_schedule(levels),
-        _build(detection.DetectorModel, cfg, "detection"),
-        cfg["detection"]["pairs_per_setting"], cfg["detection"]["visibility_penalty"],
-        stream(cfg["seed"], "settings"), levels, _build(CpmSettings, cfg, "cpm"), exact,
+        readout, detection.build_default_schedule(readout.levels),
+        stream(cfg["seed"], "settings"), exact,
     )
 
 
@@ -484,14 +497,8 @@ def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 
 def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
-    state, levels, _ = _make_state(cfg)
-    state = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
     n_points = int(cfg["analysis"]["fringe_points"])
-    means = detection.fringe_means(
-        state, _build(detection.DetectorModel, cfg, "detection"),
-        cfg["detection"]["pairs_per_setting"], levels, n_points,
-        _build(CpmSettings, cfg, "cpm"), cfg["detection"]["visibility_penalty"],
-    )
+    means = detection.fringe_means(_readout(cfg), n_points)
     if exact:
         rates = means
     else:

@@ -3,9 +3,11 @@
 One 180 ns RF frame holds 18 segments of 10 ns; interleaving signal and
 idler segments (48 ns apart, 5 segments) realizes all nine joint
 beam-splitter settings in parallel.  The schedule is those nine pairings,
-and each names the witness basis it reads, if any.  Exact output-bin
-probabilities are degraded by interference-visibility penalties, detector
-jitter and uniform background, then realized as Poisson counts.
+and each names the witness basis it reads, if any.  Every readout takes one
+path: the splitter maps of each distinct setting (branch_maps, with the
+interference-visibility penalty) give exact output-bin probabilities, and
+detected_means applies detector jitter and uniform background; the schedule's
+means are then realized as Poisson counts.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .analysis import scan_phases
 from .cpm import BeamSplitterSetting, CpmSettings, measurement_map
-from .encoding import BinLayout, LevelSpec, layout_from_levels
+from .encoding import BinLayout, LevelSpec
 from .errors import MissingBasis
 from .modes import JointTwoPhotonState, clean
 
@@ -87,6 +89,19 @@ class JointTemporalIntensity:
     ancillary: float = 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class Readout:
+    """Inputs of every readout; state is after the link, jitter is jitter_matrices."""
+
+    state: JointTwoPhotonState
+    levels: LevelSpec
+    cpm: CpmSettings
+    detector: DetectorModel
+    pairs_per_setting: int
+    penalty: dict[str, float]
+    jitter: tuple[np.ndarray, np.ndarray]
+
+
 def build_default_schedule(levels: LevelSpec) -> tuple[PairingRecord, ...]:
     """The nine joint settings of the 18-segment frame, a to i.
 
@@ -132,27 +147,26 @@ def _penalty_branches(setting: BeamSplitterSetting, penalty: dict[str, float]):
     return ((0.5 * (1.0 + s), 0.0), (0.5 * (1.0 - s), math.pi))
 
 
-def joint_outcome_probabilities(
-    state: JointTwoPhotonState,
-    signal_setting: BeamSplitterSetting,
-    idler_setting: BeamSplitterSetting,
-    levels: LevelSpec,
-    base: CpmSettings,
-    visibility_penalty: dict[str, float],
-) -> np.ndarray:
+def branch_maps(setting: BeamSplitterSetting, readout: Readout):
+    """(weight, measurement matrix) of each penalty branch of setting."""
+    return tuple(
+        (weight, measurement_map(setting, readout.levels, readout.cpm, offset))
+        for weight, offset in _penalty_branches(setting, readout.penalty)
+    )
+
+
+def joint_outcome_probabilities(state: JointTwoPhotonState, signal_maps, idler_maps):
     """Exact coincidence probability for every (signal bin, idler bin).
 
-    Each penalty branch contributes w_s w_i |A_s psi A_i^T|^2, with A the
-    photons' measurement matrices.  The matrix sums to the jointly retained
-    probability (state norm times the two splitter efficiencies); it is not
-    renormalized here.
+    Each pair of penalty branches (branch_maps) contributes
+    w_s w_i |A_s psi A_i^T|^2, with A the photons' measurement matrices.
+    The matrix sums to the jointly retained probability (state norm times
+    the two splitter efficiencies); it is not renormalized here.
     """
     probs = np.zeros(state.amplitudes.shape)
-    for ws, offs in _penalty_branches(signal_setting, visibility_penalty):
-        a_s = measurement_map(signal_setting, levels, base, offs)
+    for ws, a_s in signal_maps:
         after_s = a_s @ state.amplitudes
-        for wi, offi in _penalty_branches(idler_setting, visibility_penalty):
-            a_i = measurement_map(idler_setting, levels, base, offi)
+        for wi, a_i in idler_maps:
             probs += ws * wi * np.abs(clean(after_s @ a_i.T)) ** 2
     return probs
 
@@ -182,7 +196,17 @@ def jitter_transition_matrix(
 
 
 def jitter_matrices(detector: DetectorModel, layout: BinLayout) -> tuple[np.ndarray, np.ndarray]:
-    """The signal and idler jitter_transition_matrix of detector on layout."""
+    """The signal and idler jitter_transition_matrix of detector on layout.
+
+    Windows wider than half the smallest bin spacing would overlap and count
+    one arrival in several bins, so they raise ValueError.
+    """
+    half_spacing = 0.5 * layout.min_spacing_ps
+    if detector.coincidence_window_ps > half_spacing:
+        raise ValueError(
+            f"coincidence window half-width {detector.coincidence_window_ps:g} ps exceeds "
+            f"{half_spacing:g} ps, half the smallest bin spacing"
+        )
     return tuple(
         jitter_transition_matrix(
             detector.photon_sigma_ps(photon), layout, detector.coincidence_window_ps
@@ -191,46 +215,22 @@ def jitter_matrices(detector: DetectorModel, layout: BinLayout) -> tuple[np.ndar
     )
 
 
-def _detected_means(probs: np.ndarray, detector: DetectorModel, pairs: int) -> np.ndarray:
-    """Mean counts of `pairs` pairs detected with probabilities probs.
-
-    Background coincidences are folded in as a uniform fraction
-    dark_coincidence_rate of the detected total.
-    """
-    d = detector.dark_coincidence_rate
-    mixed = (1.0 - d) * probs + d * probs.sum() / probs.size
-    return pairs * detector.efficiency * mixed
-
-
-def expected_counts(
-    state: JointTwoPhotonState,
-    pairing: PairingRecord,
-    detector: DetectorModel,
-    pairs_per_setting: int,
-    levels: LevelSpec,
-    base: CpmSettings,
-    jitter: tuple[np.ndarray, np.ndarray],
-    visibility_penalty: dict[str, float],
-) -> tuple[np.ndarray, float]:
+def detected_means(probs: np.ndarray, jitter, readout: Readout) -> tuple[np.ndarray, float]:
     """Mean coincidence counts per (signal bin, idler bin) and ancillary mean.
 
-    The joint probabilities are smeared by the detector jitter windows,
-    then mixed with background (see _detected_means).  jitter holds the
-    signal and idler jitter matrices (jitter_matrices), which depend on the
-    detector and layout only, so a caller reading several settings builds
-    them once.
+    The joint probabilities are smeared by the signal and idler jitter
+    matrices, then background coincidences are folded in as a uniform
+    fraction dark_coincidence_rate of the detected total.  The ancillary
+    mean is the retained probability (state norm) that no window records.
     """
-    probs = joint_outcome_probabilities(
-        state, pairing.signal_setting, pairing.idler_setting,
-        levels, base, visibility_penalty,
-    )
     ks, ki = jitter
     smeared = ks.T @ probs @ ki
-    mean = _detected_means(smeared, detector, pairs_per_setting)
-    ancillary = pairs_per_setting * detector.efficiency * max(
-        state.norm_tracking - smeared.sum(), 0.0
-    )
-    return mean, ancillary
+    detector = readout.detector
+    d = detector.dark_coincidence_rate
+    total = smeared.sum()
+    mixed = (1.0 - d) * smeared + d * total / smeared.size
+    scale = readout.pairs_per_setting * detector.efficiency
+    return scale * mixed, scale * max(readout.state.norm_tracking - total, 0.0)
 
 
 #: Canonical two-qubit fringe projections: name, (signal, idler) splitter
@@ -245,61 +245,47 @@ FRINGE_PROJECTIONS = (
 )
 
 
-def fringe_means(
-    state: JointTwoPhotonState,
-    detector: DetectorModel,
-    pairs_per_setting: int,
-    levels: LevelSpec,
-    n_points: int,
-    base: CpmSettings,
-    visibility_penalty: dict[str, float],
-) -> np.ndarray:
+def fringe_means(readout: Readout, n_points: int) -> np.ndarray:
     """(n_points, 4) mean counts of FRINGE_PROJECTIONS over a fringe scan.
 
-    Both photons' outer level is read by an XY splitter at each phase of
-    analysis.scan_phases(n_points).  The joint probabilities are mixed with
-    background as in expected_counts, but no jitter window is applied.
+    Both photons' outer level is read by the same XY splitter at each phase
+    of analysis.scan_phases(n_points), so one set of branch maps serves
+    both.  The means go through detected_means with identity jitter
+    matrices: background is mixed in, but no jitter window is applied yet.
     """
-    outer, _ = levels.levels
+    outer, _ = readout.levels.levels
+    identity = np.eye(readout.state.amplitudes.shape[0])
     signal_bins = [(ports[0] << 1) | bits[0] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     idler_bins = [(ports[1] << 1) | bits[1] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     means = np.empty((n_points, len(FRINGE_PROJECTIONS)))
     for j, alpha in enumerate(scan_phases(n_points)):
-        setting = BeamSplitterSetting("XY", outer.name, float(alpha))
-        probs = joint_outcome_probabilities(
-            state, setting, setting, levels, base, visibility_penalty
-        )
-        mean = _detected_means(probs, detector, pairs_per_setting)
+        maps = branch_maps(BeamSplitterSetting("XY", outer.name, float(alpha)), readout)
+        probs = joint_outcome_probabilities(readout.state, maps, maps)
+        mean, _ = detected_means(probs, (identity, identity), readout)
         means[j] = mean[signal_bins, idler_bins]
     return means
 
 
 def sample_coincidences(
-    state: JointTwoPhotonState,
-    schedule: tuple[PairingRecord, ...],
-    detector: DetectorModel,
-    pairs_per_setting: int,
-    visibility_penalty: dict[str, float],
-    seed: np.random.SeedSequence,
-    levels: LevelSpec,
-    base: CpmSettings,
-    exact: bool,
+    readout: Readout, schedule, seed: np.random.SeedSequence, exact: bool
 ) -> list[JointTemporalIntensity]:
     """Histogram of coincidences for every joint setting of the schedule.
 
     With exact=True the mean counts are returned unsampled (infinite
     statistics); otherwise each cell is an independent Poisson draw, setting
-    k's from the k-th child that seed spawns.  The jitter matrices are built
-    once per call and shared by every setting.
+    k's from the k-th child that seed spawns.  The branch maps of each
+    distinct splitter setting are built once, in schedule order, and shared
+    by every pairing that reads it.
     """
-    jitter = jitter_matrices(detector, layout_from_levels(levels))
+    settings = dict.fromkeys(s for p in schedule for s in (p.signal_setting, p.idler_setting))
+    maps = {setting: branch_maps(setting, readout) for setting in settings}
     children = seed.spawn(len(schedule))
     out = []
     for pairing, child in zip(schedule, children):
-        mean, ancillary = expected_counts(
-            state, pairing, detector, pairs_per_setting,
-            levels, base, jitter, visibility_penalty,
+        probs = joint_outcome_probabilities(
+            readout.state, maps[pairing.signal_setting], maps[pairing.idler_setting]
         )
+        mean, ancillary = detected_means(probs, readout.jitter, readout)
         if exact:
             counts, anc = mean, ancillary
         else:

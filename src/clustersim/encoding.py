@@ -61,6 +61,12 @@ class BinLayout:
     def position(self, bin_index: int) -> float:
         return self.positions_ps[bin_index]
 
+    @property
+    def min_spacing_ps(self) -> float:
+        """The smallest gap between neighbouring bins."""
+        pos = self.positions_ps
+        return min(b - a for a, b in zip(pos, pos[1:]))
+
 
 def default_levels() -> LevelSpec:
     return LevelSpec((Level("T", 300.0, 3.75), Level("t", 100.0, 1.25)))

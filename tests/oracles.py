@@ -35,10 +35,18 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
   the references of `analysis.resample_witness`.
 - The light commands' element-at-a-time loops: `step_ou_accumulate` and
   `sample_stabilize`, the references of `channel.ou_accumulate` and
-  `channel.stabilize`; `cell_csv_lines`, the per-cell line builder, the
-  reference of `cli.write_csv`; and `per_setting_sample_coincidences`, which
-  rebuilds the jitter matrices for every setting, the reference of
-  `detection.sample_coincidences`.
+  `channel.stabilize`; and `cell_csv_lines`, the per-cell line builder, the
+  reference of `cli.write_csv`.
+- The readout path before it took one `detection.Readout`:
+  `per_pairing_joint_probabilities` rebuilds every branch's splitter map for
+  each pairing; `per_setting_expected_counts` adds both jitter matrices,
+  also rebuilt, and `mixed_means`, the background mix; on these,
+  `per_setting_sample_coincidences` is the reference of
+  `detection.sample_coincidences` and `per_phase_fringe_means`, which builds
+  each photon's maps at every phase, of `detection.fringe_means`.  `readout`
+  builds the product's `Readout` from domain objects, and
+  `joint_probabilities` runs the product's maps and probabilities for two
+  settings.
 - `witness_sigma`, the closed-form standard deviation of the resampled
   witness, built from `inverse_count_mean` (E[1/N; N >= 1] of a Poisson N)
   and `class_total_variance`; the reference of `analysis.monte_carlo_error`.
@@ -56,21 +64,28 @@ from clustersim.analysis import (
     STABILIZER_TERMS,
     TERM_BASIS,
     outcome_classes,
+    scan_phases,
     term_signs,
 )
 from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.channel import DriftTrace, StabilizerPolicy
-from clustersim.cpm import CpmSettings, chirp_beta2_s2
+from clustersim.cpm import BeamSplitterSetting, CpmSettings, chirp_beta2_s2, measurement_map
 from clustersim.detection import (
+    FRINGE_PROJECTIONS,
     IDLER,
     SIGNAL,
+    DetectorModel,
     JointTemporalIntensity,
-    _detected_means,
+    Readout,
+    _penalty_branches,
+    branch_maps,
+    jitter_matrices,
     jitter_transition_matrix,
     joint_outcome_probabilities,
 )
 from clustersim.encoding import BinLayout, Level, LevelSpec, layout_from_levels
 from clustersim.errors import ClusterSimError, GridMismatch
+from clustersim.modes import clean
 from clustersim.waveform import COPY_ORDERS, MAX_SEPARATION_PS, _gaussian, rf_for_spacing
 
 
@@ -345,31 +360,80 @@ def cell_csv_lines(rows) -> list[str]:
     return [",".join(cell(v) for v in row) for row in rows]
 
 
+def readout(state, detector, pairs_per_setting, levels, base, visibility_penalty) -> Readout:
+    """The `detection.Readout` of domain objects, as `cli._readout` builds one from a config."""
+    return Readout(state, levels, base, detector, pairs_per_setting, visibility_penalty,
+                   jitter_matrices(detector, layout_from_levels(levels)))
+
+
+def joint_probabilities(state, signal_setting, idler_setting, levels, base, visibility_penalty):
+    """`detection.joint_outcome_probabilities` of two settings, through `detection.branch_maps`."""
+    ctx = readout(state, DetectorModel(), 1, levels, base, visibility_penalty)
+    return joint_outcome_probabilities(
+        state, branch_maps(signal_setting, ctx), branch_maps(idler_setting, ctx)
+    )
+
+
+def per_pairing_joint_probabilities(
+    state, signal_setting, idler_setting, levels, base, visibility_penalty
+) -> np.ndarray:
+    """Joint probabilities with every branch's splitter map rebuilt for this pairing.
+
+    The reference of `detection.branch_maps` + `detection.joint_outcome_probabilities`,
+    which build each setting's maps once per readout.
+    """
+    probs = np.zeros(state.amplitudes.shape)
+    for ws, offs in _penalty_branches(signal_setting, visibility_penalty):
+        a_s = measurement_map(signal_setting, levels, base, offs)
+        after_s = a_s @ state.amplitudes
+        for wi, offi in _penalty_branches(idler_setting, visibility_penalty):
+            a_i = measurement_map(idler_setting, levels, base, offi)
+            probs += ws * wi * np.abs(clean(after_s @ a_i.T)) ** 2
+    return probs
+
+
+def mixed_means(probs, detector, pairs_per_setting) -> np.ndarray:
+    """Mean counts of probs with background mixed in as a uniform fraction of the total."""
+    d = detector.dark_coincidence_rate
+    mixed = (1.0 - d) * probs + d * probs.sum() / probs.size
+    return pairs_per_setting * detector.efficiency * mixed
+
+
+def per_setting_expected_counts(
+    state, pairing, detector, pairs_per_setting, levels, base, visibility_penalty,
+) -> tuple[np.ndarray, float]:
+    """Mean counts and ancillary mean of one pairing, maps and jitter rebuilt for it."""
+    probs = per_pairing_joint_probabilities(
+        state, pairing.signal_setting, pairing.idler_setting, levels, base, visibility_penalty,
+    )
+    layout = layout_from_levels(levels)
+    ks = jitter_transition_matrix(
+        detector.photon_sigma_ps(SIGNAL), layout, detector.coincidence_window_ps
+    )
+    ki = jitter_transition_matrix(
+        detector.photon_sigma_ps(IDLER), layout, detector.coincidence_window_ps
+    )
+    smeared = ks.T @ probs @ ki
+    mean = mixed_means(smeared, detector, pairs_per_setting)
+    ancillary = pairs_per_setting * detector.efficiency * max(
+        state.norm_tracking - smeared.sum(), 0.0
+    )
+    return mean, ancillary
+
+
 def per_setting_sample_coincidences(
     state, schedule, detector, pairs_per_setting, visibility_penalty, seed,
     levels, base, exact,
 ) -> list[JointTemporalIntensity]:
-    """Histograms with both jitter matrices rebuilt for every setting.
+    """Histograms with the splitter maps and both jitter matrices rebuilt for every pairing.
 
-    The reference of `detection.sample_coincidences`, which builds them once.
+    The reference of `detection.sample_coincidences`, which builds each once
+    per readout.
     """
-    layout = layout_from_levels(levels)
     out = []
     for pairing, child in zip(schedule, seed.spawn(len(schedule))):
-        probs = joint_outcome_probabilities(
-            state, pairing.signal_setting, pairing.idler_setting,
-            levels, base, visibility_penalty,
-        )
-        ks = jitter_transition_matrix(
-            detector.photon_sigma_ps(SIGNAL), layout, detector.coincidence_window_ps
-        )
-        ki = jitter_transition_matrix(
-            detector.photon_sigma_ps(IDLER), layout, detector.coincidence_window_ps
-        )
-        smeared = ks.T @ probs @ ki
-        mean = _detected_means(smeared, detector, pairs_per_setting)
-        ancillary = pairs_per_setting * detector.efficiency * max(
-            state.norm_tracking - smeared.sum(), 0.0
+        mean, ancillary = per_setting_expected_counts(
+            state, pairing, detector, pairs_per_setting, levels, base, visibility_penalty,
         )
         if exact:
             counts, anc = mean, ancillary
@@ -379,6 +443,27 @@ def per_setting_sample_coincidences(
             anc = float(rng.poisson(ancillary))
         out.append(JointTemporalIntensity(pairing, counts, anc))
     return out
+
+
+def per_phase_fringe_means(
+    state, detector, pairs_per_setting, levels, n_points, base, visibility_penalty,
+) -> np.ndarray:
+    """Fringe means with each photon's maps rebuilt at every phase, background only.
+
+    The reference of `detection.fringe_means`, which builds one map set per
+    phase for both photons and passes identity jitter matrices.
+    """
+    outer, _ = levels.levels
+    signal_bins = [(ports[0] << 1) | bits[0] for _, ports, bits, _ in FRINGE_PROJECTIONS]
+    idler_bins = [(ports[1] << 1) | bits[1] for _, ports, bits, _ in FRINGE_PROJECTIONS]
+    means = np.empty((n_points, len(FRINGE_PROJECTIONS)))
+    for j, alpha in enumerate(scan_phases(n_points)):
+        setting = BeamSplitterSetting("XY", outer.name, float(alpha))
+        probs = per_pairing_joint_probabilities(
+            state, setting, setting, levels, base, visibility_penalty
+        )
+        means[j] = mixed_means(probs, detector, pairs_per_setting)[signal_bins, idler_bins]
+    return means
 
 
 # ----------------------------------------------------------------------

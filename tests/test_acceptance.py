@@ -40,8 +40,8 @@ def _pipeline_witness(detector, pairs=1, seed=0, exact=True):
     state = ideal_cluster_state()
     schedule = detection.build_default_schedule(levels)
     hists = detection.sample_coincidences(
-        state, schedule, detector, pairs, {}, np.random.SeedSequence(seed), levels,
-        CpmSettings(), exact,
+        oracles.readout(state, detector, pairs, levels, CpmSettings(), {}), schedule,
+        np.random.SeedSequence(seed), exact,
     )
     projections = detection.extract_projections(detection.raw_basis_counts(hists))
     return analysis.witness(projections, None), hists
@@ -108,8 +108,8 @@ def test_criterion_03_calibrated_match(capsys):
     witnesses, ratios = [], []
     for seed in range(20):
         hists = detection.sample_coincidences(
-            lossy, schedule, detector, 2473, {}, stream(seed, "settings"), levels,
-            CpmSettings(), False,
+            oracles.readout(lossy, detector, 2473, levels, CpmSettings(), {}), schedule,
+            stream(seed, "settings"), False,
         )
         raw = detection.raw_basis_counts(hists)
         projections = detection.extract_projections(raw)
@@ -242,7 +242,7 @@ def _fringe_fits(detector, penalty):
     levels = default_levels()
     state = ideal_cluster_state()
     means = detection.fringe_means(
-        state, detector, 1, levels, 24, CpmSettings(), penalty
+        oracles.readout(state, detector, 1, levels, CpmSettings(), penalty), 24
     )
     fits = {}
     for (name, _ports, _bits, sign), column in zip(detection.FRINGE_PROJECTIONS, means.T):

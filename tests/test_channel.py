@@ -19,7 +19,7 @@ from clustersim.channel import (
     transmit,
 )
 from clustersim.cli import stream
-from oracles import sample_stabilize, step_ou_accumulate
+from oracles import readout, sample_stabilize, step_ou_accumulate
 
 
 def assert_same_bits(a, b):
@@ -64,7 +64,8 @@ def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, lev
     reports = []
     for state in (cluster, lossy):
         hists = sample_coincidences(
-            state, schedule, noiseless_detector, 1, {}, SeedSequence(0), levels, CpmSettings(), True
+            readout(state, noiseless_detector, 1, levels, CpmSettings(), {}), schedule,
+            SeedSequence(0), True,
         )
         projections = extract_projections(raw_basis_counts(hists))
         reports.append(witness(projections, None).witness)

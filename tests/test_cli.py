@@ -15,9 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustersim import channel, cli, detection
+from clustersim import cli, detection
 from clustersim.cli import DEFAULT_CONFIG, config_hash, load_config, main
-from clustersim.cpm import CpmSettings
 from oracles import cell_csv_lines
 
 FAST_OVERRIDES = {
@@ -158,13 +157,7 @@ def test_fringe_draws_cells_phase_by_phase(tmp_path):
     outdir = tmp_path / "f"
     assert _run(["fringe", "--seed", "3", "--out", str(outdir)]) == 0
     cfg = load_config(None, None, 3, str(outdir))
-    state, levels, _ = cli._make_state(cfg)
-    state = channel.transmit(state, cli._build(channel.FiberLink, cfg, "channel"))
-    means = detection.fringe_means(
-        state, cli._build(detection.DetectorModel, cfg, "detection"),
-        cfg["detection"]["pairs_per_setting"], levels, cfg["analysis"]["fringe_points"],
-        cli._build(CpmSettings, cfg, "cpm"), cfg["detection"]["visibility_penalty"],
-    )
+    means = detection.fringe_means(cli._readout(cfg), cfg["analysis"]["fringe_points"])
     rng = np.random.default_rng(cli.stream(3, "fringe"))
     replayed = [[float(rng.poisson(mean)) for mean in row] for row in means]
     rates = {}
@@ -471,6 +464,30 @@ REFUSALS = {
                       "detection: dark fraction must lie in [0, 1)"),
         _config_error("efficiency-zero", "measure", {"detection": {"efficiency": 0.0}},
                       "detection: efficiency must lie in (0, 1]"),
+        # overlapping windows would count one arrival in several bins
+        *(
+            _config_error(f"window-{window:g}-{command}", command,
+                          {"detection": {"coincidence_window_ps": window}},
+                          f"detection: coincidence window half-width {window:g} ps exceeds "
+                          "50 ps, half the smallest bin spacing")
+            for window in (200.0, 50.0001) for command in ("measure", "witness", "fringe")
+        ),
+        # the readout builds its sections in one order, so these commands
+        # report the same first of several bad values
+        *(
+            _config_error(f"first-error-{row_id}-{command}", command, doc, message)
+            for row_id, doc, message in (
+                ("channel", {"channel": {"loss_db": -1.0},
+                             "detection": {"coincidence_window_ps": 200.0},
+                             "cpm": {"carrier_wavelength_nm": -1e308}},
+                 "channel: losses must be nonnegative"),
+                ("detection", {"detection": {"coincidence_window_ps": 200.0},
+                               "cpm": {"carrier_wavelength_nm": -1e308}},
+                 "detection: coincidence window half-width 200 ps exceeds 50 ps, "
+                 "half the smallest bin spacing"),
+            )
+            for command in ("measure", "witness", "fringe")
+        ),
     ],
     "test_bad_config_value_exit_2": [
         _config_error("pairs-string", "witness", {"detection": {"pairs_per_setting": "abc"}},

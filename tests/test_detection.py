@@ -1,10 +1,12 @@
 """Segment schedule, exact outcome matrices, jitter and sampling."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.random import SeedSequence
 
-from clustersim import detection
+from clustersim import cli, cpm, detection
 from clustersim.analysis import scan_phases
 from clustersim.channel import FiberLink, transmit
 from clustersim.cpm import BeamSplitterSetting
@@ -12,20 +14,28 @@ from clustersim.detection import (
     FRINGE_PROJECTIONS,
     DetectorModel,
     JointTemporalIntensity,
+    Readout,
     WITNESS_BASES,
     build_default_schedule,
-    expected_counts,
     extract_projections,
     fringe_means,
     jitter_matrices,
     jitter_transition_matrix,
-    joint_outcome_probabilities,
     raw_basis_counts,
     sample_coincidences,
 )
 from clustersim.encoding import Level, LevelSpec
-from clustersim.errors import MissingBasis
-from oracles import ModeGrid, extend_levels, loop_basis_counts, per_setting_sample_coincidences
+from clustersim.errors import GridMismatch, MissingBasis
+from oracles import (
+    ModeGrid,
+    extend_levels,
+    joint_probabilities,
+    loop_basis_counts,
+    per_phase_fringe_means,
+    per_setting_expected_counts,
+    per_setting_sample_coincidences,
+    readout,
+)
 
 
 def test_schedule_structure(schedule, levels):
@@ -58,15 +68,24 @@ def test_schedule_structure(schedule, levels):
     assert sorted(p.basis for p in schedule if p.basis) == sorted(WITNESS_BASES)
 
 
-def test_schedule_needs_two_levels(levels, cluster, noiseless_detector, base_cpm):
+def test_schedule_needs_two_levels(levels, layout, cluster, noiseless_detector, base_cpm):
     """The readout unpacks (outer, inner), so another depth fails loudly."""
     three = extend_levels(levels, Level("tau", 900.0, 0.4166666667), ModeGrid())
     one = LevelSpec(levels.levels[:1])
+    jitter = jitter_matrices(noiseless_detector, layout)
     for spec in (three, one):
         with pytest.raises(ValueError, match="values to unpack"):
             build_default_schedule(spec)
         with pytest.raises(ValueError, match="values to unpack"):
-            fringe_means(cluster, noiseless_detector, 1, spec, 8, base_cpm, {})
+            fringe_means(Readout(cluster, spec, base_cpm, noiseless_detector, 1, {}, jitter), 8)
+
+
+def test_first_grid_mismatch_follows_schedule_order(cluster, noiseless_detector, base_cpm):
+    """Maps are built in schedule order, so the inner level's X setting is refused first."""
+    wide = LevelSpec((Level("T", 600.0, 3.75), Level("t", 200.0, 1.25)))
+    ctx = readout(cluster, noiseless_detector, 1, wide, base_cpm, {"T": 0.9, "t": 0.9})
+    with pytest.raises(GridMismatch, match="^level t: "):
+        sample_coincidences(ctx, build_default_schedule(wide), SeedSequence(0), True)
 
 
 def test_zzzz_probabilities_are_quarter_diagonal(cluster, levels, schedule, base_cpm):
@@ -74,7 +93,7 @@ def test_zzzz_probabilities_are_quarter_diagonal(cluster, levels, schedule, base
         p for p in schedule
         if p.signal_setting.kind == "Z" and p.idler_setting.kind == "Z"
     )
-    probs = joint_outcome_probabilities(
+    probs = joint_probabilities(
         cluster, zz.signal_setting, zz.idler_setting, levels, base_cpm, {}
     )
     np.testing.assert_allclose(probs, np.diag([0.25] * 4), atol=1e-12)
@@ -86,7 +105,7 @@ def test_xxzz_has_four_quarter_outcomes(cluster, levels, schedule, base_cpm):
         if p.signal_setting.kind == "X" == p.idler_setting.kind
         and p.signal_setting.level == levels.levels[0].name == p.idler_setting.level
     )
-    probs = joint_outcome_probabilities(
+    probs = joint_probabilities(
         cluster, xx.signal_setting, xx.idler_setting, levels, base_cpm, {}
     )
     from clustersim.bessel import solve_balanced_depth
@@ -105,12 +124,12 @@ def test_visibility_penalty_reduces_cross_terms(cluster, levels, schedule, base_
         if p.signal_setting.kind == "X" == p.idler_setting.kind
         and p.signal_setting.level == p.idler_setting.level == levels.levels[1].name
     )
-    clean = joint_outcome_probabilities(
+    clean = joint_probabilities(
         cluster, xx.signal_setting, xx.idler_setting, levels, base_cpm, {}
     )
-    penalized = joint_outcome_probabilities(
+    penalized = joint_probabilities(
         cluster, xx.signal_setting, xx.idler_setting, levels, base_cpm,
-        visibility_penalty={levels.levels[1].name: 0.9},
+        {levels.levels[1].name: 0.9},
     )
     # total detected probability is preserved; contrast is compressed
     assert penalized.sum() == pytest.approx(clean.sum(), abs=1e-12)
@@ -136,14 +155,15 @@ def test_jitter_matrix_rows_bounded(layout):
     )
 
 
-def test_crosstalk_monotone_in_jitter(cluster, levels, schedule, layout, base_cpm):
+def test_crosstalk_monotone_in_jitter(cluster, levels, schedule, base_cpm):
     zz = schedule[0]
     fractions = []
     for j in (5.0, 17.0, 30.0):
         det = DetectorModel(jitter_signal_ps=j, jitter_idler_ps=j, tdc_jitter_ps=18.0)
-        mean, _ = expected_counts(
-            cluster, zz, det, 10**6, levels, base_cpm, jitter_matrices(det, layout), {}
+        [hist] = sample_coincidences(
+            readout(cluster, det, 10**6, levels, base_cpm, {}), (zz,), SeedSequence(0), True
         )
+        mean = hist.counts
         off = mean.sum() - np.trace(mean)
         fractions.append(off / mean.sum())
     assert fractions == sorted(fractions)
@@ -153,8 +173,8 @@ def test_crosstalk_monotone_in_jitter(cluster, levels, schedule, layout, base_cp
 def test_sampling_is_deterministic(cluster, schedule, noiseless_detector, levels, base_cpm):
     def sample(seed):
         return sample_coincidences(
-            cluster, schedule, noiseless_detector, 500, {}, SeedSequence(seed), levels,
-            base_cpm, False,
+            readout(cluster, noiseless_detector, 500, levels, base_cpm, {}), schedule,
+            SeedSequence(seed), False,
         )
 
     a = sample(7)
@@ -167,16 +187,14 @@ def test_sampling_is_deterministic(cluster, schedule, noiseless_detector, levels
     )
 
 
-def test_exact_sampling_matches_means(
-    cluster, schedule, noiseless_detector, levels, layout, base_cpm
-):
+def test_exact_sampling_matches_means(cluster, schedule, noiseless_detector, levels, base_cpm):
     hists = sample_coincidences(
-        cluster, schedule, noiseless_detector, 1000, {}, SeedSequence(0), levels, base_cpm, True
+        readout(cluster, noiseless_detector, 1000, levels, base_cpm, {}), schedule,
+        SeedSequence(0), True,
     )
     for h, pairing in zip(hists, schedule):
-        mean, _ = expected_counts(
-            cluster, pairing, noiseless_detector, 1000, levels, base_cpm,
-            jitter_matrices(noiseless_detector, layout), {},
+        mean, _ = per_setting_expected_counts(
+            cluster, pairing, noiseless_detector, 1000, levels, base_cpm, {}
         )
         np.testing.assert_allclose(h.counts, mean, atol=1e-9)
 
@@ -185,7 +203,8 @@ def test_projections_normalized_and_loss_invariant(
     cluster, schedule, noiseless_detector, levels, base_cpm
 ):
     hists = sample_coincidences(
-        cluster, schedule, noiseless_detector, 1, {}, SeedSequence(0), levels, base_cpm, True
+        readout(cluster, noiseless_detector, 1, levels, base_cpm, {}), schedule,
+        SeedSequence(0), True,
     )
     proj = extract_projections(raw_basis_counts(hists))
     assert set(proj) == set(WITNESS_BASES)
@@ -197,7 +216,7 @@ def test_projections_normalized_and_loss_invariant(
         efficiency=0.2,
     )
     hists2 = sample_coincidences(
-        cluster, schedule, lossy, 1, {}, SeedSequence(0), levels, base_cpm, True
+        readout(cluster, lossy, 1, levels, base_cpm, {}), schedule, SeedSequence(0), True
     )
     proj2 = extract_projections(raw_basis_counts(hists2))
     for basis in WITNESS_BASES:
@@ -206,7 +225,8 @@ def test_projections_normalized_and_loss_invariant(
 
 def test_raw_counts_conserve_totals(cluster, schedule, noiseless_detector, levels, base_cpm):
     hists = sample_coincidences(
-        cluster, schedule, noiseless_detector, 300, {}, SeedSequence(3), levels, base_cpm, False
+        readout(cluster, noiseless_detector, 300, levels, base_cpm, {}), schedule,
+        SeedSequence(3), False,
     )
     raw = raw_basis_counts(hists)
     # each basis total equals the originating histogram's total counts
@@ -237,13 +257,11 @@ def test_outcome_fold_matches_loop_oracle(schedule, levels, layout, seed):
 def test_fringe_means_match_per_phase_mixing(cluster, levels, base_cpm):
     detector = DetectorModel(dark_coincidence_rate=0.0667, efficiency=0.8)
     penalty = {"T": 0.95, "t": 0.99}
-    means = fringe_means(cluster, detector, 1000, levels, 12, base_cpm, penalty)
+    means = fringe_means(readout(cluster, detector, 1000, levels, base_cpm, penalty), 12)
     assert means.shape == (12, len(FRINGE_PROJECTIONS))
     for row, alpha in zip(means, scan_phases(12)):
         setting = BeamSplitterSetting("XY", levels.levels[0].name, float(alpha))
-        probs = joint_outcome_probabilities(
-            cluster, setting, setting, levels, base_cpm, penalty
-        )
+        probs = joint_probabilities(cluster, setting, setting, levels, base_cpm, penalty)
         mixed = (1.0 - 0.0667) * probs + 0.0667 * probs.sum() / 16
         for value, (_name, ports, bits, _sign) in zip(row, FRINGE_PROJECTIONS):
             cell = mixed[2 * ports[0] + bits[0], 2 * ports[1] + bits[1]]
@@ -252,7 +270,8 @@ def test_fringe_means_match_per_phase_mixing(cluster, levels, base_cpm):
 
 def test_missing_basis_detected(cluster, schedule, noiseless_detector, levels, base_cpm):
     hists = sample_coincidences(
-        cluster, schedule, noiseless_detector, 100, {}, SeedSequence(0), levels, base_cpm, True
+        readout(cluster, noiseless_detector, 100, levels, base_cpm, {}), schedule,
+        SeedSequence(0), True,
     )
     emptied = [
         JointTemporalIntensity(h.pairing, 0.0 * h.counts) if h.pairing.basis == "XXZZ" else h
@@ -282,37 +301,91 @@ DETECTORS = [
 ]
 
 
+#: Visibility penalties of no level, one level and both levels.
+PENALTIES = ({}, {"T": 0.9}, {"T": 0.8, "t": 0.9})
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
 @pytest.mark.parametrize("exact", [True, False])
 @pytest.mark.parametrize("seed", [0, 3, 11])
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_shared_jitter_matches_per_setting_oracle(
     cluster, schedule, levels, base_cpm, detector, seed, exact
 ):
-    """Histograms and ancillary counts keep their bits when the matrices are built once."""
+    """Histograms and ancillary counts keep their bits when maps and matrices are built once."""
     state = transmit(cluster, FiberLink())
-    def run(sampler):
+    for penalty in PENALTIES:
         # a fresh SeedSequence each time: spawning advances its child counter
-        return sampler(state, schedule, detector, 1000, {"T": 0.9}, SeedSequence(seed),
-                       levels, base_cpm, exact)
+        new = sample_coincidences(readout(state, detector, 1000, levels, base_cpm, penalty),
+                                  schedule, SeedSequence(seed), exact)
+        old = per_setting_sample_coincidences(state, schedule, detector, 1000, penalty,
+                                              SeedSequence(seed), levels, base_cpm, exact)
+        for h_new, h_old in zip(new, old, strict=True):
+            assert h_new.pairing == h_old.pairing
+            np.testing.assert_array_equal(_bits(h_new.counts), _bits(h_old.counts))
+            assert _bits(h_new.ancillary) == _bits(h_old.ancillary)
 
-    new, old = run(sample_coincidences), run(per_setting_sample_coincidences)
-    for h_new, h_old in zip(new, old, strict=True):
-        assert h_new.pairing == h_old.pairing
-        np.testing.assert_array_equal(h_new.counts.view(np.uint64), h_old.counts.view(np.uint64))
-        assert np.float64(h_new.ancillary).view(np.uint64) == np.float64(h_old.ancillary).view(np.uint64)
+
+@pytest.mark.parametrize("penalty", PENALTIES, ids=["no-penalty", "T", "T-t"])
+def test_fringe_means_match_per_phase_oracle(cluster, levels, base_cpm, penalty):
+    """One map set per phase for both photons, through identity jitter, keeps every bit."""
+    state = transmit(cluster, FiberLink())
+    detector = DetectorModel(dark_coincidence_rate=0.0667, efficiency=0.7)
+    new = fringe_means(readout(state, detector, 2473, levels, base_cpm, penalty), 24)
+    old = per_phase_fringe_means(state, detector, 2473, levels, 24, base_cpm, penalty)
+    np.testing.assert_array_equal(_bits(new), _bits(old))
 
 
-def test_jitter_matrices_built_once_per_readout(
-    monkeypatch, cluster, schedule, levels, base_cpm
-):
-    calls = []
+@pytest.mark.parametrize("penalty", [{}, {"T": 0.8, "t": 0.9}], ids=["no-penalty", "T-t"])
+@pytest.mark.parametrize("detector", DETECTORS)
+def test_exact_counts_conserve_retained_pairs(cluster, schedule, levels, base_cpm, detector,
+                                              penalty):
+    """Every retained pair is a coincidence (signal or background) or an ancillary count."""
+    state = transmit(cluster, FiberLink())
+    hists = sample_coincidences(readout(state, detector, 1000, levels, base_cpm, penalty),
+                                schedule, SeedSequence(0), True)
+    retained = 1000 * detector.efficiency * state.norm_tracking
+    for h in hists:
+        assert h.counts.sum() + h.ancillary == pytest.approx(retained, rel=1e-12, abs=0)
 
-    def counted(*args):
-        calls.append(args[0])
+
+#: (argv, visibility penalty, measurement_map calls): one call per branch of
+#: each distinct setting; the two-level penalty gives each X setting two.
+MAP_CALLS = [
+    (["measure", "--exact"], {}, 3),
+    (["measure"], {}, 3),
+    (["witness", "--exact"], {}, 3),
+    (["fringe"], {}, 24),
+    (["measure"], {"T": 0.8, "t": 0.9}, 5),
+    (["fringe"], {"T": 0.8, "t": 0.9}, 48),
+]
+
+
+def test_jitter_matrices_built_once_per_readout(monkeypatch, tmp_path):
+    """Each readout builds both jitter matrices once, and each branch map once."""
+    sigmas, maps = [], []
+
+    def counted_jitter(*args):
+        sigmas.append(args[0])
         return jitter_transition_matrix(*args)
 
-    monkeypatch.setattr(detection, "jitter_transition_matrix", counted)
+    def counted_map(*args):
+        maps.append(args[0])
+        return cpm.measurement_map(*args)
+
+    monkeypatch.setattr(detection, "jitter_transition_matrix", counted_jitter)
+    monkeypatch.setattr(detection, "measurement_map", counted_map)
     detector = DetectorModel(jitter_signal_ps=30.0)
-    sample_coincidences(cluster, schedule, detector, 10, {}, SeedSequence(0), levels,
-                        base_cpm, True)
-    assert calls == [detector.photon_sigma_ps("signal"), detector.photon_sigma_ps("idler")]
+    for k, (argv, penalty, map_calls) in enumerate(MAP_CALLS):
+        config = tmp_path / f"{k}.json"
+        config.write_text(json.dumps(
+            {"detection": {"jitter_signal_ps": 30.0, "visibility_penalty": penalty}}
+        ))
+        sigmas.clear()
+        maps.clear()
+        assert cli.main([*argv, "--config", str(config), "--out", str(tmp_path / str(k))]) == 0
+        assert sigmas == [detector.photon_sigma_ps("signal"), detector.photon_sigma_ps("idler")]
+        assert len(maps) == map_calls, argv

