@@ -24,6 +24,8 @@ REPO = Path(__file__).resolve().parent.parent
 COMMANDS = ("generate", "transmit", "measure", "witness", "fringe", "visibility", "drift",
             "capacity")
 PENALTY = {"detection": {"visibility_penalty": {"T": 0.8, "t": 0.9}, "jitter_signal_ps": 40.0}}
+#: A 600 ps over 200 ps tree whose tones make 200 and 600 ps copies: a valid readout.
+WIDE_TREE = {"encoding": {"levels": [["T", 600, 7.487], ["t", 200, 2.4957]]}}
 
 #: name -> (extra arguments, config document or None)
 RUNS = {
@@ -33,6 +35,9 @@ RUNS = {
     "svg": ([], {"svg": True}),
     "penalty": (["--seed", "3"], PENALTY),
     "penalty-exact": (["--seed", "3", "--exact"], PENALTY),
+    "wide-tree": (["--seed", "3"], WIDE_TREE),
+    "duplicate-levels": ([], {"encoding": {"levels": [["T", 300.0, 3.75], ["T", 100.0, 1.25]]}}),
+    "one-sample-drift": ([], {"channel": {"drift": {"duration_s": 30}}}),
 }
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoding import BinLayout
+from .encoding import LevelTree
 from .modes import JointTwoPhotonState
 
 #: Largest drift offset or estimator noise: sums of 10**6 squares stay finite.
@@ -138,13 +138,13 @@ def transmit(state: JointTwoPhotonState, link: FiberLink) -> JointTwoPhotonState
     )
 
 
-def bin_assignment_corrupted(offset_ps: float, layout: BinLayout) -> bool:
+def bin_assignment_corrupted(offset_ps: float, tree: LevelTree) -> bool:
     """True when an uncorrected offset would scramble bin assignment.
 
-    That is when it exceeds half the layout's smallest bin spacing, so a
+    That is when it exceeds half the tree's smallest bin spacing, so a
     photon lands nearer a neighbouring bin.
     """
-    return abs(offset_ps) > 0.5 * layout.min_spacing_ps
+    return abs(offset_ps) > 0.5 * tree.min_spacing_ps
 
 
 def ou_accumulate(normals, decay, innovation):
@@ -221,14 +221,12 @@ def stabilize(
     quantized to the actuator resolution).
     """
     n = len(trace.offsets_ps)
-    if n < 2:
-        # a single sample has no correction epoch
-        return trace, trace.rms_ps()
-    period_steps = int(round(policy.correction_interval_s / trace.step_s))
+    # an interval of n steps or more is a no-op, however far past n it lies
+    period_steps = int(round(min(policy.correction_interval_s / trace.step_s, n)))
     if period_steps < 1:
         raise ValueError("correction interval shorter than the trace step")
     if period_steps >= n:
-        # no correction epoch fits inside the trace: no-op policy
+        # no correction epoch fits inside the trace (one sample has none): no-op
         return trace, trace.rms_ps()
     n_epochs = n // period_steps + 1
     noise = rng.normal(0.0, policy.estimator_noise_ps, n_epochs).tolist()

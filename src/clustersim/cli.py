@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analysis, channel, detection, waveform
 from .cpm import CpmSettings
-from .encoding import Level, LevelSpec, default_levels, layout_from_levels
+from .encoding import DEFAULT_TREE, Level, LevelTree
 from .errors import ClusterSimError, ConfigError
 from .modes import state_to_json
 from .source import ExcitationTrain, generate_pair_state, is_cluster_state
@@ -45,7 +45,7 @@ DEFAULT_CONFIG = {
     "out": ".",
     "svg": False,
     "encoding": {
-        "levels": [list(dataclasses.astuple(lv)) for lv in default_levels().levels],
+        "levels": [list(lv) for lv in dataclasses.astuple(DEFAULT_TREE)],
     },
     "source": _defaults(ExcitationTrain),
     "cpm": _defaults(CpmSettings),
@@ -233,10 +233,13 @@ def config_hash(cfg: dict) -> str:
 # output helpers
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def write_json(path: Path, payload: dict, stamp: str) -> None:
@@ -367,20 +370,19 @@ def _drift(cfg, link: channel.FiberLink) -> channel.DriftTrace:
 
 @_from_config("encoding")
 def _make_state(cfg):
-    levels = LevelSpec(tuple(Level(*lv) for lv in cfg["encoding"]["levels"]))
-    layout = layout_from_levels(levels)
+    tree = LevelTree(*(Level(*lv) for lv in cfg["encoding"]["levels"]))
     train = _build(ExcitationTrain, cfg, "source")
-    return generate_pair_state(train), levels, layout
+    return generate_pair_state(train), tree
 
 
 # ----------------------------------------------------------------------
 # commands
 
 def cmd_generate(cfg, outdir: Path, stamp: str, exact: bool) -> int:
-    state, levels, layout = _make_state(cfg)
+    state, tree = _make_state(cfg)
     ok, fidelity = is_cluster_state(state)
     write_json(outdir / "state.json",
-               {"state": state_to_json(state, layout), "fidelity": fidelity},
+               {"state": state_to_json(state, tree), "fidelity": fidelity},
                stamp)
     print(f"fidelity vs target cluster state: {fidelity:.6f}")
     if not ok:
@@ -389,14 +391,14 @@ def cmd_generate(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 
 def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
-    state, levels, layout = _make_state(cfg)
+    state, tree = _make_state(cfg)
     link = _build(channel.FiberLink, cfg, "channel")
     trace = _drift(cfg, link)
     out = channel.transmit(state, link)
     with _from_config("channel.readout_time_s"):
         offset = trace.offset_at(cfg["channel"]["readout_time_s"])
-    corrupted = channel.bin_assignment_corrupted(offset, layout)
-    write_json(outdir / "state.json", {"state": state_to_json(out, layout)}, stamp)
+    corrupted = channel.bin_assignment_corrupted(offset, tree)
+    write_json(outdir / "state.json", {"state": state_to_json(out, tree)}, stamp)
     write_json(outdir / "transmit.json", {
         "retained_fraction": link.retained_fraction,
         "arrival_offset_ps": offset,
@@ -414,12 +416,12 @@ def _readout(cfg) -> detection.Readout:
     Sections are built as encoding/source, channel, detection, then cpm, so
     every readout command reports the same first of several bad values.
     """
-    state, levels, layout = _make_state(cfg)
+    state, tree = _make_state(cfg)
     state = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
     detector = _build(detection.DetectorModel, cfg, "detection")
     with _from_config("detection"):
-        jitter = detection.jitter_matrices(detector, layout)
-    return detection.Readout(state, levels, _build(CpmSettings, cfg, "cpm"), detector,
+        jitter = detection.jitter_matrices(detector, tree)
+    return detection.Readout(state, tree, _build(CpmSettings, cfg, "cpm"), detector,
                              cfg["detection"]["pairs_per_setting"],
                              cfg["detection"]["visibility_penalty"], jitter)
 
@@ -427,7 +429,7 @@ def _readout(cfg) -> detection.Readout:
 def _sampled_histograms(cfg, exact: bool):
     readout = _readout(cfg)
     return detection.sample_coincidences(
-        readout, detection.build_default_schedule(readout.levels),
+        readout, detection.build_default_schedule(readout.tree),
         stream(cfg["seed"], "settings"), exact,
     )
 

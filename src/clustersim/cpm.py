@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_row, solve_balanced_depth
-from .encoding import LevelSpec
+from .encoding import LevelTree
 from .errors import GridMismatch
 
 C_M_PER_S = 299792458.0
@@ -79,15 +79,14 @@ class BeamSplitterSetting:
 
 def measurement_map(
     setting: BeamSplitterSetting,
-    levels: LevelSpec,
+    tree: LevelTree,
     base: CpmSettings,
     alpha_offset: float,
 ) -> np.ndarray:
     """Single-photon measurement matrix A[out bin, in bin] for one setting.
 
-    The matrix spans the 2**levels.count bins of the tree, four for the
-    two-level tree of a config; a level's partner bin is the bin with that
-    level's bit flipped, so the map holds at any depth.  Z is the identity.
+    The matrix spans the tree's four bins; a level's partner bin is the bin
+    with that level's bit (LevelTree.level) flipped.  Z is the identity.
     X/XY act as the ideal pairwise splitter derived from the CPM operator
     truncated to the orders that connect a bin to its partner on the
     measured level:
@@ -100,14 +99,12 @@ def measurement_map(
     1 - eta(g*) of the probability scatters to ancillary orders and is
     dropped, so each column has norm eta(g*).  alpha_offset shifts the RF
     phase; the detection stage uses it to build dephased variants.  A level
-    absent from levels raises ValueError.
+    absent from the tree raises ValueError.
     """
-    count = 1 << levels.count
     if setting.kind == "Z":
-        return np.eye(count, dtype=complex)
+        return np.eye(4, dtype=complex)
 
-    level_idx = levels.index_of(setting.level)
-    level = levels.levels[level_idx]
+    level, flip = tree.level(setting.level)
     copy_ps = base.delta_t_ps(level.rf_frequency_ghz)
     # the splitter pairs bins by index, which holds only if the copies bridge
     # this level's bin shift; a nan spacing fails the test too
@@ -122,8 +119,7 @@ def measurement_map(
 
     fwd = complex(j1 * np.exp(-1j * alpha))
     bwd = complex(-j1 * np.exp(1j * alpha))
-    flip = 1 << (levels.count - 1 - level_idx)
-    a = np.eye(count, dtype=complex) * j0
-    for b in range(count):
+    a = np.eye(4, dtype=complex) * j0
+    for b in range(4):
         a[b ^ flip, b] = bwd if b & flip else fwd
     return a

@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import scan_phases
 from .cpm import BeamSplitterSetting, CpmSettings, measurement_map
-from .encoding import BinLayout, LevelSpec
+from .encoding import LevelTree
 from .errors import MissingBasis
 from .modes import JointTwoPhotonState, clean
 
@@ -94,7 +94,7 @@ class Readout:
     """Inputs of every readout; state is after the link, jitter is jitter_matrices."""
 
     state: JointTwoPhotonState
-    levels: LevelSpec
+    tree: LevelTree
     cpm: CpmSettings
     detector: DetectorModel
     pairs_per_setting: int
@@ -102,22 +102,20 @@ class Readout:
     jitter: tuple[np.ndarray, np.ndarray]
 
 
-def build_default_schedule(levels: LevelSpec) -> tuple[PairingRecord, ...]:
+def build_default_schedule(tree: LevelTree) -> tuple[PairingRecord, ...]:
     """The nine joint settings of the 18-segment frame, a to i.
 
-    levels is the two-level tree (outer, inner); a spec of another depth
-    does not unpack.  Each photon is read by Z, X on the inner level or X
-    on the outer level; pairing k reads the signal with setting k // 3 and
-    the idler with setting k % 3, so the three matched pairings a, e and i
-    read the witness bases ZZZZ, ZZXX and XXZZ.  Signal photons occupy the
-    even segments 0..16 and each idler segment lags its partner by
-    IDLER_LAG, so the nine pairings fill the frame's 18 segments once each.
+    Each photon is read by Z, X on the tree's inner level or X on its outer
+    level; pairing k reads the signal with setting k // 3 and the idler
+    with setting k % 3, so the three matched pairings a, e and i read the
+    witness bases ZZZZ, ZZXX and XXZZ.  Signal photons occupy the even
+    segments 0..16 and each idler segment lags its partner by IDLER_LAG, so
+    the nine pairings fill the frame's 18 segments once each.
     """
-    outer, inner = levels.levels
     settings = (
-        BeamSplitterSetting("Z", inner.name),
-        BeamSplitterSetting("X", inner.name),
-        BeamSplitterSetting("X", outer.name),
+        BeamSplitterSetting("Z", tree.inner.name),
+        BeamSplitterSetting("X", tree.inner.name),
+        BeamSplitterSetting("X", tree.outer.name),
     )
     return tuple(
         PairingRecord(
@@ -150,7 +148,7 @@ def _penalty_branches(setting: BeamSplitterSetting, penalty: dict[str, float]):
 def branch_maps(setting: BeamSplitterSetting, readout: Readout):
     """(weight, measurement matrix) of each penalty branch of setting."""
     return tuple(
-        (weight, measurement_map(setting, readout.levels, readout.cpm, offset))
+        (weight, measurement_map(setting, readout.tree, readout.cpm, offset))
         for weight, offset in _penalty_branches(setting, readout.penalty)
     )
 
@@ -172,36 +170,35 @@ def joint_outcome_probabilities(state: JointTwoPhotonState, signal_maps, idler_m
 
 
 def jitter_transition_matrix(
-    sigma_ps: float, layout: BinLayout, window_half_ps: float
+    sigma_ps: float, tree: LevelTree, window_half_ps: float
 ) -> np.ndarray:
     """K[b, b'] = P(arrival recorded in bin b' window | emitted in bin b).
 
     Gaussian arrival-time smearing integrated over each bin's coincidence
     window; rows sum to < 1, the rest falls outside every window.
     """
-    n = layout.count
     if sigma_ps == 0.0:
-        return np.eye(n)
-    k = np.zeros((n, n))
+        return np.eye(4)
+    pos = tree.positions_ps
+    k = np.zeros((4, 4))
     denom = sigma_ps * math.sqrt(2.0)
-    for b in range(n):
-        center = layout.position(b)
-        for b2 in range(n):
-            lo = layout.position(b2) - window_half_ps
-            hi = layout.position(b2) + window_half_ps
+    for b, center in enumerate(pos):
+        for b2, window_center in enumerate(pos):
+            lo = window_center - window_half_ps
+            hi = window_center + window_half_ps
             k[b, b2] = 0.5 * (
                 math.erf((hi - center) / denom) - math.erf((lo - center) / denom)
             )
     return k
 
 
-def jitter_matrices(detector: DetectorModel, layout: BinLayout) -> tuple[np.ndarray, np.ndarray]:
-    """The signal and idler jitter_transition_matrix of detector on layout.
+def jitter_matrices(detector: DetectorModel, tree: LevelTree) -> tuple[np.ndarray, np.ndarray]:
+    """The signal and idler jitter_transition_matrix of detector on tree's bins.
 
     Windows wider than half the smallest bin spacing would overlap and count
     one arrival in several bins, so they raise ValueError.
     """
-    half_spacing = 0.5 * layout.min_spacing_ps
+    half_spacing = 0.5 * tree.min_spacing_ps
     if detector.coincidence_window_ps > half_spacing:
         raise ValueError(
             f"coincidence window half-width {detector.coincidence_window_ps:g} ps exceeds "
@@ -209,7 +206,7 @@ def jitter_matrices(detector: DetectorModel, layout: BinLayout) -> tuple[np.ndar
         )
     return tuple(
         jitter_transition_matrix(
-            detector.photon_sigma_ps(photon), layout, detector.coincidence_window_ps
+            detector.photon_sigma_ps(photon), tree, detector.coincidence_window_ps
         )
         for photon in (SIGNAL, IDLER)
     )
@@ -253,13 +250,13 @@ def fringe_means(readout: Readout, n_points: int) -> np.ndarray:
     both.  The means go through detected_means with identity jitter
     matrices: background is mixed in, but no jitter window is applied yet.
     """
-    outer, _ = readout.levels.levels
+    outer = readout.tree.outer.name
     identity = np.eye(readout.state.amplitudes.shape[0])
     signal_bins = [(ports[0] << 1) | bits[0] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     idler_bins = [(ports[1] << 1) | bits[1] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     means = np.empty((n_points, len(FRINGE_PROJECTIONS)))
     for j, alpha in enumerate(scan_phases(n_points)):
-        maps = branch_maps(BeamSplitterSetting("XY", outer.name, float(alpha)), readout)
+        maps = branch_maps(BeamSplitterSetting("XY", outer, float(alpha)), readout)
         probs = joint_outcome_probabilities(readout.state, maps, maps)
         mean, _ = detected_means(probs, (identity, identity), readout)
         means[j] = mean[signal_bins, idler_bins]

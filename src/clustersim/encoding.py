@@ -1,9 +1,10 @@
 """Two-level time-bin encoding: an outer level over an inner one.
 
-Each level of the tree encodes one qubit; the outer level (larger time
-shift) is the high bit of a bin index.  The default spec is the paper's
-T (300 ps shift, 3.75 GHz tone) over t (100 ps shift, 1.25 GHz tone),
-giving the irregular physical bin positions 0, 100, 300, 400 ps.
+Each level of the tree encodes one qubit.  A bin index is two bits, the
+outer level's (larger time shift) high, the inner level's low, so flipping
+bit 2 or bit 1 gives a bin's partner on that level.  The default tree is
+the paper's T (300 ps shift, 3.75 GHz tone) over t (100 ps shift, 1.25 GHz
+tone), giving the irregular physical bin positions 0, 100, 300, 400 ps.
 """
 
 from __future__ import annotations
@@ -20,46 +21,34 @@ class Level:
 
 
 @dataclass(frozen=True)
-class LevelSpec:
-    """Ordered levels, outermost (largest shift) first."""
+class LevelTree:
+    """An outer level T over an inner level t, and their four bins.
 
-    levels: tuple[Level, ...]
-
-    def __post_init__(self):
-        names = [lv.name for lv in self.levels]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate level names")
-
-    @property
-    def count(self) -> int:
-        return len(self.levels)
-
-    def index_of(self, name: str) -> int:
-        return [lv.name for lv in self.levels].index(name)
-
-
-@dataclass(frozen=True)
-class BinLayout:
-    """Physical bin arrival times, ordered by bin index.
-
-    bin index read as a binary number gives the branch bits, most
-    significant bit = outermost level.
+    Valid only when the names differ, T > t > 0 and T + t is a finite float
+    above T, so bin order by position equals binary order.
     """
 
-    positions_ps: tuple[float, ...]
+    outer: Level
+    inner: Level
 
     def __post_init__(self):
+        if self.outer.name == self.inner.name:
+            raise ValueError("duplicate level names")
+        for level, inner_span in ((self.outer, self.inner.shift_ps), (self.inner, 0)):
+            if level.shift_ps <= inner_span:
+                raise ValueError(
+                    f"level {level.name}: shift {level.shift_ps} ps does not clear inner levels"
+                )
         pos = self.positions_ps
         # an outer shift plus an inner one may overflow to infinity
         if not all(a < b < math.inf for a, b in zip(pos, pos[1:])):
             raise ValueError("bin positions must be finite and strictly increasing")
 
     @property
-    def count(self) -> int:
-        return len(self.positions_ps)
-
-    def position(self, bin_index: int) -> float:
-        return self.positions_ps[bin_index]
+    def positions_ps(self) -> tuple[float, ...]:
+        """Bin arrival times 0, t, T, T + t, ordered by bin index."""
+        inner, outer = self.inner.shift_ps, self.outer.shift_ps
+        return (0, inner, outer, outer + inner)
 
     @property
     def min_spacing_ps(self) -> float:
@@ -67,21 +56,11 @@ class BinLayout:
         pos = self.positions_ps
         return min(b - a for a, b in zip(pos, pos[1:]))
 
+    def level(self, name: str) -> tuple[Level, int]:
+        """The level called name and its bin-index bit (outer 2, inner 1); else ValueError."""
+        levels = (self.outer, self.inner)
+        k = [level.name for level in levels].index(name)
+        return levels[k], 2 >> k
 
-def default_levels() -> LevelSpec:
-    return LevelSpec((Level("T", 300.0, 3.75), Level("t", 100.0, 1.25)))
 
-
-def layout_from_levels(spec: LevelSpec) -> BinLayout:
-    """Bin positions 0, t, T, T + t of an outer shift T over an inner shift t.
-
-    Valid only when T > t > 0, so bin order by position equals binary
-    order.  A spec of another depth does not unpack.
-    """
-    outer, inner = spec.levels
-    for level, inner_span in ((outer, inner.shift_ps), (inner, 0)):
-        if level.shift_ps <= inner_span:
-            raise ValueError(
-                f"level {level.name}: shift {level.shift_ps} ps does not clear inner levels"
-            )
-    return BinLayout((0, inner.shift_ps, outer.shift_ps, outer.shift_ps + inner.shift_ps))
+DEFAULT_TREE = LevelTree(Level("T", 300.0, 3.75), Level("t", 100.0, 1.25))

@@ -1,9 +1,9 @@
 """The two-photon readout state as a dense bin-pair matrix.
 
 The state holds one complex amplitude per (signal bin, idler bin) pair of
-the bin layout.  Every readout map keeps a photon inside the layout's bins
-(ancillary orders are dropped), so no other modes are ever populated.
-Bin positions come from the layout alone (encoding.layout_from_levels).
+the level tree.  Every readout map keeps a photon inside the tree's four
+bins (ancillary orders are dropped), so no other modes are ever populated.
+Bin positions come from the tree alone (encoding.LevelTree.positions_ps).
 All state values are immutable; operations return new states.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import BinLayout
+from .encoding import LevelTree
 
 #: Amplitudes below this are zeroed.  Without it, cancellation residue of
 #: order 1e-27 turns exact-zero outcome probabilities into positive ones.
@@ -44,12 +44,12 @@ class JointTwoPhotonState:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def state_to_json(state: JointTwoPhotonState, layout: BinLayout) -> dict:
+def state_to_json(state: JointTwoPhotonState, tree: LevelTree) -> dict:
     """JSON document of the nonzero amplitudes keyed by their bin positions in ps.
 
     The order is by signal bin, then idler bin.
     """
-    positions = [float(p) for p in layout.positions_ps]
+    positions = [float(p) for p in tree.positions_ps]
     entries = [
         {
             "signal_ps": positions[s],

@@ -23,7 +23,7 @@ class ExcitationTrain:
     """Excitation pulse train driving the SHG/SPDC cascade.
 
     The four pulses sit at the four bin positions of the two-level
-    layout, one phase per bin.
+    tree, one phase per bin.
     """
 
     phases_rad: tuple[float, ...] = (0.0, 0.0, 0.0, np.pi / 2)

@@ -3,19 +3,14 @@ import pytest
 
 from clustersim.cpm import CpmSettings
 from clustersim.detection import DetectorModel, build_default_schedule
-from clustersim.encoding import default_levels, layout_from_levels
+from clustersim.encoding import DEFAULT_TREE
 from clustersim.source import ideal_cluster_state
 from oracles import ModeGrid
 
 
 @pytest.fixture(scope="session")
-def levels():
-    return default_levels()
-
-
-@pytest.fixture(scope="session")
-def layout(levels):
-    return layout_from_levels(levels)
+def tree():
+    return DEFAULT_TREE
 
 
 @pytest.fixture(scope="session")
@@ -29,8 +24,8 @@ def cluster():
 
 
 @pytest.fixture(scope="session")
-def schedule(levels):
-    return build_default_schedule(levels)
+def schedule(tree):
+    return build_default_schedule(tree)
 
 
 @pytest.fixture(scope="session")

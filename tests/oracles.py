@@ -10,10 +10,14 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
   the same closed-form copy sum, evaluated one dispersion at a time.
 - The scalar Bessel entry point `bessel_j` and the splitter efficiency,
   the references of `bessel.bessel_row` and of the matrices' column norms.
-- Bin-index helpers: `bin_to_bits` and `bits_to_bin`, and for trees of
-  any depth `any_depth_layout` (the reference of the two-level
-  `encoding.layout_from_levels`), `extend_levels` and
-  `uniform_shift_offsets`.
+- Bin-index helpers over plain tuples of `Level`s and of bin positions, at
+  any tree depth: `bin_to_bits` and `bits_to_bin`, `any_depth_layout` (the
+  reference of the checks, `positions_ps` and `min_spacing_ps` of
+  `encoding.LevelTree`), `extend_levels` and `uniform_shift_offsets`;
+  `tree_levels` gives a tree's levels as such a tuple.
+- `any_depth_measurement_map`, the splitter matrix over the bins of a tree
+  of any depth, with a level's bit found by its depth; the reference of
+  the four-bin `cpm.measurement_map`.
 - `outcome_index` and `loop_basis_counts`, the per-cell loop that folds a
   bin-pair histogram into a basis's 16 outcome counts, the reference of
   `detection.raw_basis_counts`; `loop_term_signs`, the per-outcome loop of
@@ -69,7 +73,13 @@ from clustersim.analysis import (
 )
 from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.channel import DriftTrace, StabilizerPolicy
-from clustersim.cpm import BeamSplitterSetting, CpmSettings, chirp_beta2_s2, measurement_map
+from clustersim.cpm import (
+    SNAP_TOL_PS,
+    BeamSplitterSetting,
+    CpmSettings,
+    chirp_beta2_s2,
+    measurement_map,
+)
 from clustersim.detection import (
     FRINGE_PROJECTIONS,
     IDLER,
@@ -83,7 +93,7 @@ from clustersim.detection import (
     jitter_transition_matrix,
     joint_outcome_probabilities,
 )
-from clustersim.encoding import BinLayout, Level, LevelSpec, layout_from_levels
+from clustersim.encoding import Level, LevelTree
 from clustersim.errors import ClusterSimError, GridMismatch
 from clustersim.modes import clean
 from clustersim.waveform import COPY_ORDERS, MAX_SEPARATION_PS, _gaussian, rf_for_spacing
@@ -360,22 +370,22 @@ def cell_csv_lines(rows) -> list[str]:
     return [",".join(cell(v) for v in row) for row in rows]
 
 
-def readout(state, detector, pairs_per_setting, levels, base, visibility_penalty) -> Readout:
+def readout(state, detector, pairs_per_setting, tree, base, visibility_penalty) -> Readout:
     """The `detection.Readout` of domain objects, as `cli._readout` builds one from a config."""
-    return Readout(state, levels, base, detector, pairs_per_setting, visibility_penalty,
-                   jitter_matrices(detector, layout_from_levels(levels)))
+    return Readout(state, tree, base, detector, pairs_per_setting, visibility_penalty,
+                   jitter_matrices(detector, tree))
 
 
-def joint_probabilities(state, signal_setting, idler_setting, levels, base, visibility_penalty):
+def joint_probabilities(state, signal_setting, idler_setting, tree, base, visibility_penalty):
     """`detection.joint_outcome_probabilities` of two settings, through `detection.branch_maps`."""
-    ctx = readout(state, DetectorModel(), 1, levels, base, visibility_penalty)
+    ctx = readout(state, DetectorModel(), 1, tree, base, visibility_penalty)
     return joint_outcome_probabilities(
         state, branch_maps(signal_setting, ctx), branch_maps(idler_setting, ctx)
     )
 
 
 def per_pairing_joint_probabilities(
-    state, signal_setting, idler_setting, levels, base, visibility_penalty
+    state, signal_setting, idler_setting, tree, base, visibility_penalty
 ) -> np.ndarray:
     """Joint probabilities with every branch's splitter map rebuilt for this pairing.
 
@@ -384,10 +394,10 @@ def per_pairing_joint_probabilities(
     """
     probs = np.zeros(state.amplitudes.shape)
     for ws, offs in _penalty_branches(signal_setting, visibility_penalty):
-        a_s = measurement_map(signal_setting, levels, base, offs)
+        a_s = measurement_map(signal_setting, tree, base, offs)
         after_s = a_s @ state.amplitudes
         for wi, offi in _penalty_branches(idler_setting, visibility_penalty):
-            a_i = measurement_map(idler_setting, levels, base, offi)
+            a_i = measurement_map(idler_setting, tree, base, offi)
             probs += ws * wi * np.abs(clean(after_s @ a_i.T)) ** 2
     return probs
 
@@ -400,18 +410,17 @@ def mixed_means(probs, detector, pairs_per_setting) -> np.ndarray:
 
 
 def per_setting_expected_counts(
-    state, pairing, detector, pairs_per_setting, levels, base, visibility_penalty,
+    state, pairing, detector, pairs_per_setting, tree, base, visibility_penalty,
 ) -> tuple[np.ndarray, float]:
     """Mean counts and ancillary mean of one pairing, maps and jitter rebuilt for it."""
     probs = per_pairing_joint_probabilities(
-        state, pairing.signal_setting, pairing.idler_setting, levels, base, visibility_penalty,
+        state, pairing.signal_setting, pairing.idler_setting, tree, base, visibility_penalty,
     )
-    layout = layout_from_levels(levels)
     ks = jitter_transition_matrix(
-        detector.photon_sigma_ps(SIGNAL), layout, detector.coincidence_window_ps
+        detector.photon_sigma_ps(SIGNAL), tree, detector.coincidence_window_ps
     )
     ki = jitter_transition_matrix(
-        detector.photon_sigma_ps(IDLER), layout, detector.coincidence_window_ps
+        detector.photon_sigma_ps(IDLER), tree, detector.coincidence_window_ps
     )
     smeared = ks.T @ probs @ ki
     mean = mixed_means(smeared, detector, pairs_per_setting)
@@ -423,7 +432,7 @@ def per_setting_expected_counts(
 
 def per_setting_sample_coincidences(
     state, schedule, detector, pairs_per_setting, visibility_penalty, seed,
-    levels, base, exact,
+    tree, base, exact,
 ) -> list[JointTemporalIntensity]:
     """Histograms with the splitter maps and both jitter matrices rebuilt for every pairing.
 
@@ -433,7 +442,7 @@ def per_setting_sample_coincidences(
     out = []
     for pairing, child in zip(schedule, seed.spawn(len(schedule))):
         mean, ancillary = per_setting_expected_counts(
-            state, pairing, detector, pairs_per_setting, levels, base, visibility_penalty,
+            state, pairing, detector, pairs_per_setting, tree, base, visibility_penalty,
         )
         if exact:
             counts, anc = mean, ancillary
@@ -446,21 +455,21 @@ def per_setting_sample_coincidences(
 
 
 def per_phase_fringe_means(
-    state, detector, pairs_per_setting, levels, n_points, base, visibility_penalty,
+    state, detector, pairs_per_setting, tree, n_points, base, visibility_penalty,
 ) -> np.ndarray:
     """Fringe means with each photon's maps rebuilt at every phase, background only.
 
     The reference of `detection.fringe_means`, which builds one map set per
     phase for both photons and passes identity jitter matrices.
     """
-    outer, _ = levels.levels
+    outer = tree.outer
     signal_bins = [(ports[0] << 1) | bits[0] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     idler_bins = [(ports[1] << 1) | bits[1] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     means = np.empty((n_points, len(FRINGE_PROJECTIONS)))
     for j, alpha in enumerate(scan_phases(n_points)):
         setting = BeamSplitterSetting("XY", outer.name, float(alpha))
         probs = per_pairing_joint_probabilities(
-            state, setting, setting, levels, base, visibility_penalty
+            state, setting, setting, tree, base, visibility_penalty
         )
         means[j] = mixed_means(probs, detector, pairs_per_setting)[signal_bins, idler_bins]
     return means
@@ -469,26 +478,26 @@ def per_phase_fringe_means(
 # ----------------------------------------------------------------------
 # outcome fold, term signs and fringe fit
 
-def outcome_index(bs: int, bi: int, basis: str, layout: BinLayout) -> int:
+def outcome_index(bs: int, bi: int, basis: str, positions) -> int:
     """Outcome bit string (T_s, T_i, t_s, t_i) from the measured bin pair.
 
     Z-read levels report the branch bit directly; X-read levels report the
     splitter output port, whose "+1" port is the opposite bin.
     """
-    s_bits = bin_to_bits(layout, bs)
-    i_bits = bin_to_bits(layout, bi)
+    s_bits = bin_to_bits(positions, bs)
+    i_bits = bin_to_bits(positions, bi)
     # qubit order (T_s, T_i, t_s, t_i) = (outer_s, outer_i, inner_s, inner_i)
     raw = (s_bits[0], i_bits[0], s_bits[1], i_bits[1])
     bits = tuple(1 - b if op == "X" else b for b, op in zip(raw, basis))
     return bits[0] << 3 | bits[1] << 2 | bits[2] << 1 | bits[3]
 
 
-def loop_basis_counts(counts: np.ndarray, basis: str, layout: BinLayout) -> np.ndarray:
+def loop_basis_counts(counts: np.ndarray, basis: str, positions) -> np.ndarray:
     """16 outcome counts of a basis, added up cell by cell of the bin-pair histogram."""
     values = np.zeros(16)
-    for bs in range(layout.count):
-        for bi in range(layout.count):
-            values[outcome_index(bs, bi, basis, layout)] += counts[bs, bi]
+    for bs in range(len(positions)):
+        for bi in range(len(positions)):
+            values[outcome_index(bs, bi, basis, positions)] += counts[bs, bi]
     return values
 
 
@@ -556,26 +565,32 @@ def efficiency(g: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# bin-index helpers
+# bin-index helpers: a tree is a tuple of Levels, outermost first, and its
+# layout the tuple of its bin positions, ordered by bin index
 
-def level_count(layout: BinLayout) -> int:
+def tree_levels(tree: LevelTree) -> tuple[Level, Level]:
+    """The levels of a two-level tree, outermost first."""
+    return (tree.outer, tree.inner)
+
+
+def level_count(positions) -> int:
     """Tree depth of a layout: log2 of its bin count."""
-    return layout.count.bit_length() - 1
+    return len(positions).bit_length() - 1
 
 
-def bin_to_bits(layout: BinLayout, bin_index: int) -> tuple[int, ...]:
+def bin_to_bits(positions, bin_index: int) -> tuple[int, ...]:
     """Branch bits taken at each tree level, outermost level first."""
-    if not 0 <= bin_index < layout.count:
-        raise ValueError(f"bin {bin_index} outside 0..{layout.count - 1}")
-    top = level_count(layout) - 1
-    return tuple((bin_index >> (top - k)) & 1 for k in range(level_count(layout)))
+    if not 0 <= bin_index < len(positions):
+        raise ValueError(f"bin {bin_index} outside 0..{len(positions) - 1}")
+    top = level_count(positions) - 1
+    return tuple((bin_index >> (top - k)) & 1 for k in range(level_count(positions)))
 
 
-def bits_to_bin(layout: BinLayout, bits) -> int:
+def bits_to_bin(positions, bits) -> int:
     bits = tuple(bits)
-    if len(bits) != level_count(layout):
+    if len(bits) != level_count(positions):
         raise LengthMismatch(
-            f"expected {level_count(layout)} bits, got {len(bits)}"
+            f"expected {level_count(positions)} bits, got {len(bits)}"
         )
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
@@ -585,26 +600,36 @@ def bits_to_bin(layout: BinLayout, bits) -> int:
     return out
 
 
-def any_depth_layout(spec: LevelSpec) -> BinLayout:
+def any_depth_layout(levels: tuple[Level, ...]) -> tuple[float, ...]:
     """Canonical layout of any depth: position(bin) = sum of the shifts of set branch bits.
 
-    Valid only when every level's shift exceeds the sum of the inner
-    shifts, so bin order by position equals binary order.
+    Valid only when the level names differ, every level's shift exceeds the
+    sum of the inner shifts and the positions are finite and strictly
+    increasing, so bin order by position equals binary order; the checks
+    run in that order.
     """
-    shifts = [lv.shift_ps for lv in spec.levels]
+    names = [lv.name for lv in levels]
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate level names")
+    shifts = [lv.shift_ps for lv in levels]
     for k, s in enumerate(shifts):
         if s <= sum(shifts[k + 1:]):
             raise ValueError(
-                f"level {spec.levels[k].name}: shift {s} ps does not clear inner levels"
+                f"level {levels[k].name}: shift {s} ps does not clear inner levels"
             )
-    top = spec.count - 1
-    return BinLayout(tuple(
+    top = len(levels) - 1
+    positions = tuple(
         sum(s for k, s in enumerate(shifts) if (b >> (top - k)) & 1)
-        for b in range(1 << spec.count)
-    ))
+        for b in range(1 << len(levels))
+    )
+    if not all(a < b < math.inf for a, b in zip(positions, positions[1:])):
+        raise ValueError("bin positions must be finite and strictly increasing")
+    return positions
 
 
-def extend_levels(spec: LevelSpec, new_level: Level, grid: ModeGrid | None = None) -> LevelSpec:
+def extend_levels(
+    levels: tuple[Level, ...], new_level: Level, grid: ModeGrid | None = None
+) -> tuple[Level, ...]:
     """Add an outer level with twice the bin count.
 
     The new shift must sit on the mode grid and must clear the span of the
@@ -617,29 +642,68 @@ def extend_levels(spec: LevelSpec, new_level: Level, grid: ModeGrid | None = Non
             f"shift {new_level.shift_ps} ps is not a multiple of "
             f"{grid.time_quantum_ps} ps"
         )
-    extended = LevelSpec((new_level,) + spec.levels)
+    extended = (new_level,) + tuple(levels)
     any_depth_layout(extended)  # raises ValueError if invalid
     return extended
 
 
-def uniform_shift_offsets(layout: BinLayout) -> tuple[float, ...]:
+def uniform_shift_offsets(positions) -> tuple[float, ...]:
     """Per-level offset between paired |0> and |1> branch bins.
 
     Raises ValueError if any level's pairs are not uniformly spaced.
     """
-    n_levels = level_count(layout)
+    n_levels = level_count(positions)
     out = []
     for k in range(n_levels):
         flip = 1 << (n_levels - 1 - k)
         deltas = {
-            round(layout.position(b | flip) - layout.position(b), 9)
-            for b in range(layout.count)
+            round(positions[b | flip] - positions[b], 9)
+            for b in range(len(positions))
             if not b & flip
         }
         if len(deltas) != 1:
             raise ValueError(f"level index {k}: non-uniform pair shifts {sorted(deltas)}")
         out.append(deltas.pop())
     return tuple(out)
+
+
+def any_depth_measurement_map(
+    setting: BeamSplitterSetting,
+    levels: tuple[Level, ...],
+    base: CpmSettings,
+    alpha_offset: float,
+) -> np.ndarray:
+    """Single-photon measurement matrix A[out bin, in bin] over 2**len(levels) bins.
+
+    The reference of `cpm.measurement_map`: a level's partner bin is the bin
+    with the bit of that level's depth flipped, so the map holds at any
+    depth.  Z is the identity; X/XY pair each bin with its partner through
+    J0 and +/-J1 e^{-/+i alpha}, after the same copy-spacing check.  A level
+    absent from levels raises ValueError.
+    """
+    count = 1 << len(levels)
+    if setting.kind == "Z":
+        return np.eye(count, dtype=complex)
+
+    level_idx = [lv.name for lv in levels].index(setting.level)
+    level = levels[level_idx]
+    copy_ps = base.delta_t_ps(level.rf_frequency_ghz)
+    if not abs(copy_ps - level.shift_ps) <= SNAP_TOL_PS:
+        raise GridMismatch(
+            f"level {level.name}: copy spacing {copy_ps:g} ps does not match "
+            f"its {level.shift_ps:g} ps bin shift"
+        )
+    row = bessel_row(solve_balanced_depth(), 1)
+    j0, j1 = float(row[0]), float(row[1])
+    alpha = setting.effective_alpha + alpha_offset
+
+    fwd = complex(j1 * np.exp(-1j * alpha))
+    bwd = complex(-j1 * np.exp(1j * alpha))
+    flip = 1 << (len(levels) - 1 - level_idx)
+    a = np.eye(count, dtype=complex) * j0
+    for b in range(count):
+        a[b ^ flip, b] = bwd if b & flip else fwd
+    return a
 
 
 # ----------------------------------------------------------------------

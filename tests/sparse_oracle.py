@@ -20,13 +20,14 @@ import numpy as np
 from clustersim.bessel import bessel_row, solve_balanced_depth
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.detection import IDLER, SIGNAL, _penalty_branches
-from clustersim.encoding import BinLayout, LevelSpec, layout_from_levels
+from clustersim.encoding import Level
 from clustersim.errors import ClusterSimError, GridMismatch
 from clustersim.modes import SPARSITY_THRESHOLD
 from clustersim.source import ExcitationTrain, shg_phases
 from oracles import (
     CpmOperatorSettings,
     ModeGrid,
+    any_depth_layout,
     bin_to_bits,
     efficiency,
     grid_time_steps,
@@ -187,14 +188,14 @@ def state_from_json(text: str, grid: ModeGrid) -> JointTwoPhotonState:
 
 
 def generate_pair_state(
-    train: ExcitationTrain, layout: BinLayout, grid: ModeGrid
+    train: ExcitationTrain, positions, grid: ModeGrid
 ) -> JointTwoPhotonState:
-    """Pair state (1/sqrt(K)) sum_k e^{i 2 phi_k} |bin k>_s |bin k>_i."""
-    if len(train.phases_rad) != layout.count:
-        raise ValueError(f"{len(train.phases_rad)} pulse phases vs {layout.count} bins")
+    """Pair state (1/sqrt(K)) sum_k e^{i 2 phi_k} |bin k>_s |bin k>_i at the bin positions."""
+    if len(train.phases_rad) != len(positions):
+        raise ValueError(f"{len(train.phases_rad)} pulse phases vs {len(positions)} bins")
     doubled = shg_phases(train)
     amps = {}
-    for t, phase in zip(layout.positions_ps, doubled):
+    for t, phase in zip(positions, doubled):
         steps = grid.t_steps(t - grid.time_origin_ps)
         mode = TimeFreqMode(steps, 0)
         amps[(mode, mode)] = np.exp(1j * phase)
@@ -270,10 +271,10 @@ class PhotonMeasurement:
 
 def measurement_map(
     setting: BeamSplitterSetting,
-    levels: LevelSpec,
+    levels: tuple[Level, ...],
     base: CpmSettings,
     grid: ModeGrid,
-    layout: BinLayout | None = None,
+    positions: tuple[float, ...] | None = None,
     alpha_offset: float = 0.0,
 ) -> PhotonMeasurement:
     """Single-photon measurement operator for one beam-splitter setting.
@@ -289,14 +290,15 @@ def measurement_map(
     scattering operator's e^{-i m alpha} convention).  The remaining
     1 - eta(g*) of the probability scatters to ancillary orders and is
     dropped from the tracked state.  alpha_offset is used by the detection
-    stage to build dephased variants; modes off the nominal layout are lost.
+    stage to build dephased variants; modes off the nominal bin positions
+    (any_depth_layout of levels by default) are lost.
     """
     if setting.kind == "Z":
         return PhotonMeasurement(setting, lambda m: [(m, 1.0 + 0j)], 1.0, None)
 
-    layout = layout or layout_from_levels(levels)
-    level_idx = levels.index_of(setting.level)
-    rf = levels.levels[level_idx].rf_frequency_ghz
+    positions = positions or any_depth_layout(levels)
+    level_idx = [lv.name for lv in levels].index(setting.level)
+    rf = levels[level_idx].rf_frequency_ghz
     g_star = solve_balanced_depth()
     grid_time_steps(base, grid, rf)  # validates this level's grid
     row = bessel_row(g_star, 1)
@@ -304,16 +306,16 @@ def measurement_map(
     alpha = setting.effective_alpha + alpha_offset
 
     steps_of_bin = {}
-    for b in range(layout.count):
-        steps_of_bin[grid.t_steps(layout.position(b) - grid.time_origin_ps)] = b
-    flip = 1 << (level_count(layout) - 1 - level_idx)
+    for b, position in enumerate(positions):
+        steps_of_bin[grid.t_steps(position - grid.time_origin_ps)] = b
+    flip = 1 << (level_count(positions) - 1 - level_idx)
     partner_steps = {}
     bit_of_steps = {}
     for steps, b in steps_of_bin.items():
         partner = b ^ flip
-        p_steps = grid.t_steps(layout.position(partner) - grid.time_origin_ps)
+        p_steps = grid.t_steps(positions[partner] - grid.time_origin_ps)
         partner_steps[steps] = p_steps
-        bit_of_steps[steps] = bin_to_bits(layout, b)[level_idx]
+        bit_of_steps[steps] = bin_to_bits(positions, b)[level_idx]
 
     fwd = complex(j1 * np.exp(-1j * alpha))
     bwd = complex(-j1 * np.exp(1j * alpha))
@@ -333,9 +335,9 @@ def joint_outcome_probabilities(
     state: JointTwoPhotonState,
     signal_setting: BeamSplitterSetting,
     idler_setting: BeamSplitterSetting,
-    levels: LevelSpec,
+    levels: tuple[Level, ...],
     base: CpmSettings,
-    layout: BinLayout,
+    positions: tuple[float, ...],
     visibility_penalty: dict[str, float],
 ) -> np.ndarray:
     """Exact coincidence probability for every (signal bin, idler bin).
@@ -345,19 +347,19 @@ def joint_outcome_probabilities(
     """
     grid = state.grid
     steps_of_bin = {
-        b: grid.t_steps(layout.position(b) - grid.time_origin_ps)
-        for b in range(layout.count)
+        b: grid.t_steps(position - grid.time_origin_ps)
+        for b, position in enumerate(positions)
     }
     bin_of_steps = {s: b for b, s in steps_of_bin.items()}
-    n = layout.count
+    n = len(positions)
     probs = np.zeros((n, n))
     s_branches = _penalty_branches(signal_setting, visibility_penalty)
     i_branches = _penalty_branches(idler_setting, visibility_penalty)
     for ws, offs in s_branches:
-        ms = measurement_map(signal_setting, levels, base, grid, layout, offs)
+        ms = measurement_map(signal_setting, levels, base, grid, positions, offs)
         after_s = apply_single_photon_map(state, SIGNAL, ms.mode_map)
         for wi, offi in i_branches:
-            mi = measurement_map(idler_setting, levels, base, grid, layout, offi)
+            mi = measurement_map(idler_setting, levels, base, grid, positions, offi)
             out = apply_single_photon_map(after_s, IDLER, mi.mode_map)
             for (s_mode, i_mode), amp in out.amplitudes.items():
                 bs = bin_of_steps.get(s_mode.t_index)

@@ -19,7 +19,7 @@ from clustersim import analysis, channel, cpm, detection, waveform
 from clustersim.bessel import solve_balanced_depth
 from clustersim.cli import main, stream
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
-from clustersim.encoding import default_levels
+from clustersim.encoding import DEFAULT_TREE
 from clustersim.source import ideal_cluster_state
 
 
@@ -36,11 +36,10 @@ def _noiseless_detector(**kwargs):
 
 
 def _pipeline_witness(detector, pairs=1, seed=0, exact=True):
-    levels = default_levels()
     state = ideal_cluster_state()
-    schedule = detection.build_default_schedule(levels)
+    schedule = detection.build_default_schedule(DEFAULT_TREE)
     hists = detection.sample_coincidences(
-        oracles.readout(state, detector, pairs, levels, CpmSettings(), {}), schedule,
+        oracles.readout(state, detector, pairs, DEFAULT_TREE, CpmSettings(), {}), schedule,
         np.random.SeedSequence(seed), exact,
     )
     projections = detection.extract_projections(detection.raw_basis_counts(hists))
@@ -101,14 +100,13 @@ def test_criterion_02_noise_line(capsys):
 def test_criterion_03_calibrated_match(capsys):
     start = time.perf_counter()
     detector = _noiseless_detector(dark_coincidence_rate=0.0667)
-    levels = default_levels()
-    schedule = detection.build_default_schedule(levels)
+    schedule = detection.build_default_schedule(DEFAULT_TREE)
     state = ideal_cluster_state()
     lossy = channel.transmit(state, channel.FiberLink())
     witnesses, ratios = [], []
     for seed in range(20):
         hists = detection.sample_coincidences(
-            oracles.readout(lossy, detector, 2473, levels, CpmSettings(), {}), schedule,
+            oracles.readout(lossy, detector, 2473, DEFAULT_TREE, CpmSettings(), {}), schedule,
             stream(seed, "settings"), False,
         )
         raw = detection.raw_basis_counts(hists)
@@ -145,8 +143,7 @@ def test_criterion_04_splitter_constants(capsys):
     g = solve_balanced_depth.__wrapped__()  # an actual solve, not a cache hit
     elapsed = time.perf_counter() - start
     # eta is what measure applies: the squared column norms of an X matrix
-    levels = default_levels()
-    x = cpm.measurement_map(BeamSplitterSetting("X", levels.levels[1].name), levels,
+    x = cpm.measurement_map(BeamSplitterSetting("X", DEFAULT_TREE.inner.name), DEFAULT_TREE,
                             CpmSettings(), 0.0)
     etas = np.sum(np.abs(x) ** 2, axis=0)
     g_ref = _scipy_balanced_depth()
@@ -239,10 +236,9 @@ def test_criterion_06_visibility_bounds(capsys):
 
 
 def _fringe_fits(detector, penalty):
-    levels = default_levels()
     state = ideal_cluster_state()
     means = detection.fringe_means(
-        oracles.readout(state, detector, 1, levels, CpmSettings(), penalty), 24
+        oracles.readout(state, detector, 1, DEFAULT_TREE, CpmSettings(), penalty), 24
     )
     fits = {}
     for (name, _ports, _bits, sign), column in zip(detection.FRINGE_PROJECTIONS, means.T):

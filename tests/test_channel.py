@@ -51,7 +51,7 @@ def test_zero_length_link_is_identity(cluster):
     np.testing.assert_array_equal(out.amplitudes, cluster.amplitudes)
 
 
-def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, levels):
+def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, tree):
     from clustersim.analysis import witness
     from clustersim.cpm import CpmSettings
     from clustersim.detection import (
@@ -64,7 +64,7 @@ def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, lev
     reports = []
     for state in (cluster, lossy):
         hists = sample_coincidences(
-            readout(state, noiseless_detector, 1, levels, CpmSettings(), {}), schedule,
+            readout(state, noiseless_detector, 1, tree, CpmSettings(), {}), schedule,
             SeedSequence(0), True,
         )
         projections = extract_projections(raw_basis_counts(hists))
@@ -168,9 +168,9 @@ def test_stabilized_rms_never_worse(seed):
     assert rms <= trace.rms_ps() + 1e-9
 
 
-def test_bin_corruption_flag(layout):
-    assert not bin_assignment_corrupted(30.0, layout)
-    assert bin_assignment_corrupted(60.0, layout)
+def test_bin_corruption_flag(tree):
+    assert not bin_assignment_corrupted(30.0, tree)
+    assert bin_assignment_corrupted(60.0, tree)
 
 
 def test_trace_validation():

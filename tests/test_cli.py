@@ -343,7 +343,7 @@ def test_readout_time_is_read_inside_the_trace(tmp_path, capsys):
                   "channel": {"drift": {"peak_k": 0.04}}}, "-12.39", True, id="20ps-bins"),
 ])
 def test_bin_corruption_follows_the_layout(tmp_path, capsys, overrides, offset, corrupted):
-    """The flag is raised past half the configured layout's smallest bin spacing."""
+    """The flag is raised past half the configured tree's smallest bin spacing."""
     cfg = _write_config(tmp_path, overrides)
     assert _run(["transmit", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert f"arrival offset {offset} ps" in capsys.readouterr().out
@@ -452,9 +452,23 @@ REFUSALS = {
         _config_error("resolution-negative", "drift",
                       {"channel": {"stabilizer": {"actuator_resolution_ps": -1.0}}},
                       "channel.stabilizer: noise and resolution must be nonnegative"),
-        _config_error("correction-interval-below-step", "drift",
-                      {"channel": {"stabilizer": {"correction_interval_s": 1.0}}},
-                      "channel.stabilizer: correction interval shorter than the trace step"),
+        *(
+            _config_error(f"correction-interval-below-step{suffix}", "drift",
+                          {"channel": {"stabilizer": {"correction_interval_s": 1.0}, **drift}},
+                          "channel.stabilizer: correction interval shorter than the trace step")
+            # a one-sample trace has no correction epoch, yet the interval is checked
+            for suffix, drift in (("", {}), ("-one-sample", {"drift": {"duration_s": 30.0}}))
+        ),
+        # an output directory that names a file, or lies under one
+        *(
+            pytest.param(("capacity", "--out", out), {}, 2,
+                         re.compile(rf"config error: cannot write output: \[Errno \d+\] "
+                                    rf"{reason}: '.*config\.json{tail}'\n"), id=row_id)
+            for row_id, out, reason, tail in (
+                ("out-is-a-file", "{tmp}/config.json", "File exists", ""),
+                ("out-under-a-file", "{tmp}/config.json/sub", "Not a directory", "/sub"),
+            )
+        ),
         _config_error("jitter-negative", "measure", {"detection": {"tdc_jitter_ps": -1.0}},
                       "detection: jitters must be nonnegative"),
         _config_error("window-zero", "measure", {"detection": {"coincidence_window_ps": 0.0}},
@@ -783,6 +797,19 @@ def test_drift_shorter_than_one_step_runs(tmp_path):
     assert len((tmp_path / "drift.csv").read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("duration_s", [5e-301, 1e-300])
+def test_drift_interval_past_float_range_runs(tmp_path, duration_s):
+    """An interval whose step count overflows a float is a no-op on one or two samples."""
+    cfg = _write_config(tmp_path, {"channel": {
+        "stabilizer": {"correction_interval_s": 1e308},
+        "drift": {"step_s": 1e-300, "duration_s": duration_s},
+    }})
+    assert _run(["drift", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "drift.csv").read_text().splitlines()[2:]
+    assert len(rows) == round(duration_s / 1e-300) + 1
+    assert all(row.split(",")[1] == row.split(",")[2] for row in rows)
+
+
 def test_visibility_wide_pulse_runs(tmp_path):
     cfg = _write_config(tmp_path, {"source": {"pulse_fwhm_ps": 5000.0}})
     assert _run(["visibility", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -925,18 +952,23 @@ def _outcome(argv, config):
     """Exit code, stdout, stderr, stamp-stripped --out files and warnings of a run.
 
     config is the config file's JSON document, or its raw bytes, or None for
-    a path with no file.  files is None when the run made no --out directory.
+    a path with no file.  "{tmp}" in argv names the run's temporary directory,
+    which holds config.json; argv without --out writes to its "out"
+    directory.  files is None when the run made no such directory.
     """
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.json"
         if config is not None:
             cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         outdir = Path(tmp) / "out"
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(outdir)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = main([*argv, "--config", str(cfg), "--out", str(outdir)])
+            code = main([*argv, "--config", str(cfg)])
         files = {
             p.name: re.sub(rb"(config_sha256\W+)[0-9a-f]{16}", rb"\1", p.read_bytes())
             for p in sorted(outdir.glob("*"))

@@ -5,14 +5,16 @@ import pytest
 
 from clustersim.bessel import solve_balanced_depth
 from clustersim.cpm import BeamSplitterSetting, CpmSettings, measurement_map
-from clustersim.encoding import Level, LevelSpec
+from clustersim.encoding import Level, LevelTree
 from clustersim.errors import GridMismatch
 from oracles import (
     CpmOperatorSettings,
+    any_depth_measurement_map,
     bessel_j,
     efficiency,
     grid_copy_spacing_ok,
     grid_time_steps,
+    tree_levels,
 )
 from sparse_oracle import TimeFreqMode, check_truncation, cpm_mode_map, freq_steps
 
@@ -33,11 +35,11 @@ def test_grid_steps(grid):
     assert freq_steps(CpmOperatorSettings(rf_frequency_ghz=3.75), grid) == 3
 
 
-def test_off_grid_rejected(grid, levels):
+def test_off_grid_rejected(grid, tree):
     with pytest.raises(GridMismatch):
         grid_time_steps(CpmSettings(dispersion_ns_per_nm=7.0), grid, 1.25)
     with pytest.raises(GridMismatch, match=r"level t: copy spacing 70\.1214 ps"):
-        measurement_map(BeamSplitterSetting("X", "t"), levels,
+        measurement_map(BeamSplitterSetting("X", "t"), tree,
                         CpmSettings(dispersion_ns_per_nm=7.0), 0.0)
     with pytest.raises(GridMismatch):
         freq_steps(CpmOperatorSettings(rf_frequency_ghz=2.0), grid)
@@ -66,16 +68,17 @@ def test_copy_spacing_overflow_rejected():
         with pytest.raises(ValueError):
             CpmSettings(carrier_wavelength_nm=carrier)
     for dispersion, rf_ghz in ((1e308, 1.25), (10.0, 1e308), (0.0, 1e308)):
-        levels = LevelSpec((Level("t", 100.0, rf_ghz),))
+        tree = LevelTree(Level("T", 300.0, 3.75), Level("t", 100.0, rf_ghz))
         settings = CpmSettings(dispersion_ns_per_nm=dispersion)
         with pytest.raises(GridMismatch, match=r"copy spacing (inf|nan) ps"):
-            measurement_map(BeamSplitterSetting("X", "t"), levels, settings, 0.0)
+            measurement_map(BeamSplitterSetting("X", "t"), tree, settings, 0.0)
 
 
 def _bridges(settings: CpmSettings, level: Level) -> bool:
-    """Whether measurement_map accepts an X splitter on a one-level tree of level."""
+    """Whether measurement_map accepts an X splitter on level, the inner level of a tree."""
+    tree = LevelTree(Level("outer", 2.0 * level.shift_ps, 1.0), level)
     try:
-        measurement_map(BeamSplitterSetting("X", level.name), LevelSpec((level,)), settings, 0.0)
+        measurement_map(BeamSplitterSetting("X", level.name), tree, settings, 0.0)
     except GridMismatch:
         return False
     return True
@@ -110,8 +113,8 @@ def test_truncation_guard():
         CpmOperatorSettings(truncation_order=-1)
 
 
-def test_z_setting_is_identity(levels, base_cpm):
-    a = measurement_map(BeamSplitterSetting("Z", "t"), levels, base_cpm, 0.0)
+def test_z_setting_is_identity(tree, base_cpm):
+    a = measurement_map(BeamSplitterSetting("Z", "t"), tree, base_cpm, 0.0)
     np.testing.assert_array_equal(a, np.eye(4))
     # every column keeps its full probability: efficiency 1
     np.testing.assert_array_equal(np.sum(np.abs(a) ** 2, axis=0), np.ones(4))
@@ -119,12 +122,11 @@ def test_z_setting_is_identity(levels, base_cpm):
 
 @pytest.mark.parametrize("level,partner_steps", [("t", {0: 1, 1: 0, 3: 4, 4: 3}),
                                                  ("T", {0: 3, 3: 0, 1: 4, 4: 1})])
-def test_x_setting_connects_level_partners(levels, grid, base_cpm, layout,
-                                           level, partner_steps):
+def test_x_setting_connects_level_partners(tree, grid, base_cpm, level, partner_steps):
     g_star = solve_balanced_depth()
     j0 = bessel_j(0, g_star)
-    a = measurement_map(BeamSplitterSetting("X", level), levels, base_cpm, 0.0)
-    bin_of_steps = {grid.t_steps(p): b for b, p in enumerate(layout.positions_ps)}
+    a = measurement_map(BeamSplitterSetting("X", level), tree, base_cpm, 0.0)
+    bin_of_steps = {grid.t_steps(p): b for b, p in enumerate(tree.positions_ps)}
     for steps, partner in partner_steps.items():
         b = bin_of_steps[steps]
         assert set(np.flatnonzero(a[:, b])) == {b, bin_of_steps[partner]}
@@ -134,13 +136,13 @@ def test_x_setting_connects_level_partners(levels, grid, base_cpm, layout,
         assert norm == pytest.approx(efficiency(g_star), abs=1e-12)
 
 
-def test_xy_phase_signs(levels, base_cpm):
+def test_xy_phase_signs(tree, base_cpm):
     """|0> picks up J1 e^{-i a} toward |1>; |1> picks up -J1 e^{+i a}."""
     alpha = 0.9
     g_star = solve_balanced_depth()
     j1 = bessel_j(1, g_star)
     a = measurement_map(
-        BeamSplitterSetting("XY", "t", alpha), levels, base_cpm, 0.0
+        BeamSplitterSetting("XY", "t", alpha), tree, base_cpm, 0.0
     )
     fwd = a[1, 0]
     bwd = a[0, 1]
@@ -148,7 +150,7 @@ def test_xy_phase_signs(levels, base_cpm):
     assert bwd == pytest.approx(-j1 * np.exp(1j * alpha), abs=1e-12)
 
 
-def test_two_bin_interference_full_visibility(levels, base_cpm):
+def test_two_bin_interference_full_visibility(tree, base_cpm):
     """(|0> + e^{i phi} |1>)/sqrt(2) on the t level sweeps a full fringe."""
     phi = 1.1
     probe = np.zeros(4, dtype=complex)
@@ -159,7 +161,7 @@ def test_two_bin_interference_full_visibility(levels, base_cpm):
     alphas = -phi + np.linspace(0, 2 * np.pi, 32, endpoint=False)
     for alpha in alphas:
         a = measurement_map(
-            BeamSplitterSetting("XY", "t", alpha), levels, base_cpm, 0.0
+            BeamSplitterSetting("XY", "t", alpha), tree, base_cpm, 0.0
         )
         rates.append(abs((a @ probe)[0]) ** 2)
     rates = np.asarray(rates)
@@ -169,15 +171,28 @@ def test_two_bin_interference_full_visibility(levels, base_cpm):
 
 def test_copy_spacing_must_match_level_shift():
     """Copies 300 ps and 100 ps apart cannot pair bins 600 ps and 200 ps apart."""
-    levels = LevelSpec((Level("T", 600.0, 3.75), Level("t", 200.0, 1.25)))
+    tree = LevelTree(Level("T", 600.0, 3.75), Level("t", 200.0, 1.25))
     for level in ("T", "t"):
         with pytest.raises(GridMismatch, match=f"level {level}: copy spacing"):
-            measurement_map(BeamSplitterSetting("X", level), levels, CpmSettings(), 0.0)
+            measurement_map(BeamSplitterSetting("X", level), tree, CpmSettings(), 0.0)
     # the Z setting does not modulate, so it has no copies to match
-    z = measurement_map(BeamSplitterSetting("Z", "T"), levels, CpmSettings(), 0.0)
+    z = measurement_map(BeamSplitterSetting("Z", "T"), tree, CpmSettings(), 0.0)
     np.testing.assert_array_equal(z, np.eye(4))
 
 
-def test_unknown_level_rejected(levels, base_cpm):
+def test_unknown_level_rejected(tree, base_cpm):
     with pytest.raises(ValueError):
-        measurement_map(BeamSplitterSetting("X", "tau"), levels, base_cpm, 0.0)
+        measurement_map(BeamSplitterSetting("X", "tau"), tree, base_cpm, 0.0)
+
+
+@pytest.mark.parametrize("kind", ["Z", "X", "XY"])
+@pytest.mark.parametrize("level", ["T", "t"])
+def test_measurement_map_matches_any_depth_oracle(tree, base_cpm, kind, level):
+    """The four-bin map equals the any-depth map of the same two levels, bit for bit."""
+    for alpha in np.linspace(-2.0 * np.pi, 4.0 * np.pi, 37):
+        for offset in (0.0, np.pi):
+            setting = BeamSplitterSetting(kind, level, float(alpha))
+            got = measurement_map(setting, tree, base_cpm, offset)
+            want = any_depth_measurement_map(setting, tree_levels(tree), base_cpm, offset)
+            assert got.dtype == want.dtype and got.shape == want.shape == (4, 4)
+            assert got.tobytes() == want.tobytes(), (kind, level, alpha, offset)

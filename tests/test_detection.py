@@ -14,21 +14,17 @@ from clustersim.detection import (
     FRINGE_PROJECTIONS,
     DetectorModel,
     JointTemporalIntensity,
-    Readout,
     WITNESS_BASES,
     build_default_schedule,
     extract_projections,
     fringe_means,
-    jitter_matrices,
     jitter_transition_matrix,
     raw_basis_counts,
     sample_coincidences,
 )
-from clustersim.encoding import Level, LevelSpec
+from clustersim.encoding import Level, LevelTree
 from clustersim.errors import GridMismatch, MissingBasis
 from oracles import (
-    ModeGrid,
-    extend_levels,
     joint_probabilities,
     loop_basis_counts,
     per_phase_fringe_means,
@@ -38,7 +34,7 @@ from oracles import (
 )
 
 
-def test_schedule_structure(schedule, levels):
+def test_schedule_structure(schedule, tree):
     assert len(schedule) == 9
     # every (signal setting, idler setting) combination appears exactly once
     combos = {(p.signal_setting, p.idler_setting) for p in schedule}
@@ -56,7 +52,7 @@ def test_schedule_structure(schedule, levels):
         assert all(settings.count(s) == 3 for s in set(settings))
     # matched settings read a witness basis: X on the outer level reads the
     # outer qubits (T_s, T_i), X on the inner level the inner ones (t_s, t_i)
-    outer = levels.levels[0].name
+    outer = tree.outer.name
     for p in schedule:
         s, i = p.signal_setting, p.idler_setting
         if s != i:
@@ -68,45 +64,33 @@ def test_schedule_structure(schedule, levels):
     assert sorted(p.basis for p in schedule if p.basis) == sorted(WITNESS_BASES)
 
 
-def test_schedule_needs_two_levels(levels, layout, cluster, noiseless_detector, base_cpm):
-    """The readout unpacks (outer, inner), so another depth fails loudly."""
-    three = extend_levels(levels, Level("tau", 900.0, 0.4166666667), ModeGrid())
-    one = LevelSpec(levels.levels[:1])
-    jitter = jitter_matrices(noiseless_detector, layout)
-    for spec in (three, one):
-        with pytest.raises(ValueError, match="values to unpack"):
-            build_default_schedule(spec)
-        with pytest.raises(ValueError, match="values to unpack"):
-            fringe_means(Readout(cluster, spec, base_cpm, noiseless_detector, 1, {}, jitter), 8)
-
-
 def test_first_grid_mismatch_follows_schedule_order(cluster, noiseless_detector, base_cpm):
     """Maps are built in schedule order, so the inner level's X setting is refused first."""
-    wide = LevelSpec((Level("T", 600.0, 3.75), Level("t", 200.0, 1.25)))
+    wide = LevelTree(Level("T", 600.0, 3.75), Level("t", 200.0, 1.25))
     ctx = readout(cluster, noiseless_detector, 1, wide, base_cpm, {"T": 0.9, "t": 0.9})
     with pytest.raises(GridMismatch, match="^level t: "):
         sample_coincidences(ctx, build_default_schedule(wide), SeedSequence(0), True)
 
 
-def test_zzzz_probabilities_are_quarter_diagonal(cluster, levels, schedule, base_cpm):
+def test_zzzz_probabilities_are_quarter_diagonal(cluster, tree, schedule, base_cpm):
     zz = next(
         p for p in schedule
         if p.signal_setting.kind == "Z" and p.idler_setting.kind == "Z"
     )
     probs = joint_probabilities(
-        cluster, zz.signal_setting, zz.idler_setting, levels, base_cpm, {}
+        cluster, zz.signal_setting, zz.idler_setting, tree, base_cpm, {}
     )
     np.testing.assert_allclose(probs, np.diag([0.25] * 4), atol=1e-12)
 
 
-def test_xxzz_has_four_quarter_outcomes(cluster, levels, schedule, base_cpm):
+def test_xxzz_has_four_quarter_outcomes(cluster, tree, schedule, base_cpm):
     xx = next(
         p for p in schedule
         if p.signal_setting.kind == "X" == p.idler_setting.kind
-        and p.signal_setting.level == levels.levels[0].name == p.idler_setting.level
+        and p.signal_setting.level == tree.outer.name == p.idler_setting.level
     )
     probs = joint_probabilities(
-        cluster, xx.signal_setting, xx.idler_setting, levels, base_cpm, {}
+        cluster, xx.signal_setting, xx.idler_setting, tree, base_cpm, {}
     )
     from clustersim.bessel import solve_balanced_depth
     from oracles import efficiency
@@ -118,18 +102,18 @@ def test_xxzz_has_four_quarter_outcomes(cluster, levels, schedule, base_cpm):
     np.testing.assert_allclose(nonzero, [0.25] * 4, atol=1e-12)
 
 
-def test_visibility_penalty_reduces_cross_terms(cluster, levels, schedule, base_cpm):
+def test_visibility_penalty_reduces_cross_terms(cluster, tree, schedule, base_cpm):
     xx = next(
         p for p in schedule
         if p.signal_setting.kind == "X" == p.idler_setting.kind
-        and p.signal_setting.level == p.idler_setting.level == levels.levels[1].name
+        and p.signal_setting.level == p.idler_setting.level == tree.inner.name
     )
     clean = joint_probabilities(
-        cluster, xx.signal_setting, xx.idler_setting, levels, base_cpm, {}
+        cluster, xx.signal_setting, xx.idler_setting, tree, base_cpm, {}
     )
     penalized = joint_probabilities(
-        cluster, xx.signal_setting, xx.idler_setting, levels, base_cpm,
-        {levels.levels[1].name: 0.9},
+        cluster, xx.signal_setting, xx.idler_setting, tree, base_cpm,
+        {tree.inner.name: 0.9},
     )
     # total detected probability is preserved; contrast is compressed
     assert penalized.sum() == pytest.approx(clean.sum(), abs=1e-12)
@@ -142,8 +126,8 @@ def test_visibility_penalty_reduces_cross_terms(cluster, levels, schedule, base_
     assert (a - b) / (a + b) == pytest.approx(0.9, abs=1e-12)
 
 
-def test_jitter_matrix_rows_bounded(layout):
-    k = jitter_transition_matrix(24.8, layout, 50.0)
+def test_jitter_matrix_rows_bounded(tree):
+    k = jitter_transition_matrix(24.8, tree, 50.0)
     assert np.all(k >= 0)
     assert np.all(k.sum(axis=1) <= 1.0 + 1e-12)
     # diagonal dominance: most mass stays in the emitted bin
@@ -151,17 +135,17 @@ def test_jitter_matrix_rows_bounded(layout):
     # one-sided leakage into the 100 ps neighbor is the ~2% erf tail
     assert 0.01 < k[0, 1] < 0.035
     np.testing.assert_array_equal(
-        jitter_transition_matrix(0.0, layout, 50.0), np.eye(4)
+        jitter_transition_matrix(0.0, tree, 50.0), np.eye(4)
     )
 
 
-def test_crosstalk_monotone_in_jitter(cluster, levels, schedule, base_cpm):
+def test_crosstalk_monotone_in_jitter(cluster, tree, schedule, base_cpm):
     zz = schedule[0]
     fractions = []
     for j in (5.0, 17.0, 30.0):
         det = DetectorModel(jitter_signal_ps=j, jitter_idler_ps=j, tdc_jitter_ps=18.0)
         [hist] = sample_coincidences(
-            readout(cluster, det, 10**6, levels, base_cpm, {}), (zz,), SeedSequence(0), True
+            readout(cluster, det, 10**6, tree, base_cpm, {}), (zz,), SeedSequence(0), True
         )
         mean = hist.counts
         off = mean.sum() - np.trace(mean)
@@ -170,10 +154,10 @@ def test_crosstalk_monotone_in_jitter(cluster, levels, schedule, base_cpm):
     assert fractions[1] == pytest.approx(0.043, abs=0.01)
 
 
-def test_sampling_is_deterministic(cluster, schedule, noiseless_detector, levels, base_cpm):
+def test_sampling_is_deterministic(cluster, schedule, noiseless_detector, tree, base_cpm):
     def sample(seed):
         return sample_coincidences(
-            readout(cluster, noiseless_detector, 500, levels, base_cpm, {}), schedule,
+            readout(cluster, noiseless_detector, 500, tree, base_cpm, {}), schedule,
             SeedSequence(seed), False,
         )
 
@@ -187,23 +171,23 @@ def test_sampling_is_deterministic(cluster, schedule, noiseless_detector, levels
     )
 
 
-def test_exact_sampling_matches_means(cluster, schedule, noiseless_detector, levels, base_cpm):
+def test_exact_sampling_matches_means(cluster, schedule, noiseless_detector, tree, base_cpm):
     hists = sample_coincidences(
-        readout(cluster, noiseless_detector, 1000, levels, base_cpm, {}), schedule,
+        readout(cluster, noiseless_detector, 1000, tree, base_cpm, {}), schedule,
         SeedSequence(0), True,
     )
     for h, pairing in zip(hists, schedule):
         mean, _ = per_setting_expected_counts(
-            cluster, pairing, noiseless_detector, 1000, levels, base_cpm, {}
+            cluster, pairing, noiseless_detector, 1000, tree, base_cpm, {}
         )
         np.testing.assert_allclose(h.counts, mean, atol=1e-9)
 
 
 def test_projections_normalized_and_loss_invariant(
-    cluster, schedule, noiseless_detector, levels, base_cpm
+    cluster, schedule, noiseless_detector, tree, base_cpm
 ):
     hists = sample_coincidences(
-        readout(cluster, noiseless_detector, 1, levels, base_cpm, {}), schedule,
+        readout(cluster, noiseless_detector, 1, tree, base_cpm, {}), schedule,
         SeedSequence(0), True,
     )
     proj = extract_projections(raw_basis_counts(hists))
@@ -216,16 +200,16 @@ def test_projections_normalized_and_loss_invariant(
         efficiency=0.2,
     )
     hists2 = sample_coincidences(
-        readout(cluster, lossy, 1, levels, base_cpm, {}), schedule, SeedSequence(0), True
+        readout(cluster, lossy, 1, tree, base_cpm, {}), schedule, SeedSequence(0), True
     )
     proj2 = extract_projections(raw_basis_counts(hists2))
     for basis in WITNESS_BASES:
         np.testing.assert_allclose(proj2[basis], proj[basis], atol=1e-12)
 
 
-def test_raw_counts_conserve_totals(cluster, schedule, noiseless_detector, levels, base_cpm):
+def test_raw_counts_conserve_totals(cluster, schedule, noiseless_detector, tree, base_cpm):
     hists = sample_coincidences(
-        readout(cluster, noiseless_detector, 300, levels, base_cpm, {}), schedule,
+        readout(cluster, noiseless_detector, 300, tree, base_cpm, {}), schedule,
         SeedSequence(3), False,
     )
     raw = raw_basis_counts(hists)
@@ -237,7 +221,7 @@ def test_raw_counts_conserve_totals(cluster, schedule, noiseless_detector, level
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_outcome_fold_matches_loop_oracle(schedule, levels, layout, seed):
+def test_outcome_fold_matches_loop_oracle(schedule, tree, seed):
     rng = np.random.default_rng(seed)
     hists = [
         JointTemporalIntensity(p, rng.uniform(0.0, 1e3, (4, 4)))
@@ -248,29 +232,29 @@ def test_outcome_fold_matches_loop_oracle(schedule, levels, layout, seed):
     for h in hists:
         basis = h.pairing.basis
         if basis is not None:
-            folded[basis] = loop_basis_counts(h.counts, basis, layout)
+            folded[basis] = loop_basis_counts(h.counts, basis, tree.positions_ps)
     assert sorted(folded) == sorted(WITNESS_BASES)
     for basis in WITNESS_BASES:
         np.testing.assert_array_equal(raw[basis], folded[basis])
 
 
-def test_fringe_means_match_per_phase_mixing(cluster, levels, base_cpm):
+def test_fringe_means_match_per_phase_mixing(cluster, tree, base_cpm):
     detector = DetectorModel(dark_coincidence_rate=0.0667, efficiency=0.8)
     penalty = {"T": 0.95, "t": 0.99}
-    means = fringe_means(readout(cluster, detector, 1000, levels, base_cpm, penalty), 12)
+    means = fringe_means(readout(cluster, detector, 1000, tree, base_cpm, penalty), 12)
     assert means.shape == (12, len(FRINGE_PROJECTIONS))
     for row, alpha in zip(means, scan_phases(12)):
-        setting = BeamSplitterSetting("XY", levels.levels[0].name, float(alpha))
-        probs = joint_probabilities(cluster, setting, setting, levels, base_cpm, penalty)
+        setting = BeamSplitterSetting("XY", tree.outer.name, float(alpha))
+        probs = joint_probabilities(cluster, setting, setting, tree, base_cpm, penalty)
         mixed = (1.0 - 0.0667) * probs + 0.0667 * probs.sum() / 16
         for value, (_name, ports, bits, _sign) in zip(row, FRINGE_PROJECTIONS):
             cell = mixed[2 * ports[0] + bits[0], 2 * ports[1] + bits[1]]
             assert value == pytest.approx(1000 * 0.8 * cell, rel=1e-14)
 
 
-def test_missing_basis_detected(cluster, schedule, noiseless_detector, levels, base_cpm):
+def test_missing_basis_detected(cluster, schedule, noiseless_detector, tree, base_cpm):
     hists = sample_coincidences(
-        readout(cluster, noiseless_detector, 100, levels, base_cpm, {}), schedule,
+        readout(cluster, noiseless_detector, 100, tree, base_cpm, {}), schedule,
         SeedSequence(0), True,
     )
     emptied = [
@@ -301,7 +285,7 @@ DETECTORS = [
 ]
 
 
-#: Visibility penalties of no level, one level and both levels.
+#: Visibility penalties of no level, one level and both tree.
 PENALTIES = ({}, {"T": 0.9}, {"T": 0.8, "t": 0.9})
 
 
@@ -313,16 +297,16 @@ def _bits(values) -> np.ndarray:
 @pytest.mark.parametrize("seed", [0, 3, 11])
 @pytest.mark.parametrize("detector", DETECTORS)
 def test_shared_jitter_matches_per_setting_oracle(
-    cluster, schedule, levels, base_cpm, detector, seed, exact
+    cluster, schedule, tree, base_cpm, detector, seed, exact
 ):
     """Histograms and ancillary counts keep their bits when maps and matrices are built once."""
     state = transmit(cluster, FiberLink())
     for penalty in PENALTIES:
         # a fresh SeedSequence each time: spawning advances its child counter
-        new = sample_coincidences(readout(state, detector, 1000, levels, base_cpm, penalty),
+        new = sample_coincidences(readout(state, detector, 1000, tree, base_cpm, penalty),
                                   schedule, SeedSequence(seed), exact)
         old = per_setting_sample_coincidences(state, schedule, detector, 1000, penalty,
-                                              SeedSequence(seed), levels, base_cpm, exact)
+                                              SeedSequence(seed), tree, base_cpm, exact)
         for h_new, h_old in zip(new, old, strict=True):
             assert h_new.pairing == h_old.pairing
             np.testing.assert_array_equal(_bits(h_new.counts), _bits(h_old.counts))
@@ -330,22 +314,22 @@ def test_shared_jitter_matches_per_setting_oracle(
 
 
 @pytest.mark.parametrize("penalty", PENALTIES, ids=["no-penalty", "T", "T-t"])
-def test_fringe_means_match_per_phase_oracle(cluster, levels, base_cpm, penalty):
+def test_fringe_means_match_per_phase_oracle(cluster, tree, base_cpm, penalty):
     """One map set per phase for both photons, through identity jitter, keeps every bit."""
     state = transmit(cluster, FiberLink())
     detector = DetectorModel(dark_coincidence_rate=0.0667, efficiency=0.7)
-    new = fringe_means(readout(state, detector, 2473, levels, base_cpm, penalty), 24)
-    old = per_phase_fringe_means(state, detector, 2473, levels, 24, base_cpm, penalty)
+    new = fringe_means(readout(state, detector, 2473, tree, base_cpm, penalty), 24)
+    old = per_phase_fringe_means(state, detector, 2473, tree, 24, base_cpm, penalty)
     np.testing.assert_array_equal(_bits(new), _bits(old))
 
 
 @pytest.mark.parametrize("penalty", [{}, {"T": 0.8, "t": 0.9}], ids=["no-penalty", "T-t"])
 @pytest.mark.parametrize("detector", DETECTORS)
-def test_exact_counts_conserve_retained_pairs(cluster, schedule, levels, base_cpm, detector,
+def test_exact_counts_conserve_retained_pairs(cluster, schedule, tree, base_cpm, detector,
                                               penalty):
     """Every retained pair is a coincidence (signal or background) or an ancillary count."""
     state = transmit(cluster, FiberLink())
-    hists = sample_coincidences(readout(state, detector, 1000, levels, base_cpm, penalty),
+    hists = sample_coincidences(readout(state, detector, 1000, tree, base_cpm, penalty),
                                 schedule, SeedSequence(0), True)
     retained = 1000 * detector.efficiency * state.norm_tracking
     for h in hists:

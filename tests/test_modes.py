@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from clustersim import modes
 from clustersim.detection import IDLER, SIGNAL
-from clustersim.encoding import Level, LevelSpec, layout_from_levels
+from clustersim.encoding import Level, LevelTree
 from oracles import ModeGrid
 from sparse_oracle import (
     JointTwoPhotonState,
@@ -44,11 +44,11 @@ def test_bin_pair_state_is_a_read_only_square_matrix():
 
 
 def test_state_json_keys_amplitudes_by_bin_position():
-    """Positions are the layout's, as floats, on or off the 100 ps grid."""
-    layout = layout_from_levels(LevelSpec((Level("T", 150.0, 1.0), Level("t", 50.0, 1.0))))
+    """Positions are the tree's, as floats, on or off the 100 ps grid."""
+    tree = LevelTree(Level("T", 150.0, 1.0), Level("t", 50.0, 1.0))
     amps = np.zeros((4, 4), dtype=complex)
     amps[0, 0], amps[3, 1] = 0.6, 0.8j
-    doc = modes.state_to_json(modes.JointTwoPhotonState(amps, 0.5), layout)
+    doc = modes.state_to_json(modes.JointTwoPhotonState(amps, 0.5), tree)
     assert doc == {
         "amplitudes": [
             {"signal_ps": 0.0, "idler_ps": 0.0, "re": 0.6, "im": 0.0},

@@ -13,8 +13,8 @@ import pytest
 from clustersim import cpm, detection, modes
 from clustersim.cpm import BeamSplitterSetting, CpmSettings
 from clustersim.detection import IDLER, SIGNAL
-from clustersim.encoding import default_levels, layout_from_levels
-from oracles import ModeGrid, joint_probabilities
+from clustersim.encoding import DEFAULT_TREE
+from oracles import ModeGrid, joint_probabilities, tree_levels
 from sparse_oracle import (
     JointTwoPhotonState,
     TimeFreqMode,
@@ -110,31 +110,29 @@ def test_random_maps_match_dense(case):
 @pytest.mark.parametrize("kind,level", [("Z", "t"), ("X", "t"), ("X", "T"), ("XY", "T")])
 def test_measurement_maps_match_dense(kind, level):
     rng = np.random.default_rng(7)
-    levels = default_levels()
-    layout = layout_from_levels(levels)
+    levels, positions = tree_levels(DEFAULT_TREE), DEFAULT_TREE.positions_ps
     grid = ModeGrid()
     state, v = random_state(rng, grid)
     setting = BeamSplitterSetting(kind, level, alpha=0.9)
-    pm = measurement_map(setting, levels, CpmSettings(), grid, layout)
+    pm = measurement_map(setting, levels, CpmSettings(), grid, positions)
     out = apply_single_photon_map(state, SIGNAL, pm.mode_map)
     a = dense_matrix_from_mode_map(pm.mode_map)
     np.testing.assert_allclose(dense_from_state(out), a @ v, atol=1e-10)
 
 
 def test_joint_probabilities_match_dense():
-    levels = default_levels()
-    layout = layout_from_levels(levels)
+    levels, positions = tree_levels(DEFAULT_TREE), DEFAULT_TREE.positions_ps
     grid = ModeGrid()
     rng = np.random.default_rng(11)
     state, v = random_state(rng, grid)
     ss = BeamSplitterSetting("XY", "T", 0.4)
     si = BeamSplitterSetting("X", "t")
-    probs = joint_outcome_probabilities(state, ss, si, levels, CpmSettings(), layout, {})
+    probs = joint_outcome_probabilities(state, ss, si, levels, CpmSettings(), positions, {})
     a_s = dense_matrix_from_mode_map(
-        measurement_map(ss, levels, CpmSettings(), grid, layout).mode_map
+        measurement_map(ss, levels, CpmSettings(), grid, positions).mode_map
     )
     a_i = dense_matrix_from_mode_map(
-        measurement_map(si, levels, CpmSettings(), grid, layout).mode_map
+        measurement_map(si, levels, CpmSettings(), grid, positions).mode_map
     )
     ref_amp = a_s @ v @ a_i.T
     steps_of_bin = [0, 1, 3, 4]
@@ -159,8 +157,7 @@ def random_setting(rng):
 def test_product_path_matches_dense(case):
     """Bin-pair matrices and joint probabilities on the frequency-0 block."""
     rng = np.random.default_rng(2000 + case)
-    levels = default_levels()
-    layout = layout_from_levels(levels)
+    levels, positions = tree_levels(DEFAULT_TREE), DEFAULT_TREE.positions_ps
     grid = ModeGrid()
     psi = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     psi /= np.linalg.norm(psi)
@@ -172,20 +169,20 @@ def test_product_path_matches_dense(case):
 
     for setting in (ss, si):
         a = dense_matrix_from_mode_map(
-            measurement_map(setting, levels, CpmSettings(), grid, layout).mode_map
+            measurement_map(setting, levels, CpmSettings(), grid, positions).mode_map
         )
-        product = cpm.measurement_map(setting, levels, CpmSettings(), 0.0)
+        product = cpm.measurement_map(setting, DEFAULT_TREE, CpmSettings(), 0.0)
         np.testing.assert_allclose(product, a[np.ix_(F0, F0)], atol=1e-10)
 
-    probs = joint_probabilities(state, ss, si, levels, CpmSettings(), penalty)
+    probs = joint_probabilities(state, ss, si, DEFAULT_TREE, CpmSettings(), penalty)
     ref = np.zeros((4, 4))
     for ws, offs in detection._penalty_branches(ss, penalty):
         for wi, offi in detection._penalty_branches(si, penalty):
             a_s = dense_matrix_from_mode_map(
-                measurement_map(ss, levels, CpmSettings(), grid, layout, offs).mode_map
+                measurement_map(ss, levels, CpmSettings(), grid, positions, offs).mode_map
             )
             a_i = dense_matrix_from_mode_map(
-                measurement_map(si, levels, CpmSettings(), grid, layout, offi).mode_map
+                measurement_map(si, levels, CpmSettings(), grid, positions, offi).mode_map
             )
             ref += ws * wi * np.abs((a_s @ block @ a_i.T)[np.ix_(F0, F0)]) ** 2
     np.testing.assert_allclose(probs, ref, atol=1e-10)
