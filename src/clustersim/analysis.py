@@ -1,25 +1,31 @@
-"""Witness, fringe-fit and capacity analysis.
+"""The stabilizer witness, fringe fit and capacity, as the documents the CLI writes.
 
-The entanglement witness W = 2 - (1/2) * sum of six stabilizer
-expectations is negative only for states carrying genuine four-partite
-entanglement near the target cluster state; W = -1 on the ideal state
-and the fidelity obeys F >= (1 - W)/2.
+The witness runs from the three matched bin-pair histograms
+(raw_basis_counts, extract_projections) to the witness.json payload
+(witness); every error bar reads one (3, 3) table, class_totals.  W = 2 -
+(1/2) * sum of six stabilizer expectations is negative only for states
+carrying genuine four-partite entanglement near the target cluster state;
+W = -1 on the ideal state and the fidelity obeys F >= (1 - W)/2.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientScan
+from .errors import InsufficientScan, MissingBasis
+
+#: Witness bases in qubit order (T_s, T_i, t_s, t_i), in the order of the
+#: per-photon settings that read them: Z, X on the inner level, X on the
+#: outer level.
+WITNESS_BASES = ("ZZZZ", "ZZXX", "XXZZ")
 
 # Operator strings over qubit order (T_s, T_i, t_s, t_i).
 STABILIZER_TERMS = ("11ZZ", "ZZ11", "1ZXX", "Z1XX", "XX1Z", "XXZ1")
 
-#: Witness basis (from detection.WITNESS_BASES) measuring each term.
+#: Witness basis measuring each term.
 TERM_BASIS = {
     "11ZZ": "ZZZZ",
     "ZZ11": "ZZZZ",
@@ -42,6 +48,48 @@ WITNESS_HIST_BINS = 80
 MC_CHUNK = 16_384
 
 
+def raw_basis_counts(histograms: list) -> dict[str, np.ndarray]:
+    """Raw (unnormalized) 16-outcome counts for each witness basis.
+
+    A cell (signal bin, idler bin) of a detection.sample_coincidences
+    histogram carries the bits (T_s, t_s, T_i, t_i), and its outcome index
+    reads (T_s, T_i, t_s, t_i), so the fold is a fixed permutation of the 16
+    cells: swap the middle two bits, then flip the bits of the X-read
+    qubits.  Z-read levels report the branch bit directly; X-read levels
+    report the splitter output port, whose "+1" port is the opposite bin
+    (the J0 path keeps the bin, so a photon surfacing in its partner bin
+    took the interference path).  The convention is pinned by requiring all
+    six stabilizer expectations to be +1 on the ideal state.  No efficiency
+    correction or normalization is applied, so these are the counts whose
+    class_totals the error bars resample.
+    """
+    out: dict[str, np.ndarray] = {}
+    for h in histograms:
+        basis = h.pairing.basis
+        if basis is None or basis in out:
+            continue
+        bits = h.counts.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
+        x_read = tuple(k for k, op in enumerate(basis) if op == "X")
+        out[basis] = np.flip(bits, axis=x_read).ravel()
+    return {b: out[b] for b in WITNESS_BASES}
+
+
+def extract_projections(raw_counts: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """48 normalized projection values: 3 witness bases x 16 outcomes.
+
+    Each basis of raw_basis_counts is normalized to sum 1, so a per-basis
+    throughput factor such as the splitter efficiency eta(g*) of X-read
+    photons cancels.
+    """
+    out: dict[str, np.ndarray] = {}
+    for basis, values in raw_counts.items():
+        total = values.sum()
+        if total <= 0:
+            raise MissingBasis(f"basis {basis} has no counts")
+        out[basis] = values / total
+    return out
+
+
 def term_signs(term: str) -> np.ndarray:
     """Eigenvalue product (+/-1) of a term for each of the 16 outcomes.
 
@@ -56,37 +104,27 @@ def term_signs(term: str) -> np.ndarray:
     return signs
 
 
-def stabilizer_expectation(term: str, projections: dict[str, np.ndarray]) -> float:
-    """<term> from the normalized 16-outcome distribution of its basis."""
-    values = np.asarray(projections[TERM_BASIS[term]], dtype=float)
-    return float(term_signs(term) @ values)
+def witness(
+    projections: dict[str, np.ndarray], stderr: float | None, stderr_delta: float | None
+) -> dict:
+    """The witness.json payload from the 48 normalized projections.
 
-
-@dataclass(frozen=True)
-class WitnessReport:
-    expectations: tuple[float, ...]
-    witness: float
-    stderr: float | None
-    fidelity_bound: float
-    term_pass: tuple[bool, ...]  # each expectation > 2/3
-    mean_pass: bool  # mean of expectations > 2/3
-
-    def certifies_entanglement(self) -> bool:
-        return self.witness < 0.0
-
-
-def witness(projections: dict[str, np.ndarray], stderr: float | None) -> WitnessReport:
-    """Witness report from the 48 normalized projections; stderr is None in exact mode."""
-    exps = tuple(stabilizer_expectation(t, projections) for t in STABILIZER_TERMS)
+    stderr and stderr_delta are the resampled and delta-method errors of
+    W, None in exact mode.
+    """
+    exps = [float(term_signs(t) @ projections[TERM_BASIS[t]]) for t in STABILIZER_TERMS]
     w = 2.0 - 0.5 * sum(exps)
-    return WitnessReport(
-        expectations=exps,
-        witness=w,
-        stderr=stderr,
-        fidelity_bound=(1.0 - w) / 2.0,
-        term_pass=tuple(e > STABILIZER_THRESHOLD for e in exps),
-        mean_pass=(sum(exps) / len(exps)) > STABILIZER_THRESHOLD,
-    )
+    return {
+        "stabilizer_terms": list(STABILIZER_TERMS),
+        "expectations": exps,
+        "witness": w,
+        "stderr": stderr,
+        "stderr_delta": stderr_delta,
+        "fidelity_bound": (1.0 - w) / 2.0,
+        "term_pass": [e > STABILIZER_THRESHOLD for e in exps],
+        "mean_pass": sum(exps) / len(exps) > STABILIZER_THRESHOLD,
+        "certifies_entanglement": w < 0.0,
+    }
 
 
 def outcome_classes(basis_order: tuple[str, ...]) -> np.ndarray:
@@ -102,24 +140,24 @@ def outcome_classes(basis_order: tuple[str, ...]) -> np.ndarray:
     return np.stack([sign_sum == 2.0, sign_sum == -2.0, sign_sum == 0.0], axis=1)
 
 
-def _class_means(raw_counts: dict[str, np.ndarray]) -> np.ndarray:
-    """(bases, 3) class totals of the raw counts, the means to resample."""
+def class_totals(raw_counts: dict[str, np.ndarray]) -> np.ndarray:
+    """(bases, 3) class totals of the raw counts: the table every error bar reads."""
     basis_order = tuple(raw_counts.keys())
     base = np.stack([np.asarray(raw_counts[b], dtype=float) for b in basis_order])
     return np.einsum("bco,bo->bc", outcome_classes(basis_order), base)
 
 
-def _witness_chunk(lam: np.ndarray, seed: np.random.SeedSequence, out: np.ndarray) -> None:
+def _witness_chunk(totals: np.ndarray, seed: np.random.SeedSequence, out: np.ndarray) -> None:
     """Fill out with the witness of len(out) resamplings drawn from seed.
 
-    Basis by basis, A+, A- and A0 are drawn from Poisson(lam) and
+    Basis by basis, A+, A- and A0 are drawn from Poisson(totals) and
     (A+ - A-) / N is subtracted from 2.  When N = 0, A+ - A- is 0 too, so
     dividing by max(N, 1) gives the 0 an empty basis contributes.
     """
     rng = np.random.default_rng(seed)
     n = len(out)
     out.fill(2.0)
-    for plus_mean, minus_mean, mixed_mean in lam:
+    for plus_mean, minus_mean, mixed_mean in totals:
         plus = rng.poisson(plus_mean, size=n)
         minus = rng.poisson(minus_mean, size=n)
         total = rng.poisson(mixed_mean, size=n)
@@ -140,28 +178,27 @@ def _workers(n_chunks: int) -> int:
 
 
 def resample_witness(
-    raw_counts: dict[str, np.ndarray], samples: int, seed: np.random.SeedSequence
+    totals: np.ndarray, samples: int, seed: np.random.SeedSequence
 ) -> np.ndarray:
     """Witness values of `samples` Poisson resamplings of the raw counts.
 
     The witness depends on a basis's counts only through its three class
-    totals (see outcome_classes), and a sum of independent Poisson counts
-    is Poisson.  So each class total is drawn from Poisson(total), 9 draws
-    per sample in place of 48, which gives the same witness distribution
-    as redrawing each raw count from Poisson(count).
+    totals (class_totals), and a sum of independent Poisson counts is
+    Poisson.  So each class total is drawn from Poisson(total), 9 draws per
+    sample in place of 48, which gives the same witness distribution as
+    redrawing each raw count from Poisson(count).
 
     Samples are drawn in chunks of MC_CHUNK, chunk i from the i-th child
     that seed spawns (so a reused seed spawns other children), on a thread
     per core (numpy's Poisson sampler releases the GIL).  Each chunk depends
     only on (seed, i), so the values are the same on any number of threads.
     """
-    lam = _class_means(raw_counts)
     values = np.empty(samples)
     starts = range(0, samples, MC_CHUNK)
     seeds = seed.spawn(len(starts))
 
     def chunk(i: int) -> None:
-        _witness_chunk(lam, seeds[i], values[starts[i] : starts[i] + MC_CHUNK])
+        _witness_chunk(totals, seeds[i], values[starts[i] : starts[i] + MC_CHUNK])
 
     from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
 
@@ -171,45 +208,36 @@ def resample_witness(
 
 
 def monte_carlo_error(
-    raw_counts: dict[str, np.ndarray], samples: int, seed: np.random.SeedSequence
+    totals: np.ndarray, samples: int, seed: np.random.SeedSequence
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Poisson-resampling standard error of the witness.
+    """Poisson-resampling standard error of the witness from its class totals.
 
     The witness is recomputed for `samples` resamplings of the counts (see
     resample_witness).  Returns (stderr, histogram counts, histogram bin
     edges).  The standard deviation is taken in place after the histogram,
     so only the one array of values is held.
     """
-    values = resample_witness(raw_counts, samples, seed)
+    values = resample_witness(totals, samples, seed)
     hist, edges = np.histogram(values, bins=WITNESS_HIST_BINS)
     values -= values.mean()
     np.square(values, out=values)
     return math.sqrt(values.mean()), hist, edges
 
 
-def delta_method_stderr(raw_counts: dict[str, np.ndarray]) -> float:
-    """First-order standard error of the witness for independent Poisson counts.
+def delta_method_stderr(totals: np.ndarray) -> float:
+    """First-order standard error of the witness from its class totals.
 
     A basis adds r = (A+ - A-) / N to 2 - W, with N = A+ + A- + A0.  Its
     gradient along a class with weight w (+1, -1, 0) is (w - r) / N, and
     each class total's variance is its mean, so the basis contributes
     sum_c (w_c - r)^2 A_c / N^2 to the variance.  Empty bases contribute 0.
     """
-    lam = _class_means(raw_counts)
-    total = lam.sum(axis=1)
+    total = totals.sum(axis=1)
     safe = np.where(total > 0.0, total, 1.0)
-    ratio = (lam[:, 0] - lam[:, 1]) / safe
+    ratio = (totals[:, 0] - totals[:, 1]) / safe
     weights = np.array([1.0, -1.0, 0.0])
-    var = ((weights - ratio[:, None]) ** 2 * lam).sum(axis=1) / safe**2
+    var = ((weights - ratio[:, None]) ** 2 * totals).sum(axis=1) / safe**2
     return float(math.sqrt(var.sum()))
-
-
-@dataclass(frozen=True)
-class InterferenceFit:
-    visibility: float
-    phase_offset: float
-    harmonic: int  # fitted k in A(1 + V cos(k alpha + phi0))
-    chsh_pass: bool
 
 
 def scan_phases(n: int) -> np.ndarray:
@@ -217,8 +245,8 @@ def scan_phases(n: int) -> np.ndarray:
     return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
 
 
-def fit_interference(rates) -> InterferenceFit:
-    """Least-squares fit of a coincidence fringe A(1 + V cos(k a + phi0)).
+def fit_interference(rates, expected_sign: int) -> dict:
+    """Least-squares fit of a fringe A(1 + V cos(k a + phi0)), as fringe.json holds it.
 
     rates[j] is the rate at scan_phases(n)[j].  On that scan 1, cos(k a) and
     sin(k a) are orthogonal for every k in FIT_HARMONICS once n >=
@@ -227,7 +255,8 @@ def fit_interference(rates) -> InterferenceFit:
     The residual is sum r^2 - n c0^2 - (n/2)(c1^2 + c2^2), so the k that
     captures the most power c1^2 + c2^2 fits best; it is reported via
     `harmonic`.  Powers within rounding of each other (a flat scan) keep the
-    first k.
+    first k.  sign_match compares expected_sign, the sign of the ideal
+    fringe's cos term, with the fitted one: +1 if |phi0| < pi/2, else -1.
     """
     rates = np.asarray(rates, dtype=float)
     n = len(rates)
@@ -244,12 +273,15 @@ def fit_interference(rates) -> InterferenceFit:
             best_k, best_c, best_power = k, c, power
     c1, c2 = best_c
     vis = min(float(np.hypot(c1, c2) / c0), 1.0)
-    return InterferenceFit(
-        visibility=vis,
-        phase_offset=float(math.atan2(-c2, c1)),
-        harmonic=best_k,
-        chsh_pass=vis > CHSH_THRESHOLD,
-    )
+    phase = float(math.atan2(-c2, c1))
+    return {
+        "visibility": vis,
+        "phase_offset": phase,
+        "harmonic": best_k,
+        "chsh_pass": vis > CHSH_THRESHOLD,
+        "expected_sign": expected_sign,
+        "sign_match": (1 if abs(phase) < math.pi / 2 else -1) == expected_sign,
+    }
 
 
 def multiplex_budget(

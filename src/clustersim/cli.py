@@ -462,8 +462,8 @@ def cmd_measure(cfg, outdir: Path, stamp: str, exact: bool) -> int:
 
 
 def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
-    raw = detection.raw_basis_counts(_sampled_histograms(cfg, exact))
-    projections = detection.extract_projections(raw)
+    raw = analysis.raw_basis_counts(_sampled_histograms(cfg, exact))
+    projections = analysis.extract_projections(raw)
     rows = [
         (basis, outcome, projections[basis][outcome])
         for basis in projections
@@ -473,28 +473,19 @@ def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
               ["basis", "outcome", "value"], rows, stamp)
     stderr = stderr_delta = None
     if not exact:
+        totals = analysis.class_totals(raw)
         stderr, hist, edges = analysis.monte_carlo_error(
-            raw, int(cfg["analysis"]["mc_samples"]), stream(cfg["seed"], "witness")
+            totals, int(cfg["analysis"]["mc_samples"]), stream(cfg["seed"], "witness")
         )
-        stderr_delta = analysis.delta_method_stderr(raw)
+        stderr_delta = analysis.delta_method_stderr(totals)
         write_csv(outdir / "witness_hist.csv",
                   ["bin_left", "bin_right", "count"],
                   [(edges[i], edges[i + 1], int(hist[i])) for i in range(len(hist))],
                   stamp)
-    report = analysis.witness(projections, stderr)
-    write_json(outdir / "witness.json", {
-        "stabilizer_terms": list(analysis.STABILIZER_TERMS),
-        "expectations": list(report.expectations),
-        "witness": report.witness,
-        "stderr": report.stderr,
-        "stderr_delta": stderr_delta,
-        "fidelity_bound": report.fidelity_bound,
-        "term_pass": list(report.term_pass),
-        "mean_pass": report.mean_pass,
-        "certifies_entanglement": report.certifies_entanglement(),
-    }, stamp)
+    report = analysis.witness(projections, stderr, stderr_delta)
+    write_json(outdir / "witness.json", report, stamp)
     err = f" +/- {stderr:.4f}" if stderr is not None else ""
-    print(f"W = {report.witness:+.4f}{err}; F >= {report.fidelity_bound:.4f}")
+    print(f"W = {report['witness']:+.4f}{err}; F >= {report['fidelity_bound']:.4f}")
     return 0
 
 
@@ -509,16 +500,7 @@ def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     alphas = analysis.scan_phases(n_points)
     rows, fits = [], {}
     for (name, _ports, _bits, sign), column in zip(detection.FRINGE_PROJECTIONS, rates.T):
-        fit = analysis.fit_interference(column)
-        fitted_sign = 1 if abs(fit.phase_offset) < math.pi / 2 else -1
-        fits[name] = {
-            "visibility": fit.visibility,
-            "phase_offset": fit.phase_offset,
-            "harmonic": fit.harmonic,
-            "chsh_pass": fit.chsh_pass,
-            "expected_sign": sign,
-            "sign_match": fitted_sign == sign,
-        }
+        fits[name] = analysis.fit_interference(column, sign)
         rows += [(name, a, r) for a, r in zip(alphas, column)]
     write_csv(outdir / "fringe.csv", ["projection", "alpha_rad", "rate"], rows, stamp)
     write_json(outdir / "fringe.json", {"fits": fits}, stamp)
@@ -539,7 +521,7 @@ def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     for sep in wf["separations_ps"]:
         ys = waveform.visibility_bound(sep, fwhm, dispersions, carrier).tolist()
         rows += [(disp, sep, vis) for disp, vis in zip(dispersions, ys)]
-        curves[f"{sep:g} ps"] = (dispersions, ys)
+        curves[f"{sep:.12g} ps"] = (dispersions, ys)
     write_csv(outdir / "visibility.csv",
               ["dispersion_ns_per_nm", "separation_ps", "visibility"], rows, stamp)
     if cfg["svg"]:

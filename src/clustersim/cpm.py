@@ -64,17 +64,12 @@ class BeamSplitterSetting:
     """Per-photon, per-level measurement choice.
 
     kind "Z": unmodulated, computational basis.
-    kind "X": balanced splitter, alpha = 0.
-    kind "XY": balanced splitter with basis rotation angle alpha.
+    kind "X": balanced splitter with basis rotation angle (RF phase) alpha.
     """
 
     kind: str
     level: str
     alpha: float = 0.0
-
-    @property
-    def effective_alpha(self) -> float:
-        return 0.0 if self.kind == "X" else float(np.mod(self.alpha, 2.0 * np.pi))
 
 
 def measurement_map(
@@ -87,9 +82,9 @@ def measurement_map(
 
     The matrix spans the tree's four bins; a level's partner bin is the bin
     with that level's bit (LevelTree.level) flipped.  Z is the identity.
-    X/XY act as the ideal pairwise splitter derived from the CPM operator
+    X acts as the ideal pairwise splitter derived from the CPM operator
     truncated to the orders that connect a bin to its partner on the
-    measured level:
+    measured level, at alpha = setting.alpha mod 2 pi:
 
         |0> -> J0 |0> + J1 e^{-i alpha} |1>
         |1> -> J0 |1> - J1 e^{+i alpha} |0>
@@ -115,7 +110,7 @@ def measurement_map(
         )
     row = bessel_row(solve_balanced_depth(), 1)
     j0, j1 = float(row[0]), float(row[1])
-    alpha = setting.effective_alpha + alpha_offset
+    alpha = float(np.mod(setting.alpha, 2.0 * np.pi)) + alpha_offset
 
     fwd = complex(j1 * np.exp(-1j * alpha))
     bwd = complex(-j1 * np.exp(1j * alpha))

@@ -3,11 +3,12 @@
 One 180 ns RF frame holds 18 segments of 10 ns; interleaving signal and
 idler segments (48 ns apart, 5 segments) realizes all nine joint
 beam-splitter settings in parallel.  The schedule is those nine pairings,
-and each names the witness basis it reads, if any.  Every readout takes one
-path: the splitter maps of each distinct setting (branch_maps, with the
-interference-visibility penalty) give exact output-bin probabilities, and
-detected_means applies detector jitter and uniform background; the schedule's
-means are then realized as Poisson counts.
+and each names the witness basis (analysis.WITNESS_BASES) it reads, if any.
+Every readout takes one path: the splitter maps of each distinct setting
+(branch_maps, with the interference-visibility penalty) give exact
+output-bin probabilities, and detected_means applies detector jitter and
+uniform background; the schedule's means are then realized as Poisson
+counts, the bin-pair histograms that analysis folds into the witness.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import scan_phases
+from .analysis import WITNESS_BASES, scan_phases
 from .cpm import BeamSplitterSetting, CpmSettings, measurement_map
 from .encoding import LevelTree
-from .errors import MissingBasis
 from .modes import JointTwoPhotonState, clean
 
 SIGNAL = "signal"
@@ -31,11 +31,6 @@ IDLER = "idler"
 #: lags its signal partner (50 ns ~ the 48 ns pair separation).
 FRAME_SEGMENTS = 18
 IDLER_LAG = 5
-
-#: Witness bases in qubit order (T_s, T_i, t_s, t_i), in the order of the
-#: per-photon settings that read them: Z, X on the inner level, X on the
-#: outer level.
-WITNESS_BASES = ("ZZZZ", "ZZXX", "XXZZ")
 
 
 @dataclass(frozen=True)
@@ -245,7 +240,7 @@ FRINGE_PROJECTIONS = (
 def fringe_means(readout: Readout, n_points: int) -> np.ndarray:
     """(n_points, 4) mean counts of FRINGE_PROJECTIONS over a fringe scan.
 
-    Both photons' outer level is read by the same XY splitter at each phase
+    Both photons' outer level is read by the same X splitter at each phase
     of analysis.scan_phases(n_points), so one set of branch maps serves
     both.  The means go through detected_means with identity jitter
     matrices: background is mixed in, but no jitter window is applied yet.
@@ -256,7 +251,7 @@ def fringe_means(readout: Readout, n_points: int) -> np.ndarray:
     idler_bins = [(ports[1] << 1) | bits[1] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     means = np.empty((n_points, len(FRINGE_PROJECTIONS)))
     for j, alpha in enumerate(scan_phases(n_points)):
-        maps = branch_maps(BeamSplitterSetting("XY", outer, float(alpha)), readout)
+        maps = branch_maps(BeamSplitterSetting("X", outer, float(alpha)), readout)
         probs = joint_outcome_probabilities(readout.state, maps, maps)
         mean, _ = detected_means(probs, (identity, identity), readout)
         means[j] = mean[signal_bins, idler_bins]
@@ -290,45 +285,4 @@ def sample_coincidences(
             counts = rng.poisson(mean).astype(float)
             anc = float(rng.poisson(ancillary))
         out.append(JointTemporalIntensity(pairing, counts, anc))
-    return out
-
-
-def raw_basis_counts(histograms: list[JointTemporalIntensity]) -> dict[str, np.ndarray]:
-    """Raw (unnormalized) 16-outcome counts for each witness basis.
-
-    A histogram cell (signal bin, idler bin) carries the bits
-    (T_s, t_s, T_i, t_i), and its outcome index reads (T_s, T_i, t_s, t_i),
-    so the fold is a fixed permutation of the 16 cells: swap the middle two
-    bits, then flip the bits of the X-read qubits.  Z-read levels report the
-    branch bit directly; X-read levels report the splitter output port,
-    whose "+1" port is the opposite bin (the J0 path keeps the bin, so a
-    photon surfacing in its partner bin took the interference path).  The
-    convention is pinned by requiring all six stabilizer expectations to be
-    +1 on the ideal state.  No efficiency correction or normalization is
-    applied, so these are the counts to feed into Poisson resampling.
-    """
-    out: dict[str, np.ndarray] = {}
-    for h in histograms:
-        basis = h.pairing.basis
-        if basis is None or basis in out:
-            continue
-        bits = h.counts.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3)
-        x_read = tuple(k for k, op in enumerate(basis) if op == "X")
-        out[basis] = np.flip(bits, axis=x_read).ravel()
-    return {b: out[b] for b in WITNESS_BASES}
-
-
-def extract_projections(raw_counts: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """48 normalized projection values: 3 witness bases x 16 outcomes.
-
-    Each basis of raw_basis_counts is normalized to sum 1, so a per-basis
-    throughput factor such as the splitter efficiency eta(g*) of X-read
-    photons cancels.
-    """
-    out: dict[str, np.ndarray] = {}
-    for basis, values in raw_counts.items():
-        total = values.sum()
-        if total <= 0:
-            raise MissingBasis(f"basis {basis} has no counts")
-        out[basis] = values / total
     return out

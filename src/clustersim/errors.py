@@ -14,7 +14,7 @@ class GridMismatch(ClusterSimError):
 
 
 class MissingBasis(ClusterSimError):
-    """A witness basis has no counts (detection.extract_projections)."""
+    """A witness basis has no counts (analysis.extract_projections)."""
 
 
 class InsufficientScan(ClusterSimError):

@@ -15,12 +15,12 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
   reference of the checks, `positions_ps` and `min_spacing_ps` of
   `encoding.LevelTree`), `extend_levels` and `uniform_shift_offsets`;
   `tree_levels` gives a tree's levels as such a tuple.
-- `any_depth_measurement_map`, the splitter matrix over the bins of a tree
-  of any depth, with a level's bit found by its depth; the reference of
-  the four-bin `cpm.measurement_map`.
+- `any_depth_measurement_map`, the splitter matrix (Z, or X at a phase)
+  over the bins of a tree of any depth, with a level's bit found by its
+  depth; the reference of the four-bin `cpm.measurement_map`.
 - `outcome_index` and `loop_basis_counts`, the per-cell loop that folds a
   bin-pair histogram into a basis's 16 outcome counts, the reference of
-  `detection.raw_basis_counts`; `loop_term_signs`, the per-outcome loop of
+  `analysis.raw_basis_counts`; `loop_term_signs`, the per-outcome loop of
   a term's eigenvalue signs, the reference of `analysis.term_signs`.
 - `lstsq_fringe_fit`, the least-squares fringe fit on any scan phases, the
   reference of the Fourier sums in `analysis.fit_interference`.
@@ -52,7 +52,8 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
   `joint_probabilities` runs the product's maps and probabilities for two
   settings.
 - `witness_sigma`, the closed-form standard deviation of the resampled
-  witness, built from `inverse_count_mean` (E[1/N; N >= 1] of a Poisson N)
+  witness from the (3, 3) table of `analysis.class_totals` that the error
+  bars read, built from `inverse_count_mean` (E[1/N; N >= 1] of a Poisson N)
   and `class_total_variance`; the reference of `analysis.monte_carlo_error`.
 """
 
@@ -308,16 +309,13 @@ def class_total_variance(plus: float, minus: float, mixed: float) -> float:
     return s * inverse_count_mean(lam) + d * d * q * (1.0 - q)
 
 
-def witness_sigma(raw_counts: dict[str, np.ndarray]) -> float:
-    """Standard deviation of the witness under Poisson resampling of raw_counts.
+def witness_sigma(totals: np.ndarray) -> float:
+    """Standard deviation of the witness under Poisson resampling of its class totals.
 
-    W = 2 - sum over bases of r_b, each r_b a function of its basis's three
-    class totals (analysis.outcome_classes), and the bases are independent.
+    W = 2 - sum over bases of r_b, each r_b a function of its basis's row of
+    totals (analysis.class_totals), and the bases are independent.
     """
-    basis_order = tuple(raw_counts)
-    base = np.stack([np.asarray(raw_counts[b], dtype=float) for b in basis_order])
-    lam = np.einsum("bco,bo->bc", outcome_classes(basis_order), base)
-    return math.sqrt(sum(class_total_variance(*map(float, row)) for row in lam))
+    return math.sqrt(sum(class_total_variance(*map(float, row)) for row in totals))
 
 
 # ----------------------------------------------------------------------
@@ -467,7 +465,7 @@ def per_phase_fringe_means(
     idler_bins = [(ports[1] << 1) | bits[1] for _, ports, bits, _ in FRINGE_PROJECTIONS]
     means = np.empty((n_points, len(FRINGE_PROJECTIONS)))
     for j, alpha in enumerate(scan_phases(n_points)):
-        setting = BeamSplitterSetting("XY", outer.name, float(alpha))
+        setting = BeamSplitterSetting("X", outer.name, float(alpha))
         probs = per_pairing_joint_probabilities(
             state, setting, setting, tree, base, visibility_penalty
         )
@@ -677,7 +675,7 @@ def any_depth_measurement_map(
 
     The reference of `cpm.measurement_map`: a level's partner bin is the bin
     with the bit of that level's depth flipped, so the map holds at any
-    depth.  Z is the identity; X/XY pair each bin with its partner through
+    depth.  Z is the identity; X pairs each bin with its partner through
     J0 and +/-J1 e^{-/+i alpha}, after the same copy-spacing check.  A level
     absent from levels raises ValueError.
     """
@@ -695,7 +693,7 @@ def any_depth_measurement_map(
         )
     row = bessel_row(solve_balanced_depth(), 1)
     j0, j1 = float(row[0]), float(row[1])
-    alpha = setting.effective_alpha + alpha_offset
+    alpha = float(np.mod(setting.alpha, 2.0 * np.pi)) + alpha_offset
 
     fwd = complex(j1 * np.exp(-1j * alpha))
     bwd = complex(-j1 * np.exp(1j * alpha))

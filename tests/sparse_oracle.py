@@ -279,7 +279,7 @@ def measurement_map(
 ) -> PhotonMeasurement:
     """Single-photon measurement operator for one beam-splitter setting.
 
-    Z is the identity.  X/XY act as the ideal pairwise splitter derived
+    Z is the identity.  X acts as the ideal pairwise splitter derived
     from the CPM operator truncated to the orders that connect a bin to
     its partner on the measured level:
 
@@ -303,7 +303,7 @@ def measurement_map(
     grid_time_steps(base, grid, rf)  # validates this level's grid
     row = bessel_row(g_star, 1)
     j0, j1 = float(row[0]), float(row[1])
-    alpha = setting.effective_alpha + alpha_offset
+    alpha = float(np.mod(setting.alpha, 2.0 * np.pi)) + alpha_offset
 
     steps_of_bin = {}
     for b, position in enumerate(positions):

@@ -1,4 +1,4 @@
-"""Witness algebra, resampling errors, fringe fits and capacity."""
+"""Outcome fold, witness algebra, resampling errors, fringe fits and capacity."""
 
 import itertools
 import math
@@ -14,24 +14,30 @@ from clustersim.analysis import (
     CHSH_THRESHOLD,
     MC_CHUNK,
     STABILIZER_TERMS,
+    TERM_BASIS,
+    WITNESS_BASES,
+    class_totals,
     delta_method_stderr,
+    extract_projections,
     fit_interference,
     monte_carlo_error,
     multiplex_budget,
     outcome_classes,
+    raw_basis_counts,
     resample_witness,
     scan_phases,
-    stabilizer_expectation,
     term_signs,
     witness,
 )
-from clustersim.detection import WITNESS_BASES
-from clustersim.errors import InsufficientScan
+from clustersim.detection import DetectorModel, JointTemporalIntensity, sample_coincidences
+from clustersim.errors import InsufficientScan, MissingBasis
 from oracles import (
     broadcast_class_total_samples,
+    loop_basis_counts,
     loop_term_signs,
     lstsq_fringe_fit,
     raw_count_witness_samples,
+    readout,
     signs_and_bases,
     witness_from_class_totals,
     witness_samples,
@@ -75,33 +81,99 @@ def _projections_for_noise(p):
     return out
 
 
+def test_projections_normalized_and_loss_invariant(
+    cluster, schedule, noiseless_detector, tree, base_cpm
+):
+    hists = sample_coincidences(
+        readout(cluster, noiseless_detector, 1, tree, base_cpm, {}), schedule,
+        SeedSequence(0), True,
+    )
+    proj = extract_projections(raw_basis_counts(hists))
+    assert set(proj) == set(WITNESS_BASES)
+    for values in proj.values():
+        assert values.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(values >= 0)
+    lossy = DetectorModel(
+        jitter_signal_ps=0.0, jitter_idler_ps=0.0, tdc_jitter_ps=0.0,
+        efficiency=0.2,
+    )
+    hists2 = sample_coincidences(
+        readout(cluster, lossy, 1, tree, base_cpm, {}), schedule, SeedSequence(0), True
+    )
+    proj2 = extract_projections(raw_basis_counts(hists2))
+    for basis in WITNESS_BASES:
+        np.testing.assert_allclose(proj2[basis], proj[basis], atol=1e-12)
+
+
+def test_raw_counts_conserve_totals(cluster, schedule, noiseless_detector, tree, base_cpm):
+    hists = sample_coincidences(
+        readout(cluster, noiseless_detector, 300, tree, base_cpm, {}), schedule,
+        SeedSequence(3), False,
+    )
+    raw = raw_basis_counts(hists)
+    # each basis total equals the originating histogram's total counts
+    for h in hists:
+        kinds = (h.pairing.signal_setting.kind, h.pairing.idler_setting.kind)
+        if kinds == ("Z", "Z"):
+            assert raw["ZZZZ"].sum() == h.counts.sum()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_outcome_fold_matches_loop_oracle(schedule, tree, seed):
+    rng = np.random.default_rng(seed)
+    hists = [
+        JointTemporalIntensity(p, rng.uniform(0.0, 1e3, (4, 4)))
+        for p in schedule
+    ]
+    raw = raw_basis_counts(hists)
+    folded = {}
+    for h in hists:
+        basis = h.pairing.basis
+        if basis is not None:
+            folded[basis] = loop_basis_counts(h.counts, basis, tree.positions_ps)
+    assert sorted(folded) == sorted(WITNESS_BASES)
+    for basis in WITNESS_BASES:
+        np.testing.assert_array_equal(raw[basis], folded[basis])
+
+
+def test_missing_basis_detected(cluster, schedule, noiseless_detector, tree, base_cpm):
+    hists = sample_coincidences(
+        readout(cluster, noiseless_detector, 100, tree, base_cpm, {}), schedule,
+        SeedSequence(0), True,
+    )
+    emptied = [
+        JointTemporalIntensity(h.pairing, 0.0 * h.counts) if h.pairing.basis == "XXZZ" else h
+        for h in hists
+    ]
+    with pytest.raises(MissingBasis, match="basis XXZZ has no counts"):
+        extract_projections(raw_basis_counts(emptied))
+
+
 def test_ideal_projections_give_witness_minus_one():
-    report = witness(_projections_for_noise(0.0), None)
-    assert report.witness == pytest.approx(-1.0, abs=1e-12)
-    assert report.expectations == pytest.approx((1.0,) * 6, abs=1e-12)
-    assert report.fidelity_bound == pytest.approx(1.0, abs=1e-12)
-    assert all(report.term_pass) and report.mean_pass
-    assert report.certifies_entanglement()
+    report = witness(_projections_for_noise(0.0), None, None)
+    assert report["witness"] == pytest.approx(-1.0, abs=1e-12)
+    assert report["expectations"] == pytest.approx([1.0] * 6, abs=1e-12)
+    assert report["fidelity_bound"] == pytest.approx(1.0, abs=1e-12)
+    assert all(report["term_pass"]) and report["mean_pass"]
+    assert report["certifies_entanglement"]
 
 
 @pytest.mark.parametrize("p", [0.0, 0.1, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 def test_white_noise_matches_density_matrix_oracle(p):
     oracle = _density_matrix_oracle(p)
-    proj = _projections_for_noise(p)
-    for term in STABILIZER_TERMS:
-        assert stabilizer_expectation(term, proj) == pytest.approx(
-            oracle[term], abs=1e-10
-        )
+    report = witness(_projections_for_noise(p), None, None)
+    for term, value in zip(STABILIZER_TERMS, report["expectations"]):
+        assert value == pytest.approx(oracle[term], abs=1e-10)
     # W(p) = -1 + 3p on the white-noise line
-    assert witness(proj, None).witness == pytest.approx(-1.0 + 3.0 * p, abs=1e-10)
+    assert report["witness"] == pytest.approx(-1.0 + 3.0 * p, abs=1e-10)
 
 
 def test_witness_boundary_at_one_third():
-    assert witness(_projections_for_noise(1.0 / 3.0), None).witness == pytest.approx(
+    assert witness(_projections_for_noise(1.0 / 3.0), None, None)["witness"] == pytest.approx(
         0.0, abs=1e-12
     )
-    assert not witness(_projections_for_noise(0.34), None).certifies_entanglement()
-    assert witness(_projections_for_noise(0.32), None).certifies_entanglement()
+    assert not witness(_projections_for_noise(0.34), None, None)["certifies_entanglement"]
+    assert witness(_projections_for_noise(0.32), None, None)["certifies_entanglement"]
 
 
 def test_term_signs_structure():
@@ -131,11 +203,11 @@ def test_witness_identity(values):
     for i, basis in enumerate(WITNESS_BASES):
         chunk = np.asarray(values[16 * i : 16 * (i + 1)]) + 1e-6
         arrays[basis] = chunk / chunk.sum()
-    report = witness(arrays, None)
-    total = sum(stabilizer_expectation(t, arrays) for t in STABILIZER_TERMS)
-    assert report.witness == pytest.approx(2.0 - 0.5 * total, abs=1e-12)
-    assert report.fidelity_bound == pytest.approx(
-        (1.0 - report.witness) / 2.0, abs=1e-12
+    report = witness(arrays, None, None)
+    total = sum(term_signs(t) @ arrays[TERM_BASIS[t]] for t in STABILIZER_TERMS)
+    assert report["witness"] == pytest.approx(2.0 - 0.5 * total, abs=1e-12)
+    assert report["fidelity_bound"] == pytest.approx(
+        (1.0 - report["witness"]) / 2.0, abs=1e-12
     )
 
 
@@ -149,8 +221,8 @@ def _raw_counts(scale, p=0.1, seed=0):
 
 def test_mc_stderr_scaling():
     """Quadrupled counts halve the resampled standard error."""
-    err1, hist, edges = monte_carlo_error(_raw_counts(500), 40_000, SeedSequence(1))
-    err4, _, _ = monte_carlo_error(_raw_counts(2000), 40_000, SeedSequence(1))
+    err1, hist, edges = monte_carlo_error(class_totals(_raw_counts(500)), 40_000, SeedSequence(1))
+    err4, _, _ = monte_carlo_error(class_totals(_raw_counts(2000)), 40_000, SeedSequence(1))
     assert err1 > 0
     assert err4 / err1 == pytest.approx(0.5, rel=0.15)
     assert hist.sum() == 40_000
@@ -159,16 +231,16 @@ def test_mc_stderr_scaling():
 
 def test_mc_stderr_inverse_sqrt_over_decades():
     errs = [
-        monte_carlo_error(_raw_counts(n), samples=20_000, seed=SeedSequence(2))[0]
+        monte_carlo_error(class_totals(_raw_counts(n)), samples=20_000, seed=SeedSequence(2))[0]
         for n in (100, 10_000)
     ]
     assert errs[0] / errs[1] == pytest.approx(10.0, rel=0.2)
 
 
 def test_mc_is_deterministic():
-    counts = _raw_counts(400)
-    a = monte_carlo_error(counts, samples=5_000, seed=SeedSequence(3))
-    b = monte_carlo_error(counts, samples=5_000, seed=SeedSequence(3))
+    totals = class_totals(_raw_counts(400))
+    a = monte_carlo_error(totals, samples=5_000, seed=SeedSequence(3))
+    b = monte_carlo_error(totals, samples=5_000, seed=SeedSequence(3))
     assert a[0] == b[0]
     np.testing.assert_array_equal(a[1], b[1])
 
@@ -177,7 +249,7 @@ def test_mc_rejects_negative_counts():
     counts = _raw_counts(400)
     counts["ZZZZ"] = counts["ZZZZ"] - 1e9
     with pytest.raises(ValueError):
-        monte_carlo_error(counts, samples=100, seed=SeedSequence(0))
+        monte_carlo_error(class_totals(counts), samples=100, seed=SeedSequence(0))
 
 
 def _witness_samples_reference(counts, signs, term_basis):
@@ -222,6 +294,17 @@ def test_witness_samples_empty_basis_contributes_zero():
     np.testing.assert_allclose(values, 1.0, atol=1e-12)
 
 
+def test_class_totals_match_loop_oracle():
+    """Each raw count lands in the class its basis's two term signs give it."""
+    raw = _sparse_raw_counts()
+    want = np.zeros((3, 3))
+    for b, basis in enumerate(WITNESS_BASES):
+        s1, s2 = (loop_term_signs(t) for t in STABILIZER_TERMS if TERM_BASIS[t] == basis)
+        for o in range(16):
+            want[b, {2.0: 0, -2.0: 1, 0.0: 2}[s1[o] + s2[o]]] += raw[basis][o]
+    np.testing.assert_array_equal(class_totals(raw), want)
+
+
 def test_class_totals_match_raw_count_witness():
     """Folding the 48 counts into 9 class totals leaves each witness value exact."""
     rng = np.random.default_rng(5)
@@ -241,7 +324,7 @@ def test_class_total_sampler_matches_raw_count_sampler():
     """Mean and std of the two samplers agree within 5 combined MC errors."""
     raw = _raw_counts(300)
     n = 100_000
-    new = resample_witness(raw, n, seed=SeedSequence(7))
+    new = resample_witness(class_totals(raw), n, seed=SeedSequence(7))
     ref = raw_count_witness_samples(raw, n, seed=8)
     spread = np.hypot(new.std(), ref.std())
     assert abs(new.mean() - ref.mean()) < 5.0 * spread / np.sqrt(n)
@@ -253,7 +336,7 @@ def test_class_total_sampler_matches_broadcast_sampler():
     """Chunked per-class draws and the one-stream broadcast draws agree in distribution."""
     raw = _raw_counts(300)
     n = 100_000
-    new = resample_witness(raw, n, seed=SeedSequence(9))
+    new = resample_witness(class_totals(raw), n, seed=SeedSequence(9))
     ref = broadcast_class_total_samples(raw, n, seed=10)
     spread = np.hypot(new.std(), ref.std())
     assert abs(new.mean() - ref.mean()) < 5.0 * spread / np.sqrt(n)
@@ -273,7 +356,7 @@ def test_chunk_replays_class_total_oracle():
     """A chunk's values are the oracle witness of its 9 draws, replayed from its seed."""
     raw = _sparse_raw_counts()
     samples, seed = 2 * MC_CHUNK + 1000, 11
-    values = resample_witness(raw, samples, SeedSequence(seed))
+    values = resample_witness(class_totals(raw), samples, SeedSequence(seed))
     lam = np.einsum("bco,bo->bc", outcome_classes(tuple(raw)), np.stack(list(raw.values())))
     assert np.all(lam[1] == 0.0) and np.all(lam[0] > 0.0)
     children = SeedSequence(seed).spawn(3)
@@ -293,16 +376,16 @@ def test_chunk_replays_class_total_oracle():
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_resampling_is_independent_of_worker_count(monkeypatch, workers):
-    raw = _sparse_raw_counts()
+    totals = class_totals(_sparse_raw_counts())
     samples = 4 * MC_CHUNK + 123
-    reference = resample_witness(raw, samples, seed=SeedSequence(12))
+    reference = resample_witness(totals, samples, seed=SeedSequence(12))
     monkeypatch.setattr(analysis, "_workers", lambda n_chunks: workers)
-    again = resample_witness(raw, samples, seed=SeedSequence(12))
+    again = resample_witness(totals, samples, seed=SeedSequence(12))
     assert again.tobytes() == reference.tobytes()
 
 
 def test_mc_draws_nine_variates_per_sample(monkeypatch):
-    raw = _raw_counts(400)
+    totals = class_totals(_raw_counts(400))
     drawn = []
 
     class CountingRng:
@@ -314,42 +397,50 @@ def test_mc_draws_nine_variates_per_sample(monkeypatch):
             return self._rng.poisson(lam, size)
 
     monkeypatch.setattr(np.random, "default_rng", CountingRng)
-    monte_carlo_error(raw, samples=120_000, seed=SeedSequence(3))
+    monte_carlo_error(totals, samples=120_000, seed=SeedSequence(3))
     assert sum(drawn) == 120_000 * 9
 
 
 def test_delta_method_empty_basis_contributes_zero():
     raw = _raw_counts(2000)
-    empty = {**raw, "ZZXX": np.zeros(16)}
-    assert 0.0 < delta_method_stderr(empty) < delta_method_stderr(raw)
+    full = delta_method_stderr(class_totals(raw))
+    empty = delta_method_stderr(class_totals({**raw, "ZZXX": np.zeros(16)}))
+    assert 0.0 < empty < full
     only = {b: (v if b == "ZZXX" else np.zeros(16)) for b, v in raw.items()}
-    assert delta_method_stderr(raw) ** 2 == pytest.approx(
-        delta_method_stderr(empty) ** 2 + delta_method_stderr(only) ** 2, rel=1e-12
+    assert full**2 == pytest.approx(
+        empty**2 + delta_method_stderr(class_totals(only)) ** 2, rel=1e-12
     )
 
 
 def test_fit_exact_fringe():
     rates = 5.0 * (1.0 + 0.8 * np.cos(2 * scan_phases(24) + 0.6))
-    fit = fit_interference(rates)
-    assert fit.visibility == pytest.approx(0.8, abs=1e-9)
-    assert fit.phase_offset == pytest.approx(0.6, abs=1e-9)
-    assert fit.harmonic == 2
-    assert fit.chsh_pass
+    fit = fit_interference(rates, 1)
+    assert fit["visibility"] == pytest.approx(0.8, abs=1e-9)
+    assert fit["phase_offset"] == pytest.approx(0.6, abs=1e-9)
+    assert fit["harmonic"] == 2
+    assert fit["chsh_pass"]
 
 
 def test_fit_below_chsh_threshold():
     rates = 5.0 * (1.0 + 0.5 * np.cos(2 * scan_phases(24)))
-    fit = fit_interference(rates)
-    assert fit.visibility == pytest.approx(0.5, abs=1e-9)
-    assert not fit.chsh_pass
+    fit = fit_interference(rates, 1)
+    assert fit["visibility"] == pytest.approx(0.5, abs=1e-9)
+    assert not fit["chsh_pass"]
     assert CHSH_THRESHOLD == pytest.approx(1.0 / np.sqrt(2.0))
 
 
 def test_fit_selects_fundamental_when_present():
     rates = 5.0 * (1.0 + 0.8 * np.cos(scan_phases(24)))
-    fit = fit_interference(rates)
-    assert fit.harmonic == 1
-    assert fit.visibility == pytest.approx(0.8, abs=1e-9)
+    fit = fit_interference(rates, 1)
+    assert fit["harmonic"] == 1
+    assert fit["visibility"] == pytest.approx(0.8, abs=1e-9)
+
+
+def test_fit_sign_match_reads_the_fitted_cos_sign():
+    """A cos(2 alpha + pi) fringe has a negative cos term: it matches -1, not +1."""
+    rates = 5.0 * (1.0 + 0.8 * np.cos(2 * scan_phases(24) + math.pi))
+    assert fit_interference(rates, 1)["sign_match"] is False
+    assert fit_interference(rates, -1)["sign_match"] is True
 
 
 def _fringe_rates(kind, n, rng):
@@ -374,12 +465,12 @@ def test_fit_matches_lstsq_oracle(n, kind):
     harmonics = set()
     for _ in range(20):
         rates = _fringe_rates(kind, n, rng)
-        fit = fit_interference(rates)
+        fit = fit_interference(rates, 1)
         vis, phase, harmonic = lstsq_fringe_fit(scan_phases(n), rates)
-        assert fit.harmonic == harmonic
-        assert abs(fit.visibility - vis) <= 1e-12
-        assert abs(math.remainder(fit.phase_offset - phase, 2 * math.pi)) <= 1e-12
-        harmonics.add(fit.harmonic)
+        assert fit["harmonic"] == harmonic
+        assert abs(fit["visibility"] - vis) <= 1e-12
+        assert abs(math.remainder(fit["phase_offset"] - phase, 2 * math.pi)) <= 1e-12
+        harmonics.add(fit["harmonic"])
     if kind in ("k1", "k2"):
         assert harmonics == {int(kind[1])}
     if kind == "mixed":
@@ -389,14 +480,14 @@ def test_fit_matches_lstsq_oracle(n, kind):
 @pytest.mark.parametrize("n", [8, 9, 12, 24, 1000])
 def test_fit_flat_rates_keep_fundamental(n):
     for level in (1e-3, 3.7, 1e12):
-        fit = fit_interference(np.full(n, level))
-        assert fit.harmonic == 1
-        assert fit.visibility <= 1e-12
+        fit = fit_interference(np.full(n, level), 1)
+        assert fit["harmonic"] == 1
+        assert fit["visibility"] <= 1e-12
 
 
 def test_fit_insufficient_scan():
     with pytest.raises(InsufficientScan, match="non-positive mean rate"):
-        fit_interference(np.zeros(24))
+        fit_interference(np.zeros(24), 1)
 
 
 def test_capacity_published_operating_point():

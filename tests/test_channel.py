@@ -52,13 +52,9 @@ def test_zero_length_link_is_identity(cluster):
 
 
 def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, tree):
-    from clustersim.analysis import witness
+    from clustersim.analysis import extract_projections, raw_basis_counts, witness
     from clustersim.cpm import CpmSettings
-    from clustersim.detection import (
-        extract_projections,
-        raw_basis_counts,
-        sample_coincidences,
-    )
+    from clustersim.detection import sample_coincidences
 
     lossy = transmit(cluster, FiberLink())
     reports = []
@@ -68,7 +64,7 @@ def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, tre
             SeedSequence(0), True,
         )
         projections = extract_projections(raw_basis_counts(hists))
-        reports.append(witness(projections, None).witness)
+        reports.append(witness(projections, None, None)["witness"])
     assert reports[0] == pytest.approx(reports[1], abs=1e-12)
 
 

@@ -361,6 +361,16 @@ def test_visibility_reads_the_carrier(tmp_path):
     assert outputs[0] != outputs[1]
 
 
+def test_visibility_labels_close_separations_apart(tmp_path, capsys):
+    """Separations that %g rounds together keep a stdout line and a polyline each."""
+    cfg = _write_config(tmp_path, {"svg": True, "waveform": {
+        "separations_ps": [100.0, 100.0001], "dispersions_ns_per_nm": [2.0, 10.0]}})
+    assert _run(["visibility", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["100 ps", "100.0001 ps"]
+    assert (tmp_path / "v" / "visibility.svg").read_text().count("<polyline") == 2
+
+
 #: 1.25 and 3.75 GHz tones make 100 and 300 ps copies, not 200 and 600 ps.
 WIDE_LEVELS = {"encoding": {"levels": [["T", 600, 3.75], ["t", 200, 1.25]]}}
 #: Trees of another depth than the readout's two levels, and pump phase

@@ -142,7 +142,7 @@ def test_xy_phase_signs(tree, base_cpm):
     g_star = solve_balanced_depth()
     j1 = bessel_j(1, g_star)
     a = measurement_map(
-        BeamSplitterSetting("XY", "t", alpha), tree, base_cpm, 0.0
+        BeamSplitterSetting("X", "t", alpha), tree, base_cpm, 0.0
     )
     fwd = a[1, 0]
     bwd = a[0, 1]
@@ -161,7 +161,7 @@ def test_two_bin_interference_full_visibility(tree, base_cpm):
     alphas = -phi + np.linspace(0, 2 * np.pi, 32, endpoint=False)
     for alpha in alphas:
         a = measurement_map(
-            BeamSplitterSetting("XY", "t", alpha), tree, base_cpm, 0.0
+            BeamSplitterSetting("X", "t", alpha), tree, base_cpm, 0.0
         )
         rates.append(abs((a @ probe)[0]) ** 2)
     rates = np.asarray(rates)
@@ -185,7 +185,7 @@ def test_unknown_level_rejected(tree, base_cpm):
         measurement_map(BeamSplitterSetting("X", "tau"), tree, base_cpm, 0.0)
 
 
-@pytest.mark.parametrize("kind", ["Z", "X", "XY"])
+@pytest.mark.parametrize("kind", ["Z", "X"])
 @pytest.mark.parametrize("level", ["T", "t"])
 def test_measurement_map_matches_any_depth_oracle(tree, base_cpm, kind, level):
     """The four-bin map equals the any-depth map of the same two levels, bit for bit."""

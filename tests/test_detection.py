@@ -7,26 +7,21 @@ import pytest
 from numpy.random import SeedSequence
 
 from clustersim import cli, cpm, detection
-from clustersim.analysis import scan_phases
+from clustersim.analysis import WITNESS_BASES, scan_phases
 from clustersim.channel import FiberLink, transmit
 from clustersim.cpm import BeamSplitterSetting
 from clustersim.detection import (
     FRINGE_PROJECTIONS,
     DetectorModel,
-    JointTemporalIntensity,
-    WITNESS_BASES,
     build_default_schedule,
-    extract_projections,
     fringe_means,
     jitter_transition_matrix,
-    raw_basis_counts,
     sample_coincidences,
 )
 from clustersim.encoding import Level, LevelTree
-from clustersim.errors import GridMismatch, MissingBasis
+from clustersim.errors import GridMismatch
 from oracles import (
     joint_probabilities,
-    loop_basis_counts,
     per_phase_fringe_means,
     per_setting_expected_counts,
     per_setting_sample_coincidences,
@@ -183,86 +178,18 @@ def test_exact_sampling_matches_means(cluster, schedule, noiseless_detector, tre
         np.testing.assert_allclose(h.counts, mean, atol=1e-9)
 
 
-def test_projections_normalized_and_loss_invariant(
-    cluster, schedule, noiseless_detector, tree, base_cpm
-):
-    hists = sample_coincidences(
-        readout(cluster, noiseless_detector, 1, tree, base_cpm, {}), schedule,
-        SeedSequence(0), True,
-    )
-    proj = extract_projections(raw_basis_counts(hists))
-    assert set(proj) == set(WITNESS_BASES)
-    for values in proj.values():
-        assert values.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(values >= 0)
-    lossy = DetectorModel(
-        jitter_signal_ps=0.0, jitter_idler_ps=0.0, tdc_jitter_ps=0.0,
-        efficiency=0.2,
-    )
-    hists2 = sample_coincidences(
-        readout(cluster, lossy, 1, tree, base_cpm, {}), schedule, SeedSequence(0), True
-    )
-    proj2 = extract_projections(raw_basis_counts(hists2))
-    for basis in WITNESS_BASES:
-        np.testing.assert_allclose(proj2[basis], proj[basis], atol=1e-12)
-
-
-def test_raw_counts_conserve_totals(cluster, schedule, noiseless_detector, tree, base_cpm):
-    hists = sample_coincidences(
-        readout(cluster, noiseless_detector, 300, tree, base_cpm, {}), schedule,
-        SeedSequence(3), False,
-    )
-    raw = raw_basis_counts(hists)
-    # each basis total equals the originating histogram's total counts
-    for h in hists:
-        kinds = (h.pairing.signal_setting.kind, h.pairing.idler_setting.kind)
-        if kinds == ("Z", "Z"):
-            assert raw["ZZZZ"].sum() == h.counts.sum()
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_outcome_fold_matches_loop_oracle(schedule, tree, seed):
-    rng = np.random.default_rng(seed)
-    hists = [
-        JointTemporalIntensity(p, rng.uniform(0.0, 1e3, (4, 4)))
-        for p in schedule
-    ]
-    raw = raw_basis_counts(hists)
-    folded = {}
-    for h in hists:
-        basis = h.pairing.basis
-        if basis is not None:
-            folded[basis] = loop_basis_counts(h.counts, basis, tree.positions_ps)
-    assert sorted(folded) == sorted(WITNESS_BASES)
-    for basis in WITNESS_BASES:
-        np.testing.assert_array_equal(raw[basis], folded[basis])
-
-
 def test_fringe_means_match_per_phase_mixing(cluster, tree, base_cpm):
     detector = DetectorModel(dark_coincidence_rate=0.0667, efficiency=0.8)
     penalty = {"T": 0.95, "t": 0.99}
     means = fringe_means(readout(cluster, detector, 1000, tree, base_cpm, penalty), 12)
     assert means.shape == (12, len(FRINGE_PROJECTIONS))
     for row, alpha in zip(means, scan_phases(12)):
-        setting = BeamSplitterSetting("XY", tree.outer.name, float(alpha))
+        setting = BeamSplitterSetting("X", tree.outer.name, float(alpha))
         probs = joint_probabilities(cluster, setting, setting, tree, base_cpm, penalty)
         mixed = (1.0 - 0.0667) * probs + 0.0667 * probs.sum() / 16
         for value, (_name, ports, bits, _sign) in zip(row, FRINGE_PROJECTIONS):
             cell = mixed[2 * ports[0] + bits[0], 2 * ports[1] + bits[1]]
             assert value == pytest.approx(1000 * 0.8 * cell, rel=1e-14)
-
-
-def test_missing_basis_detected(cluster, schedule, noiseless_detector, tree, base_cpm):
-    hists = sample_coincidences(
-        readout(cluster, noiseless_detector, 100, tree, base_cpm, {}), schedule,
-        SeedSequence(0), True,
-    )
-    emptied = [
-        JointTemporalIntensity(h.pairing, 0.0 * h.counts) if h.pairing.basis == "XXZZ" else h
-        for h in hists
-    ]
-    with pytest.raises(MissingBasis, match="basis XXZZ has no counts"):
-        extract_projections(raw_basis_counts(emptied))
 
 
 def test_detector_validation():

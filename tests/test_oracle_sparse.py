@@ -34,8 +34,8 @@ def _readout_settings(tree):
     settings = [(p.signal_setting, p.idler_setting)
                 for p in detection.build_default_schedule(tree)]
     for alpha in np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False):
-        xy = BeamSplitterSetting("XY", tree.outer.name, float(alpha))
-        settings.append((xy, xy))
+        x = BeamSplitterSetting("X", tree.outer.name, float(alpha))
+        settings.append((x, x))
     return settings
 
 

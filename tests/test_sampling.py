@@ -36,7 +36,7 @@ import scipy.special
 import scipy.stats
 
 import oracles
-from clustersim import cli, detection
+from clustersim import analysis, cli
 from clustersim.analysis import MC_CHUNK
 from clustersim.cli import DEFAULT_CONFIG, load_config, main
 
@@ -172,7 +172,8 @@ def test_witness_stderr_matches_closed_form(preset, seed):
     with _run(argv) as out:
         stderr = json.loads((out / "witness.json").read_text())["stderr"]
     cfg = load_config(None, preset, seed, None)
-    sigma = oracles.witness_sigma(detection.raw_basis_counts(cli._sampled_histograms(cfg, False)))
+    raw = analysis.raw_basis_counts(cli._sampled_histograms(cfg, False))
+    sigma = oracles.witness_sigma(analysis.class_totals(raw))
     mc_error = sigma / math.sqrt(2.0 * cfg["analysis"]["mc_samples"])
     assert abs(stderr - sigma) < 4.0 * mc_error, (stderr, sigma, mc_error)
 
