@@ -297,7 +297,7 @@ def test_criterion_09_oracle_equivalence(capsys):
             od.test_product_path_matches_dense(case)
         except AssertionError:
             product_failures += 1
-    for args in (("Z", "t"), ("X", "t"), ("X", "T")):
+    for args in od.MAP_CASES.values():
         od.test_measurement_maps_match_dense(*args)
     od.test_joint_probabilities_match_dense()
     elapsed = time.perf_counter() - start

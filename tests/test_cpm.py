@@ -185,11 +185,23 @@ def test_unknown_level_rejected(tree, base_cpm):
         measurement_map(BeamSplitterSetting("X", "tau"), tree, base_cpm, 0.0)
 
 
-@pytest.mark.parametrize("kind", ["Z", "X"])
+_PHASE_GRID = np.linspace(-2.0 * np.pi, 4.0 * np.pi, 37)
+
+
+@pytest.mark.parametrize(
+    "kind,alphas",
+    [
+        pytest.param("Z", _PHASE_GRID, id="Z"),
+        # The X basis: phases on whole turns, which mod 2 pi reduces to 0.
+        pytest.param("X", _PHASE_GRID[::12], id="X"),
+        # X rotated by alpha (the XY plane), over the whole grid.
+        pytest.param("X", _PHASE_GRID, id="XY"),
+    ],
+)
 @pytest.mark.parametrize("level", ["T", "t"])
-def test_measurement_map_matches_any_depth_oracle(tree, base_cpm, kind, level):
+def test_measurement_map_matches_any_depth_oracle(tree, base_cpm, kind, alphas, level):
     """The four-bin map equals the any-depth map of the same two levels, bit for bit."""
-    for alpha in np.linspace(-2.0 * np.pi, 4.0 * np.pi, 37):
+    for alpha in alphas:
         for offset in (0.0, np.pi):
             setting = BeamSplitterSetting(kind, level, float(alpha))
             got = measurement_map(setting, tree, base_cpm, offset)

@@ -107,18 +107,27 @@ def test_random_maps_match_dense(case):
     )
 
 
-@pytest.mark.parametrize("kind,level", [("Z", "t"), ("X", "t"), ("X", "T")])
-def test_measurement_maps_match_dense(kind, level):
+MAP_CASES = {
+    "Z-t": ("Z", "t", 0.9),
+    "X-t": ("X", "t", 0.0),
+    "X-T": ("X", "T", 0.0),
+    # X rotated by alpha (the XY plane).
+    "XY-t": ("X", "t", 0.9),
+    "XY-T": ("X", "T", 0.9),
+}
+
+
+@pytest.mark.parametrize("kind,level,alpha", list(MAP_CASES.values()), ids=list(MAP_CASES))
+def test_measurement_maps_match_dense(kind, level, alpha):
     rng = np.random.default_rng(7)
     levels, positions = tree_levels(DEFAULT_TREE), DEFAULT_TREE.positions_ps
     grid = ModeGrid()
     state, v = random_state(rng, grid)
-    for alpha in (0.0, 0.9):
-        setting = BeamSplitterSetting(kind, level, alpha)
-        pm = measurement_map(setting, levels, CpmSettings(), grid, positions)
-        out = apply_single_photon_map(state, SIGNAL, pm.mode_map)
-        a = dense_matrix_from_mode_map(pm.mode_map)
-        np.testing.assert_allclose(dense_from_state(out), a @ v, atol=1e-10)
+    setting = BeamSplitterSetting(kind, level, alpha)
+    pm = measurement_map(setting, levels, CpmSettings(), grid, positions)
+    out = apply_single_photon_map(state, SIGNAL, pm.mode_map)
+    a = dense_matrix_from_mode_map(pm.mode_map)
+    np.testing.assert_allclose(dense_from_state(out), a @ v, atol=1e-10)
 
 
 def test_joint_probabilities_match_dense():
