@@ -90,18 +90,18 @@ def extract_projections(raw_counts: dict[str, np.ndarray]) -> dict[str, np.ndarr
     return out
 
 
+#: (16, 4) eigenvalue of each qubit's outcome bit (0 gives +1, 1 gives -1),
+#: the first qubit most significant.
+_BIT_SIGNS = np.array([[1.0 - 2.0 * int(b) for b in f"{o:04b}"] for o in range(16)])
+
+
 def term_signs(term: str) -> np.ndarray:
     """Eigenvalue product (+/-1) of a term for each of the 16 outcomes.
 
-    Outcome bit 0 carries eigenvalue +1, bit 1 carries -1; identity
-    positions contribute +1 regardless of the outcome bit.  The first
-    qubit is the most significant bit, so the signs are the Kronecker
-    product of the per-qubit vectors [1, 1] (identity) and [1, -1].
+    Identity positions contribute +1 regardless of the outcome bit, so the
+    product runs over the term's non-identity qubits only.
     """
-    signs = np.ones(1)
-    for op in term:
-        signs = np.kron(signs, [1.0, 1.0] if op == "1" else [1.0, -1.0])
-    return signs
+    return _BIT_SIGNS[:, [op != "1" for op in term]].prod(axis=1)
 
 
 def witness(

@@ -1,8 +1,9 @@
 """Command-line harness: configuration, pipelines and file outputs.
 
-Every command is deterministic given (config, seed); outputs are plain
-CSV/JSON (optionally SVG) written atomically and stamped with the hash
-of the effective configuration.
+Every command is deterministic given (config, seed).  It returns its
+documents by file name, and its stdout lines; main alone stamps each
+document with the hash of the effective configuration, renders it as CSV,
+JSON or SVG, and writes every file atomically once all have rendered.
 
 Exit codes: 0 success, 1 simulation-contract violation, 2 config/usage
 error.
@@ -230,7 +231,7 @@ def config_hash(cfg: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# output helpers
+# output: the atomic write, and a renderer of stamped text per file suffix
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
@@ -242,10 +243,9 @@ def _atomic_write(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write output: {exc}") from exc
 
 
-def write_json(path: Path, payload: dict, stamp: str) -> None:
+def write_json(payload: dict, stamp: str) -> str:
     doc = {"config_sha256": stamp, **payload}
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    _atomic_write(path, text + "\n")
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _fmt(x) -> str:
@@ -260,8 +260,8 @@ def _spec(column) -> str | None:
     return "%.12g" if all(floats) else None if any(floats) else "%s"
 
 
-def write_csv(path: Path, columns: list[str], rows: list, stamp: str) -> None:
-    """Write a stamped CSV: the config_sha256 comment, the header, then rows.
+def write_csv(columns: list[str], rows: list, stamp: str) -> str:
+    """A stamped CSV: the config_sha256 comment, the header, then rows.
 
     Format contract: a float cell (Python float or numpy floating) is
     written as format(float(x), ".12g"), so nan, inf and -0.0 read "nan",
@@ -279,20 +279,21 @@ def write_csv(path: Path, columns: list[str], rows: list, stamp: str) -> None:
                     for row in rows]
         template = ",".join(spec or "%s" for spec in specs)
         lines += [template % tuple(row) for row in rows]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_line_svg(path: Path, curves: dict, stamp: str, x_label: str, y_label: str) -> None:
+def write_line_svg(curves: dict, x_label: str, y_label: str, stamp: str) -> str:
     """Minimal deterministic polyline plot (one curve per label)."""
     width, height, pad = 640, 400, 50
     xs = np.concatenate([np.asarray(c[0], dtype=float) for c in curves.values()])
     ys = np.concatenate([np.asarray(c[1], dtype=float) for c in curves.values()])
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
+    # a flat axis spans max(1, |start|), since start + 1 == start from 2**53 on
     if x1 == x0:
-        x1 = x0 + 1.0
+        x1 = x0 + max(1.0, abs(x0))
     if y1 == y0:
-        y1 = y0 + 1.0
+        y1 = y0 + max(1.0, abs(y0))
     def sx(x):
         return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
     def sy(y):
@@ -316,7 +317,7 @@ def write_line_svg(path: Path, curves: dict, stamp: str, x_label: str, y_label: 
             f'<text x="{width - pad + 5}" y="{pad + 15 * k}" fill="{color}">{label}</text>'
         )
     parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -378,19 +379,16 @@ def _make_state(cfg):
 # ----------------------------------------------------------------------
 # commands
 
-def cmd_generate(cfg, outdir: Path, stamp: str, exact: bool) -> int:
+def cmd_generate(cfg, exact: bool) -> tuple[dict, list[str]]:
     state, tree = _make_state(cfg)
     ok, fidelity = is_cluster_state(state)
-    write_json(outdir / "state.json",
-               {"state": state_to_json(state, tree), "fidelity": fidelity},
-               stamp)
-    print(f"fidelity vs target cluster state: {fidelity:.6f}")
+    lines = [f"fidelity vs target cluster state: {fidelity:.6f}"]
     if not ok:
-        print("warning: generated state is not the target cluster state")
-    return 0
+        lines.append("warning: generated state is not the target cluster state")
+    return {"state.json": {"state": state_to_json(state, tree), "fidelity": fidelity}}, lines
 
 
-def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
+def cmd_transmit(cfg, exact: bool) -> tuple[dict, list[str]]:
     state, tree = _make_state(cfg)
     link = _build(channel.FiberLink, cfg, "channel")
     trace = _drift(cfg, link)
@@ -398,16 +396,13 @@ def cmd_transmit(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     with _from_config("channel.readout_time_s"):
         offset = trace.offset_at(cfg["channel"]["readout_time_s"])
     corrupted = channel.bin_assignment_corrupted(offset, tree)
-    write_json(outdir / "state.json", {"state": state_to_json(out, tree)}, stamp)
-    write_json(outdir / "transmit.json", {
+    return {"transmit.json": {
         "retained_fraction": link.retained_fraction,
         "arrival_offset_ps": offset,
         "bin_assignment_corrupted": corrupted,
-    }, stamp)
-    print(f"retained fraction {link.retained_fraction:.4f}, "
-          f"arrival offset {offset:.2f} ps"
-          + (" (bin assignment corrupted)" if corrupted else ""))
-    return 0
+        "state": state_to_json(out, tree),
+    }}, [f"retained fraction {link.retained_fraction:.4f}, arrival offset {offset:.2f} ps"
+         + (" (bin assignment corrupted)" if corrupted else "")]
 
 
 def _readout(cfg) -> detection.Readout:
@@ -434,7 +429,7 @@ def _sampled_histograms(cfg, exact: bool):
     )
 
 
-def cmd_measure(cfg, outdir: Path, stamp: str, exact: bool) -> int:
+def cmd_measure(cfg, exact: bool) -> tuple[dict, list[str]]:
     hists = _sampled_histograms(cfg, exact)
     rows = [
         (h.pairing.name, bs, bi, h.counts[bs, bi])
@@ -442,10 +437,10 @@ def cmd_measure(cfg, outdir: Path, stamp: str, exact: bool) -> int:
         for bs in range(h.counts.shape[0])
         for bi in range(h.counts.shape[1])
     ]
-    write_csv(outdir / "histograms.csv",
-              ["setting", "s_bin", "i_bin", "counts"], rows, stamp)
-    write_json(outdir / "histograms.json", {
-        "settings": [
+    total = sum(h.counts.sum() for h in hists)
+    return {
+        "histograms.csv": (["setting", "s_bin", "i_bin", "counts"], rows),
+        "histograms.json": {"settings": [
             {
                 "name": h.pairing.name,
                 "signal": [h.pairing.signal_setting.kind, h.pairing.signal_setting.level],
@@ -454,14 +449,11 @@ def cmd_measure(cfg, outdir: Path, stamp: str, exact: bool) -> int:
                 "ancillary": h.ancillary,
             }
             for h in hists
-        ]
-    }, stamp)
-    total = sum(h.counts.sum() for h in hists)
-    print(f"recorded {total:.0f} coincidences over {len(hists)} settings")
-    return 0
+        ]},
+    }, [f"recorded {total:.0f} coincidences over {len(hists)} settings"]
 
 
-def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
+def cmd_witness(cfg, exact: bool) -> tuple[dict, list[str]]:
     raw = analysis.raw_basis_counts(_sampled_histograms(cfg, exact))
     projections = analysis.extract_projections(raw)
     rows = [
@@ -469,8 +461,7 @@ def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
         for basis in projections
         for outcome in range(16)
     ]
-    write_csv(outdir / "projections.csv",
-              ["basis", "outcome", "value"], rows, stamp)
+    files = {"projections.csv": (["basis", "outcome", "value"], rows)}
     stderr = stderr_delta = None
     if not exact:
         totals = analysis.class_totals(raw)
@@ -478,18 +469,16 @@ def cmd_witness(cfg, outdir: Path, stamp: str, exact: bool) -> int:
             totals, int(cfg["analysis"]["mc_samples"]), stream(cfg["seed"], "witness")
         )
         stderr_delta = analysis.delta_method_stderr(totals)
-        write_csv(outdir / "witness_hist.csv",
-                  ["bin_left", "bin_right", "count"],
-                  [(edges[i], edges[i + 1], int(hist[i])) for i in range(len(hist))],
-                  stamp)
+        files["witness_hist.csv"] = (
+            ["bin_left", "bin_right", "count"],
+            [(edges[i], edges[i + 1], int(hist[i])) for i in range(len(hist))])
     report = analysis.witness(projections, stderr, stderr_delta)
-    write_json(outdir / "witness.json", report, stamp)
+    files["witness.json"] = report
     err = f" +/- {stderr:.4f}" if stderr is not None else ""
-    print(f"W = {report['witness']:+.4f}{err}; F >= {report['fidelity_bound']:.4f}")
-    return 0
+    return files, [f"W = {report['witness']:+.4f}{err}; F >= {report['fidelity_bound']:.4f}"]
 
 
-def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
+def cmd_fringe(cfg, exact: bool) -> tuple[dict, list[str]]:
     n_points = int(cfg["analysis"]["fringe_points"])
     means = detection.fringe_means(_readout(cfg), n_points)
     if exact:
@@ -502,16 +491,14 @@ def cmd_fringe(cfg, outdir: Path, stamp: str, exact: bool) -> int:
     for (name, _ports, _bits, sign), column in zip(detection.FRINGE_PROJECTIONS, rates.T):
         fits[name] = analysis.fit_interference(column, sign)
         rows += [(name, a, r) for a, r in zip(alphas, column)]
-    write_csv(outdir / "fringe.csv", ["projection", "alpha_rad", "rate"], rows, stamp)
-    write_json(outdir / "fringe.json", {"fits": fits}, stamp)
-    for name, f in fits.items():
-        flag = "pass" if f["chsh_pass"] else "FAIL"
-        print(f"projection {name}: V = {f['visibility']:.4f} (CHSH {flag})")
-    return 0
+    lines = [f"projection {name}: V = {f['visibility']:.4f} "
+             f"(CHSH {'pass' if f['chsh_pass'] else 'FAIL'})" for name, f in fits.items()]
+    return {"fringe.csv": (["projection", "alpha_rad", "rate"], rows),
+            "fringe.json": {"fits": fits}}, lines
 
 
 @_from_config("waveform")
-def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
+def cmd_visibility(cfg, exact: bool) -> tuple[dict, list[str]]:
     wf = cfg["waveform"]
     fwhm = _build(ExcitationTrain, cfg, "source").pulse_fwhm_ps
     dispersions = wf["dispersions_ns_per_nm"]
@@ -522,17 +509,14 @@ def cmd_visibility(cfg, outdir: Path, stamp: str, exact: bool) -> int:
         ys = waveform.visibility_bound(sep, fwhm, dispersions, carrier).tolist()
         rows += [(disp, sep, vis) for disp, vis in zip(dispersions, ys)]
         curves[f"{sep:.12g} ps"] = (dispersions, ys)
-    write_csv(outdir / "visibility.csv",
-              ["dispersion_ns_per_nm", "separation_ps", "visibility"], rows, stamp)
+    files = {"visibility.csv": (["dispersion_ns_per_nm", "separation_ps", "visibility"], rows)}
     if cfg["svg"]:
-        write_line_svg(outdir / "visibility.svg", curves, stamp,
-                       "dispersion (ns/nm)", "visibility")
-    for (label, (xs, ys)) in sorted(curves.items()):
-        print(f"{label}: visibility {ys[0]:.4f} .. {ys[-1]:.4f}")
-    return 0
+        files["visibility.svg"] = (curves, "dispersion (ns/nm)", "visibility")
+    return files, [f"{label}: visibility {ys[0]:.4f} .. {ys[-1]:.4f}"
+                   for label, (xs, ys) in sorted(curves.items())]
 
 
-def cmd_drift(cfg, outdir: Path, stamp: str, exact: bool) -> int:
+def cmd_drift(cfg, exact: bool) -> tuple[dict, list[str]]:
     trace = _drift(cfg, _build(channel.FiberLink, cfg, "channel"))
     policy = _build(channel.StabilizerPolicy, cfg, "channel.stabilizer")
     rng = np.random.default_rng(stream(cfg["seed"], "stabilizer"))
@@ -540,30 +524,25 @@ def cmd_drift(cfg, outdir: Path, stamp: str, exact: bool) -> int:
         residual, rms = channel.stabilize(trace, policy, rng)
     rows = list(zip(trace.times_s.tolist(), trace.offsets_ps.tolist(),
                     residual.offsets_ps.tolist()))
-    write_csv(outdir / "drift.csv",
-              ["time_s", "offset_ps", "corrected_offset_ps"], rows, stamp)
-    write_json(outdir / "drift.json", {
-        "peak_ps": trace.peak_ps(),
-        "rms_ps": trace.rms_ps(),
-        "residual_rms_ps": rms,
-    }, stamp)
+    files = {
+        "drift.csv": (["time_s", "offset_ps", "corrected_offset_ps"], rows),
+        "drift.json": {"peak_ps": trace.peak_ps(), "rms_ps": trace.rms_ps(),
+                       "residual_rms_ps": rms},
+    }
     if cfg["svg"]:
-        write_line_svg(outdir / "drift.svg", {
+        files["drift.svg"] = ({
             "uncorrected": (trace.times_s, trace.offsets_ps),
             "corrected": (residual.times_s, residual.offsets_ps),
-        }, stamp, "time (s)", "offset (ps)")
-    print(f"peak offset {trace.peak_ps():.1f} ps, "
-          f"stabilized residual RMS {rms:.2f} ps")
-    return 0
+        }, "time (s)", "offset (ps)")
+    return files, [f"peak offset {trace.peak_ps():.1f} ps, stabilized residual RMS {rms:.2f} ps"]
 
 
 @_from_config("capacity")
-def cmd_capacity(cfg, outdir: Path, stamp: str, exact: bool) -> int:
+def cmd_capacity(cfg, exact: bool) -> tuple[dict, list[str]]:
     budget = analysis.multiplex_budget(**cfg["capacity"])
-    write_json(outdir / "capacity.json", budget, stamp)
-    print(f"multiplexing capacity: {budget['qubits_per_s'] / 1e9:.1f} GigaQubits/s "
-          f"({budget['channels']} spectral channels)")
-    return 0
+    return {"capacity.json": budget}, [
+        f"multiplexing capacity: {budget['qubits_per_s'] / 1e9:.1f} GigaQubits/s "
+        f"({budget['channels']} spectral channels)"]
 
 
 COMMANDS = {
@@ -610,9 +589,19 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config, args.preset, args.seed, args.out)
-        outdir = Path(cfg["out"])
         stamp = config_hash(cfg)
-        return COMMANDS[args.command](cfg, outdir, stamp, args.exact)
+        files, lines = COMMANDS[args.command](cfg, args.exact)
+        # render every document by its suffix before writing any file, so a
+        # render error writes nothing: a .json document is a payload dict, a
+        # .csv one (columns, rows) and an .svg one (curves, x label, y label)
+        texts = {name: write_json(doc, stamp) if name.endswith(".json")
+                 else write_csv(*doc, stamp) if name.endswith(".csv")
+                 else write_line_svg(*doc, stamp) for name, doc in files.items()}
+        for name, text in texts.items():
+            _atomic_write(Path(cfg["out"]) / name, text)
+        for line in lines:
+            print(line)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

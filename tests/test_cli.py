@@ -207,6 +207,80 @@ def test_svg_option(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+#: Configs whose SVG has an axis of equal values at or above 2**53, where
+#: value + 1 rounds to value.
+FLAT_AXES = {
+    "visibility-one-dispersion": (
+        "visibility", {"svg": True, "waveform": {"dispersions_ns_per_nm": [2**53]}}),
+    "drift-one-sample": (
+        "drift", {"svg": True, "channel": {"drift": {"duration_s": 30, "peak_k": 1e20}}}),
+}
+
+
+@pytest.mark.parametrize("command,config", FLAT_AXES.values(), ids=FLAT_AXES.keys())
+def test_svg_flat_axis_past_2_53_renders(tmp_path, command, config):
+    outdir = tmp_path / "out"
+    assert _run([command, "--config", _write_config(tmp_path, config), "--out", str(outdir)]) == 0
+    svg = (outdir / f"{command}.svg").read_text()
+    assert "polyline" in svg and not re.search(r"\bnan\b|\binf\b", svg)
+
+
+#: The files each command writes: sampled at the default config, with
+#: --exact where the command has it, and with {"svg": true}.
+COMMAND_FILES = {
+    "generate": {"default": {"state.json"}, "svg": {"state.json"}},
+    "transmit": {"default": {"transmit.json"}, "svg": {"transmit.json"}},
+    "measure": dict.fromkeys(("default", "exact", "svg"), {"histograms.csv", "histograms.json"}),
+    "witness": {"default": {"projections.csv", "witness_hist.csv", "witness.json"},
+                "exact": {"projections.csv", "witness.json"},
+                "svg": {"projections.csv", "witness_hist.csv", "witness.json"}},
+    "fringe": dict.fromkeys(("default", "exact", "svg"), {"fringe.csv", "fringe.json"}),
+    "visibility": {"default": {"visibility.csv"}, "svg": {"visibility.csv", "visibility.svg"}},
+    "drift": {"default": {"drift.csv", "drift.json"},
+              "svg": {"drift.csv", "drift.json", "drift.svg"}},
+    "capacity": {"default": {"capacity.json"}, "svg": {"capacity.json"}},
+}
+
+
+def test_each_command_writes_its_own_files(tmp_path):
+    """Each run writes exactly its files, and no file name belongs to two commands."""
+    assert set(COMMAND_FILES) == set(cli.COMMANDS)
+    mode_args = {"default": [], "exact": ["--exact"],
+                 "svg": ["--config", _write_config(tmp_path, {"svg": True})]}
+    for command, modes in COMMAND_FILES.items():
+        assert ("exact" in modes) == (command in cli.EXACT_COMMANDS), command
+        for mode, names in modes.items():
+            outdir = tmp_path / command / mode
+            assert _run([command, *mode_args[mode], "--out", str(outdir)]) == 0
+            assert set(_snapshot(outdir)) == names, (command, mode)
+    owned = [set().union(*modes.values()) for modes in COMMAND_FILES.values()]
+    assert sum(map(len, owned)) == len(set().union(*owned))
+
+
+def test_transmit_keeps_the_generated_state(tmp_path):
+    """generate then transmit into one --out: state.json keeps its fidelity."""
+    assert _run(["generate", "--out", str(tmp_path)]) == 0
+    generated = (tmp_path / "state.json").read_bytes()
+    assert _run(["transmit", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "state.json").read_bytes() == generated
+    assert json.loads(generated)["fidelity"] == pytest.approx(1.0)
+    sent = json.loads((tmp_path / "transmit.json").read_text())
+    state = json.loads(generated)["state"]
+    bins = [(a["signal_ps"], a["idler_ps"]) for a in sent["state"]["amplitudes"]]
+    assert bins == [(a["signal_ps"], a["idler_ps"]) for a in state["amplitudes"]]
+    assert sent["state"]["norm_tracking"] == state["norm_tracking"] * sent["retained_fraction"]
+
+
+def test_render_error_writes_nothing(tmp_path, monkeypatch):
+    """drift renders drift.csv, then drift.json; a failing JSON render leaves neither."""
+    def fail(*args):
+        raise RuntimeError("render failed")
+    monkeypatch.setattr(cli, "write_json", fail)
+    with pytest.raises(RuntimeError, match="render failed"):
+        _run(["drift", "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 CSV_CASES = {
     "floats": [(0.1 + 0.2, np.float64(1e16), np.float32(0.1)),
                (float("nan"), float("inf"), float("-inf")),
@@ -222,22 +296,21 @@ CSV_CASES = {
 
 
 @pytest.mark.parametrize("rows", CSV_CASES.values(), ids=CSV_CASES.keys())
-def test_csv_rows_match_cell_oracle(tmp_path, rows):
+def test_csv_rows_match_cell_oracle(rows):
     """One %-template per file writes the bytes the per-cell formatter wrote."""
     width = len(rows[0]) if rows else 3
     columns = [f"c{k}" for k in range(width)]
-    cli.write_csv(tmp_path / "t.csv", columns, rows, "0123456789abcdef")
+    text = cli.write_csv(columns, rows, "0123456789abcdef")
     expected = ["# config_sha256=0123456789abcdef", ",".join(columns), *cell_csv_lines(rows)]
-    assert (tmp_path / "t.csv").read_text() == "\n".join(expected) + "\n"
+    assert text == "\n".join(expected) + "\n"
 
 
-def test_csv_float_lists_match_numpy_scalars(tmp_path):
+def test_csv_float_lists_match_numpy_scalars():
     """drift passes tolist() columns; numpy scalars of the same values write the same bytes."""
     values = np.random.default_rng(0).standard_normal((300, 3)) * [1e-300, 1.0, 1e300]
     values[0] = [-0.0, np.inf, 5e-324]
-    cli.write_csv(tmp_path / "py.csv", ["a", "b", "c"], [tuple(r) for r in values.tolist()], "s")
-    cli.write_csv(tmp_path / "np.csv", ["a", "b", "c"], list(zip(*values.T)), "s")
-    assert (tmp_path / "py.csv").read_bytes() == (tmp_path / "np.csv").read_bytes()
+    py = cli.write_csv(["a", "b", "c"], [tuple(r) for r in values.tolist()], "s")
+    assert cli.write_csv(["a", "b", "c"], list(zip(*values.T)), "s") == py
 
 
 def test_commands_repeat_in_one_process(tmp_path):
