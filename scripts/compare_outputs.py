@@ -37,7 +37,12 @@ RUNS = {
     "penalty-exact": (["--seed", "3", "--exact"], PENALTY),
     "wide-tree": (["--seed", "3"], WIDE_TREE),
     "duplicate-levels": ([], {"encoding": {"levels": [["T", 300.0, 3.75], ["T", 100.0, 1.25]]}}),
-    "one-sample-drift": ([], {"channel": {"drift": {"duration_s": 30}}}),
+    # a readout time inside the one-sample trace, so every command runs it
+    "one-sample-drift": ([], {"channel": {"readout_time_s": 0, "drift": {"duration_s": 30}}}),
+    # config values that every command refuses, whichever sections it reads
+    "efficiency-0": ([], {"detection": {"efficiency": 0}}),
+    "readout-time-1e9": ([], {"channel": {"readout_time_s": 1e9}}),
+    "interval-1": ([], {"channel": {"stabilizer": {"correction_interval_s": 1}}}),
 }
 
 

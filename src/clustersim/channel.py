@@ -99,10 +99,7 @@ class DriftTrace:
         return float(np.max(np.abs(self.offsets_ps)))
 
     def offset_at(self, time_s: float) -> float:
-        """Offset at time_s, interpolated; ValueError outside the trace's span."""
-        end_s = self.step_s * (len(self.offsets_ps) - 1)
-        if not 0.0 <= time_s <= end_s:
-            raise ValueError(f"{time_s:g} s is outside the drift trace's span [0, {end_s:g}] s")
+        """Offset at time_s, interpolated; time_s lies in the trace's span."""
         return float(np.interp(time_s, self.times_s, self.offsets_ps))
 
 
@@ -172,25 +169,30 @@ def ou_accumulate(normals, decay, innovation):
 MAX_TRACE_SAMPLES = 10**6
 
 
+def trace_samples(duration_s: float, step_s: float) -> int:
+    """Samples floor(duration / step) + 1 of a trace; ValueError past MAX_TRACE_SAMPLES."""
+    n = np.floor(duration_s / step_s) + 1
+    if duration_s <= 0 or n > MAX_TRACE_SAMPLES:
+        raise ValueError(f"duration must be positive and span at most {MAX_TRACE_SAMPLES} samples")
+    return int(n)
+
+
+def check_correction_interval(policy: StabilizerPolicy, step_s: float) -> None:
+    """ValueError if stabilize would round the interval to no whole trace step."""
+    if policy.correction_interval_s / step_s <= 0.5:
+        raise ValueError("correction interval shorter than the trace step")
+
+
 # extreme settings overflow to inf or nan; the peak check reports them
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_drift(
-    link: FiberLink,
-    duration_s: float,
-    model: ThermalModel,
-    rng: np.random.Generator,
+    link: FiberLink, n: int, model: ThermalModel, rng: np.random.Generator
 ) -> DriftTrace:
-    """Thermal time-of-flight drift trace, drawn from rng.
+    """Thermal time-of-flight drift trace of n samples (trace_samples), drawn from rng.
 
     offsets = thermal_sensitivity * length * T(t) with T(t) the smoothed
     (and optionally peak-rescaled) temperature process.
     """
-    n = np.floor(duration_s / model.step_s) + 1
-    if duration_s <= 0 or n > MAX_TRACE_SAMPLES:
-        raise ValueError(
-            f"duration must be positive and span at most {MAX_TRACE_SAMPLES} samples"
-        )
-    n = int(n)
     if model.sigma_k == 0.0:
         return DriftTrace(model.step_s, np.zeros(n))
     normals = rng.standard_normal(n)
@@ -221,10 +223,8 @@ def stabilize(
     quantized to the actuator resolution).
     """
     n = len(trace.offsets_ps)
-    # an interval of n steps or more is a no-op, however far past n it lies
+    # an interval of n steps or more is a no-op; one that rounds to no step is refused at load
     period_steps = int(round(min(policy.correction_interval_s / trace.step_s, n)))
-    if period_steps < 1:
-        raise ValueError("correction interval shorter than the trace step")
     if period_steps >= n:
         # no correction epoch fits inside the trace (one sample has none): no-op
         return trace, trace.rms_ps()

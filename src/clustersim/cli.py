@@ -1,18 +1,18 @@
 """Command-line harness: configuration, pipelines and file outputs.
 
-Every command is deterministic given (config, seed).  It returns its
-documents by file name, and its stdout lines; main alone stamps each
-document with the hash of the effective configuration, renders it as CSV,
-JSON or SVG, and writes every file atomically once all have rendered.
+load_config checks the whole config and builds every domain object once,
+into one frozen Setup, so all commands refuse a bad config alike.  Every
+command reads that Setup, is deterministic given (config, seed), and
+returns its documents by file name and its stdout lines; main alone stamps
+each document with the config's hash, renders it as CSV, JSON or SVG, and
+writes every file atomically once all have rendered.
 
-Exit codes: 0 success, 1 simulation-contract violation, 2 config/usage
-error.
+Exit codes: 0 success, 1 simulation-contract violation, 2 config/usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, channel, detection, waveform
-from .cpm import CpmSettings
+from .cpm import CpmSettings, check_copy_spacing
 from .encoding import DEFAULT_TREE, Level, LevelTree
 from .errors import ClusterSimError, ConfigError
-from .modes import state_to_json
+from .modes import JointTwoPhotonState, state_to_json
 from .source import ExcitationTrain, generate_pair_state, is_cluster_state
 
 
@@ -100,20 +100,17 @@ _OPEN_SECTIONS = {"detection.visibility_penalty": 1.0}
 # Leaves that may be null: no peak rescale of the drift.
 _NULLABLE = {"channel.drift.peak_k"}
 
-# Ranges of the leaves that no domain constructor checks; the range of an
-# open section holds for each of its values.  The upper bounds keep counts
-# exact in a float (below 2**53), witness near 4 s and 120 MB (class-total
-# resampling of 10**7 samples on 2 vCPUs) and fringe near 30 s and 250 MB.
+# Ranges of the leaves that no domain constructor checks (an open section's
+# holds for each value); upper bounds keep counts exact in a float and
+# witness and fringe within seconds and a few hundred MB (README).
 _RANGES = {"seed": (0, math.inf), "detection.pairs_per_setting": (1, 10**15),
            "analysis.mc_samples": (2, 10**7),
            "analysis.fringe_points": (analysis.MIN_SCAN_PHASES, 10**5),
            "detection.visibility_penalty": (0.0, 1.0)}
 
 # Fewest and most entries of the list leaves: the readout reads the paper's
-# two-level tree, whose four bins take one pump phase each, and visibility
-# computes one bound per (separation, dispersion) pair (README gives the
-# time of 100 x 100 pairs: 1.3 s at 100-300 ps, 3.9 s at 100-10000 ps and
-# 102 s at 131000 ps).
+# two-level tree, one pump phase per bin, and visibility computes one bound
+# per (separation, dispersion) pair (README times 100 x 100 pairs).
 _ENTRIES = {"encoding.levels": (2, 2), "source.phases_rad": (4, 4),
             "waveform.dispersions_ns_per_nm": (1, 100), "waveform.separations_ps": (1, 100)}
 
@@ -186,9 +183,64 @@ def _reject_constant(name: str):
     raise ConfigError(f"malformed config JSON: {name} is not a JSON number")
 
 
+def _from_config(where: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), whose ValueError, a bad value of section `where`, is a ConfigError."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _build(cls, cfg: dict, where: str):
+    """cls from its fields' leaves in section `where`: lists as tuples, ints for int fields."""
+    section = cfg
+    for key in where.split("."):
+        section = section[key]
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        value = section[f.name]
+        if isinstance(value, list):
+            value = tuple(value)
+        elif type(f.default) is int:
+            value = int(value)
+        kwargs[f.name] = value
+    return _from_config(where, cls, **kwargs)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Setup:
+    """The domain objects of one checked config, whose merged dict stamps every output."""
+
+    config: dict
+    tree: LevelTree
+    train: ExcitationTrain
+    state: JointTwoPhotonState  # before the link; readout.state is after it
+    link: channel.FiberLink
+    thermal: channel.ThermalModel
+    samples: int  # of the drift trace over channel.drift.duration_s
+    stabilizer: channel.StabilizerPolicy
+    readout_time_s: float  # inside the drift trace's span
+    readout: detection.Readout
+    cpm: CpmSettings
+    fringe_points: int
+    mc_samples: int
+    capacity: dict
+
+    def drift_trace(self) -> channel.DriftTrace:
+        """The drift trace, drawn from its stream; offsets that overflow are a config error."""
+        rng = np.random.default_rng(stream(self.config["seed"], "drift"))
+        return _from_config("channel.drift", channel.simulate_drift,
+                            self.link, self.samples, self.thermal, rng)
+
+
 def load_config(
     path: str | None, preset: str | None, seed: int | None, out: str | None
-) -> dict:
+) -> Setup:
+    """The Setup of the defaults merged with the preset, the file, then the options.
+
+    Every section is checked here, in one order, so every command reports
+    the same first bad value, whichever sections it reads.
+    """
     cfg = DEFAULT_CONFIG
     if preset is not None:
         cfg = _merge(cfg, PRESETS[preset])
@@ -212,7 +264,35 @@ def load_config(
         if key not in names:
             raise ConfigError(f"detection.visibility_penalty.{key} names no level "
                               f"of encoding.levels")
-    return cfg
+    tree = _from_config("encoding", LevelTree, *(Level(*lv) for lv in cfg["encoding"]["levels"]))
+    train = _build(ExcitationTrain, cfg, "source")
+    link = _build(channel.FiberLink, cfg, "channel")
+    thermal = _build(channel.ThermalModel, cfg, "channel.drift")
+    samples = _from_config("channel.drift", channel.trace_samples,
+                           cfg["channel"]["drift"]["duration_s"], thermal.step_s)
+    stabilizer = _build(channel.StabilizerPolicy, cfg, "channel.stabilizer")
+    _from_config("channel.stabilizer", channel.check_correction_interval,
+                 stabilizer, thermal.step_s)
+    readout_time_s, end_s = cfg["channel"]["readout_time_s"], thermal.step_s * (samples - 1)
+    if not 0.0 <= readout_time_s <= end_s:
+        raise ConfigError(f"channel.readout_time_s: {readout_time_s:g} s is outside the drift "
+                          f"trace's span [0, {end_s:g}] s")
+    detector = _build(detection.DetectorModel, cfg, "detection")
+    jitter = _from_config("detection", detection.jitter_matrices, detector, tree)
+    cpm = _build(CpmSettings, cfg, "cpm")
+    # inner level first, as the schedule reads them; a GridMismatch exits 1
+    check_copy_spacing(cpm, tree.inner, tree.outer)
+    wf = cfg["waveform"]
+    _from_config("waveform", waveform.check_ranges, wf["separations_ps"],
+                 wf["dispersions_ns_per_nm"], cpm.carrier_wavelength_nm)
+    capacity = _from_config("capacity", analysis.multiplex_budget, **cfg["capacity"])
+    state = generate_pair_state(train)
+    readout = detection.Readout(channel.transmit(state, link), tree, detector,
+                                cfg["detection"]["pairs_per_setting"],
+                                cfg["detection"]["visibility_penalty"], jitter)
+    return Setup(cfg, tree, train, state, link, thermal, samples, stabilizer, readout_time_s,
+                 readout, cpm, int(cfg["analysis"]["fringe_points"]),
+                 int(cfg["analysis"]["mc_samples"]), capacity)
 
 
 def stream(seed: int, name: str) -> np.random.SeedSequence:
@@ -321,172 +401,79 @@ def write_line_svg(curves: dict, x_label: str, y_label: str, stamp: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# config -> domain objects
-
-@contextlib.contextmanager
-def _from_config(where: str):
-    """Report a domain ValueError on config values as a ConfigError.
-
-    The one place a domain error becomes a config error: a domain
-    constructor or function rejects a bad parameter with ValueError, which
-    means a config error (exit 2), and raises a ClusterSimError for a
-    simulation-contract violation (exit 1), which passes through.  Works as
-    a ``with`` block and as a function decorator.
-    """
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _build(cls, cfg: dict, where: str):
-    """cls from the keys of config section `where` that name its fields.
-
-    Every field is a leaf of its section.  Lists become tuples and integral
-    numbers become ints for int fields.
-    """
-    section = cfg
-    for key in where.split("."):
-        section = section[key]
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        value = section[f.name]
-        if isinstance(value, list):
-            value = tuple(value)
-        elif type(f.default) is int:
-            value = int(value)
-        kwargs[f.name] = value
-    with _from_config(where):
-        return cls(**kwargs)
-
-
-def _drift(cfg, link: channel.FiberLink) -> channel.DriftTrace:
-    """The link's thermal drift trace over channel.drift.duration_s."""
-    model = _build(channel.ThermalModel, cfg, "channel.drift")
-    duration_s = cfg["channel"]["drift"]["duration_s"]
-    rng = np.random.default_rng(stream(cfg["seed"], "drift"))
-    with _from_config("channel.drift"):
-        return channel.simulate_drift(link, duration_s, model, rng)
-
-
-@_from_config("encoding")
-def _make_state(cfg):
-    tree = LevelTree(*(Level(*lv) for lv in cfg["encoding"]["levels"]))
-    train = _build(ExcitationTrain, cfg, "source")
-    return generate_pair_state(train), tree
-
-
-# ----------------------------------------------------------------------
 # commands
 
-def cmd_generate(cfg, exact: bool) -> tuple[dict, list[str]]:
-    state, tree = _make_state(cfg)
-    ok, fidelity = is_cluster_state(state)
+def cmd_generate(s: Setup, exact: bool) -> tuple[dict, list[str]]:
+    ok, fidelity = is_cluster_state(s.state)
     lines = [f"fidelity vs target cluster state: {fidelity:.6f}"]
     if not ok:
         lines.append("warning: generated state is not the target cluster state")
-    return {"state.json": {"state": state_to_json(state, tree), "fidelity": fidelity}}, lines
+    return {"state.json": {"state": state_to_json(s.state, s.tree), "fidelity": fidelity}}, lines
 
 
-def cmd_transmit(cfg, exact: bool) -> tuple[dict, list[str]]:
-    state, tree = _make_state(cfg)
-    link = _build(channel.FiberLink, cfg, "channel")
-    trace = _drift(cfg, link)
-    out = channel.transmit(state, link)
-    with _from_config("channel.readout_time_s"):
-        offset = trace.offset_at(cfg["channel"]["readout_time_s"])
-    corrupted = channel.bin_assignment_corrupted(offset, tree)
+def cmd_transmit(s: Setup, exact: bool) -> tuple[dict, list[str]]:
+    offset = s.drift_trace().offset_at(s.readout_time_s)
+    corrupted = channel.bin_assignment_corrupted(offset, s.tree)
     return {"transmit.json": {
-        "retained_fraction": link.retained_fraction,
+        "retained_fraction": s.link.retained_fraction,
         "arrival_offset_ps": offset,
         "bin_assignment_corrupted": corrupted,
-        "state": state_to_json(out, tree),
-    }}, [f"retained fraction {link.retained_fraction:.4f}, arrival offset {offset:.2f} ps"
+        "state": state_to_json(s.readout.state, s.tree),
+    }}, [f"retained fraction {s.link.retained_fraction:.4f}, arrival offset {offset:.2f} ps"
          + (" (bin assignment corrupted)" if corrupted else "")]
 
 
-def _readout(cfg) -> detection.Readout:
-    """The readout that measure, witness and fringe share.
-
-    Sections are built as encoding/source, channel, detection, then cpm, so
-    every readout command reports the same first of several bad values.
-    """
-    state, tree = _make_state(cfg)
-    state = channel.transmit(state, _build(channel.FiberLink, cfg, "channel"))
-    detector = _build(detection.DetectorModel, cfg, "detection")
-    with _from_config("detection"):
-        jitter = detection.jitter_matrices(detector, tree)
-    return detection.Readout(state, tree, _build(CpmSettings, cfg, "cpm"), detector,
-                             cfg["detection"]["pairs_per_setting"],
-                             cfg["detection"]["visibility_penalty"], jitter)
+def _sampled_histograms(s: Setup, exact: bool):
+    schedule = detection.build_default_schedule(s.tree)
+    return detection.sample_coincidences(s.readout, schedule,
+                                         stream(s.config["seed"], "settings"), exact)
 
 
-def _sampled_histograms(cfg, exact: bool):
-    readout = _readout(cfg)
-    return detection.sample_coincidences(
-        readout, detection.build_default_schedule(readout.tree),
-        stream(cfg["seed"], "settings"), exact,
-    )
-
-
-def cmd_measure(cfg, exact: bool) -> tuple[dict, list[str]]:
-    hists = _sampled_histograms(cfg, exact)
-    rows = [
-        (h.pairing.name, bs, bi, h.counts[bs, bi])
-        for h in hists
-        for bs in range(h.counts.shape[0])
-        for bi in range(h.counts.shape[1])
-    ]
+def cmd_measure(s: Setup, exact: bool) -> tuple[dict, list[str]]:
+    hists = _sampled_histograms(s, exact)
+    rows = [(h.pairing.name, bs, bi, h.counts[bs, bi])
+            for h in hists for bs, bi in np.ndindex(h.counts.shape)]
     total = sum(h.counts.sum() for h in hists)
     return {
         "histograms.csv": (["setting", "s_bin", "i_bin", "counts"], rows),
-        "histograms.json": {"settings": [
-            {
-                "name": h.pairing.name,
-                "signal": [h.pairing.signal_setting.kind, h.pairing.signal_setting.level],
-                "idler": [h.pairing.idler_setting.kind, h.pairing.idler_setting.level],
-                "counts": h.counts.tolist(),
-                "ancillary": h.ancillary,
-            }
-            for h in hists
-        ]},
+        "histograms.json": {"settings": [{
+            "name": h.pairing.name,
+            "signal": [h.pairing.signal_setting.kind, h.pairing.signal_setting.level],
+            "idler": [h.pairing.idler_setting.kind, h.pairing.idler_setting.level],
+            "counts": h.counts.tolist(),
+            "ancillary": h.ancillary,
+        } for h in hists]},
     }, [f"recorded {total:.0f} coincidences over {len(hists)} settings"]
 
 
-def cmd_witness(cfg, exact: bool) -> tuple[dict, list[str]]:
-    raw = analysis.raw_basis_counts(_sampled_histograms(cfg, exact))
+def cmd_witness(s: Setup, exact: bool) -> tuple[dict, list[str]]:
+    raw = analysis.raw_basis_counts(_sampled_histograms(s, exact))
     projections = analysis.extract_projections(raw)
-    rows = [
-        (basis, outcome, projections[basis][outcome])
-        for basis in projections
-        for outcome in range(16)
-    ]
+    rows = [(basis, outcome, projections[basis][outcome])
+            for basis in projections for outcome in range(16)]
     files = {"projections.csv": (["basis", "outcome", "value"], rows)}
     stderr = stderr_delta = None
     if not exact:
         totals = analysis.class_totals(raw)
         stderr, hist, edges = analysis.monte_carlo_error(
-            totals, int(cfg["analysis"]["mc_samples"]), stream(cfg["seed"], "witness")
-        )
+            totals, s.mc_samples, stream(s.config["seed"], "witness"))
         stderr_delta = analysis.delta_method_stderr(totals)
-        files["witness_hist.csv"] = (
-            ["bin_left", "bin_right", "count"],
-            [(edges[i], edges[i + 1], int(hist[i])) for i in range(len(hist))])
+        files["witness_hist.csv"] = (["bin_left", "bin_right", "count"],
+                                     list(zip(edges[:-1], edges[1:], hist.tolist())))
     report = analysis.witness(projections, stderr, stderr_delta)
     files["witness.json"] = report
     err = f" +/- {stderr:.4f}" if stderr is not None else ""
     return files, [f"W = {report['witness']:+.4f}{err}; F >= {report['fidelity_bound']:.4f}"]
 
 
-def cmd_fringe(cfg, exact: bool) -> tuple[dict, list[str]]:
-    n_points = int(cfg["analysis"]["fringe_points"])
-    means = detection.fringe_means(_readout(cfg), n_points)
+def cmd_fringe(s: Setup, exact: bool) -> tuple[dict, list[str]]:
+    means = detection.fringe_means(s.readout, s.fringe_points)
     if exact:
         rates = means
     else:
-        rng = np.random.default_rng(stream(cfg["seed"], "fringe"))
+        rng = np.random.default_rng(stream(s.config["seed"], "fringe"))
         rates = rng.poisson(means).astype(float)
-    alphas = analysis.scan_phases(n_points)
+    alphas = analysis.scan_phases(s.fringe_points)
     rows, fits = [], {}
     for (name, _ports, _bits, sign), column in zip(detection.FRINGE_PROJECTIONS, rates.T):
         fits[name] = analysis.fit_interference(column, sign)
@@ -497,31 +484,26 @@ def cmd_fringe(cfg, exact: bool) -> tuple[dict, list[str]]:
             "fringe.json": {"fits": fits}}, lines
 
 
-@_from_config("waveform")
-def cmd_visibility(cfg, exact: bool) -> tuple[dict, list[str]]:
-    wf = cfg["waveform"]
-    fwhm = _build(ExcitationTrain, cfg, "source").pulse_fwhm_ps
+def cmd_visibility(s: Setup, exact: bool) -> tuple[dict, list[str]]:
+    wf = s.config["waveform"]
     dispersions = wf["dispersions_ns_per_nm"]
-    carrier = _build(CpmSettings, cfg, "cpm").carrier_wavelength_nm
-    rows = []
-    curves = {}
+    rows, curves = [], {}
     for sep in wf["separations_ps"]:
-        ys = waveform.visibility_bound(sep, fwhm, dispersions, carrier).tolist()
+        ys = waveform.visibility_bound(sep, s.train.pulse_fwhm_ps, dispersions,
+                                       s.cpm.carrier_wavelength_nm).tolist()
         rows += [(disp, sep, vis) for disp, vis in zip(dispersions, ys)]
         curves[f"{sep:.12g} ps"] = (dispersions, ys)
     files = {"visibility.csv": (["dispersion_ns_per_nm", "separation_ps", "visibility"], rows)}
-    if cfg["svg"]:
+    if s.config["svg"]:
         files["visibility.svg"] = (curves, "dispersion (ns/nm)", "visibility")
     return files, [f"{label}: visibility {ys[0]:.4f} .. {ys[-1]:.4f}"
                    for label, (xs, ys) in sorted(curves.items())]
 
 
-def cmd_drift(cfg, exact: bool) -> tuple[dict, list[str]]:
-    trace = _drift(cfg, _build(channel.FiberLink, cfg, "channel"))
-    policy = _build(channel.StabilizerPolicy, cfg, "channel.stabilizer")
-    rng = np.random.default_rng(stream(cfg["seed"], "stabilizer"))
-    with _from_config("channel.stabilizer"):
-        residual, rms = channel.stabilize(trace, policy, rng)
+def cmd_drift(s: Setup, exact: bool) -> tuple[dict, list[str]]:
+    trace = s.drift_trace()
+    rng = np.random.default_rng(stream(s.config["seed"], "stabilizer"))
+    residual, rms = channel.stabilize(trace, s.stabilizer, rng)
     rows = list(zip(trace.times_s.tolist(), trace.offsets_ps.tolist(),
                     residual.offsets_ps.tolist()))
     files = {
@@ -529,7 +511,7 @@ def cmd_drift(cfg, exact: bool) -> tuple[dict, list[str]]:
         "drift.json": {"peak_ps": trace.peak_ps(), "rms_ps": trace.rms_ps(),
                        "residual_rms_ps": rms},
     }
-    if cfg["svg"]:
+    if s.config["svg"]:
         files["drift.svg"] = ({
             "uncorrected": (trace.times_s, trace.offsets_ps),
             "corrected": (residual.times_s, residual.offsets_ps),
@@ -537,12 +519,10 @@ def cmd_drift(cfg, exact: bool) -> tuple[dict, list[str]]:
     return files, [f"peak offset {trace.peak_ps():.1f} ps, stabilized residual RMS {rms:.2f} ps"]
 
 
-@_from_config("capacity")
-def cmd_capacity(cfg, exact: bool) -> tuple[dict, list[str]]:
-    budget = analysis.multiplex_budget(**cfg["capacity"])
-    return {"capacity.json": budget}, [
-        f"multiplexing capacity: {budget['qubits_per_s'] / 1e9:.1f} GigaQubits/s "
-        f"({budget['channels']} spectral channels)"]
+def cmd_capacity(s: Setup, exact: bool) -> tuple[dict, list[str]]:
+    return {"capacity.json": s.capacity}, [
+        f"multiplexing capacity: {s.capacity['qubits_per_s'] / 1e9:.1f} GigaQubits/s "
+        f"({s.capacity['channels']} spectral channels)"]
 
 
 COMMANDS = {
@@ -588,9 +568,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = load_config(args.config, args.preset, args.seed, args.out)
-        stamp = config_hash(cfg)
-        files, lines = COMMANDS[args.command](cfg, args.exact)
+        setup = load_config(args.config, args.preset, args.seed, args.out)
+        stamp = config_hash(setup.config)
+        files, lines = COMMANDS[args.command](setup, args.exact)
         # render every document by its suffix before writing any file, so a
         # render error writes nothing: a .json document is a payload dict, a
         # .csv one (columns, rows) and an .svg one (curves, x label, y label)
@@ -598,7 +578,7 @@ def main(argv=None) -> int:
                  else write_csv(*doc, stamp) if name.endswith(".csv")
                  else write_line_svg(*doc, stamp) for name, doc in files.items()}
         for name, text in texts.items():
-            _atomic_write(Path(cfg["out"]) / name, text)
+            _atomic_write(Path(setup.config["out"]) / name, text)
         for line in lines:
             print(line)
         return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_row, solve_balanced_depth
-from .encoding import LevelTree
+from .encoding import Level, LevelTree
 from .errors import GridMismatch
 
 C_M_PER_S = 299792458.0
@@ -72,11 +72,22 @@ class BeamSplitterSetting:
     alpha: float = 0.0
 
 
+def check_copy_spacing(base: CpmSettings, *levels: Level) -> None:
+    """GridMismatch for the first level whose copies miss its bin shift by over SNAP_TOL_PS.
+
+    Levels are checked in the order given; a nan spacing misses too.
+    """
+    for level in levels:
+        copy_ps = base.delta_t_ps(level.rf_frequency_ghz)
+        if not abs(copy_ps - level.shift_ps) <= SNAP_TOL_PS:
+            raise GridMismatch(
+                f"level {level.name}: copy spacing {copy_ps:g} ps does not match "
+                f"its {level.shift_ps:g} ps bin shift"
+            )
+
+
 def measurement_map(
-    setting: BeamSplitterSetting,
-    tree: LevelTree,
-    base: CpmSettings,
-    alpha_offset: float,
+    setting: BeamSplitterSetting, tree: LevelTree, alpha_offset: float
 ) -> np.ndarray:
     """Single-photon measurement matrix A[out bin, in bin] for one setting.
 
@@ -93,21 +104,14 @@ def measurement_map(
     scattering operator's e^{-i m alpha} convention).  The remaining
     1 - eta(g*) of the probability scatters to ancillary orders and is
     dropped, so each column has norm eta(g*).  alpha_offset shifts the RF
-    phase; the detection stage uses it to build dephased variants.  A level
-    absent from the tree raises ValueError.
+    phase; the detection stage uses it to build dephased variants.  Bins
+    pair by index, as the copies bridge the level's shift (check_copy_spacing).
+    A level absent from the tree raises ValueError.
     """
     if setting.kind == "Z":
         return np.eye(4, dtype=complex)
 
-    level, flip = tree.level(setting.level)
-    copy_ps = base.delta_t_ps(level.rf_frequency_ghz)
-    # the splitter pairs bins by index, which holds only if the copies bridge
-    # this level's bin shift; a nan spacing fails the test too
-    if not abs(copy_ps - level.shift_ps) <= SNAP_TOL_PS:
-        raise GridMismatch(
-            f"level {level.name}: copy spacing {copy_ps:g} ps does not match "
-            f"its {level.shift_ps:g} ps bin shift"
-        )
+    _, flip = tree.level(setting.level)
     row = bessel_row(solve_balanced_depth(), 1)
     j0, j1 = float(row[0]), float(row[1])
     alpha = float(np.mod(setting.alpha, 2.0 * np.pi)) + alpha_offset

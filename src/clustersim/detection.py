@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import WITNESS_BASES, scan_phases
-from .cpm import BeamSplitterSetting, CpmSettings, measurement_map
+from .cpm import BeamSplitterSetting, measurement_map
 from .encoding import LevelTree
 from .modes import JointTwoPhotonState, clean
 
@@ -90,7 +90,6 @@ class Readout:
 
     state: JointTwoPhotonState
     tree: LevelTree
-    cpm: CpmSettings
     detector: DetectorModel
     pairs_per_setting: int
     penalty: dict[str, float]
@@ -143,7 +142,7 @@ def _penalty_branches(setting: BeamSplitterSetting, penalty: dict[str, float]):
 def branch_maps(setting: BeamSplitterSetting, readout: Readout):
     """(weight, measurement matrix) of each penalty branch of setting."""
     return tuple(
-        (weight, measurement_map(setting, readout.tree, readout.cpm, offset))
+        (weight, measurement_map(setting, readout.tree, offset))
         for weight, offset in _penalty_branches(setting, readout.penalty)
     )
 
@@ -264,14 +263,14 @@ def sample_coincidences(
     """Histogram of coincidences for every joint setting of the schedule.
 
     With exact=True the mean counts are returned unsampled (infinite
-    statistics); otherwise each cell is an independent Poisson draw, setting
-    k's from the k-th child that seed spawns.  The branch maps of each
-    distinct splitter setting are built once, in schedule order, and shared
-    by every pairing that reads it.
+    statistics) and seed spawns no child; otherwise each cell is an
+    independent Poisson draw, setting k's from the k-th child that seed
+    spawns.  The branch maps of each distinct splitter setting are built
+    once, in schedule order, and shared by every pairing that reads it.
     """
     settings = dict.fromkeys(s for p in schedule for s in (p.signal_setting, p.idler_setting))
     maps = {setting: branch_maps(setting, readout) for setting in settings}
-    children = seed.spawn(len(schedule))
+    children = [None] * len(schedule) if exact else seed.spawn(len(schedule))
     out = []
     for pairing, child in zip(schedule, children):
         probs = joint_outcome_probabilities(

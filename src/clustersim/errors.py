@@ -1,7 +1,10 @@
 """Exception types shared across the simulator.
 
-A bad config value is refused with ValueError instead, which
-``cli._from_config`` reports as a ConfigError.
+A domain constructor or check refuses a bad config value with ValueError
+instead, which ``cli._from_config`` reports as a ConfigError.  Every check
+that needs only the config runs in ``cli.load_config``, GridMismatch's too;
+MissingBasis and InsufficientScan read the counts, and a drift trace that
+overflows its draw, so the command that computes them raises them.
 """
 
 
@@ -10,7 +13,7 @@ class ClusterSimError(Exception):
 
 
 class GridMismatch(ClusterSimError):
-    """A level's splitter copy spacing does not bridge its bin shift (cpm.measurement_map)."""
+    """A level's splitter copy spacing does not bridge its bin shift (cpm.check_copy_spacing)."""
 
 
 class MissingBasis(ClusterSimError):

@@ -49,6 +49,28 @@ def rf_for_spacing(beta2_ps2: float, spacing_ps: float) -> float:
     return spacing_ps / (abs(beta2_ps2) * 2.0 * np.pi * 1e-3)
 
 
+def check_ranges(separations_ps, dispersions_ns_per_nm, carrier_wavelength_nm: float) -> None:
+    """ValueError unless visibility_bound takes every (separation, dispersion) pair.
+
+    beta2 must be nonzero and finite, each separation in [1, MAX_SEPARATION_PS)
+    ps, then each pair's tone positive with a finite highest copy phase.
+    """
+    with np.errstate(all="ignore"):  # the checks below refuse what overflows
+        beta2 = chirp_beta2_s2(np.asarray(dispersions_ns_per_nm, float),
+                               carrier_wavelength_nm) * 1e24  # ps^2
+        separations = np.asarray(separations_ps, float)[:, None]
+        omega = 2.0 * np.pi * rf_for_spacing(beta2, separations) * 1e-3  # rad/ps
+        phase_ok = (omega > 0) & np.isfinite((COPY_ORDERS * omega) ** 2 * beta2)
+    if not ((beta2 != 0) & np.isfinite(beta2)).all():
+        raise ValueError("dispersion must be nonzero and finite")
+    if min(separations_ps) < 1.0:
+        raise ValueError("bin separation must be at least 1 ps")
+    if max(separations_ps) >= MAX_SEPARATION_PS:
+        raise ValueError(f"bin separation must be below {MAX_SEPARATION_PS:g} ps")
+    if not phase_ok.all():
+        raise ValueError("dispersion out of range for the bin separation")
+
+
 def visibility_bound(
     separation_ps: float, pulse_fwhm_ps: float, dispersions_ns_per_nm, carrier_wavelength_nm: float
 ) -> np.ndarray:
@@ -63,22 +85,12 @@ def visibility_bound(
     output bin window [sep/2, 3 sep/2), sampled at 1 ps, traces a fringe
     I(alpha) = H0 + 2 Re(H1 e^{-i alpha}) + higher harmonics; the bound is
     its first-harmonic contrast 2 |H1| / H0, with H0 and H1 the copy sums
-    of the module docstring (|m| <= COPY_ORDERS, J_13(g*) = 2e-12).
+    of the module docstring (|m| <= COPY_ORDERS, J_13(g*) = 2e-12).  The
+    separation and dispersions pass check_ranges.
     """
-    with np.errstate(all="ignore"):  # the checks below refuse what overflows
-        dispersions = np.asarray(dispersions_ns_per_nm, float)
-        beta2 = chirp_beta2_s2(dispersions, carrier_wavelength_nm) * 1e24  # ps^2
-        omega = 2.0 * np.pi * rf_for_spacing(beta2, separation_ps) * 1e-3  # rad/ps
-        top = COPY_ORDERS * omega  # the highest copy frequency
-        phase_ok = (omega > 0) & np.isfinite(top * top * beta2)
-    if not np.all((beta2 != 0) & np.isfinite(beta2)):
-        raise ValueError("dispersion must be nonzero and finite")
-    if separation_ps < 1.0:
-        raise ValueError("bin separation must be at least 1 ps")
-    if separation_ps >= MAX_SEPARATION_PS:
-        raise ValueError(f"bin separation must be below {MAX_SEPARATION_PS:g} ps")
-    if not np.all(phase_ok):
-        raise ValueError("dispersion out of range for the bin separation")
+    dispersions = np.asarray(dispersions_ns_per_nm, float)
+    beta2 = chirp_beta2_s2(dispersions, carrier_wavelength_nm) * 1e24  # ps^2
+    omega = 2.0 * np.pi * rf_for_spacing(beta2, separation_ps) * 1e-3  # rad/ps
     orders = np.arange(-COPY_ORDERS, COPY_ORDERS + 1)
     bessel = bessel_row(solve_balanced_depth(), COPY_ORDERS)[np.abs(orders)]
     bessel = np.where((orders < 0) & (orders % 2 == 1), -bessel, bessel)  # J_-m

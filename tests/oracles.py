@@ -31,7 +31,7 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
   oracles; `grid_time_steps`, a copy spacing snapped to that grid; and
   `grid_copy_spacing_ok`, the two-step copy-spacing check (snap to the
   100 ps grid, then match the bin shift), the reference of the one-step
-  check in `cpm.measurement_map`.
+  `cpm.check_copy_spacing`.
 - `witness_samples`, the witness of each resampled set of 48 raw counts;
   `witness_from_class_totals`, the same witness from each set's 9 class
   totals; and `broadcast_class_total_samples`, the single-stream sampler
@@ -47,8 +47,10 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
   also rebuilt, and `mixed_means`, the background mix; on these,
   `per_setting_sample_coincidences` is the reference of
   `detection.sample_coincidences` and `per_phase_fringe_means`, which builds
-  each photon's maps at every phase, of `detection.fringe_means`.  `readout`
-  builds the product's `Readout` from domain objects, and
+  each photon's maps at every phase, of `detection.fringe_means`.  Each map
+  is built behind its level's copy-spacing check, as the product built it
+  before that check moved to `cli.load_config`.  `readout` checks the
+  copy spacings and builds the product's `Readout` from domain objects, and
   `joint_probabilities` runs the product's maps and probabilities for two
   settings.
 - `witness_sigma`, the closed-form standard deviation of the resampled
@@ -79,6 +81,7 @@ from clustersim.cpm import (
     BeamSplitterSetting,
     CpmSettings,
     chirp_beta2_s2,
+    check_copy_spacing,
     measurement_map,
 )
 from clustersim.detection import (
@@ -369,9 +372,20 @@ def cell_csv_lines(rows) -> list[str]:
 
 
 def readout(state, detector, pairs_per_setting, tree, base, visibility_penalty) -> Readout:
-    """The `detection.Readout` of domain objects, as `cli._readout` builds one from a config."""
-    return Readout(state, tree, base, detector, pairs_per_setting, visibility_penalty,
+    """The `detection.Readout` of domain objects, checked as `cli.load_config` checks a config.
+
+    base is checked against both levels' copy spacings, inner level first.
+    """
+    check_copy_spacing(base, tree.inner, tree.outer)
+    return Readout(state, tree, detector, pairs_per_setting, visibility_penalty,
                    jitter_matrices(detector, tree))
+
+
+def checked_map(setting, tree, base, alpha_offset) -> np.ndarray:
+    """`cpm.measurement_map` behind the copy-spacing check of its X setting's level."""
+    if setting.kind == "X":
+        check_copy_spacing(base, tree.level(setting.level)[0])
+    return measurement_map(setting, tree, alpha_offset)
 
 
 def joint_probabilities(state, signal_setting, idler_setting, tree, base, visibility_penalty):
@@ -392,10 +406,10 @@ def per_pairing_joint_probabilities(
     """
     probs = np.zeros(state.amplitudes.shape)
     for ws, offs in _penalty_branches(signal_setting, visibility_penalty):
-        a_s = measurement_map(signal_setting, tree, base, offs)
+        a_s = checked_map(signal_setting, tree, base, offs)
         after_s = a_s @ state.amplitudes
         for wi, offi in _penalty_branches(idler_setting, visibility_penalty):
-            a_i = measurement_map(idler_setting, tree, base, offi)
+            a_i = checked_map(idler_setting, tree, base, offi)
             probs += ws * wi * np.abs(clean(after_s @ a_i.T)) ** 2
     return probs
 
@@ -676,8 +690,8 @@ def any_depth_measurement_map(
     The reference of `cpm.measurement_map`: a level's partner bin is the bin
     with the bit of that level's depth flipped, so the map holds at any
     depth.  Z is the identity; X pairs each bin with its partner through
-    J0 and +/-J1 e^{-/+i alpha}, after the same copy-spacing check.  A level
-    absent from levels raises ValueError.
+    J0 and +/-J1 e^{-/+i alpha}, after the copy-spacing check of
+    `cpm.check_copy_spacing`.  A level absent from levels raises ValueError.
     """
     count = 1 << len(levels)
     if setting.kind == "Z":

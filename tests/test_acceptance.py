@@ -146,7 +146,7 @@ def test_criterion_04_splitter_constants(capsys):
     elapsed = time.perf_counter() - start
     # eta is what measure applies: the squared column norms of an X matrix
     x = cpm.measurement_map(BeamSplitterSetting("X", DEFAULT_TREE.inner.name), DEFAULT_TREE,
-                            CpmSettings(), 0.0)
+                            0.0)
     etas = np.sum(np.abs(x) ** 2, axis=0)
     g_ref = _scipy_balanced_depth()
     eta_ref = _scipy_efficiency(g_ref)
@@ -272,7 +272,8 @@ def test_criterion_07_fringes(capsys):
 def test_criterion_08_drift_stabilization(capsys):
     start = time.perf_counter()
     link = channel.FiberLink()
-    trace = channel.simulate_drift(link, 86400.0, channel.ThermalModel(),
+    samples = channel.trace_samples(86400.0, channel.ThermalModel().step_s)
+    trace = channel.simulate_drift(link, samples, channel.ThermalModel(),
                                    np.random.default_rng(stream(0, "drift")))
     _, rms = channel.stabilize(trace, channel.StabilizerPolicy(),
                                np.random.default_rng(stream(0, "stabilizer")))

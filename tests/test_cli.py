@@ -156,8 +156,8 @@ def test_fringe_draws_cells_phase_by_phase(tmp_path):
     """fringe.csv rates replay as one Poisson draw per cell, phase-major."""
     outdir = tmp_path / "f"
     assert _run(["fringe", "--seed", "3", "--out", str(outdir)]) == 0
-    cfg = load_config(None, None, 3, str(outdir))
-    means = detection.fringe_means(cli._readout(cfg), cfg["analysis"]["fringe_points"])
+    setup = load_config(None, None, 3, str(outdir))
+    means = detection.fringe_means(setup.readout, setup.fringe_points)
     rng = np.random.default_rng(cli.stream(3, "fringe"))
     replayed = [[float(rng.poisson(mean)) for mean in row] for row in means]
     rates = {}
@@ -213,7 +213,8 @@ FLAT_AXES = {
     "visibility-one-dispersion": (
         "visibility", {"svg": True, "waveform": {"dispersions_ns_per_nm": [2**53]}}),
     "drift-one-sample": (
-        "drift", {"svg": True, "channel": {"drift": {"duration_s": 30, "peak_k": 1e20}}}),
+        "drift", {"svg": True, "channel": {"readout_time_s": 0,
+                                           "drift": {"duration_s": 30, "peak_k": 1e20}}}),
 }
 
 
@@ -410,9 +411,12 @@ def test_readout_time_is_read_inside_the_trace(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides,offset,corrupted", [
-    pytest.param({"encoding": {"levels": [["T", 600.0, 3.75], ["t", 200.0, 1.25]]},
+    # tones whose copies bridge the shifts, and windows the bins hold: every
+    # command checks the readout's splitters and windows
+    pytest.param({"encoding": {"levels": [["T", 600.0, 7.487], ["t", 200.0, 2.4957]]},
                   "channel": {"drift": {"peak_k": 0.25}}}, "-77.47", False, id="200ps-bins"),
-    pytest.param({"encoding": {"levels": [["T", 60.0, 3.75], ["t", 20.0, 1.25]]},
+    pytest.param({"encoding": {"levels": [["T", 60.0, 0.7487], ["t", 20.0, 0.24957]]},
+                  "detection": {"coincidence_window_ps": 10.0},
                   "channel": {"drift": {"peak_k": 0.04}}}, "-12.39", True, id="20ps-bins"),
 ])
 def test_bin_corruption_follows_the_layout(tmp_path, capsys, overrides, offset, corrupted):
@@ -427,7 +431,10 @@ def test_bin_corruption_follows_the_layout(tmp_path, capsys, overrides, offset, 
 def test_visibility_reads_the_carrier(tmp_path):
     outputs = []
     for carrier in (1550.0, 1310.0):
-        cfg = _write_config(tmp_path, {"cpm": {"carrier_wavelength_nm": carrier}})
+        # the grating dispersion keeps the readout's copy spacings at either carrier
+        dispersion = 10.0 * (1550.0 / carrier) ** 2
+        cfg = _write_config(tmp_path, {"cpm": {"carrier_wavelength_nm": carrier,
+                                               "dispersion_ns_per_nm": dispersion}})
         outdir = tmp_path / f"v{carrier:g}"
         assert _run(["visibility", "--config", cfg, "--out", str(outdir)]) == 0
         outputs.append((outdir / "visibility.csv").read_text().splitlines()[1:])
@@ -462,6 +469,41 @@ DRIFT_OVERFLOW = re.compile(r"config error: channel\.drift: drift offsets reach 
                             r"above 1e\+150 ps\n")
 
 
+#: One bad value per row, across the config's sections: all 8 commands
+#: refuse each with one exit code and one line, whichever sections they read.
+EVERY_COMMAND = {
+    "efficiency-0": ({"detection": {"efficiency": 0.0}}, 2,
+                     "config error: detection: efficiency must lie in (0, 1]\n"),
+    "window-60": ({"detection": {"coincidence_window_ps": 60.0}}, 2,
+                  "config error: detection: coincidence window half-width 60 ps exceeds "
+                  "50 ps, half the smallest bin spacing\n"),
+    "readout-time-1e9": ({"channel": {"readout_time_s": 1e9}}, 2,
+                         "config error: channel.readout_time_s: 1e+09 s is outside the drift "
+                         "trace's span [0, 86400] s\n"),
+    "interval-1": ({"channel": {"stabilizer": {"correction_interval_s": 1.0}}}, 2,
+                   "config error: channel.stabilizer: correction interval shorter than the "
+                   "trace step\n"),
+    "separation-0.5": ({"waveform": {"separations_ps": [0.5]}}, 2,
+                       "config error: waveform: bin separation must be at least 1 ps\n"),
+    "pulse-1": ({"source": {"pulse_fwhm_ps": 1.0}}, 2,
+                "config error: source: pulse width must be at least 3 ps\n"),
+    "loss-minus-1": ({"channel": {"loss_db": -1.0}}, 2,
+                     "config error: channel: losses must be nonnegative\n"),
+    "duration-0": ({"channel": {"drift": {"duration_s": 0.0}}}, 2,
+                   "config error: channel.drift: duration must be positive and span at most "
+                   "1000000 samples\n"),
+    "reversed-levels": ({"encoding": {"levels": [["T", 100.0, 3.75], ["t", 300.0, 1.25]]}}, 2,
+                        "config error: encoding: level T: shift 100.0 ps does not clear inner "
+                        "levels\n"),
+    "capacity-overflow": ({"capacity": {"qubit_spectral_width_ghz": 5e-324}}, 2,
+                          "config error: capacity: capacity overflows a float\n"),
+    # a simulation-contract violation, found at load all the same
+    "cpm-dispersion-5": ({"cpm": {"dispersion_ns_per_nm": 5.0}}, 1,
+                         "simulation error: level t: copy spacing 50.0867 ps does not match "
+                         "its 100 ps bin shift\n"),
+}
+
+
 def _config_error(row_id, command, doc, message):
     """A row whose config refuses with exit code 2 and `config error: message`."""
     return pytest.param((command,), doc, 2, f"config error: {message}\n", id=row_id)
@@ -481,6 +523,10 @@ REFUSALS = {
                          "config error: encoding.levels must have 2 entries\n",
                          id=f"levels-{depth}-{command}")
             for depth, levels in LEVELS.items() for command in cli.COMMANDS
+        ),
+        *(
+            pytest.param((command,), doc, code, err, id=f"{probe}-{command}")
+            for probe, (doc, code, err) in EVERY_COMMAND.items() for command in cli.COMMANDS
         ),
         *(
             pytest.param((command,), {"source": {"phases_rad": [0.0] * count}}, 2,
@@ -856,7 +902,7 @@ def test_list_leaves_at_their_cap_load(tmp_path):
     for key, item in (("separations_ps", 100.0), ("dispersions_ns_per_nm", 5.0)):
         for count in cli._ENTRIES[f"waveform.{key}"]:
             cfg = _write_config(tmp_path, {"waveform": {key: [item] * count}})
-            assert len(load_config(cfg, None, None, None)["waveform"][key]) == count
+            assert len(load_config(cfg, None, None, None).config["waveform"][key]) == count
 
 
 def test_penalty_keys_follow_the_level_names(tmp_path):
@@ -875,7 +921,8 @@ def test_penalty_keys_follow_the_level_names(tmp_path):
 
 
 def test_drift_shorter_than_one_step_runs(tmp_path):
-    cfg = _write_config(tmp_path, {"channel": {"drift": {"duration_s": 1.0}}})
+    cfg = _write_config(tmp_path, {"channel": {"readout_time_s": 0.0,
+                                               "drift": {"duration_s": 1.0}}})
     assert _run(["drift", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len((tmp_path / "drift.csv").read_text().splitlines()) == 3
 
@@ -884,6 +931,7 @@ def test_drift_shorter_than_one_step_runs(tmp_path):
 def test_drift_interval_past_float_range_runs(tmp_path, duration_s):
     """An interval whose step count overflows a float is a no-op on one or two samples."""
     cfg = _write_config(tmp_path, {"channel": {
+        "readout_time_s": 0.0,
         "stabilizer": {"correction_interval_s": 1e308},
         "drift": {"step_s": 1e-300, "duration_s": duration_s},
     }})
@@ -900,8 +948,8 @@ def test_visibility_wide_pulse_runs(tmp_path):
 
 
 def test_config_hash_is_pinned():
-    assert config_hash(load_config(None, None, None, None)) == "b374176380540448"
-    assert config_hash(load_config(None, "paper-default", None, None)) == "5eb5005b828e6a64"
+    assert config_hash(load_config(None, None, None, None).config) == "b374176380540448"
+    assert config_hash(load_config(None, "paper-default", None, None).config) == "5eb5005b828e6a64"
 
 
 def test_null_peak_runs_without_rescale(tmp_path):

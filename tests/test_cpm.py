@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clustersim.bessel import solve_balanced_depth
-from clustersim.cpm import BeamSplitterSetting, CpmSettings, measurement_map
+from clustersim.cpm import BeamSplitterSetting, CpmSettings, check_copy_spacing, measurement_map
 from clustersim.encoding import Level, LevelTree
 from clustersim.errors import GridMismatch
 from oracles import (
@@ -39,8 +39,7 @@ def test_off_grid_rejected(grid, tree):
     with pytest.raises(GridMismatch):
         grid_time_steps(CpmSettings(dispersion_ns_per_nm=7.0), grid, 1.25)
     with pytest.raises(GridMismatch, match=r"level t: copy spacing 70\.1214 ps"):
-        measurement_map(BeamSplitterSetting("X", "t"), tree,
-                        CpmSettings(dispersion_ns_per_nm=7.0), 0.0)
+        check_copy_spacing(CpmSettings(dispersion_ns_per_nm=7.0), tree.inner, tree.outer)
     with pytest.raises(GridMismatch):
         freq_steps(CpmOperatorSettings(rf_frequency_ghz=2.0), grid)
 
@@ -71,14 +70,13 @@ def test_copy_spacing_overflow_rejected():
         tree = LevelTree(Level("T", 300.0, 3.75), Level("t", 100.0, rf_ghz))
         settings = CpmSettings(dispersion_ns_per_nm=dispersion)
         with pytest.raises(GridMismatch, match=r"copy spacing (inf|nan) ps"):
-            measurement_map(BeamSplitterSetting("X", "t"), tree, settings, 0.0)
+            check_copy_spacing(settings, tree.inner)
 
 
 def _bridges(settings: CpmSettings, level: Level) -> bool:
-    """Whether measurement_map accepts an X splitter on level, the inner level of a tree."""
-    tree = LevelTree(Level("outer", 2.0 * level.shift_ps, 1.0), level)
+    """Whether check_copy_spacing accepts an X splitter on level."""
     try:
-        measurement_map(BeamSplitterSetting("X", level.name), tree, settings, 0.0)
+        check_copy_spacing(settings, level)
     except GridMismatch:
         return False
     return True
@@ -113,8 +111,8 @@ def test_truncation_guard():
         CpmOperatorSettings(truncation_order=-1)
 
 
-def test_z_setting_is_identity(tree, base_cpm):
-    a = measurement_map(BeamSplitterSetting("Z", "t"), tree, base_cpm, 0.0)
+def test_z_setting_is_identity(tree):
+    a = measurement_map(BeamSplitterSetting("Z", "t"), tree, 0.0)
     np.testing.assert_array_equal(a, np.eye(4))
     # every column keeps its full probability: efficiency 1
     np.testing.assert_array_equal(np.sum(np.abs(a) ** 2, axis=0), np.ones(4))
@@ -122,10 +120,10 @@ def test_z_setting_is_identity(tree, base_cpm):
 
 @pytest.mark.parametrize("level,partner_steps", [("t", {0: 1, 1: 0, 3: 4, 4: 3}),
                                                  ("T", {0: 3, 3: 0, 1: 4, 4: 1})])
-def test_x_setting_connects_level_partners(tree, grid, base_cpm, level, partner_steps):
+def test_x_setting_connects_level_partners(tree, grid, level, partner_steps):
     g_star = solve_balanced_depth()
     j0 = bessel_j(0, g_star)
-    a = measurement_map(BeamSplitterSetting("X", level), tree, base_cpm, 0.0)
+    a = measurement_map(BeamSplitterSetting("X", level), tree, 0.0)
     bin_of_steps = {grid.t_steps(p): b for b, p in enumerate(tree.positions_ps)}
     for steps, partner in partner_steps.items():
         b = bin_of_steps[steps]
@@ -136,21 +134,19 @@ def test_x_setting_connects_level_partners(tree, grid, base_cpm, level, partner_
         assert norm == pytest.approx(efficiency(g_star), abs=1e-12)
 
 
-def test_xy_phase_signs(tree, base_cpm):
+def test_xy_phase_signs(tree):
     """|0> picks up J1 e^{-i a} toward |1>; |1> picks up -J1 e^{+i a}."""
     alpha = 0.9
     g_star = solve_balanced_depth()
     j1 = bessel_j(1, g_star)
-    a = measurement_map(
-        BeamSplitterSetting("X", "t", alpha), tree, base_cpm, 0.0
-    )
+    a = measurement_map(BeamSplitterSetting("X", "t", alpha), tree, 0.0)
     fwd = a[1, 0]
     bwd = a[0, 1]
     assert fwd == pytest.approx(j1 * np.exp(-1j * alpha), abs=1e-12)
     assert bwd == pytest.approx(-j1 * np.exp(1j * alpha), abs=1e-12)
 
 
-def test_two_bin_interference_full_visibility(tree, base_cpm):
+def test_two_bin_interference_full_visibility(tree):
     """(|0> + e^{i phi} |1>)/sqrt(2) on the t level sweeps a full fringe."""
     phi = 1.1
     probe = np.zeros(4, dtype=complex)
@@ -160,9 +156,7 @@ def test_two_bin_interference_full_visibility(tree, base_cpm):
     # exact extremes alpha = -phi and alpha = pi - phi in the scan
     alphas = -phi + np.linspace(0, 2 * np.pi, 32, endpoint=False)
     for alpha in alphas:
-        a = measurement_map(
-            BeamSplitterSetting("X", "t", alpha), tree, base_cpm, 0.0
-        )
+        a = measurement_map(BeamSplitterSetting("X", "t", alpha), tree, 0.0)
         rates.append(abs((a @ probe)[0]) ** 2)
     rates = np.asarray(rates)
     vis = (rates.max() - rates.min()) / (rates.max() + rates.min())
@@ -174,15 +168,15 @@ def test_copy_spacing_must_match_level_shift():
     tree = LevelTree(Level("T", 600.0, 3.75), Level("t", 200.0, 1.25))
     for level in ("T", "t"):
         with pytest.raises(GridMismatch, match=f"level {level}: copy spacing"):
-            measurement_map(BeamSplitterSetting("X", level), tree, CpmSettings(), 0.0)
+            check_copy_spacing(CpmSettings(), tree.level(level)[0])
     # the Z setting does not modulate, so it has no copies to match
-    z = measurement_map(BeamSplitterSetting("Z", "T"), tree, CpmSettings(), 0.0)
+    z = measurement_map(BeamSplitterSetting("Z", "T"), tree, 0.0)
     np.testing.assert_array_equal(z, np.eye(4))
 
 
-def test_unknown_level_rejected(tree, base_cpm):
+def test_unknown_level_rejected(tree):
     with pytest.raises(ValueError):
-        measurement_map(BeamSplitterSetting("X", "tau"), tree, base_cpm, 0.0)
+        measurement_map(BeamSplitterSetting("X", "tau"), tree, 0.0)
 
 
 _PHASE_GRID = np.linspace(-2.0 * np.pi, 4.0 * np.pi, 37)
@@ -204,7 +198,7 @@ def test_measurement_map_matches_any_depth_oracle(tree, base_cpm, kind, alphas, 
     for alpha in alphas:
         for offset in (0.0, np.pi):
             setting = BeamSplitterSetting(kind, level, float(alpha))
-            got = measurement_map(setting, tree, base_cpm, offset)
+            got = measurement_map(setting, tree, offset)
             want = any_depth_measurement_map(setting, tree_levels(tree), base_cpm, offset)
             assert got.dtype == want.dtype and got.shape == want.shape == (4, 4)
             assert got.tobytes() == want.tobytes(), (kind, level, alpha, offset)

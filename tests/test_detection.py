@@ -18,7 +18,6 @@ from clustersim.detection import (
     jitter_transition_matrix,
     sample_coincidences,
 )
-from clustersim.encoding import Level, LevelTree
 from clustersim.errors import GridMismatch
 from oracles import (
     joint_probabilities,
@@ -59,12 +58,24 @@ def test_schedule_structure(schedule, tree):
     assert sorted(p.basis for p in schedule if p.basis) == sorted(WITNESS_BASES)
 
 
-def test_first_grid_mismatch_follows_schedule_order(cluster, noiseless_detector, base_cpm):
-    """Maps are built in schedule order, so the inner level's X setting is refused first."""
-    wide = LevelTree(Level("T", 600.0, 3.75), Level("t", 200.0, 1.25))
-    ctx = readout(cluster, noiseless_detector, 1, wide, base_cpm, {"T": 0.9, "t": 0.9})
+def test_first_grid_mismatch_follows_schedule_order(tmp_path):
+    """The load check reads the levels in schedule order, so the inner level is refused first."""
+    config = tmp_path / "wide.json"
+    config.write_text(json.dumps({
+        "encoding": {"levels": [["T", 600.0, 3.75], ["t", 200.0, 1.25]]},
+        "detection": {"visibility_penalty": {"T": 0.9, "t": 0.9}},
+    }))
     with pytest.raises(GridMismatch, match="^level t: "):
-        sample_coincidences(ctx, build_default_schedule(wide), SeedSequence(0), True)
+        cli.load_config(str(config), None, None, None)
+
+
+def test_exact_mode_spawns_no_streams(cluster, schedule, tree, base_cpm):
+    """Exact counts draw nothing, so seed spawns no child; sampling spawns one per pairing."""
+    ctx = readout(cluster, DetectorModel(), 1000, tree, base_cpm, {})
+    for exact, children in ((True, 0), (False, len(schedule))):
+        seed = SeedSequence(0)
+        sample_coincidences(ctx, schedule, seed, exact)
+        assert seed.n_children_spawned == children
 
 
 def test_zzzz_probabilities_are_quarter_diagonal(cluster, tree, schedule, base_cpm):

@@ -181,7 +181,7 @@ def test_product_path_matches_dense(case):
         a = dense_matrix_from_mode_map(
             measurement_map(setting, levels, CpmSettings(), grid, positions).mode_map
         )
-        product = cpm.measurement_map(setting, DEFAULT_TREE, CpmSettings(), 0.0)
+        product = cpm.measurement_map(setting, DEFAULT_TREE, 0.0)
         np.testing.assert_allclose(product, a[np.ix_(F0, F0)], atol=1e-10)
 
     probs = joint_probabilities(state, ss, si, DEFAULT_TREE, CpmSettings(), penalty)

@@ -171,10 +171,10 @@ def test_witness_stderr_matches_closed_form(preset, seed):
     argv = ["witness", "--seed", str(seed)] + (["--preset", preset] if preset else [])
     with _run(argv) as out:
         stderr = json.loads((out / "witness.json").read_text())["stderr"]
-    cfg = load_config(None, preset, seed, None)
-    raw = analysis.raw_basis_counts(cli._sampled_histograms(cfg, False))
+    setup = load_config(None, preset, seed, None)
+    raw = analysis.raw_basis_counts(cli._sampled_histograms(setup, False))
     sigma = oracles.witness_sigma(analysis.class_totals(raw))
-    mc_error = sigma / math.sqrt(2.0 * cfg["analysis"]["mc_samples"])
+    mc_error = sigma / math.sqrt(2.0 * setup.mc_samples)
     assert abs(stderr - sigma) < 4.0 * mc_error, (stderr, sigma, mc_error)
 
 
@@ -192,7 +192,7 @@ def test_table_keeps_the_settings_and_drift_streams():
 #: trace with a few correction epochs and a short fringe scan.
 STREAM_RUNS = {
     "witness": {"analysis": {"mc_samples": 3 * MC_CHUNK + 1}},
-    "drift": {"channel": {"drift": {"duration_s": 3600.0}}},
+    "drift": {"channel": {"readout_time_s": 0.0, "drift": {"duration_s": 3600.0}}},
     "fringe": {"analysis": {"fringe_points": 8}},
 }
 

@@ -167,7 +167,7 @@ def parameters_never_read(package: Path, exempt: set[str]) -> list[str]:
 
 
 def test_every_parameter_is_read():
-    # the commands share the dispatch signature (cfg, outdir, stamp, exact)
+    # the commands share the dispatch signature (setup, exact); some ignore exact
     commands = {fn.__name__ for fn in cli.COMMANDS.values()}
     assert parameters_never_read(Path(clustersim.__file__).parent, commands) == []
 

@@ -12,6 +12,7 @@ from clustersim.cpm import CpmSettings
 from clustersim.waveform import (
     MAX_SEPARATION_PS,
     MIN_PULSE_FWHM_PS,
+    check_ranges,
     rf_for_spacing,
     visibility_bound,
 )
@@ -200,7 +201,7 @@ def test_visibility_window_is_bounded():
     about 210 MB.
     """
     with pytest.raises(ValueError):
-        visibility_bound(MAX_SEPARATION_PS, 37.0, [10.0], 1550.0)
+        check_ranges([MAX_SEPARATION_PS], [10.0], 1550.0)
     sep = np.nextafter(MAX_SEPARATION_PS, 0.0)
     longest = _ENTRIES["waveform.dispersions_ns_per_nm"][1]
     for dispersions in ([10.0], np.linspace(2.0, 150.0, longest)):
@@ -223,13 +224,13 @@ def test_visibility_window_is_bounded():
 def test_visibility_rejects_out_of_range_dispersion(dispersion):
     """Copy phases that overflow, or an RF tone that rounds to 0, are refused."""
     with pytest.raises(ValueError):
-        _bound(300.0, 37.0, dispersion)
+        check_ranges([300.0], [dispersion], 1550.0)
 
 
 @pytest.mark.parametrize("sep,fwhm", [(0.0, 37.0), (-100.0, 37.0)])
 def test_visibility_rejects_degenerate_inputs(sep, fwhm):
     with pytest.raises(ValueError):
-        _bound(sep, fwhm, 10.0)
+        check_ranges([sep], [10.0], 1550.0)
 
 
 def test_visibility_pulse_width_floor():
@@ -242,7 +243,7 @@ def test_chirp_rejects_vanishing_dispersion():
         with pytest.raises(ValueError):
             ChirpSpec(dispersion)
         with pytest.raises(ValueError, match="dispersion must be nonzero and finite"):
-            _bound(100.0, 37.0, dispersion)
+            check_ranges([100.0], [dispersion], 1550.0)
 
 
 def test_visibility_100ps_value():
