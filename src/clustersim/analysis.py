@@ -259,6 +259,8 @@ def fit_interference(rates, expected_sign: int) -> dict:
     fringe's cos term, with the fitted one: +1 if |phi0| < pi/2, else -1.
     """
     rates = np.asarray(rates, dtype=float)
+    # a power-of-two scale is exact, and keeps the powers below from underflowing
+    rates = np.ldexp(rates, -math.frexp(float(rates.max()))[1])
     n = len(rates)
     alphas = scan_phases(n)
     c0 = float(rates.mean())

@@ -21,6 +21,8 @@ from .modes import JointTwoPhotonState
 MAX_OFFSET_PS = 1e150
 #: Most low-pass passes; each is one more loop over up to 10**6 samples.
 MAX_SMOOTHING_PASSES = 10
+#: Largest drift trace a ThermalModel spans (a day at 0.1 s steps is 864001).
+MAX_TRACE_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -51,30 +53,40 @@ class FiberLink:
 class ThermalModel:
     """Slow temperature process driving the time-of-flight drift.
 
-    An Ornstein-Uhlenbeck process (stationary SD sigma_k, correlation
-    time correlation_s) is low-pass filtered smoothing_passes times with
-    time constant smoothing_s so it is slow and differentiable on the
-    correction timescale, then rescaled so its excursion peak equals
-    peak_k (the paper only bounds the fluctuation, "< 0.1 K", and quotes
-    the resulting 92 ps peak offset).
+    An Ornstein-Uhlenbeck process of unit innovation (correlation time
+    correlation_s) is low-pass filtered smoothing_passes times with time
+    constant smoothing_s so it is slow and differentiable on the correction
+    timescale, then scaled so its excursion peak equals peak_k, the one
+    amplitude (the paper only bounds the fluctuation, "< 0.1 K", and quotes
+    the resulting 92 ps peak offset).  The trace holds `samples` values,
+    step_s apart, over duration_s.
     """
 
-    sigma_k: float = 0.033
     correlation_s: float = 4.0 * 3600.0
     smoothing_s: float = 7200.0
     smoothing_passes: int = 2
-    peak_k: float | None = 0.1
+    peak_k: float = 0.1
     step_s: float = 60.0
+    duration_s: float = 86400.0
 
     def __post_init__(self):
-        if self.sigma_k < 0 or self.step_s <= 0:
-            raise ValueError("sigma must be nonnegative and step positive")
+        if self.step_s <= 0:
+            raise ValueError("step must be positive")
         if self.correlation_s <= 0 or self.smoothing_s < 0:
             raise ValueError("time constants must be positive")
         if not 0 <= self.smoothing_passes <= MAX_SMOOTHING_PASSES:
             raise ValueError(f"smoothing passes must lie in [0, {MAX_SMOOTHING_PASSES}]")
-        if self.peak_k is not None and self.peak_k < 0:
+        if self.peak_k < 0:
             raise ValueError("peak excursion must be nonnegative")
+        # floor(ratio) + 1 samples exceed the cap exactly when ratio >= cap
+        if self.duration_s <= 0 or self.duration_s / self.step_s >= MAX_TRACE_SAMPLES:
+            raise ValueError(f"duration must be positive and span at most "
+                             f"{MAX_TRACE_SAMPLES} samples")
+
+    @property
+    def samples(self) -> int:
+        """Samples floor(duration / step) + 1 of the trace."""
+        return int(np.floor(self.duration_s / self.step_s)) + 1
 
 
 @dataclass(frozen=True)
@@ -165,52 +177,36 @@ def ou_accumulate(normals, decay, innovation):
     return np.array(out)
 
 
-#: Largest drift trace simulate_drift builds (a day at 0.1 s steps is 864001).
-MAX_TRACE_SAMPLES = 10**6
-
-
-def trace_samples(duration_s: float, step_s: float) -> int:
-    """Samples floor(duration / step) + 1 of a trace; ValueError past MAX_TRACE_SAMPLES."""
-    n = np.floor(duration_s / step_s) + 1
-    if duration_s <= 0 or n > MAX_TRACE_SAMPLES:
-        raise ValueError(f"duration must be positive and span at most {MAX_TRACE_SAMPLES} samples")
-    return int(n)
-
-
 def check_correction_interval(policy: StabilizerPolicy, step_s: float) -> None:
     """ValueError if stabilize would round the interval to no whole trace step."""
     if policy.correction_interval_s / step_s <= 0.5:
         raise ValueError("correction interval shorter than the trace step")
 
 
-# extreme settings overflow to inf or nan; the peak check reports them
-@np.errstate(over="ignore", invalid="ignore")
-def simulate_drift(
-    link: FiberLink, n: int, model: ThermalModel, rng: np.random.Generator
-) -> DriftTrace:
-    """Thermal time-of-flight drift trace of n samples (trace_samples), drawn from rng.
+def peak_offset_ps(link: FiberLink, model: ThermalModel) -> float:
+    """Peak drift offset, thermal_sensitivity * length * peak_k; ValueError past MAX_OFFSET_PS."""
+    peak_ps = link.thermal_sensitivity_ps_per_k_km * link.length_km * model.peak_k
+    if not abs(peak_ps) <= MAX_OFFSET_PS:
+        raise ValueError(f"drift offsets reach {peak_ps:g} ps, above {MAX_OFFSET_PS:g} ps")
+    return peak_ps
 
-    offsets = thermal_sensitivity * length * T(t) with T(t) the smoothed
-    (and optionally peak-rescaled) temperature process.
+
+def simulate_drift(link: FiberLink, model: ThermalModel, rng: np.random.Generator) -> DriftTrace:
+    """Thermal time-of-flight drift over the model's span, drawn from rng.
+
+    The smoothed process is divided by its peak (unless that is 0), so no
+    offset exceeds peak_offset_ps, which load_config has checked is finite.
     """
-    if model.sigma_k == 0.0:
-        return DriftTrace(model.step_s, np.zeros(n))
-    normals = rng.standard_normal(n)
-    decay = np.exp(-model.step_s / model.correlation_s)
-    innovation = model.sigma_k * np.sqrt(1.0 - decay**2)
-    temp = ou_accumulate(normals, decay, innovation)
+    normals = rng.standard_normal(model.samples)
+    temp = ou_accumulate(normals, np.exp(-model.step_s / model.correlation_s), 1.0)
     if model.smoothing_s > 0:
         a = np.exp(-model.step_s / model.smoothing_s)
         for _ in range(model.smoothing_passes):
             temp = ou_accumulate(temp, a, 1.0 - a)
     peak = np.max(np.abs(temp))
-    if model.peak_k is not None and peak > 0:
-        temp = temp * (model.peak_k / peak)
-    offsets = link.thermal_sensitivity_ps_per_k_km * link.length_km * temp
-    peak_ps = np.max(np.abs(offsets))
-    if not peak_ps <= MAX_OFFSET_PS:
-        raise ValueError(f"drift offsets reach {peak_ps:g} ps, above {MAX_OFFSET_PS:g} ps")
-    return DriftTrace(model.step_s, offsets)
+    if peak > 0:
+        temp = temp / peak
+    return DriftTrace(model.step_s, temp * peak_offset_ps(link, model))
 
 
 def stabilize(

@@ -57,7 +57,7 @@ DEFAULT_CONFIG = {
     "channel": {
         **_defaults(channel.FiberLink),
         "readout_time_s": 43200.0,
-        "drift": {**_defaults(channel.ThermalModel), "duration_s": 86400.0},
+        "drift": _defaults(channel.ThermalModel),
         "stabilizer": _defaults(channel.StabilizerPolicy),
     },
     "detection": {
@@ -97,9 +97,6 @@ PRESETS = {
 # that names no level of encoding.levels.
 _OPEN_SECTIONS = {"detection.visibility_penalty": 1.0}
 
-# Leaves that may be null: no peak rescale of the drift.
-_NULLABLE = {"channel.drift.peak_k"}
-
 # Ranges of the leaves that no domain constructor checks (an open section's
 # holds for each value); upper bounds keep counts exact in a float and
 # witness and fringe within seconds and a few hundred MB (README).
@@ -131,8 +128,6 @@ def _check_type(value, default, where: str) -> None:
     length when its items differ in type, a level [name, shift, freq]);
     then its items, against the default's first item or position by position.
     """
-    if value is None and where in _NULLABLE:
-        return
     if isinstance(value, bool) or isinstance(default, bool):
         ok = isinstance(value, bool) and isinstance(default, bool)
     elif isinstance(default, int):
@@ -217,7 +212,6 @@ class Setup:
     state: JointTwoPhotonState  # before the link; readout.state is after it
     link: channel.FiberLink
     thermal: channel.ThermalModel
-    samples: int  # of the drift trace over channel.drift.duration_s
     stabilizer: channel.StabilizerPolicy
     readout_time_s: float  # inside the drift trace's span
     readout: detection.Readout
@@ -227,10 +221,9 @@ class Setup:
     capacity: dict
 
     def drift_trace(self) -> channel.DriftTrace:
-        """The drift trace, drawn from its stream; offsets that overflow are a config error."""
+        """The drift trace, drawn from its stream."""
         rng = np.random.default_rng(stream(self.config["seed"], "drift"))
-        return _from_config("channel.drift", channel.simulate_drift,
-                            self.link, self.samples, self.thermal, rng)
+        return channel.simulate_drift(self.link, self.thermal, rng)
 
 
 def load_config(
@@ -268,12 +261,13 @@ def load_config(
     train = _build(ExcitationTrain, cfg, "source")
     link = _build(channel.FiberLink, cfg, "channel")
     thermal = _build(channel.ThermalModel, cfg, "channel.drift")
-    samples = _from_config("channel.drift", channel.trace_samples,
-                           cfg["channel"]["drift"]["duration_s"], thermal.step_s)
+    # every drawn offset lies within this amplitude, so no draw can overflow
+    _from_config("channel.drift", channel.peak_offset_ps, link, thermal)
     stabilizer = _build(channel.StabilizerPolicy, cfg, "channel.stabilizer")
     _from_config("channel.stabilizer", channel.check_correction_interval,
                  stabilizer, thermal.step_s)
-    readout_time_s, end_s = cfg["channel"]["readout_time_s"], thermal.step_s * (samples - 1)
+    readout_time_s = cfg["channel"]["readout_time_s"]
+    end_s = thermal.step_s * (thermal.samples - 1)
     if not 0.0 <= readout_time_s <= end_s:
         raise ConfigError(f"channel.readout_time_s: {readout_time_s:g} s is outside the drift "
                           f"trace's span [0, {end_s:g}] s")
@@ -290,7 +284,7 @@ def load_config(
     readout = detection.Readout(channel.transmit(state, link), tree, detector,
                                 cfg["detection"]["pairs_per_setting"],
                                 cfg["detection"]["visibility_penalty"], jitter)
-    return Setup(cfg, tree, train, state, link, thermal, samples, stabilizer, readout_time_s,
+    return Setup(cfg, tree, train, state, link, thermal, stabilizer, readout_time_s,
                  readout, cpm, int(cfg["analysis"]["fringe_points"]),
                  int(cfg["analysis"]["mc_samples"]), capacity)
 

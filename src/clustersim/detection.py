@@ -159,7 +159,7 @@ def joint_outcome_probabilities(state: JointTwoPhotonState, signal_maps, idler_m
     for ws, a_s in signal_maps:
         after_s = a_s @ state.amplitudes
         for wi, a_i in idler_maps:
-            probs += ws * wi * np.abs(clean(after_s @ a_i.T)) ** 2
+            probs += ws * wi * np.abs(clean(after_s @ a_i.T, state.norm_tracking)) ** 2
     return probs
 
 

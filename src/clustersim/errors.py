@@ -2,9 +2,9 @@
 
 A domain constructor or check refuses a bad config value with ValueError
 instead, which ``cli._from_config`` reports as a ConfigError.  Every check
-that needs only the config runs in ``cli.load_config``, GridMismatch's too;
-MissingBasis and InsufficientScan read the counts, and a drift trace that
-overflows its draw, so the command that computes them raises them.
+that needs only the config runs in ``cli.load_config``, GridMismatch's and
+the drift amplitude's too; only MissingBasis and InsufficientScan read the
+counts, so the command that computes them raises them.
 """
 
 

@@ -15,14 +15,20 @@ import numpy as np
 
 from .encoding import LevelTree
 
-#: Amplitudes below this are zeroed.  Without it, cancellation residue of
-#: order 1e-27 turns exact-zero outcome probabilities into positive ones.
+#: Amplitudes below this, relative to the state's root norm, are zeroed.
+#: Without it, cancellation residue of order 1e-27 turns exact-zero outcome
+#: probabilities into positive ones.
 SPARSITY_THRESHOLD = 1e-12
 
 
-def clean(amplitudes: np.ndarray) -> np.ndarray:
-    """Amplitudes with every entry below SPARSITY_THRESHOLD set to 0."""
-    return np.where(np.abs(amplitudes) >= SPARSITY_THRESHOLD, amplitudes, 0)
+def clean(amplitudes: np.ndarray, norm_tracking: float) -> np.ndarray:
+    """Amplitudes with every entry below SPARSITY_THRESHOLD * sqrt(norm_tracking) set to 0.
+
+    Loss scales every amplitude by one factor and norm_tracking by its
+    square, so an amplitude keeps its fate however lossy the link.
+    """
+    threshold = SPARSITY_THRESHOLD * np.sqrt(norm_tracking)
+    return np.where(np.abs(amplitudes) >= threshold, amplitudes, 0)
 
 
 @dataclass(frozen=True, eq=False)

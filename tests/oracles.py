@@ -410,7 +410,7 @@ def per_pairing_joint_probabilities(
         after_s = a_s @ state.amplitudes
         for wi, offi in _penalty_branches(idler_setting, visibility_penalty):
             a_i = checked_map(idler_setting, tree, base, offi)
-            probs += ws * wi * np.abs(clean(after_s @ a_i.T)) ** 2
+            probs += ws * wi * np.abs(clean(after_s @ a_i.T, state.norm_tracking)) ** 2
     return probs
 
 

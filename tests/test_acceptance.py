@@ -272,8 +272,7 @@ def test_criterion_07_fringes(capsys):
 def test_criterion_08_drift_stabilization(capsys):
     start = time.perf_counter()
     link = channel.FiberLink()
-    samples = channel.trace_samples(86400.0, channel.ThermalModel().step_s)
-    trace = channel.simulate_drift(link, samples, channel.ThermalModel(),
+    trace = channel.simulate_drift(link, channel.ThermalModel(),
                                    np.random.default_rng(stream(0, "drift")))
     _, rms = channel.stabilize(trace, channel.StabilizerPolicy(),
                                np.random.default_rng(stream(0, "stabilizer")))

@@ -17,16 +17,10 @@ from clustersim.channel import (
     ou_accumulate,
     simulate_drift,
     stabilize,
-    trace_samples,
     transmit,
 )
 from clustersim.cli import stream
 from oracles import readout, sample_stabilize, step_ou_accumulate
-
-
-def _samples(duration_s):
-    """Samples of a drift trace over duration_s at the default 60 s step."""
-    return trace_samples(duration_s, ThermalModel().step_s)
 
 
 def assert_same_bits(a, b):
@@ -77,30 +71,30 @@ def test_witness_invariant_under_loss(cluster, schedule, noiseless_detector, tre
 
 def test_drift_is_deterministic():
     link = FiberLink()
-    a = simulate_drift(link, _samples(3600.0), ThermalModel(), default_rng(5))
-    b = simulate_drift(link, _samples(3600.0), ThermalModel(), default_rng(5))
+    hour = ThermalModel(duration_s=3600.0)
+    a = simulate_drift(link, hour, default_rng(5))
+    b = simulate_drift(link, hour, default_rng(5))
     np.testing.assert_array_equal(a.offsets_ps, b.offsets_ps)
-    c = simulate_drift(link, _samples(3600.0), ThermalModel(), default_rng(6))
+    c = simulate_drift(link, hour, default_rng(6))
     assert not np.array_equal(a.offsets_ps, c.offsets_ps)
 
 
 def test_zero_temperature_gives_zero_trace():
-    trace = simulate_drift(FiberLink(), _samples(3600.0), ThermalModel(sigma_k=0.0),
+    trace = simulate_drift(FiberLink(), ThermalModel(peak_k=0.0, duration_s=3600.0),
                            default_rng(0))
     assert np.all(trace.offsets_ps == 0.0)
 
 
 def test_doubling_length_doubles_offsets():
-    short = simulate_drift(FiberLink(length_km=25.0), _samples(7200.0), ThermalModel(),
-                           default_rng(2))
-    long = simulate_drift(FiberLink(length_km=50.0), _samples(7200.0), ThermalModel(),
-                          default_rng(2))
+    model = ThermalModel(duration_s=7200.0)
+    short = simulate_drift(FiberLink(length_km=25.0), model, default_rng(2))
+    long = simulate_drift(FiberLink(length_km=50.0), model, default_rng(2))
     np.testing.assert_allclose(long.offsets_ps, 2.0 * short.offsets_ps, rtol=1e-12)
 
 
 def test_peak_offset_matches_thermal_budget():
     """36.8 ps/(K km) x 25 km x 0.1 K = 92 ps peak excursion."""
-    trace = simulate_drift(FiberLink(), _samples(86400.0), ThermalModel(), default_rng(0))
+    trace = simulate_drift(FiberLink(), ThermalModel(), default_rng(0))
     assert trace.peak_ps() == pytest.approx(92.0, abs=1e-9)
 
 
@@ -111,7 +105,7 @@ def test_ou_decay_one_is_random_walk():
 
 
 def test_stabilize_reduces_rms():
-    trace = simulate_drift(FiberLink(), _samples(86400.0), ThermalModel(), default_rng(1))
+    trace = simulate_drift(FiberLink(), ThermalModel(), default_rng(1))
     residual, rms = stabilize(trace, StabilizerPolicy(), default_rng(2))
     assert rms < trace.rms_ps()
     assert rms <= 3.0
@@ -136,7 +130,7 @@ def test_stabilize_perfect_feedback_zeroes_epochs():
 
 
 def test_infinite_interval_is_noop():
-    trace = simulate_drift(FiberLink(), _samples(7200.0), ThermalModel(), default_rng(3))
+    trace = simulate_drift(FiberLink(), ThermalModel(duration_s=7200.0), default_rng(3))
     residual, rms = stabilize(
         trace, StabilizerPolicy(correction_interval_s=1e9), default_rng(0)
     )
@@ -145,14 +139,14 @@ def test_infinite_interval_is_noop():
 
 
 def test_single_sample_trace_is_noop():
-    trace = simulate_drift(FiberLink(), _samples(1.0), ThermalModel(), default_rng(3))
+    trace = simulate_drift(FiberLink(), ThermalModel(duration_s=1.0), default_rng(3))
     assert len(trace.times_s) == 1
     residual, rms = stabilize(trace, StabilizerPolicy(), default_rng(0))
     assert residual is trace and rms == trace.rms_ps()
 
 
 def test_subnormal_resolution_leaves_estimates_unquantized():
-    trace = simulate_drift(FiberLink(), _samples(43200.0), ThermalModel(), default_rng(3))
+    trace = simulate_drift(FiberLink(), ThermalModel(duration_s=43200.0), default_rng(3))
     fine, _ = stabilize(trace, StabilizerPolicy(900.0, 0.5, 5e-324), default_rng(1))
     exact, _ = stabilize(trace, StabilizerPolicy(900.0, 0.5, 0.0), default_rng(1))
     np.testing.assert_array_equal(fine.offsets_ps, exact.offsets_ps)
@@ -167,7 +161,7 @@ def test_subsample_interval_rejected():
 @settings(max_examples=25, deadline=None)
 def test_stabilized_rms_never_worse(seed):
     drift_rng = default_rng(stream(seed, "drift"))
-    trace = simulate_drift(FiberLink(), _samples(43200.0), ThermalModel(), drift_rng)
+    trace = simulate_drift(FiberLink(), ThermalModel(duration_s=43200.0), drift_rng)
     policy = StabilizerPolicy(estimator_noise_ps=0.5)
     _, rms = stabilize(trace, policy, default_rng(stream(seed, "stabilizer")))
     assert rms <= trace.rms_ps() + 1e-9
@@ -180,14 +174,13 @@ def test_bin_corruption_flag(tree):
 
 def test_trace_validation():
     with pytest.raises(ValueError, match="duration must be positive"):
-        trace_samples(-1.0, 60.0)
+        ThermalModel(duration_s=-1.0)
     with pytest.raises(ValueError, match="duration must be positive"):
-        trace_samples(86400.0, ThermalModel(step_s=5e-324).step_s)
+        ThermalModel(step_s=5e-324)
     with pytest.raises(ValueError):
         ThermalModel(smoothing_passes=-1)
     with pytest.raises(ValueError):
         ThermalModel(peak_k=-5.0)
-    assert ThermalModel(peak_k=None).peak_k is None
 
 
 # ----------------------------------------------------------------------
@@ -227,15 +220,15 @@ def test_ou_accumulate_empty_and_list_input():
 @pytest.mark.parametrize("seed", range(4))
 def test_drift_trace_matches_step_oracle(monkeypatch, seed):
     """The whole trace, three passes and the peak rescale, keeps its bits."""
-    model = ThermalModel(smoothing_passes=3, peak_k=None)
-    new = simulate_drift(FiberLink(), _samples(86400.0), model, default_rng(stream(seed, "drift")))
+    model = ThermalModel(smoothing_passes=3)
+    new = simulate_drift(FiberLink(), model, default_rng(stream(seed, "drift")))
     monkeypatch.setattr(channel, "ou_accumulate", step_ou_accumulate)
-    old = simulate_drift(FiberLink(), _samples(86400.0), model, default_rng(stream(seed, "drift")))
+    old = simulate_drift(FiberLink(), model, default_rng(stream(seed, "drift")))
     assert_same_bits(new.offsets_ps, old.offsets_ps)
 
 
 def _drift_trace(seed, duration_s=86400.0):
-    return simulate_drift(FiberLink(), _samples(duration_s), ThermalModel(), default_rng(seed))
+    return simulate_drift(FiberLink(), ThermalModel(duration_s=duration_s), default_rng(seed))
 
 
 STABILIZER_CASES = [

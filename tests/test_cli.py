@@ -492,6 +492,13 @@ EVERY_COMMAND = {
     "duration-0": ({"channel": {"drift": {"duration_s": 0.0}}}, 2,
                    "config error: channel.drift: duration must be positive and span at most "
                    "1000000 samples\n"),
+    # peak_k alone sets the drift's amplitude: no second knob, and no null
+    "sigma-negative": ({"channel": {"drift": {"sigma_k": -1.0}}}, 2,
+                       "config error: unknown config key: channel.drift.sigma_k\n"),
+    "sigma-overflow": ({"channel": {"drift": {"sigma_k": 1e308}}}, 2,
+                       "config error: unknown config key: channel.drift.sigma_k\n"),
+    "peak-null": ({"channel": {"drift": {"peak_k": None}}}, 2,
+                  "config error: channel.drift.peak_k must be a number, got null\n"),
     "reversed-levels": ({"encoding": {"levels": [["T", 100.0, 3.75], ["t", 300.0, 1.25]]}}, 2,
                         "config error: encoding: level T: shift 100.0 ps does not clear inner "
                         "levels\n"),
@@ -570,8 +577,6 @@ REFUSALS = {
                       "capacity: all capacity arguments must be positive"),
         _config_error("length-negative", "transmit", {"channel": {"length_km": -1.0}},
                       "channel: length must be nonnegative"),
-        _config_error("sigma-negative", "drift", {"channel": {"drift": {"sigma_k": -1.0}}},
-                      "channel.drift: sigma must be nonnegative and step positive"),
         _config_error("correlation-zero", "drift",
                       {"channel": {"drift": {"correlation_s": 0.0}}},
                       "channel.drift: time constants must be positive"),
@@ -662,6 +667,8 @@ REFUSALS = {
                                            ("duration-zero", "drift", {"duration_s": 0.0}),
                                            ("drift-step-tiny", "drift", {"step_s": 5e-324}))
         ),
+        _config_error("drift-step-zero", "drift", {"channel": {"drift": {"step_s": 0.0}}},
+                      "channel.drift: step must be positive"),
         *(
             _config_error(row_id, "drift", {"channel": {"drift": {"smoothing_passes": n}}},
                           "channel.drift: smoothing passes must lie in [0, 10]")
@@ -792,15 +799,15 @@ REFUSALS = {
             for command in ("fringe", "measure")
         ),
     ],
-    # offsets that overflow are refused without a RuntimeWarning
+    # offsets that would overflow are refused at load, by every command
     "test_drift_overflow_exit_2": [
         pytest.param((command,), doc, 2, DRIFT_OVERFLOW, id=f"{command}-overrides{k}")
-        for k, (command, doc) in enumerate((
-            ("drift", {"channel": {"length_km": 1e308}}),
-            ("drift", {"channel": {"thermal_sensitivity_ps_per_k_km": 1e308}}),
-            ("drift", {"channel": {"drift": {"peak_k": 1e308}}}),
-            ("transmit", {"channel": {"drift": {"sigma_k": 1e308}}}),
+        for k, doc in enumerate((
+            {"channel": {"length_km": 1e308}},
+            {"channel": {"thermal_sensitivity_ps_per_k_km": 1e308}},
+            {"channel": {"drift": {"peak_k": 1e308}}},
         ))
+        for command in cli.COMMANDS
     ],
     "test_negative_seed_option_exit_2": [
         pytest.param(("generate", "--seed", "-1"), {}, 2,
@@ -948,13 +955,8 @@ def test_visibility_wide_pulse_runs(tmp_path):
 
 
 def test_config_hash_is_pinned():
-    assert config_hash(load_config(None, None, None, None).config) == "b374176380540448"
-    assert config_hash(load_config(None, "paper-default", None, None).config) == "5eb5005b828e6a64"
-
-
-def test_null_peak_runs_without_rescale(tmp_path):
-    cfg = _write_config(tmp_path, {"channel": {"drift": {"peak_k": None}}})
-    assert _run(["drift", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert config_hash(load_config(None, None, None, None).config) == "020955f9599d394e"
+    assert config_hash(load_config(None, "paper-default", None, None).config) == "e3c9f79ad288a6f4"
 
 
 @pytest.mark.parametrize("command,overrides", [
@@ -1022,52 +1024,54 @@ def test_fuzzed_overrides_exit_cleanly(command, overrides):
     assert "Traceback" not in err.getvalue()
 
 
-#: For each config leaf but `out`: a command that reads it and a valid
-#: value that changes its exit code, stdout or --out files (stamps aside),
-#: from LEAF_BASE.  The sigma_k change is 0 because the peak rescale
-#: cancels any other; the cpm values move a copy spacing off its bin shift.
-#: The visibility_penalty rows are OPEN_LEAVES, keys the default omits.
+#: For each config leaf but `out`: a command that reads it and valid values
+#: that change its exit code, stdout or --out files (stamps aside), from
+#: LEAF_BASE; a numeric leaf has two nonzero values, each of which must move
+#: an output by more than LEAF_MOVE (see _moved).  The cpm values move a copy
+#: spacing off its bin shift.  The visibility_penalty rows are OPEN_LEAVES,
+#: keys the default omits.
 LEAF_BASE = {"analysis": {"mc_samples": 2000}}
 LEAF_CHANGES = {
-    ("seed",): (("measure",), 1),
+    ("seed",): (("measure",), 1, 2),
     ("svg",): (("drift",), True),
     ("encoding", "levels"): (("measure",), [["T", 300.0, 3.75], ["u", 100.0, 1.25]]),
     ("source", "phases_rad"): (("generate",), [0.0, 0.0, 0.0, 0.0]),
-    ("source", "pulse_fwhm_ps"): (("visibility",), 30.0),
-    ("cpm", "dispersion_ns_per_nm"): (("measure",), 7.0),
-    ("cpm", "carrier_wavelength_nm"): (("fringe",), 1560.0),
+    ("source", "pulse_fwhm_ps"): (("visibility",), 30.0, 50.0),
+    ("cpm", "dispersion_ns_per_nm"): (("measure",), 7.0, 5.0),
+    ("cpm", "carrier_wavelength_nm"): (("fringe",), 1560.0, 1540.0),
     ("waveform", "dispersions_ns_per_nm"): (("visibility",), [5.0]),
     ("waveform", "separations_ps"): (("visibility",), [200.0]),
-    ("channel", "length_km"): (("drift",), 50.0),
-    ("channel", "loss_db"): (("transmit",), 6.0),
-    ("channel", "compensator_loss_db"): (("transmit",), 3.0),
-    ("channel", "thermal_sensitivity_ps_per_k_km"): (("drift",), 30.0),
-    ("channel", "readout_time_s"): (("transmit",), 1000.0),
-    ("channel", "drift", "sigma_k"): (("drift",), 0.0),
-    ("channel", "drift", "correlation_s"): (("drift",), 3600.0),
-    ("channel", "drift", "smoothing_s"): (("drift",), 3600.0),
-    ("channel", "drift", "smoothing_passes"): (("drift",), 1),
-    ("channel", "drift", "peak_k"): (("transmit",), 0.2),
-    ("channel", "drift", "step_s"): (("drift",), 30.0),
-    ("channel", "drift", "duration_s"): (("drift",), 43200.0),
-    ("channel", "stabilizer", "correction_interval_s"): (("drift",), 1800.0),
-    ("channel", "stabilizer", "estimator_noise_ps"): (("drift",), 1.0),
-    ("channel", "stabilizer", "actuator_resolution_ps"): (("drift",), 1.0),
-    ("detection", "jitter_signal_ps"): (("measure",), 30.0),
-    ("detection", "jitter_idler_ps"): (("measure",), 30.0),
-    ("detection", "tdc_jitter_ps"): (("measure",), 30.0),
-    ("detection", "coincidence_window_ps"): (("measure",), 30.0),
-    ("detection", "dark_coincidence_rate"): (("measure",), 0.1),
-    ("detection", "efficiency"): (("measure",), 0.5),
-    ("detection", "pairs_per_setting"): (("measure",), 500),
-    ("detection", "visibility_penalty", "T"): (("witness", "--exact"), 0.9),
-    ("detection", "visibility_penalty", "t"): (("witness", "--exact"), 0.9),
-    ("analysis", "mc_samples"): (("witness",), 3000),
-    ("analysis", "fringe_points"): (("fringe",), 12),
-    ("capacity", "total_bandwidth_ghz"): (("capacity",), 10000.0),
-    ("capacity", "qubit_spectral_width_ghz"): (("capacity",), 50.0),
-    ("capacity", "stretched_bin_length_ns"): (("capacity",), 1.0),
+    ("channel", "length_km"): (("drift",), 50.0, 10.0),
+    ("channel", "loss_db"): (("transmit",), 6.0, 1.0),
+    ("channel", "compensator_loss_db"): (("transmit",), 3.0, 1.0),
+    ("channel", "thermal_sensitivity_ps_per_k_km"): (("drift",), 30.0, 50.0),
+    ("channel", "readout_time_s"): (("transmit",), 1000.0, 50000.0),
+    ("channel", "drift", "correlation_s"): (("drift",), 3600.0, 60000.0),
+    ("channel", "drift", "smoothing_s"): (("drift",), 3600.0, 20000.0),
+    ("channel", "drift", "smoothing_passes"): (("drift",), 1, 5),
+    ("channel", "drift", "peak_k"): (("transmit",), 0.2, 0.05),
+    ("channel", "drift", "step_s"): (("drift",), 30.0, 120.0),
+    ("channel", "drift", "duration_s"): (("drift",), 43200.0, 50000.0),
+    ("channel", "stabilizer", "correction_interval_s"): (("drift",), 1800.0, 600.0),
+    ("channel", "stabilizer", "estimator_noise_ps"): (("drift",), 1.0, 0.1),
+    ("channel", "stabilizer", "actuator_resolution_ps"): (("drift",), 1.0, 0.5),
+    ("detection", "jitter_signal_ps"): (("measure",), 30.0, 10.0),
+    ("detection", "jitter_idler_ps"): (("measure",), 30.0, 10.0),
+    ("detection", "tdc_jitter_ps"): (("measure",), 30.0, 10.0),
+    ("detection", "coincidence_window_ps"): (("measure",), 30.0, 40.0),
+    ("detection", "dark_coincidence_rate"): (("measure",), 0.1, 0.01),
+    ("detection", "efficiency"): (("measure",), 0.5, 0.9),
+    ("detection", "pairs_per_setting"): (("measure",), 500, 2000),
+    ("detection", "visibility_penalty", "T"): (("witness", "--exact"), 0.9, 0.5),
+    ("detection", "visibility_penalty", "t"): (("witness", "--exact"), 0.9, 0.5),
+    ("analysis", "mc_samples"): (("witness",), 3000, 10000),
+    ("analysis", "fringe_points"): (("fringe",), 12, 16),
+    ("capacity", "total_bandwidth_ghz"): (("capacity",), 10000.0, 2000.0),
+    ("capacity", "qubit_spectral_width_ghz"): (("capacity",), 50.0, 10.0),
+    ("capacity", "stretched_bin_length_ns"): (("capacity",), 1.0, 4.0),
 }
+#: Smallest relative move of a number that counts as moving an output.
+LEAF_MOVE = 1e-9
 
 
 def _override(base, path, value):
@@ -1107,16 +1111,58 @@ def _outcome(argv, config):
     return code, out.getvalue(), err.getvalue(), files, [str(w.message) for w in caught]
 
 
-def test_every_config_leaf_changes_an_output():
-    assert set(LEAF_CHANGES) == set(CONFIG_LEAVES) - {("out",)}
+def _baselines():
+    """(exit code, stdout, files) of each LEAF_CHANGES command at LEAF_BASE."""
     baselines = {}
-    for path, (command, value) in LEAF_CHANGES.items():
+    for command, *_ in LEAF_CHANGES.values():
         if command not in baselines:
             code, out, _, files, _ = _outcome(command, LEAF_BASE)
             assert code == 0, command
             baselines[command] = code, out, files
+    return baselines
+
+
+def test_every_config_leaf_changes_an_output():
+    assert set(LEAF_CHANGES) == set(CONFIG_LEAVES) - {("out",)}
+    baselines = _baselines()
+    for path, (command, value, *_) in LEAF_CHANGES.items():
         code, out, _, files, _ = _outcome(command, _override(LEAF_BASE, path, value))
         assert (code, out, files) != baselines[command], ".".join(path)
+
+
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _moved(before, after) -> bool:
+    """Whether two (exit code, stdout, files) differ by more than rounding.
+
+    They differ if the exit codes, the file names, or any text with its
+    numbers blanked differ, or if some number moves by more than LEAF_MOVE
+    relative to the larger of its two values.
+    """
+    (code, out, files), (code2, out2, files2) = before, after
+    if code != code2 or (files or {}).keys() != (files2 or {}).keys():
+        return True
+    texts = [(out.encode(), out2.encode())] + [(files[k], files2[k]) for k in files or {}]
+    for a, b in texts:
+        if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+            return True
+        for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
+            if abs(x - y) > LEAF_MOVE * max(abs(x), abs(y)):
+                return True
+    return False
+
+
+def test_no_numeric_leaf_is_inert():
+    """Each nonzero value of a numeric leaf moves an output beyond rounding."""
+    baselines = _baselines()
+    for path, (command, *values) in LEAF_CHANGES.items():
+        if not all(type(v) in (int, float) for v in values):
+            continue
+        assert len(values) == 2 and 0 not in values, ".".join(path)
+        for value in values:
+            code, out, _, files, _ = _outcome(command, _override(LEAF_BASE, path, value))
+            assert _moved(baselines[command], (code, out, files)), f"{'.'.join(path)} = {value}"
 
 
 def _extreme_docs(path, default, value):
@@ -1146,7 +1192,7 @@ def _extreme_docs(path, default, value):
 @pytest.mark.parametrize("value", [1e308, -1e308, 5e-324])
 def test_extreme_values_exit_cleanly(value):
     """Every numeric leaf and list item at an extreme, through a command that reads it."""
-    for path, (command, _) in LEAF_CHANGES.items():
+    for path, (command, *_) in LEAF_CHANGES.items():
         default = DEFAULT_CONFIG
         for key in path:
             default = (default[key] if key in default

@@ -111,11 +111,11 @@ def test_sampled_counts_follow_the_exact_means(command, preset, seed):
     )
 
 
-#: A drift trace with neither smoothing nor peak rescale, so each sample is
-#: one Ornstein-Uhlenbeck step, corrected at every step with an exact
-#: actuator, so each corrected offset is minus one estimator-noise draw.
+#: A drift trace without smoothing, so it is one Ornstein-Uhlenbeck path
+#: scaled to its peak, corrected at every step with an exact actuator, so
+#: each corrected offset is minus one estimator-noise draw.
 RAW_DRIFT = {"channel": {
-    "drift": {"smoothing_passes": 0, "peak_k": None},
+    "drift": {"smoothing_passes": 0},
     "stabilizer": {"correction_interval_s": DEFAULT_CONFIG["channel"]["drift"]["step_s"],
                    "actuator_resolution_ps": 0.0},
 }}
@@ -123,13 +123,17 @@ RAW_DRIFT = {"channel": {
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_drift_normals_and_stabilizer_noise_are_normal(seed):
-    link, model = DEFAULT_CONFIG["channel"], DEFAULT_CONFIG["channel"]["drift"]
+    """The trace's increments are proportional to its stream's normals, which are normal."""
+    model = DEFAULT_CONFIG["channel"]["drift"]
     with _run(["drift", "--seed", str(seed)], RAW_DRIFT) as out:
         rows = np.loadtxt(out / "drift.csv", delimiter=",", skiprows=2)
-    temp = rows[:, 1] / (link["thermal_sensitivity_ps_per_k_km"] * link["length_km"])
+    offsets = rows[:, 1]
+    normals = np.random.default_rng(cli.stream(seed, "drift")).standard_normal(len(offsets))
     decay = math.exp(-model["step_s"] / model["correlation_s"])
-    innovation = model["sigma_k"] * math.sqrt(1.0 - decay**2)
-    normals = (temp - decay * np.concatenate([[0.0], temp[:-1]])) / innovation
+    increments = offsets - decay * np.concatenate([[0.0], offsets[:-1]])
+    scale = (increments @ normals) / (normals @ normals)
+    # drift.csv holds 12 significant digits, far inside this bound
+    assert np.max(np.abs(increments - scale * normals)) <= 1e-9 * np.max(np.abs(increments))
     noise = -rows[1:, 2]
     noise_ps = DEFAULT_CONFIG["channel"]["stabilizer"]["estimator_noise_ps"]
     assert len(normals) == 1441 and len(noise) == 1440
