@@ -44,6 +44,8 @@ MIN_SCAN_PHASES = 8
 FIT_HARMONICS = (1, 2)
 #: Histogram bins of the resampled witness values.
 WITNESS_HIST_BINS = 80
+#: Half-width of that histogram, in delta-method standard errors of W.
+WITNESS_HIST_SIGMAS = 6.0
 #: Resampled count sets per chunk; each chunk has its own seed and thread task.
 MC_CHUNK = 16_384
 
@@ -148,7 +150,7 @@ def class_totals(raw_counts: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def _witness_chunk(totals: np.ndarray, seed: np.random.SeedSequence, out: np.ndarray) -> None:
-    """Fill out with the witness of len(out) resamplings drawn from seed.
+    """Fill out, one chunk's buffer, with the witness of len(out) resamplings drawn from seed.
 
     Basis by basis, A+, A- and A0 are drawn from Poisson(totals) and
     (A+ - A-) / N is subtracted from 2.  When N = 0, A+ - A- is 0 too, so
@@ -177,51 +179,68 @@ def _workers(n_chunks: int) -> int:
     return max(1, min(n_chunks, cores))
 
 
-def resample_witness(
-    totals: np.ndarray, samples: int, seed: np.random.SeedSequence
-) -> np.ndarray:
-    """Witness values of `samples` Poisson resamplings of the raw counts.
-
-    The witness depends on a basis's counts only through its three class
-    totals (class_totals), and a sum of independent Poisson counts is
-    Poisson.  So each class total is drawn from Poisson(total), 9 draws per
-    sample in place of 48, which gives the same witness distribution as
-    redrawing each raw count from Poisson(count).
-
-    Samples are drawn in chunks of MC_CHUNK, chunk i from the i-th child
-    that seed spawns (so a reused seed spawns other children), on a thread
-    per core (numpy's Poisson sampler releases the GIL).  Each chunk depends
-    only on (seed, i), so the values are the same on any number of threads.
-    """
-    values = np.empty(samples)
-    starts = range(0, samples, MC_CHUNK)
-    seeds = seed.spawn(len(starts))
-
-    def chunk(i: int) -> None:
-        _witness_chunk(totals, seeds[i], values[starts[i] : starts[i] + MC_CHUNK])
-
-    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
-
-    with ThreadPoolExecutor(_workers(len(starts))) as pool:
-        list(pool.map(chunk, range(len(starts))))
-    return values
-
-
 def monte_carlo_error(
     totals: np.ndarray, samples: int, seed: np.random.SeedSequence
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Poisson-resampling standard error of the witness from its class totals.
 
-    The witness is recomputed for `samples` resamplings of the counts (see
-    resample_witness).  Returns (stderr, histogram counts, histogram bin
-    edges).  The standard deviation is taken in place after the histogram,
-    so only the one array of values is held.
+    The witness is recomputed for `samples` resamplings of the counts.  It
+    depends on a basis's counts only through its three class totals
+    (class_totals), and a sum of independent Poisson counts is Poisson, so
+    each class total is drawn from Poisson(total): 9 draws per sample in
+    place of 48, the same witness distribution as redrawing each raw count
+    from Poisson(count).
+
+    Samples are drawn in chunks of MC_CHUNK, chunk i from the i-th child
+    that seed spawns (so a reused seed spawns other children), on a thread
+    per core (numpy's Poisson sampler releases the GIL).  Each chunk folds
+    its values into its own row of sums about a fixed centre W_c and of
+    histogram counts, so no array of `samples` values is built, and the
+    rows are added in chunk order, so the results are the same on any
+    number of threads.
+
+    W_c is the witness of the totals themselves.  The WITNESS_HIST_BINS
+    bins span W_c +/- WITNESS_HIST_SIGMAS delta-method errors (numpy's
+    W_c +/- 0.5 when that error is 0), and values beyond them count in the
+    end bins, so the counts sum to `samples`.  Returns (stderr, histogram
+    counts, histogram bin edges).
     """
-    values = resample_witness(totals, samples, seed)
-    hist, edges = np.histogram(values, bins=WITNESS_HIST_BINS)
-    values -= values.mean()
-    np.square(values, out=values)
-    return math.sqrt(values.mean()), hist, edges
+    ratio, _ = _basis_ratios(totals)
+    centre = 2.0 - float(ratio.sum())
+    half = WITNESS_HIST_SIGMAS * delta_method_stderr(totals)
+    edges = np.histogram_bin_edges([centre - half, centre + half], WITNESS_HIST_BINS)
+    span = (float(edges[0]), float(edges[-1]))
+    starts = range(0, samples, MC_CHUNK)
+    seeds = seed.spawn(len(starts))
+    sums = np.empty((len(starts), 2))
+    counts = np.empty((len(starts), WITNESS_HIST_BINS), dtype=np.intp)
+
+    def chunk(i: int) -> None:
+        values = np.empty(min(MC_CHUNK, samples - starts[i]))
+        _witness_chunk(totals, seeds[i], values)
+        dev = values - centre
+        # np.square, not dev @ dev: a BLAS dot starts OpenBLAS's own threads,
+        # which fight the pool's threads for the cores (witness took about
+        # twice as long)
+        sums[i] = dev.sum(), np.square(dev, out=dev).sum()
+        np.clip(values, *span, out=values)
+        # integer bins over the span take numpy's equal-width path, which
+        # bins each value as the edges do
+        counts[i] = np.histogram(values, WITNESS_HIST_BINS, span)[0]
+
+    from concurrent.futures import ThreadPoolExecutor  # kept off the CLI's import path
+
+    with ThreadPoolExecutor(_workers(len(starts))) as pool:
+        list(pool.map(chunk, range(len(starts))))
+    first, second = sums.sum(axis=0) / samples
+    return math.sqrt(max(second - first * first, 0.0)), counts.sum(axis=0), edges
+
+
+def _basis_ratios(totals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each basis's r = (A+ - A-) / N and its N, with 1 in place of an empty basis's 0."""
+    total = totals.sum(axis=1)
+    safe = np.where(total > 0.0, total, 1.0)
+    return (totals[:, 0] - totals[:, 1]) / safe, safe
 
 
 def delta_method_stderr(totals: np.ndarray) -> float:
@@ -232,9 +251,7 @@ def delta_method_stderr(totals: np.ndarray) -> float:
     each class total's variance is its mean, so the basis contributes
     sum_c (w_c - r)^2 A_c / N^2 to the variance.  Empty bases contribute 0.
     """
-    total = totals.sum(axis=1)
-    safe = np.where(total > 0.0, total, 1.0)
-    ratio = (totals[:, 0] - totals[:, 1]) / safe
+    ratio, safe = _basis_ratios(totals)
     weights = np.array([1.0, -1.0, 0.0])
     var = ((weights - ratio[:, None]) ** 2 * totals).sum(axis=1) / safe**2
     return float(math.sqrt(var.sum()))
@@ -255,8 +272,9 @@ def fit_interference(rates, expected_sign: int) -> dict:
     The residual is sum r^2 - n c0^2 - (n/2)(c1^2 + c2^2), so the k that
     captures the most power c1^2 + c2^2 fits best; it is reported via
     `harmonic`.  Powers within rounding of each other (a flat scan) keep the
-    first k.  sign_match compares expected_sign, the sign of the ideal
-    fringe's cos term, with the fitted one: +1 if |phi0| < pi/2, else -1.
+    first k.  The phase lies in (-pi, pi].  sign_match compares
+    expected_sign, the sign of the ideal fringe's cos term, with the fitted
+    one: +1 if |phi0| < pi/2, else -1.
     """
     rates = np.asarray(rates, dtype=float)
     # a power-of-two scale is exact, and keeps the powers below from underflowing
@@ -276,6 +294,8 @@ def fit_interference(rates, expected_sign: int) -> dict:
     c1, c2 = best_c
     vis = min(float(np.hypot(c1, c2) / c0), 1.0)
     phase = float(math.atan2(-c2, c1))
+    if phase == -math.pi:  # a fringe at pi, whose c2 is rounding noise of either sign
+        phase = math.pi
     return {
         "visibility": vis,
         "phase_offset": phase,

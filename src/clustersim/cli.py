@@ -98,8 +98,9 @@ PRESETS = {
 _OPEN_SECTIONS = {"detection.visibility_penalty": 1.0}
 
 # Ranges of the leaves that no domain constructor checks (an open section's
-# holds for each value); upper bounds keep counts exact in a float and
-# witness and fringe within seconds and a few hundred MB (README).
+# holds for each value); upper bounds keep counts exact in a float, witness
+# within seconds (its memory does not grow with mc_samples) and fringe
+# within seconds and a few hundred MB (README).
 _RANGES = {"seed": (0, math.inf), "detection.pairs_per_setting": (1, 10**15),
            "analysis.mc_samples": (2, 10**7),
            "analysis.fringe_points": (analysis.MIN_SCAN_PHASES, 10**5),
@@ -428,6 +429,8 @@ def cmd_measure(s: Setup, exact: bool) -> tuple[dict, list[str]]:
     rows = [(h.pairing.name, bs, bi, h.counts[bs, bi])
             for h in hists for bs, bi in np.ndindex(h.counts.shape)]
     total = sum(h.counts.sum() for h in hists)
+    # sampled counts are integers; exact means may all lie far below 1
+    shown = f"{total:.6g}" if exact else f"{total:.0f}"
     return {
         "histograms.csv": (["setting", "s_bin", "i_bin", "counts"], rows),
         "histograms.json": {"settings": [{
@@ -437,7 +440,7 @@ def cmd_measure(s: Setup, exact: bool) -> tuple[dict, list[str]]:
             "counts": h.counts.tolist(),
             "ancillary": h.ancillary,
         } for h in hists]},
-    }, [f"recorded {total:.0f} coincidences over {len(hists)} settings"]
+    }, [f"recorded {shown} coincidences over {len(hists)} settings"]
 
 
 def cmd_witness(s: Setup, exact: bool) -> tuple[dict, list[str]]:

@@ -35,8 +35,10 @@ Nothing under ``src/clustersim`` calls this module; tests compare against it.
 - `witness_samples`, the witness of each resampled set of 48 raw counts;
   `witness_from_class_totals`, the same witness from each set's 9 class
   totals; and `broadcast_class_total_samples`, the single-stream sampler
-  that drew all 9 class totals of a batch in one broadcast call.  They are
-  the references of `analysis.resample_witness`.
+  that drew all 9 class totals of a batch in one broadcast call; and
+  `resample_witness`, every value `analysis.monte_carlo_error` folds into
+  its moments and histogram, held in one array.  They are the references
+  of `analysis.monte_carlo_error`'s resampling.
 - The light commands' element-at-a-time loops: `step_ou_accumulate` and
   `sample_stabilize`, the references of `channel.ou_accumulate` and
   `channel.stabilize`; and `cell_csv_lines`, the per-cell line builder, the
@@ -68,8 +70,10 @@ import numpy as np
 
 from clustersim.analysis import (
     FIT_HARMONICS,
+    MC_CHUNK,
     STABILIZER_TERMS,
     TERM_BASIS,
+    _witness_chunk,
     outcome_classes,
     scan_phases,
     term_signs,
@@ -260,6 +264,19 @@ def broadcast_class_total_samples(raw_counts: dict[str, np.ndarray], samples: in
         n = min(batch, samples - done)
         values[done : done + n] = witness_from_class_totals(
             rng.poisson(lam, size=(n,) + lam.shape))
+    return values
+
+
+def resample_witness(totals: np.ndarray, samples: int, seed: np.random.SeedSequence) -> np.ndarray:
+    """Every witness value `analysis.monte_carlo_error` folds, held in one array.
+
+    Chunk i of MC_CHUNK values is `analysis._witness_chunk` on the i-th child
+    that seed spawns, filled one chunk after another on one thread.
+    """
+    values = np.empty(samples)
+    starts = range(0, samples, MC_CHUNK)
+    for start, child in zip(starts, seed.spawn(len(starts))):
+        _witness_chunk(totals, child, values[start : start + MC_CHUNK])
     return values
 
 

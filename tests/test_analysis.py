@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from clustersim.analysis import (
     multiplex_budget,
     outcome_classes,
     raw_basis_counts,
-    resample_witness,
     scan_phases,
     term_signs,
     witness,
@@ -38,6 +38,7 @@ from oracles import (
     lstsq_fringe_fit,
     raw_count_witness_samples,
     readout,
+    resample_witness,
     signs_and_bases,
     witness_from_class_totals,
     witness_samples,
@@ -374,14 +375,58 @@ def test_chunk_replays_class_total_oracle():
         )
 
 
+@pytest.mark.parametrize("raw", [_raw_counts(400), _sparse_raw_counts()],
+                         ids=["full", "sparse"])
+@pytest.mark.parametrize("samples,seed", [(2 * MC_CHUNK + 1000, 4), (MC_CHUNK, 5), (2, 6)])
+def test_streamed_error_matches_resampled_values(raw, samples, seed):
+    """The chunk-by-chunk sums and counts give what the array of every value gives."""
+    totals = class_totals(raw)
+    stderr, hist, edges = monte_carlo_error(totals, samples, SeedSequence(seed))
+    values = resample_witness(totals, samples, SeedSequence(seed))
+    assert stderr == pytest.approx(np.std(values), rel=1e-12, abs=0.0)
+    assert len(edges) == len(hist) + 1 == analysis.WITNESS_HIST_BINS + 1
+    clipped = np.clip(values, edges[0], edges[-1])
+    np.testing.assert_array_equal(hist, np.histogram(clipped, bins=edges)[0])
+    assert hist.sum() == samples
+
+
+def test_histogram_spans_six_delta_sigmas_about_the_totals_witness():
+    totals = class_totals(_raw_counts(400))
+    _, _, edges = monte_carlo_error(totals, 1000, SeedSequence(0))
+    centre = witness_from_class_totals(totals[None])[0]
+    half = analysis.WITNESS_HIST_SIGMAS * delta_method_stderr(totals)
+    assert edges[0] == pytest.approx(centre - half, rel=0.0, abs=1e-12)
+    assert edges[-1] == pytest.approx(centre + half, rel=0.0, abs=1e-12)
+    # a zero sigma gets numpy's unit span, and every sample still lands in a bin
+    one_class = np.array([[5.0, 0.0, 0.0]] * 3)
+    assert delta_method_stderr(one_class) == 0.0
+    stderr, hist, edges = monte_carlo_error(one_class, 1000, SeedSequence(0))
+    assert edges[-1] - edges[0] == pytest.approx(1.0)
+    assert hist.sum() == 1000 and stderr > 0.0  # N = 0 draws give W = 2 now and then
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 def test_resampling_is_independent_of_worker_count(monkeypatch, workers):
     totals = class_totals(_sparse_raw_counts())
     samples = 4 * MC_CHUNK + 123
-    reference = resample_witness(totals, samples, seed=SeedSequence(12))
+    stderr, hist, edges = monte_carlo_error(totals, samples, seed=SeedSequence(12))
     monkeypatch.setattr(analysis, "_workers", lambda n_chunks: workers)
-    again = resample_witness(totals, samples, seed=SeedSequence(12))
-    assert again.tobytes() == reference.tobytes()
+    again = monte_carlo_error(totals, samples, seed=SeedSequence(12))
+    assert again[0] == stderr
+    assert again[1].tobytes() == hist.tobytes()
+    assert again[2].tobytes() == edges.tobytes()
+
+
+def test_mc_memory_does_not_grow_with_samples():
+    """10^6 samples hold a few chunks at a time, not 8 MB of values."""
+    totals = class_totals(_raw_counts(400))
+    tracemalloc.start()
+    try:
+        monte_carlo_error(totals, samples=10**6, seed=SeedSequence(13))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_mc_draws_nine_variates_per_sample(monkeypatch):
@@ -410,6 +455,16 @@ def test_delta_method_empty_basis_contributes_zero():
     assert full**2 == pytest.approx(
         empty**2 + delta_method_stderr(class_totals(only)) ** 2, rel=1e-12
     )
+
+
+def test_fit_phase_of_pi_is_plus_pi():
+    """A fringe at phase pi reads +pi, whatever sign rounding gives its sine sum."""
+    for scale, k, n in itertools.product((1.0, 3.0, 1e-20, 7e13), analysis.FIT_HARMONICS,
+                                         (8, 12, 24, 25)):
+        rates = scale * (1.0 + 0.5 * np.cos(k * scan_phases(n) + math.pi))
+        fit = fit_interference(rates, -1)
+        assert -math.pi < fit["phase_offset"] <= math.pi, (scale, k, n)
+        assert fit["phase_offset"] == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_fit_exact_fringe():

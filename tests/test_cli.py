@@ -89,6 +89,25 @@ def test_seed_changes_sampled_outputs(tmp_path):
     assert outputs[0] != outputs[1]
 
 
+@pytest.mark.parametrize("exact,overrides", [
+    (False, {}),
+    (True, {}),
+    (True, {"channel": {"compensator_loss_db": 224.4}}),
+], ids=["sampled", "exact", "exact-224.4dB"])
+def test_measure_reports_its_total(tmp_path, capsys, exact, overrides):
+    """The printed total is the histograms' sum: an integer when sampled, the
+    exact mean to 6 digits however far below 1 (about 5e-20 at 224.4 dB)."""
+    cfg = _write_config(tmp_path, overrides)
+    outdir = tmp_path / "m"
+    assert _run(["measure", "--config", cfg, "--out", str(outdir)]
+                + ["--exact"] * exact) == 0
+    doc = json.loads((outdir / "histograms.json").read_text())
+    total = sum(np.sum(s["counts"]) for s in doc["settings"])
+    assert total > 0
+    text = f"{total:.6g}" if exact else f"{int(total)}"
+    assert capsys.readouterr().out == f"recorded {text} coincidences over 9 settings\n"
+
+
 def test_exact_witness_is_minus_one(tmp_path, capsys):
     cfg = _write_config(tmp_path, {**FAST_OVERRIDES, **{
         "detection": {**FAST_OVERRIDES["detection"], **EXACT_NOISELESS["detection"]},
